@@ -12,8 +12,7 @@ import struct
 
 import numpy as np
 
-from .model import ModelConfig, ModelParams, Tensor
-from .tensor import GruParams
+from .model import ModelConfig, ModelParams, Tensor, init_decoder, init_params
 
 MAGIC = b"LNTC"
 VERSION = 1
@@ -102,37 +101,22 @@ def model_from_arrays(arrays: dict[str, np.ndarray]) -> tuple[ModelParams, dict[
         raise ValueError(f"checkpoint lacks config entry {missing}") from None
     cfg = ModelConfig(**kwargs)
 
+    # a freshly initialised model gives every tensor's name and shape; the
+    # checkpoint's values then replace its data
+    params = init_params(cfg, seed=0)
+    if "decoder.layer0.weight" in arrays:
+        init_decoder(params, seed=0)
     used = {f"config.{n}" for n in _CONFIG_SCALARS} | {"config.filters", "config.strides"}
-
-    def grab(name: str) -> Tensor:
+    for name, tensor in params.named_parameters().items():
         if name not in arrays:
             raise ValueError(f"checkpoint lacks tensor {name!r}")
+        found = arrays[name].shape
+        if found != tensor.shape:
+            raise ValueError(
+                f"checkpoint tensor {name!r} has shape {found}, expected {tensor.shape}"
+            )
+        tensor.data = Tensor(arrays[name]).data
         used.add(name)
-        return Tensor(arrays[name], requires_grad=True)
-
-    params = ModelParams(config=cfg)
-    for i in range(len(cfg.filters)):
-        w = grab(f"encoder.layer{i}.weight")
-        b = grab(f"encoder.layer{i}.bias") if cfg.conv_bias else None
-        params.encoder.append((w, b))
-    gru = {}
-    for name in GruParams._fields:
-        label = name if name.startswith("b") else name[0].upper() + name[1:]
-        gru[name] = grab(f"context.{label}")
-    params.context = GruParams(**gru)
-    params.context_out_bias = grab("context.out_bias")
-    params.heads = [grab(f"heads.W{k}") for k in range(1, cfg.K + 1)]
-    if cfg.separate_ddcl_heads:
-        params.ddcl_heads = [grab(f"ddcl_heads.W{k}") for k in range(1, cfg.K + 1)]
-    for l in range(1, cfg.L + 1):
-        params.bank.append(
-            [grab(f"bank.T{l}.layer{j}.weight") for j in range(cfg.bank_layers)]
-        )
-    if "decoder.layer0.weight" in arrays:
-        params.decoder = [
-            (grab(f"decoder.layer{i}.weight"), grab(f"decoder.layer{i}.bias"))
-            for i in range(len(cfg.filters))
-        ]
     leftover = {k: v for k, v in arrays.items() if k not in used}
     return params, leftover
 

@@ -50,12 +50,15 @@ class LossConfig:
             raise ValueError("N must be >= 2")
 
 
-def _rows(seq: Tensor) -> tuple[Tensor, int, int]:
-    """(B,T,D) or (T,D) -> (flattened (B*T,D), B, T)."""
-    if seq.ndim == 2:
-        return seq, 1, seq.shape[0]
-    b, t, d = seq.shape
-    return tn.reshape(seq, (b * t, d)), b, t
+def _batched(seq: Tensor) -> Tensor:
+    """(T,D) -> (1,T,D); (B,T,D) unchanged."""
+    return tn.reshape(seq, (1,) + seq.shape) if seq.ndim == 2 else seq
+
+
+def _shifted(seq: Tensor, start: int, stop: int) -> Tensor:
+    """Steps [start, stop) of every sequence in a (B,T,...) batch, as rows."""
+    part = tn.slice_axis(seq, start, stop, axis=1)
+    return tn.reshape(part, (-1,) + part.shape[2:])
 
 
 def sample_negatives(
@@ -78,24 +81,21 @@ def cpc_loss(
     rng: np.random.Generator,
 ) -> Tensor:
     """Mean contrastive term over batch, valid t, and k = 1..K."""
-    z_flat, batch, t_z = _rows(z)
-    c_flat, _, _ = _rows(c)
+    z3, c3 = _batched(z), _batched(c)
+    batch, t_z, dim_z = z3.shape
     if t_z <= cfg.K:
         raise ValueError(f"sequence of {t_z} latent steps has no valid positives for K={cfg.K}")
     n_pos = batch * t_z
+    z_cols = tn.transpose(tn.reshape(z3, (n_pos, dim_z)))
 
     acc = None
     total = 0
     for k in range(1, cfg.K + 1):
-        tv = t_z - k
-        c_idx = (np.arange(batch)[:, None] * t_z + np.arange(tv)[None, :]).ravel()
-        pos_idx = c_idx + k
-        pred = mdl.predict_rows(params, tn.take_rows(c_flat, c_idx), k)
-        pos_logit = tn.sum_last(tn.mul(pred, tn.take_rows(z_flat, pos_idx)))
+        pos_idx = (np.arange(batch)[:, None] * t_z + np.arange(k, t_z)[None, :]).ravel()
+        pred = mdl.predict_rows(params, _shifted(c3, 0, t_z - k), k)
+        pos_logit = tn.sum_last(tn.mul(pred, _shifted(z3, k, t_z)))
         neg_idx = sample_negatives(rng, len(pos_idx), n_pos, pos_idx, cfg.N - 1)
-        negs = tn.take_rows(z_flat, neg_idx.ravel())
-        pred_rep = tn.take_rows(pred, np.repeat(np.arange(len(pos_idx)), cfg.N - 1))
-        neg_logit = tn.reshape(tn.sum_last(tn.mul(pred_rep, negs)), (len(pos_idx), cfg.N - 1))
+        neg_logit = tn.gather_last(tn.matmul(pred, z_cols), neg_idx)
         logits = tn.concat([pos_logit, neg_logit], axis=1)
         k_sum = tn.sum_all(tn.sub(tn.logsumexp_last(logits), pos_logit))
         acc = k_sum if acc is None else tn.add(acc, k_sum)
@@ -125,47 +125,62 @@ def ddcl_term(params: ModelParams, views: list[Tensor], c_prev: Tensor, k: int, 
     return tn.log_softmax_contrast(log_pos, log_negs)
 
 
+def view_gram(params: ModelParams, z_rows: Tensor) -> tuple[Tensor, Tensor]:
+    """Unit views (R,L,D) of latent rows (R,D) and their DDCL denominators.
+
+    One Gram matrix of unit views per row, (R,L,L), holds every log h
+    between views; its exp row-sums with the diagonal masked out give
+    S[r,l] = sum_{m != l} h(view_l, view_m), shape (R,L).
+    """
+    views = mdl.transform(params, z_rows)
+    n_views = len(views)
+    stacked = tn.reshape(tn.concat(views, axis=1), (z_rows.shape[0], n_views, -1))
+    units = tn.unit_rows(stacked)
+    gram = tn.bmm(units, tn.transpose(units, (0, 2, 1)))
+    off_diag = Tensor(1.0 - np.eye(n_views))
+    return units, tn.sum_last(tn.mul(tn.exp(gram), off_diag), keepdims=False)
+
+
+def ddcl_terms(
+    params: ModelParams, units: Tensor, den: Tensor, c_prev: Tensor, k: int,
+) -> Tensor:
+    """DDCL terms (R,L) of anchor rows, given their c_{t-k} rows (R,dim_c).
+
+    ``units`` and ``den`` are the anchor rows of :func:`view_gram`; term
+    (r,l) is log(h(view_l, pred) + S[r,l]) - log h(view_l, pred).
+    """
+    rows, n_views, dim_z = units.shape
+    pred = tn.unit_rows(mdl.predict_rows(params, c_prev, k, ddcl=True))
+    cos = tn.reshape(tn.bmm(units, tn.reshape(pred, (rows, dim_z, 1))), (rows, n_views))
+    # h values live in [1/e, e]; the direct form is safe here
+    return tn.sub(tn.log(tn.add(tn.exp(cos), den)), cos)
+
+
 def ddcl_loss(params: ModelParams, z: Tensor, c: Tensor, cfg: LossConfig) -> Tensor:
     """Mean DDCL term over batch, valid (t,k) pairs, and all L views."""
-    z_flat, batch, t_z = _rows(z)
-    c_flat, _, _ = _rows(c)
+    z3, c3 = _batched(z), _batched(c)
+    batch, t_z, dim_z = z3.shape
     if t_z < 2:
         raise ValueError("DDCL needs at least two latent steps (no valid (t,k) pair)")
 
-    views = mdl.transform(params, z_flat)
-    L = len(views)
-    units = [tn.unit_rows(v) for v in views]
-    # denominator sums: S[l] = sum_{m != l} h(view_l, view_m), rowwise
-    pair = {}
-    for l in range(L):
-        for m in range(l + 1, L):
-            pair[(l, m)] = tn.exp(tn.sum_last(tn.mul(units[l], units[m])))
-    sums = []
-    for l in range(L):
-        terms = [pair[(min(l, m), max(l, m))] for m in range(L) if m != l]
-        s = terms[0]
-        for t in terms[1:]:
-            s = tn.add(s, t)
-        sums.append(s)
+    units, den = view_gram(params, tn.reshape(z3, (batch * t_z, dim_z)))
+    n_views = units.shape[1]
+    units = tn.reshape(units, (batch, t_z, n_views, dim_z))
+    den = tn.reshape(den, (batch, t_z, n_views))
 
     acc = None
     count = 0
     for k in range(1, cfg.K + 1):
-        tv = t_z - k
-        if tv < 1:
+        if t_z - k < 1:
             continue
-        t_anchor = (np.arange(batch)[:, None] * t_z + np.arange(k, t_z)[None, :]).ravel()
-        c_idx = t_anchor - k
-        pred = mdl.predict_rows(params, tn.take_rows(c_flat, c_idx), k, ddcl=True)
-        unit_pred = tn.unit_rows(pred)
-        for l in range(L):
-            cos_num = tn.sum_last(tn.mul(tn.take_rows(units[l], t_anchor), unit_pred))
-            # h values live in [1/e, e]; the direct form is safe here
-            den = tn.add(tn.exp(cos_num), tn.take_rows(sums[l], t_anchor))
-            term_sum = tn.sum_all(tn.sub(tn.log(den), cos_num))
-            acc = term_sum if acc is None else tn.add(acc, term_sum)
-        count += len(t_anchor)
-    return tn.scale(acc, 1.0 / (count * L))
+        terms = ddcl_terms(
+            params, _shifted(units, k, t_z), _shifted(den, k, t_z),
+            _shifted(c3, 0, t_z - k), k,
+        )
+        term_sum = tn.sum_all(terms)
+        acc = term_sum if acc is None else tn.add(acc, term_sum)
+        count += terms.size
+    return tn.scale(acc, 1.0 / count)
 
 
 def unified_loss(

@@ -268,13 +268,12 @@ def contextualize_with_state(
         raise ValueError("empty latent sequence")
     if state is None:
         state = Tensor(np.zeros((batch, cfg.dim_c)))
-    zt = tn.transpose(zb, (1, 0, 2))  # (T_z, B, dim_z)
     outs = []
     for t in range(t_z):
-        step_in = tn.reshape(tn.take_rows(zt, np.array([t])), (batch, cfg.dim_z))
+        step_in = tn.reshape(tn.slice_axis(zb, t, t + 1, axis=1), (batch, cfg.dim_z))
         state = tn.gru_step(state, step_in, params.context)
-        outs.append(tn.reshape(tn.add(state, params.context_out_bias), (1, batch, cfg.dim_c)))
-    c = tn.transpose(tn.concat(outs, axis=0), (1, 0, 2))
+        outs.append(tn.reshape(tn.add(state, params.context_out_bias), (batch, 1, cfg.dim_c)))
+    c = tn.concat(outs, axis=1)
     if single:
         c = tn.reshape(c, (t_z, cfg.dim_c))
     return c, state
@@ -340,7 +339,7 @@ def decode(params: ModelParams, z: Tensor) -> Tensor:
         h = tn.add(h, b)
         if i < last:
             h = tn.relu(h)
-    return tn.crop_last(h, t_z * cfg.downsample)
+    return tn.slice_axis(h, 0, t_z * cfg.downsample, axis=-1)
 
 
 def constant_model(

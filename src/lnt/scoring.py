@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import losses as ls
 from . import model as mdl
 from . import tensor as tn
 from .model import ModelParams
@@ -139,34 +140,19 @@ def score_ddcl(
 
     for z, ctx_all, tail_n, step in _iter_chunks(params, x, chunk_len):
         this_m = z.shape[0]
-        views = mdl.transform(params, z)
-        units = [tn.unit_rows(v) for v in views]
-        pair = {}
-        for l in range(L):
-            for m in range(l + 1, L):
-                pair[(l, m)] = tn.exp(tn.sum_last(tn.mul(units[l], units[m])))
-        sums = []
-        for l in range(L):
-            parts = [pair[(min(l, m), max(l, m))] for m in range(L) if m != l]
-            s = parts[0]
-            for p in parts[1:]:
-                s = tn.add(s, p)
-            sums.append(s)
-
+        units, den = ls.view_gram(params, z)
         for k in range(1, cfg.K + 1):
             t0 = max(0, k - step)  # first chunk-local step with c_{t-k} available
             if t0 >= this_m:
                 continue
             c_prev = Tensor(ctx_all[tail_n + t0 - k : tail_n + this_m - k])
-            unit_pred = tn.unit_rows(mdl.predict_rows(params, c_prev, k, ddcl=True))
+            terms = ls.ddcl_terms(
+                params, tn.slice_axis(units, t0, this_m), tn.slice_axis(den, t0, this_m),
+                c_prev, k,
+            )
             rows = slice(step + t0, step + this_m)
-            for l in range(L):
-                anchor = tn.take_rows(units[l], np.arange(t0, this_m))
-                cos_num = tn.sum_last(tn.mul(anchor, unit_pred))
-                s_sel = tn.take_rows(sums[l], np.arange(t0, this_m))
-                term = tn.sub(tn.log(tn.add(tn.exp(cos_num), s_sel)), cos_num)
-                total[rows] += term.data[:, 0]
-                counts[rows] += 1
+            total[rows] += terms.data.sum(axis=1, dtype=np.float64)
+            counts[rows] += L
 
     meta = {"method": "ddcl", "normalized": normalized, "K": cfg.K, "L": L}
     return _finish(total, counts, x.shape[1], cfg.downsample, normalized, meta)
@@ -193,7 +179,7 @@ def score_cpc_approx(
                 continue
             c_prev = Tensor(ctx_all[tail_n + t0 - k : tail_n + this_m - k])
             pred = mdl.predict_rows(params, c_prev, k)
-            anchor = tn.take_rows(z, np.arange(t0, this_m))
+            anchor = tn.slice_axis(z, t0, this_m)
             logit = tn.sum_last(tn.mul(anchor, pred))
             rows = slice(step + t0, step + this_m)
             total[rows] -= logit.data[:, 0]

@@ -271,13 +271,11 @@ def add_scalar(a: Tensor, value: float) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    # exp on the negative half only, so large |x| cannot overflow
+    # exp of -|x| only, so large |x| cannot overflow; each branch is the
+    # stable form for its sign
     x = a.data
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    ex = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
     return _make(out, (a,), lambda g: (g * out * (1.0 - out),), "sigmoid")
 
 
@@ -326,6 +324,23 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
     out = a.data @ b.data
     return _make(out, (a, b), lambda g: (g @ b.data.T, a.data.T @ g), "matmul")
+
+
+def bmm(a: Tensor, b: Tensor) -> Tensor:
+    """Batched matmul of (N, I, J) and (N, J, K) operands into (N, I, K)."""
+    if a.ndim != 3 or b.ndim != 3:
+        raise ValueError(f"bmm expects 3-D operands, got {a.shape} and {b.shape}")
+    if a.shape[0] != b.shape[0]:
+        raise ValueError(f"bmm batch dimensions disagree: {a.shape} x {b.shape}")
+    if a.shape[2] != b.shape[1]:
+        raise ValueError(f"bmm inner dimensions disagree: {a.shape} x {b.shape}")
+    out = np.matmul(a.data, b.data)
+    return _make(
+        out,
+        (a, b),
+        lambda g: (g @ b.data.transpose(0, 2, 1), a.data.transpose(0, 2, 1) @ g),
+        "bmm",
+    )
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -398,31 +413,41 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _make(out, tuple(tensors), vjp, "concat")
 
 
-def take_rows(a: Tensor, idx: np.ndarray) -> Tensor:
-    """Gather rows (first axis); repeated indices scatter-add in reverse."""
+def slice_axis(a: Tensor, start: int, stop: int, axis: int = 0) -> Tensor:
+    """Entries ``[start, stop)`` along ``axis``; the gradient is zero-padded."""
+    axis = axis % a.ndim
+    if not 0 <= start <= stop <= a.shape[axis]:
+        raise ValueError(f"slice [{start}, {stop}) outside axis {axis} of size {a.shape[axis]}")
+    index = (slice(None),) * axis + (slice(start, stop),)
+    out = a.data[index]
+
+    def vjp(g):
+        da = np.zeros(a.shape, dtype=_dtype)
+        da[index] = g
+        return (da,)
+
+    return _make(out, (a,), vjp, "slice_axis")
+
+
+def gather_last(a: Tensor, idx: np.ndarray) -> Tensor:
+    """Per-row gather ``out[i, j] = a[i, idx[i, j]]`` from a 2-D tensor.
+
+    Repeated indices in a row scatter-add in reverse, through one flat
+    ``bincount`` over ``a.size`` slots.
+    """
     idx = np.asarray(idx, dtype=np.intp)
-    out = a.data[idx]
+    if a.ndim != 2 or idx.ndim != 2 or idx.shape[0] != a.shape[0]:
+        raise ValueError(
+            f"gather_last expects (R, N) data and (R, M) indices, got {a.shape}, {idx.shape}"
+        )
+    out = np.take_along_axis(a.data, idx, axis=1)
+    flat = (idx + np.arange(a.shape[0])[:, None] * a.shape[1]).ravel()
 
     def vjp(g):
-        da = np.zeros(a.shape, dtype=_dtype)
-        np.add.at(da, idx, g)
-        return (da,)
+        da = np.bincount(flat, weights=g.ravel(), minlength=a.size)
+        return (da.reshape(a.shape).astype(_dtype, copy=False),)
 
-    return _make(out, (a,), vjp, "take_rows")
-
-
-def crop_last(a: Tensor, length: int) -> Tensor:
-    """Keep the first ``length`` entries along the last axis."""
-    if length > a.shape[-1]:
-        raise ValueError(f"crop length {length} exceeds axis size {a.shape[-1]}")
-    out = a.data[..., :length]
-
-    def vjp(g):
-        da = np.zeros(a.shape, dtype=_dtype)
-        da[..., :length] = g
-        return (da,)
-
-    return _make(out, (a,), vjp, "crop_last")
+    return _make(out, (a,), vjp, "gather_last")
 
 
 # ---------------------------------------------------------------------------

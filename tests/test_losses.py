@@ -275,6 +275,20 @@ def test_ddcl_loss_constant_model_input_invariant():
     assert vals[0] == vals[1]  # bitwise
 
 
+def test_ddcl_loss_small_record_budget():
+    """The DDCL is one Gram-matrix kernel, not a record per view pair."""
+    params = mdl.init_params(mdl.small_config(), seed=0)
+    cfg = ls.LossConfig(K=params.config.K, L=params.config.L)
+    x = Tensor(np.random.default_rng(97).normal(size=(2, 3, 720)))
+    with tn.Tape() as tape:
+        z = mdl.encode(params, x)
+        c = mdl.contextualize(params, z)
+        before = len(tape)
+        ls.ddcl_loss(params, z, c, cfg)
+        records = len(tape) - before
+    assert records < 250, records
+
+
 # ---------------------------------------------------------------------------
 # unified
 

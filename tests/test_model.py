@@ -381,6 +381,20 @@ def test_checkpoint_missing_tensor(tmp_path):
         ckpt.load_model(path)
 
 
+def test_checkpoint_wrong_shape_rejected(tmp_path):
+    params = mdl.init_params(small(), seed=51)
+    arrays = ckpt.model_to_arrays(params)
+    arrays["context.out_bias"] = arrays["context.out_bias"].reshape(1, -1)
+    path = tmp_path / "reshaped.lnt"
+    ckpt.save_arrays(path, arrays)
+    with pytest.raises(ValueError) as err:
+        ckpt.load_model(path)
+    message = str(err.value)
+    assert "context.out_bias" in message
+    assert f"({params.config.dim_c},)" in message
+    assert f"(1, {params.config.dim_c})" in message
+
+
 def test_checkpoint_expected_names(tmp_path):
     params = mdl.init_params(small(), seed=50)
     names = set(ckpt.model_to_arrays(params))

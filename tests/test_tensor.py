@@ -6,6 +6,7 @@ from the forward pass alone, in 64-bit mode with step 1e-4.
 
 import math
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -99,6 +100,25 @@ def test_matmul_shape_mismatch():
         tn.matmul(Tensor(np.ones(3)), Tensor(np.ones((3, 2))))
 
 
+def test_bmm_matches_per_matrix_matmul_and_fd():
+    rng = np.random.default_rng(5)
+    arrays = {"a": rng.normal(size=(3, 2, 4)), "b": rng.normal(size=(3, 4, 5))}
+    out = tn.bmm(Tensor(arrays["a"]), Tensor(arrays["b"]))
+    for i in range(3):
+        np.testing.assert_allclose(out.data[i], arrays["a"][i] @ arrays["b"][i], rtol=1e-5)
+    weights = rng.normal(size=(3, 2, 5))
+    check_grads(lambda p: tn.sum_all(tn.mul(tn.bmm(p["a"], p["b"]), Tensor(weights))), arrays)
+
+
+def test_bmm_shape_mismatch():
+    with pytest.raises(ValueError, match="batch"):
+        tn.bmm(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 4, 5))))
+    with pytest.raises(ValueError, match="inner"):
+        tn.bmm(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 3, 5))))
+    with pytest.raises(ValueError):
+        tn.bmm(Tensor(np.ones((3, 4))), Tensor(np.ones((4, 5))))
+
+
 # ---------------------------------------------------------------------------
 # elementwise suite
 
@@ -118,6 +138,23 @@ def test_sigmoid_derivative_at_zero():
 def test_relu_values():
     out = tn.relu(Tensor([-1.0, 2.0]))
     np.testing.assert_array_equal(out.data, [0.0, 2.0])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_matches_two_branch_formula_bitwise(dtype):
+    x = np.random.default_rng(3).normal(scale=30.0, size=500)
+    x = np.concatenate([x, [0.0, -0.0, 88.0, -88.0, 200.0, -200.0]]).astype(dtype)
+    expected = np.empty_like(x)
+    pos = x >= 0
+    expected[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    expected[~pos] = ex / (1.0 + ex)
+    with tn.precision_mode(32 if dtype is np.float32 else 64):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = tn.sigmoid(Tensor(x))
+    assert out.data.dtype == dtype
+    assert np.array_equal(out.data, expected)
 
 
 def test_sigmoid_extremes_stay_finite():
@@ -222,11 +259,21 @@ def test_reduction_and_shape_grads():
     check_grads(loss, arrays)
 
 
-def test_take_rows_repeated_indices():
+def test_gather_last_repeated_indices():
     with tn.precision_mode(64), Tape():
-        x = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
-        backward(tn.sum_all(tn.take_rows(x, np.array([0, 0, 2]))))
-    np.testing.assert_array_equal(x.grad, [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]])
+        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        out = tn.gather_last(x, np.array([[0, 0, 2], [1, 1, 1]]))
+        backward(tn.sum_all(out))
+    np.testing.assert_array_equal(out.data, [[0.0, 0.0, 2.0], [4.0, 4.0, 4.0]])
+    np.testing.assert_array_equal(x.grad, [[2.0, 0.0, 1.0], [0.0, 3.0, 0.0]])
+
+
+def test_gather_last_grad_fd():
+    rng = np.random.default_rng(8)
+    arrays = {"x": rng.normal(size=(3, 5))}
+    idx = np.array([[4, 0, 4, 4], [1, 2, 3, 1], [0, 0, 0, 2]])
+    weights = rng.normal(size=(3, 4))
+    check_grads(lambda p: tn.sum_all(tn.mul(tn.gather_last(p["x"], idx), Tensor(weights))), arrays)
 
 
 def test_concat_crop_grads():
@@ -235,9 +282,32 @@ def test_concat_crop_grads():
 
     def loss(p):
         y = tn.concat([p["a"], p["b"]], axis=1)
-        return tn.sum_all(tn.mul(tn.crop_last(y, 4), tn.crop_last(y, 4)))
+        crop = tn.slice_axis(y, 0, 4, axis=-1)
+        return tn.sum_all(tn.mul(crop, crop))
 
     check_grads(loss, arrays)
+
+
+def test_slice_axis_middle_grad_fd():
+    rng = np.random.default_rng(10)
+    arrays = {"x": rng.normal(size=(2, 5, 3))}
+    weights = rng.normal(size=(2, 2, 3))
+    out = tn.slice_axis(Tensor(arrays["x"]), 1, 3, axis=1)
+    np.testing.assert_array_equal(out.data, arrays["x"][:, 1:3].astype(np.float32))
+
+    def loss(p):
+        return tn.sum_all(tn.mul(tn.slice_axis(p["x"], 1, 3, axis=1), Tensor(weights)))
+
+    check_grads(loss, arrays)
+
+
+def test_slice_axis_bounds_rejected():
+    x = Tensor(np.ones((2, 4)))
+    assert tn.slice_axis(x, 2, 2, axis=1).shape == (2, 0)
+    with pytest.raises(ValueError):
+        tn.slice_axis(x, 0, 5, axis=1)
+    with pytest.raises(ValueError):
+        tn.slice_axis(x, 3, 2, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +546,7 @@ def test_log_softmax_contrast_grad_fd():
     arrays = {"x": rng.normal(size=(5,))}
 
     def loss(p):
-        cols = [tn.reshape(tn.take_rows(p["x"], np.array([i])), ()) for i in range(5)]
+        cols = [tn.reshape(tn.slice_axis(p["x"], i, i + 1), ()) for i in range(5)]
         return tn.log_softmax_contrast(cols[0], cols[1:])
 
     check_grads(loss, arrays)
