@@ -42,7 +42,7 @@ from .data import (
     synth_normal,
     window,
 )
-from .metrics import evaluate, result_csv, result_text
+from .metrics import best_f1, result_csv, result_text
 from .model import ModelConfig, builtin_config, init_decoder, init_params
 from .scoring import load_scores_csv, save_scores_csv, score_cpc_approx, score_ddcl
 from .training import TrainConfig, fit, fit_decoder, save_report_csv
@@ -160,13 +160,6 @@ def write_manifest(output, args, started, *, config=None, inputs=None,
         fh.write("\n")
 
 
-def _config_dict(config: ModelConfig) -> dict:
-    out = dataclasses.asdict(config)
-    out["filters"] = list(out["filters"])
-    out["strides"] = list(out["strides"])
-    return out
-
-
 def _norm_extra(stats: NormStats) -> dict:
     return {
         "norm.mean": stats.mean,
@@ -251,7 +244,7 @@ def cmd_train(args) -> int:
     save_report_csv(report_path, history)
     write_manifest(
         args.out, args, started,
-        config={"model": _config_dict(config), "train": dataclasses.asdict(train_cfg),
+        config={"model": dataclasses.asdict(config), "train": dataclasses.asdict(train_cfg),
                 "window_stride": stride, "windows": len(windows)},
         inputs={"data": args.data},
         outputs={"model": args.out, "report": report_path},
@@ -270,12 +263,12 @@ def _load_scoring_inputs(args):
             f"model expects {params.config.in_channels} channels, "
             f"data has {std.channels} after normalization"
         )
-    return params, std
+    return params, extra, std
 
 
 def cmd_score(args) -> int:
     started = time.perf_counter()
-    params, std = _load_scoring_inputs(args)
+    params, _, std = _load_scoring_inputs(args)
     x = np.asarray(std.values, dtype=tn.dtype())
     if args.method == "ddcl":
         series = score_ddcl(
@@ -287,7 +280,7 @@ def cmd_score(args) -> int:
     write_manifest(
         args.out, args, started,
         config={"method": args.method, "normalized": not args.unnormalized,
-                "chunk_len": args.chunk_len, "model": _config_dict(params.config)},
+                "chunk_len": args.chunk_len, "model": dataclasses.asdict(params.config)},
         inputs={"model": args.model, "data": args.data},
         outputs={"scores": args.out},
         checkpoint=args.model,
@@ -309,7 +302,7 @@ def cmd_eval(args) -> int:
             file=sys.stderr,
         )
         return 1
-    result = evaluate(scores, labels)
+    result = best_f1(scores, labels)
     with open(args.out, "w") as fh:
         fh.write(result_csv(result))
     sys.stdout.write(result_text(result))
@@ -324,7 +317,7 @@ def cmd_eval(args) -> int:
 
 def cmd_viz_decode(args) -> int:
     started = time.perf_counter()
-    params, std = _load_scoring_inputs(args)
+    params, extra, std = _load_scoring_inputs(args)
     config = params.config
     windows = window(std.values, config.sub_seq, config.sub_seq)
     if args.window < 0 or args.window >= len(windows):
@@ -352,7 +345,7 @@ def cmd_viz_decode(args) -> int:
                 for t in range(arr.shape[1]):
                     writer.writerow([name, ch, t, f"{arr[ch, t]:.9g}"])
     if args.save_model:
-        save_model(args.save_model, params, extra=_read_extra(args.model))
+        save_model(args.save_model, params, extra=extra)
     write_manifest(
         args.out, args, started,
         config={"window": args.window, "groups": len(groups),
@@ -362,11 +355,6 @@ def cmd_viz_decode(args) -> int:
         checkpoint=args.model,
     )
     return 0
-
-
-def _read_extra(model_path) -> dict:
-    _, extra = load_model(model_path)
-    return extra
 
 
 # ---------------------------------------------------------------------------

@@ -86,17 +86,6 @@ def standardize(series: LabeledSeries, stats: NormStats) -> LabeledSeries:
     return LabeledSeries(values, series.labels, names, series.rate)
 
 
-def destandardize(series: LabeledSeries, stats: NormStats) -> LabeledSeries:
-    """Inverse of standardize, for the kept channels."""
-    keep = stats.keep
-    if series.channels != int(keep.sum()):
-        raise ValueError(
-            f"series has {series.channels} channels, stats kept {int(keep.sum())}"
-        )
-    values = series.values * stats.std[keep, None] + stats.mean[keep, None]
-    return LabeledSeries(values, series.labels, series.channel_names, series.rate)
-
-
 # ---------------------------------------------------------------------------
 # CSV
 
@@ -136,6 +125,8 @@ def load_csv(path) -> LabeledSeries:
                     raise ValueError(f"{path}: row {lineno} has non-finite value {cell!r}")
                 cols[ci].append(value)
                 ci += 1
+    if not cols[0]:
+        raise ValueError(f"{path}: no data rows")
     values = np.asarray(cols, dtype=np.float64)
     return LabeledSeries(values, np.asarray(labels) if label_idx is not None else None, names)
 
@@ -164,6 +155,8 @@ def synth_normal(channels: int, length: int, seed: int) -> LabeledSeries:
     """Smooth quasi-periodic background: per channel a mixture of 2-4
     sinusoids (periods >= 1024 frames, well below the anomaly band) with
     amplitudes U[0.5,1] and Gaussian noise sigma=0.05.  Labels all zero."""
+    if channels < 1:
+        raise ValueError(f"channels must be >= 1, got {channels}")
     if length < 1:
         raise ValueError("length must be >= 1")
     rng = np.random.default_rng(seed)

@@ -114,9 +114,9 @@ def ddcl_term(params: ModelParams, views: list[Tensor], c_prev: Tensor, k: int, 
         raise ValueError("DDCL needs at least two views (L >= 2)")
     if not 0 <= l < len(views):
         raise ValueError(f"view index {l} out of range")
-    pred = mdl.predict(params, c_prev, k, ddcl=True)
+    pred = mdl.predict_rows(params, tn.reshape(c_prev, (1, -1)), k, ddcl=True)
     anchor = tn.reshape(views[l], (1, -1))
-    log_pos = tn.reshape(_unit_cos(anchor, tn.reshape(pred, (1, -1))), ())
+    log_pos = tn.reshape(_unit_cos(anchor, pred), ())
     log_negs = [
         tn.reshape(_unit_cos(anchor, tn.reshape(v, (1, -1))), ())
         for m, v in enumerate(views)

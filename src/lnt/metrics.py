@@ -118,10 +118,6 @@ def best_f1(scores, labels) -> EvalResult:
     )
 
 
-def evaluate(scores, labels) -> EvalResult:
-    return best_f1(scores, labels)
-
-
 # ---------------------------------------------------------------------------
 # report formatting
 

@@ -231,14 +231,12 @@ def encode(params: ModelParams, x: Tensor) -> Tensor:
     receptive field.  ReLU between conv layers, linear final layer.
     """
     cfg = params.config
-    c_axis = 0 if x.ndim == 2 else 1
-    if x.shape[c_axis] != cfg.in_channels:
-        raise ValueError(
-            f"expected {cfg.in_channels} input channels, got {x.shape[c_axis]}"
-        )
+    single = x.ndim == 2
+    h = tn.reshape(x, (1,) + x.shape) if single else x
+    if h.shape[1] != cfg.in_channels:
+        raise ValueError(f"expected {cfg.in_channels} input channels, got {h.shape[1]}")
     cfg.latent_len(x.shape[-1])  # raises if too short
 
-    h = x
     last = len(params.encoder) - 1
     for i, (w, b) in enumerate(params.encoder):
         h = tn.conv1d_strided(h, w, cfg.strides[i])
@@ -246,9 +244,8 @@ def encode(params: ModelParams, x: Tensor) -> Tensor:
             h = tn.add(h, b)
         if i < last:
             h = tn.relu(h)
-    # (B?,dim_z,T_z) -> time-major rows
-    axes = (1, 0) if h.ndim == 2 else (0, 2, 1)
-    return tn.transpose(h, axes)
+    z = tn.transpose(h, (0, 2, 1))  # time-major rows
+    return tn.reshape(z, z.shape[1:]) if single else z
 
 
 def contextualize_with_state(
@@ -284,17 +281,8 @@ def contextualize(params: ModelParams, z: Tensor) -> Tensor:
     return contextualize_with_state(params, z)[0]
 
 
-def predict(params: ModelParams, c: Tensor, k: int, ddcl: bool = False) -> Tensor:
-    """k-step prediction W_k c for a single context vector (1-based k)."""
-    heads = params.heads_for_ddcl() if ddcl else params.heads
-    if not 1 <= k <= len(heads):
-        raise ValueError(f"k must be in 1..{len(heads)}, got {k}")
-    out = tn.matmul(heads[k - 1], tn.reshape(c, (-1, 1)))
-    return tn.reshape(out, (-1,))
-
-
 def predict_rows(params: ModelParams, c_rows: Tensor, k: int, ddcl: bool = False) -> Tensor:
-    """Row-batched k-step predictions: (R,dim_c) -> (R,dim_z)."""
+    """k-step predictions W_k c of context rows (1-based k): (R,dim_c) -> (R,dim_z)."""
     heads = params.heads_for_ddcl() if ddcl else params.heads
     if not 1 <= k <= len(heads):
         raise ValueError(f"k must be in 1..{len(heads)}, got {k}")
@@ -302,21 +290,18 @@ def predict_rows(params: ModelParams, c_rows: Tensor, k: int, ddcl: bool = False
 
 
 def transform(params: ModelParams, z: Tensor) -> list[Tensor]:
-    """All L views of ``z`` ((dim_z,) vector or (R,dim_z) rows).
+    """All L views of latent rows ``z`` (R,dim_z).
 
     view_l = sigmoid(MLP_l(z)) * z — a multiplicative mask, so every view
     is elementwise strictly smaller in magnitude wherever z is nonzero.
     """
-    single = z.ndim == 1
-    rows = tn.reshape(z, (1, -1)) if single else z
     views = []
     for layers in params.bank:
-        h = rows
+        h = z
         for w in layers[:-1]:
             h = tn.relu(tn.matmul(h, tn.transpose(w)))
         mask = tn.sigmoid(tn.matmul(h, tn.transpose(layers[-1])))
-        view = tn.mul(mask, rows)
-        views.append(tn.reshape(view, (-1,)) if single else view)
+        views.append(tn.mul(mask, z))
     return views
 
 
@@ -331,7 +316,7 @@ def decode(params: ModelParams, z: Tensor) -> Tensor:
     cfg = params.config
     single = z.ndim == 2
     t_z = z.shape[-2]
-    h = tn.transpose(z, (1, 0) if single else (0, 2, 1))
+    h = tn.transpose(tn.reshape(z, (1,) + z.shape) if single else z, (0, 2, 1))
     strides = cfg.strides[::-1]
     last = len(params.decoder) - 1
     for i, (w, b) in enumerate(params.decoder):
@@ -339,7 +324,8 @@ def decode(params: ModelParams, z: Tensor) -> Tensor:
         h = tn.add(h, b)
         if i < last:
             h = tn.relu(h)
-    return tn.slice_axis(h, 0, t_z * cfg.downsample, axis=-1)
+    out = tn.slice_axis(h, 0, t_z * cfg.downsample, axis=-1)
+    return tn.reshape(out, out.shape[1:]) if single else out
 
 
 def constant_model(

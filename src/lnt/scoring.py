@@ -75,17 +75,21 @@ def _check_series(params: ModelParams, x: np.ndarray) -> np.ndarray:
 
 
 def _iter_chunks(params: ModelParams, x: np.ndarray, chunk_len: int | None):
-    """Yield (z_chunk, ctx_all, tail_n, step) per chunk.
+    """Yield (z_chunk, horizons) per chunk.
 
-    ``z_chunk`` is the (m, dim_z) latent Tensor; ``ctx_all`` the numpy
-    context rows including ``tail_n`` carried rows from previous chunks, so
-    global context index g lives at row tail_n + (g - step).
+    ``z_chunk`` is the (m, dim_z) latent Tensor.  ``horizons`` holds one
+    (k, t0, c_prev, rows) per horizon with a valid step in the chunk:
+    chunk-local steps [t0, m) pair with the context rows c_{t-k} in
+    ``c_prev`` (carried across chunk boundaries) and land on the global
+    latent steps ``rows``.
     """
     cfg = params.config
     r, rf, K = cfg.downsample, cfg.receptive_field, cfg.K
     lookahead = rf - r
     m_total = cfg.latent_len(x.shape[1])
     chunk = chunk_len if chunk_len is not None else cfg.sub_seq
+    if chunk < 1:
+        raise ValueError(f"chunk length must be >= 1, got {chunk}")
     chunk_m = max(chunk // r, 1)
 
     state = None
@@ -100,7 +104,14 @@ def _iter_chunks(params: ModelParams, x: np.ndarray, chunk_len: int | None):
             params, z, None if state is None else state.detach()
         )
         ctx_all = c.data if tail is None else np.concatenate([tail, c.data], axis=0)
-        yield z, ctx_all, 0 if tail is None else tail.shape[0], step
+        tail_n = ctx_all.shape[0] - this_m
+        horizons = []
+        for k in range(1, K + 1):
+            t0 = max(0, k - step)  # first chunk-local step with c_{t-k} available
+            if t0 < this_m:
+                c_prev = Tensor(ctx_all[tail_n + t0 - k : tail_n + this_m - k])
+                horizons.append((k, t0, c_prev, slice(step + t0, step + this_m)))
+        yield z, horizons
         tail = ctx_all[-min(K, ctx_all.shape[0]) :]
         step += this_m
 
@@ -138,19 +149,14 @@ def score_ddcl(
     total = np.zeros(cfg.latent_len(x.shape[1]), dtype=np.float64)
     counts = np.zeros_like(total)
 
-    for z, ctx_all, tail_n, step in _iter_chunks(params, x, chunk_len):
+    for z, horizons in _iter_chunks(params, x, chunk_len):
         this_m = z.shape[0]
         units, den = ls.view_gram(params, z)
-        for k in range(1, cfg.K + 1):
-            t0 = max(0, k - step)  # first chunk-local step with c_{t-k} available
-            if t0 >= this_m:
-                continue
-            c_prev = Tensor(ctx_all[tail_n + t0 - k : tail_n + this_m - k])
+        for k, t0, c_prev, rows in horizons:
             terms = ls.ddcl_terms(
                 params, tn.slice_axis(units, t0, this_m), tn.slice_axis(den, t0, this_m),
                 c_prev, k,
             )
-            rows = slice(step + t0, step + this_m)
             total[rows] += terms.data.sum(axis=1, dtype=np.float64)
             counts[rows] += L
 
@@ -171,17 +177,11 @@ def score_cpc_approx(
     total = np.zeros(cfg.latent_len(x.shape[1]), dtype=np.float64)
     counts = np.zeros_like(total)
 
-    for z, ctx_all, tail_n, step in _iter_chunks(params, x, chunk_len):
-        this_m = z.shape[0]
-        for k in range(1, cfg.K + 1):
-            t0 = max(0, k - step)
-            if t0 >= this_m:
-                continue
-            c_prev = Tensor(ctx_all[tail_n + t0 - k : tail_n + this_m - k])
+    for z, horizons in _iter_chunks(params, x, chunk_len):
+        for k, t0, c_prev, rows in horizons:
             pred = mdl.predict_rows(params, c_prev, k)
-            anchor = tn.slice_axis(z, t0, this_m)
+            anchor = tn.slice_axis(z, t0, z.shape[0])
             logit = tn.sum_last(tn.mul(anchor, pred))
-            rows = slice(step + t0, step + this_m)
             total[rows] -= logit.data[:, 0]
             counts[rows] += 1
 

@@ -257,17 +257,9 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
-def neg(a: Tensor) -> Tensor:
-    return _make(-a.data, (a,), lambda g: (-g,), "neg")
-
-
 def scale(a: Tensor, factor: float) -> Tensor:
     factor = float(factor)
     return _make(a.data * factor, (a,), lambda g: (g * factor,), "scale")
-
-
-def add_scalar(a: Tensor, value: float) -> Tensor:
-    return _make(a.data + float(value), (a,), lambda g: (g,), "add_scalar")
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -461,16 +453,14 @@ def _conv_out_len(t: int, f: int, stride: int) -> int:
 def conv1d_strided(x: Tensor, w: Tensor, stride: int) -> Tensor:
     """Valid cross-correlation along the last axis.
 
-    ``x`` is (C_in, T) or (B, C_in, T); ``w`` is (C_out, C_in, F).
+    ``x`` is (B, C_in, T); ``w`` is (C_out, C_in, F).
     Output length is floor((T - F) / stride) + 1.
     """
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    single = x.ndim == 2
-    xb = x.data[None] if single else x.data
-    if xb.ndim != 3 or w.ndim != 3:
+    if x.ndim != 3 or w.ndim != 3:
         raise ValueError(f"conv1d expects (B,C,T) and (C_out,C_in,F), got {x.shape}, {w.shape}")
-    batch, c_in, t = xb.shape
+    batch, c_in, t = x.shape
     c_out, c_in_w, f = w.shape
     if c_in != c_in_w:
         raise ValueError(f"input has {c_in} channels but filter expects {c_in_w}")
@@ -481,43 +471,42 @@ def conv1d_strided(x: Tensor, w: Tensor, stride: int) -> Tensor:
     patches = np.empty((batch, c_in, f, t_out), dtype=_dtype)
     last = stride * (t_out - 1)
     for tap in range(f):
-        patches[:, :, tap, :] = xb[:, :, tap : tap + last + 1 : stride]
+        patches[:, :, tap, :] = x.data[:, :, tap : tap + last + 1 : stride]
     pmat = patches.transpose(0, 3, 1, 2).reshape(batch * t_out, c_in * f)
     wmat = w.data.reshape(c_out, c_in * f)
     ymat = pmat @ wmat.T
     y = ymat.reshape(batch, t_out, c_out).transpose(0, 2, 1)
 
     def vjp(g):
-        gb = g[None] if single else g
-        gmat = gb.transpose(0, 2, 1).reshape(batch * t_out, c_out)
+        gmat = g.transpose(0, 2, 1).reshape(batch * t_out, c_out)
         dw = (gmat.T @ pmat).reshape(w.shape)
         dpatches = (gmat @ wmat).reshape(batch, t_out, c_in, f).transpose(0, 2, 3, 1)
         dx = np.zeros((batch, c_in, t), dtype=_dtype)
         # taps within one offset never overlap (stride apart)
         for tap in range(f):
             dx[:, :, tap : tap + last + 1 : stride] += dpatches[:, :, tap, :]
-        return (dx[0] if single else dx, dw)
+        return (dx, dw)
 
-    return _make(y[0] if single else y, (x, w), vjp, "conv1d")
+    return _make(y, (x, w), vjp, "conv1d")
 
 
 def conv1d_transpose(x: Tensor, w: Tensor, stride: int) -> Tensor:
     """Adjoint of :func:`conv1d_strided`.
 
-    ``x`` is (C_in, T) or (B, C_in, T); ``w`` is (C_in, C_out, F).
+    ``x`` is (B, C_in, T); ``w`` is (C_in, C_out, F).
     Output length is (T - 1) * stride + F.
     """
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    single = x.ndim == 2
-    xb = x.data[None] if single else x.data
-    batch, c_in, t = xb.shape
+    if x.ndim != 3 or w.ndim != 3:
+        raise ValueError(f"conv1d_transpose expects 3-D operands, got {x.shape}, {w.shape}")
+    batch, c_in, t = x.shape
     c_in_w, c_out, f = w.shape
     if c_in != c_in_w:
         raise ValueError(f"input has {c_in} channels but filter expects {c_in_w}")
     t_out = (t - 1) * stride + f
 
-    xmat = xb.transpose(0, 2, 1).reshape(batch * t, c_in)
+    xmat = x.data.transpose(0, 2, 1).reshape(batch * t, c_in)
     wmat = w.data.reshape(c_in, c_out * f)
     contrib = (xmat @ wmat).reshape(batch, t, c_out, f).transpose(0, 2, 3, 1)
     y = np.zeros((batch, c_out, t_out), dtype=_dtype)
@@ -526,16 +515,15 @@ def conv1d_transpose(x: Tensor, w: Tensor, stride: int) -> Tensor:
         y[:, :, tap : tap + last + 1 : stride] += contrib[:, :, tap, :]
 
     def vjp(g):
-        gb = g[None] if single else g
         dcontrib = np.empty((batch, c_out, f, t), dtype=_dtype)
         for tap in range(f):
-            dcontrib[:, :, tap, :] = gb[:, :, tap : tap + last + 1 : stride]
+            dcontrib[:, :, tap, :] = g[:, :, tap : tap + last + 1 : stride]
         dmat = dcontrib.transpose(0, 3, 1, 2).reshape(batch * t, c_out * f)
         dx = (dmat @ wmat.T).reshape(batch, t, c_in).transpose(0, 2, 1)
         dw = (xmat.T @ dmat).reshape(w.shape)
-        return (dx[0] if single else dx, dw)
+        return (dx, dw)
 
-    return _make(y[0] if single else y, (x, w), vjp, "conv1d_transpose")
+    return _make(y, (x, w), vjp, "conv1d_transpose")
 
 
 # ---------------------------------------------------------------------------
@@ -566,20 +554,14 @@ def _linear(x: Tensor, w: Tensor) -> Tensor:
     return matmul(x, transpose(w))
 
 
-def gru_step(state: Tensor, inputs: Tensor, params: GruParams) -> Tensor:
-    """One recurrent update; accepts (H,)/(Z,) vectors or (B,H)/(B,Z) batches."""
-    single = state.ndim == 1
-    h = reshape(state, (1, -1)) if single else state
-    x = reshape(inputs, (1, -1)) if single else inputs
-    if x.shape[1] != params.w_r.shape[1] or h.shape[1] != params.u_r.shape[1]:
-        raise ValueError(
-            f"gru_step shapes disagree: input {inputs.shape}, state {state.shape}"
-        )
+def gru_step(h: Tensor, x: Tensor, params: GruParams) -> Tensor:
+    """One recurrent update of a (B,H) state from (B,Z) inputs."""
+    if x.shape[1:] != params.w_r.shape[1:] or h.shape[1:] != params.u_r.shape[1:]:
+        raise ValueError(f"gru_step shapes disagree: input {x.shape}, state {h.shape}")
     r = sigmoid(add(add(_linear(x, params.w_r), _linear(h, params.u_r)), params.b_r))
     u = sigmoid(add(add(_linear(x, params.w_u), _linear(h, params.u_u)), params.b_u))
     n = tanh(add(add(_linear(x, params.w_n), _linear(mul(r, h), params.u_n)), params.b_n))
-    nxt = add(mul(u, h), mul(sub(_ones_like(u), u), n))
-    return reshape(nxt, (-1,)) if single else nxt
+    return add(mul(u, h), mul(sub(_ones_like(u), u), n))
 
 
 def _ones_like(t: Tensor) -> Tensor:
@@ -594,16 +576,6 @@ def norms_last(a: Tensor) -> Tensor:
 def unit_rows(a: Tensor) -> Tensor:
     """Rows scaled to unit norm (zero rows map near zero, never NaN)."""
     return div(a, norms_last(a))
-
-
-def cosine_exp_sim(a: Tensor, b: Tensor) -> Tensor:
-    """exp of the cosine similarity of two vectors; output in [1/e, e]."""
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError(f"cosine_exp_sim expects equal-shape vectors, got {a.shape}, {b.shape}")
-    an = reshape(a, (1, -1))
-    bn = reshape(b, (1, -1))
-    cos = sum_last(mul(unit_rows(an), unit_rows(bn)))
-    return exp(reshape(cos, ()))
 
 
 def log_softmax_contrast(log_pos: Tensor, log_negs: Sequence[Tensor]) -> Tensor:

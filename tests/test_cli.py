@@ -102,6 +102,12 @@ def test_synth_zero_fraction_has_clean_labels(tmp_path):
     assert test.labels is not None and not test.labels.any()
 
 
+def test_synth_rejects_zero_channels(tmp_path, capsys):
+    assert main(["synth", "--out-dir", str(tmp_path), "--channels", "0"]) == 1
+    assert "error: channels must be >= 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "train.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -203,6 +209,17 @@ def test_score_cpc_approx_method(workspace, tmp_path):
     assert manifest["config"]["method"] == "cpc-approx"
 
 
+def test_score_rejects_nonpositive_chunk_len(workspace, tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    assert main([
+        "score", "--model", str(workspace["model"]),
+        "--data", str(workspace["data"] / "test.csv"),
+        "--out", str(out), "--chunk-len", "-5000",
+    ]) == 1
+    assert "error: chunk length must be >= 1, got -5000" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_writes_csv_and_text(workspace, tmp_path, capsys):
     out = tmp_path / "eval.csv"
     assert main(["eval", "--scores", str(workspace["scores"]), "--out", str(out)]) == 0
@@ -260,6 +277,10 @@ def test_viz_decode_recon_matches_direct_computation(workspace, tmp_path):
     ]) == 0
     params, extra = load_model(tmp_path / "with_decoder.lntc")
     assert params.decoder is not None
+    _, source_extra = load_model(workspace["model"])
+    assert sorted(extra) == sorted(source_extra) == ["norm.keep", "norm.mean", "norm.std"]
+    for key, arr in source_extra.items():
+        assert extra[key].dtype == arr.dtype and extra[key].tobytes() == arr.tobytes()
 
     from lnt.cli import _norm_from_extra
     from lnt.data import standardize, window

@@ -5,9 +5,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from lnt.data import (
     InjectionSpec,
     LabeledSeries,
-    NormStats,
     compute_stats,
-    destandardize,
     inject_sine_anomalies,
     load_csv,
     save_csv,
@@ -123,6 +121,13 @@ def test_csv_rejects_empty_file(tmp_path):
         load_csv(path)
 
 
+def test_csv_rejects_header_only_file(tmp_path):
+    path = tmp_path / "header.csv"
+    path.write_text("a,b,label\n")
+    with pytest.raises(ValueError, match="no data rows"):
+        load_csv(path)
+
+
 # ---------------------------------------------------------------------------
 # normalization
 
@@ -163,20 +168,11 @@ def test_standardize_uses_train_stats_not_its_own():
     assert out.values.mean() > 5.0
 
 
-def test_destandardize_roundtrip():
-    series = synth_normal(3, 2000, seed=9)
-    stats = compute_stats(series)
-    back = destandardize(standardize(series, stats), stats)
-    assert np.abs(back.values - series.values).max() < 1e-5
-
-
 def test_standardize_channel_count_mismatch():
     series = synth_normal(2, 1000, seed=0)
     stats = compute_stats(synth_normal(3, 1000, seed=0))
     with pytest.raises(ValueError, match="channels"):
         standardize(series, stats)
-    with pytest.raises(ValueError, match="channels"):
-        destandardize(series, NormStats(np.zeros(3), np.ones(3), np.ones(3, bool)))
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +192,12 @@ def test_synth_shape_and_labels():
     assert s.values.shape == (4, 777)
     assert s.labels.shape == (777,)
     assert not s.labels.any()
+
+
+@pytest.mark.parametrize("channels", [0, -2])
+def test_synth_rejects_nonpositive_channels(channels):
+    with pytest.raises(ValueError, match=f"channels must be >= 1, got {channels}"):
+        synth_normal(channels, 100, seed=0)
 
 
 def test_synth_amplitude_envelope():

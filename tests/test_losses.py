@@ -133,7 +133,7 @@ def test_cpc_deterministic_given_seed():
 
 
 def eye_params(dim=6, K=2, L=4):
-    """Square dims with identity heads so predict(c,k) == c."""
+    """Square dims with identity heads so predict_rows(c,k) == c."""
     params = tiny_params(dim_z=dim, dim_c=dim, K=K, L=L)
     for w in params.heads:
         w.data[:] = np.eye(dim, dtype=w.data.dtype)
@@ -220,7 +220,7 @@ def test_ddcl_loss_matches_term_loop():
         for b in range(2):
             for k in (1, 2, 3):
                 for t in range(k, 4):
-                    views = mdl.transform(params, Tensor(z[b, t]))
+                    views = mdl.transform(params, Tensor(z[b, t : t + 1]))
                     for l in range(3):
                         terms.append(
                             ls.ddcl_term(params, views, Tensor(c[b, t - k]), k, l).item()

@@ -5,7 +5,6 @@ from lnt.metrics import (
     EvalResult,
     best_f1,
     confusion,
-    evaluate,
     result_csv,
     result_text,
     roc_auc,
@@ -161,7 +160,7 @@ def test_confusion_threshold_inclusive():
 
 
 def test_evaluate_combines_auc_and_f1():
-    result = evaluate([0.9, 0.8, 0.1, 0.2], [1, 1, 0, 0])
+    result = best_f1([0.9, 0.8, 0.1, 0.2], [1, 1, 0, 0])
     assert isinstance(result, EvalResult)
     assert result.auc == 1.0 and result.best_f1 == 1.0
 
@@ -171,7 +170,7 @@ def test_evaluate_combines_auc_and_f1():
 
 
 def test_result_csv_shape():
-    result = evaluate([0.9, 0.8, 0.1, 0.2], [1, 1, 0, 0])
+    result = best_f1([0.9, 0.8, 0.1, 0.2], [1, 1, 0, 0])
     text = result_csv(result)
     lines = text.strip().split("\n")
     assert lines[0].split(",")[:2] == ["auc", "best_f1"]
@@ -182,7 +181,7 @@ def test_result_csv_shape():
 
 
 def test_result_text_is_aligned():
-    result = evaluate([0.9, 0.8, 0.3, 0.2], [1, 1, 0, 0])
+    result = best_f1([0.9, 0.8, 0.3, 0.2], [1, 1, 0, 0])
     block = result_text(result)
     lines = block.strip().split("\n")
     assert len(lines) == 9
@@ -191,6 +190,6 @@ def test_result_text_is_aligned():
 
 
 def test_formatting_is_deterministic():
-    result = evaluate([0.9, 0.8, 0.1, 0.2], [1, 1, 0, 0])
+    result = best_f1([0.9, 0.8, 0.1, 0.2], [1, 1, 0, 0])
     assert result_csv(result) == result_csv(result)
     assert result_text(result) == result_text(result)

@@ -162,23 +162,25 @@ def test_contextualize_state_carry():
 def test_predict_identity_zero_and_oracle():
     cfg = mdl.ModelConfig(in_channels=1, dim_z=6, dim_c=6, K=2, bank_width=4)
     params = mdl.init_params(cfg, seed=14)
-    c = np.random.default_rng(15).normal(size=6).astype(np.float32)
+    c = np.random.default_rng(15).normal(size=(1, 6)).astype(np.float32)
     params.heads[0].data[:] = np.eye(6, dtype=np.float32)
-    np.testing.assert_array_equal(mdl.predict(params, Tensor(c), 1).data, c)
+    np.testing.assert_array_equal(mdl.predict_rows(params, Tensor(c), 1).data, c)
     params.heads[1].data[:] = 0.0
-    np.testing.assert_array_equal(mdl.predict(params, Tensor(c), 2).data, np.zeros(6))
+    np.testing.assert_array_equal(mdl.predict_rows(params, Tensor(c), 2).data, np.zeros((1, 6)))
     w = np.random.default_rng(16).normal(size=(6, 6)).astype(np.float32)
     params.heads[0].data[:] = w
-    np.testing.assert_allclose(mdl.predict(params, Tensor(c), 1).data, w @ c, rtol=1e-6)
+    np.testing.assert_allclose(
+        mdl.predict_rows(params, Tensor(c), 1).data[0], w @ c[0], rtol=1e-6
+    )
 
 
 def test_predict_k_out_of_range():
     params = mdl.init_params(small(), seed=17)
-    c = Tensor(np.zeros(32))
+    c = Tensor(np.zeros((1, 32)))
     with pytest.raises(ValueError):
-        mdl.predict(params, c, 0)
+        mdl.predict_rows(params, c, 0)
     with pytest.raises(ValueError):
-        mdl.predict(params, c, 5)
+        mdl.predict_rows(params, c, 5)
 
 
 def test_predict_rows_matches_vector():
@@ -187,31 +189,31 @@ def test_predict_rows_matches_vector():
     batch = mdl.predict_rows(params, Tensor(rows), 3)
     for i in range(7):
         np.testing.assert_allclose(
-            batch.data[i], mdl.predict(params, Tensor(rows[i]), 3).data,
+            batch.data[i], mdl.predict_rows(params, Tensor(rows[i : i + 1]), 3).data[0],
             rtol=1e-5, atol=1e-6,
         )
 
 
 def test_transform_zero_gives_zero():
     params = mdl.init_params(small(), seed=20)
-    views = mdl.transform(params, Tensor(np.zeros(128)))
+    views = mdl.transform(params, Tensor(np.zeros((1, 128))))
     assert len(views) == 12
     for v in views:
-        np.testing.assert_array_equal(v.data, np.zeros(128))
+        np.testing.assert_array_equal(v.data, np.zeros((1, 128)))
 
 
 def test_transform_identical_params_identical_views():
     params = mdl.init_params(small(), seed=21)
     for w_src, w_dst in zip(params.bank[0], params.bank[1]):
         w_dst.data[:] = w_src.data
-    z = Tensor(np.random.default_rng(22).normal(size=128))
+    z = Tensor(np.random.default_rng(22).normal(size=(1, 128)))
     views = mdl.transform(params, z)
     np.testing.assert_array_equal(views[0].data, views[1].data)
 
 
 def test_transform_mask_bound():
     params = mdl.init_params(small(), seed=23)
-    z = np.random.default_rng(24).normal(size=128).astype(np.float32)
+    z = np.random.default_rng(24).normal(size=(1, 128)).astype(np.float32)
     z[z == 0.0] = 1.0  # ensure all coordinates nonzero
     for v in mdl.transform(params, Tensor(z)):
         assert np.all(np.abs(v.data) < np.abs(z))
@@ -221,11 +223,11 @@ def test_transform_rows_match_single():
     params = mdl.init_params(small(), seed=25)
     rows = np.random.default_rng(26).normal(size=(5, 128)).astype(np.float32)
     batched = mdl.transform(params, Tensor(rows))
-    singles = [mdl.transform(params, Tensor(rows[i])) for i in range(5)]
+    singles = [mdl.transform(params, Tensor(rows[i : i + 1])) for i in range(5)]
     for l in range(12):
         for i in range(5):
             np.testing.assert_allclose(
-                batched[l].data[i], singles[i][l].data, rtol=1e-5, atol=1e-6
+                batched[l].data[i], singles[i][l].data[0], rtol=1e-5, atol=1e-6
             )
 
 

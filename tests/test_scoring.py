@@ -160,7 +160,7 @@ def test_score_ddcl_matches_term_loop():
     m = len(z)
     expected = np.zeros(m)
     for t in range(m):
-        views = mdl.transform(params, Tensor(z[t]))
+        views = mdl.transform(params, Tensor(z[t : t + 1]))
         terms = [
             ls.ddcl_term(params, views, Tensor(c[t - k]), k, l).item()
             for k in range(1, cfg.K + 1)
@@ -195,6 +195,15 @@ def test_score_errors():
         sc.score_ddcl(params, np.zeros((2, 11)))  # only one latent step
     with pytest.raises(ValueError):
         sc.score_ddcl(params, np.zeros(300))  # not (C,T)
+
+
+@pytest.mark.parametrize("score", [sc.score_ddcl, sc.score_cpc_approx])
+@pytest.mark.parametrize("chunk_len", [0, -5000])
+def test_score_rejects_nonpositive_chunk_len(score, chunk_len):
+    params = tiny_params(seed=16)
+    x = np.zeros((2, 120))
+    with pytest.raises(ValueError, match=f"chunk length must be >= 1, got {chunk_len}"):
+        score(params, x, chunk_len=chunk_len)
 
 
 def test_scores_csv_roundtrip(tmp_path):

@@ -191,7 +191,6 @@ def test_binary_elementwise_grads(name, build, low, high):
         ("exp", tn.exp, -1.0, 1.0),
         ("log", tn.log, 0.5, 2.0),
         ("sqrt", tn.sqrt, 0.5, 2.0),
-        ("neg", tn.neg, -1.0, 1.0),
     ],
 )
 def test_unary_grads(name, op, low, high):
@@ -205,7 +204,7 @@ def test_scale_add_scalar_clamp():
     arrays = {"x": rng.uniform(-1.0, 1.0, size=(6,))}
 
     def loss(p):
-        y = tn.add_scalar(tn.scale(p["x"], 3.0), 0.5)
+        y = tn.add(tn.scale(p["x"], 3.0), Tensor(0.5))
         return tn.sum_all(tn.mul(y, tn.clamp_min(p["x"], -0.35)))
 
     check_grads(loss, arrays)
@@ -315,20 +314,20 @@ def test_slice_axis_bounds_rejected():
 
 
 def test_conv_trivial_adjacent_pairs():
-    x = Tensor(np.arange(1.0, 11.0).reshape(1, 10))
+    x = Tensor(np.arange(1.0, 11.0).reshape(1, 1, 10))
     w = Tensor(np.ones((1, 1, 2)))
     out = tn.conv1d_strided(x, w, stride=2)
-    np.testing.assert_array_equal(out.data, [[3.0, 7.0, 11.0, 15.0, 19.0]])
+    np.testing.assert_array_equal(out.data, [[[3.0, 7.0, 11.0, 15.0, 19.0]]])
 
 
 def test_conv_stack_downsamples_72_to_1():
-    x = Tensor(np.zeros((1, 72)))
+    x = Tensor(np.zeros((1, 1, 72)))
     c = 1
     for f in (3, 3, 4, 2):
         w = Tensor(np.zeros((1, c, f)))
         x = tn.conv1d_strided(x, w, stride=f)
         c = 1
-    assert x.shape == (1, 1)
+    assert x.shape == (1, 1, 1)
 
 
 def test_conv_batched_matches_single():
@@ -337,14 +336,14 @@ def test_conv_batched_matches_single():
     w = Tensor(rng.normal(size=(3, 2, 4)).astype(np.float32))
     batched = tn.conv1d_strided(Tensor(x), w, stride=3)
     for i in range(4):
-        one = tn.conv1d_strided(Tensor(x[i]), w, stride=3)
-        np.testing.assert_array_equal(batched.data[i], one.data)
+        one = tn.conv1d_strided(Tensor(x[i : i + 1]), w, stride=3)
+        np.testing.assert_array_equal(batched.data[i], one.data[0])
 
 
 def test_conv_grad_fd():
     rng = np.random.default_rng(17)
     arrays = {
-        "x": rng.normal(size=(2, 11)),
+        "x": rng.normal(size=(1, 2, 11)),
         "w": rng.normal(size=(3, 2, 4)),
     }
 
@@ -371,11 +370,11 @@ def test_conv_batched_grad_fd():
 def test_conv_transpose_length_and_grad():
     rng = np.random.default_rng(23)
     arrays = {
-        "x": rng.normal(size=(3, 5)),
+        "x": rng.normal(size=(1, 3, 5)),
         "w": rng.normal(size=(3, 2, 4)),
     }
     out = tn.conv1d_transpose(Tensor(arrays["x"]), Tensor(arrays["w"]), stride=2)
-    assert out.shape == (2, (5 - 1) * 2 + 4)
+    assert out.shape == (1, 2, (5 - 1) * 2 + 4)
 
     def loss(p):
         y = tn.conv1d_transpose(p["x"], p["w"], stride=2)
@@ -386,11 +385,15 @@ def test_conv_transpose_length_and_grad():
 
 def test_conv_errors():
     with pytest.raises(ValueError):
-        tn.conv1d_strided(Tensor(np.ones((1, 3))), Tensor(np.ones((1, 1, 4))), stride=1)
+        tn.conv1d_strided(Tensor(np.ones((1, 1, 3))), Tensor(np.ones((1, 1, 4))), stride=1)
     with pytest.raises(ValueError):
-        tn.conv1d_strided(Tensor(np.ones((1, 8))), Tensor(np.ones((1, 1, 2))), stride=0)
+        tn.conv1d_strided(Tensor(np.ones((1, 1, 8))), Tensor(np.ones((1, 1, 2))), stride=0)
     with pytest.raises(ValueError):
-        tn.conv1d_strided(Tensor(np.ones((2, 8))), Tensor(np.ones((1, 3, 2))), stride=1)
+        tn.conv1d_strided(Tensor(np.ones((1, 2, 8))), Tensor(np.ones((1, 3, 2))), stride=1)
+    with pytest.raises(ValueError, match="B,C,T"):  # one unbatched sample
+        tn.conv1d_strided(Tensor(np.ones((1, 8))), Tensor(np.ones((1, 1, 2))), stride=1)
+    with pytest.raises(ValueError, match="3-D"):
+        tn.conv1d_transpose(Tensor(np.ones((1, 8))), Tensor(np.ones((1, 1, 2))), stride=1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -402,10 +405,10 @@ def test_conv_errors():
 def test_conv_output_length_property(t, f, stride):
     if f > t:
         with pytest.raises(ValueError):
-            tn.conv1d_strided(Tensor(np.ones((1, t))), Tensor(np.ones((1, 1, f))), stride)
+            tn.conv1d_strided(Tensor(np.ones((1, 1, t))), Tensor(np.ones((1, 1, f))), stride)
         return
-    out = tn.conv1d_strided(Tensor(np.ones((1, t))), Tensor(np.ones((1, 1, f))), stride)
-    assert out.shape == (1, (t - f) // stride + 1)
+    out = tn.conv1d_strided(Tensor(np.ones((1, 1, t))), Tensor(np.ones((1, 1, f))), stride)
+    assert out.shape == (1, 1, (t - f) // stride + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -423,16 +426,16 @@ def _zero_gru(h, z):
 
 def test_gru_all_zero_stays_zero():
     params = _zero_gru(3, 2)
-    out = tn.gru_step(Tensor(np.zeros(3)), Tensor(np.zeros(2)), params)
-    np.testing.assert_array_equal(out.data, np.zeros(3))
+    out = tn.gru_step(Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 2))), params)
+    np.testing.assert_array_equal(out.data, np.zeros((1, 3)))
 
 
 def test_gru_deterministic():
     rng = np.random.default_rng(29)
     params = tn.GruParams(*[Tensor(rng.normal(size=s)) for s in
                             [(3, 2), (3, 3), (3,)] * 3])
-    state = Tensor(rng.normal(size=3))
-    inp = Tensor(rng.normal(size=2))
+    state = Tensor(rng.normal(size=(1, 3)))
+    inp = Tensor(rng.normal(size=(1, 2)))
     a = tn.gru_step(state, inp, params)
     b = tn.gru_step(state, inp, params)
     assert np.array_equal(a.data, b.data)
@@ -444,7 +447,7 @@ def test_gru_grad_fd():
         "w_r": (3, 2), "u_r": (3, 3), "b_r": (3,),
         "w_u": (3, 2), "u_u": (3, 3), "b_u": (3,),
         "w_n": (3, 2), "u_n": (3, 3), "b_n": (3,),
-        "state": (3,), "inp": (2,),
+        "state": (1, 3), "inp": (1, 2),
     }
     arrays = {k: rng.normal(scale=0.5, size=s) for k, s in shapes.items()}
 
@@ -464,47 +467,57 @@ def test_gru_batched_matches_single():
     inputs = rng.normal(size=(4, 2)).astype(np.float32)
     batched = tn.gru_step(Tensor(states), Tensor(inputs), params)
     for i in range(4):
-        one = tn.gru_step(Tensor(states[i]), Tensor(inputs[i]), params)
-        np.testing.assert_allclose(batched.data[i], one.data, rtol=1e-6)
+        one = tn.gru_step(Tensor(states[i : i + 1]), Tensor(inputs[i : i + 1]), params)
+        np.testing.assert_allclose(batched.data[i], one.data[0], rtol=1e-6)
 
 
 def test_gru_shape_mismatch():
     params = _zero_gru(3, 2)
     with pytest.raises(ValueError):
-        tn.gru_step(Tensor(np.zeros(3)), Tensor(np.zeros(5)), params)
+        tn.gru_step(Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 5))), params)
+    with pytest.raises(ValueError):  # one unbatched vector
+        tn.gru_step(Tensor(np.zeros(3)), Tensor(np.zeros(2)), params)
 
 
 # ---------------------------------------------------------------------------
 # cosine similarity and contrastive term
 
 
+def _cosine_exp_sim(a: Tensor, b: Tensor) -> Tensor:
+    """h(a, b) = exp(cos(a, b)) of two (1, D) rows, built as the DDCL builds it."""
+    return tn.reshape(tn.exp(tn.sum_last(tn.mul(tn.unit_rows(a), tn.unit_rows(b)))), ())
+
+
 def test_cosine_exp_sim_trivial():
-    z = Tensor([0.3, -1.2, 0.5])
-    assert tn.cosine_exp_sim(z, z).item() == pytest.approx(math.e, rel=1e-6)
-    neg = tn.neg(z)
-    assert tn.cosine_exp_sim(z, neg).item() == pytest.approx(1.0 / math.e, rel=1e-6)
-    a, b = Tensor([1.0, 0.0]), Tensor([0.0, 1.0])
-    assert tn.cosine_exp_sim(a, b).item() == pytest.approx(1.0)
+    z = Tensor([[0.3, -1.2, 0.5]])
+    assert _cosine_exp_sim(z, z).item() == pytest.approx(math.e, rel=1e-6)
+    neg = tn.scale(z, -1.0)
+    assert _cosine_exp_sim(z, neg).item() == pytest.approx(1.0 / math.e, rel=1e-6)
+    a, b = Tensor([[1.0, 0.0]]), Tensor([[0.0, 1.0]])
+    assert _cosine_exp_sim(a, b).item() == pytest.approx(1.0)
 
 
-def test_cosine_exp_sim_zero_vector_guarded():
-    out = tn.cosine_exp_sim(Tensor([0.0, 0.0]), Tensor([1.0, 2.0]))
+def test_unit_rows_zero_row_guarded():
+    units = tn.unit_rows(Tensor([[0.0, 0.0], [3.0, 4.0]]))
+    np.testing.assert_array_equal(units.data[0], [0.0, 0.0])  # no NaN
+    np.testing.assert_allclose(units.data[1], [0.6, 0.8], rtol=1e-6)
+    out = _cosine_exp_sim(Tensor([[0.0, 0.0]]), Tensor([[1.0, 2.0]]))
     assert out.item() == pytest.approx(1.0)  # cosine treated as 0
 
 
 def test_cosine_exp_sim_range():
     rng = np.random.default_rng(41)
     for _ in range(50):
-        a = Tensor(rng.normal(size=6).astype(np.float32))
-        b = Tensor(rng.normal(size=6).astype(np.float32))
-        v = tn.cosine_exp_sim(a, b).item()
+        a = Tensor(rng.normal(size=(1, 6)).astype(np.float32))
+        b = Tensor(rng.normal(size=(1, 6)).astype(np.float32))
+        v = _cosine_exp_sim(a, b).item()
         assert 1.0 / math.e - 1e-5 <= v <= math.e + 1e-5
 
 
 def test_cosine_exp_sim_grad_fd():
     rng = np.random.default_rng(43)
-    arrays = {"a": rng.normal(size=5), "b": rng.normal(size=5)}
-    check_grads(lambda p: tn.cosine_exp_sim(p["a"], p["b"]), arrays)
+    arrays = {"a": rng.normal(size=(1, 5)), "b": rng.normal(size=(1, 5))}
+    check_grads(lambda p: _cosine_exp_sim(p["a"], p["b"]), arrays)
 
 
 def test_log_softmax_contrast_uniform_gives_log_n():
@@ -644,7 +657,7 @@ def test_other_thread_does_not_record():
 
 def test_ops_are_pure():
     rng = np.random.default_rng(59)
-    x = rng.normal(size=(3, 4)).astype(np.float32)
+    x = rng.normal(size=(1, 3, 4)).astype(np.float32)
     w = rng.normal(size=(2, 3, 2)).astype(np.float32)
     xc, wc = x.copy(), w.copy()
     a = tn.conv1d_strided(Tensor(x), Tensor(w), stride=2)
