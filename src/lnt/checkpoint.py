@@ -79,8 +79,19 @@ _CONFIG_SCALARS = (
 )
 
 
+def _checkpoint_tensors(params: ModelParams) -> dict[str, np.ndarray]:
+    """Parameter arrays by checkpoint name.  Bank layer j (L,out,in) is
+    stored as L per-transform ``bank.T{l}.layer{j}.weight`` matrices: views
+    into the stacked array, so writing them writes the model."""
+    out = {n: t.data for n, t in params.named_parameters().items() if not n.startswith("bank.")}
+    for j, layer in enumerate(params.bank):
+        for l, w in enumerate(layer.data, start=1):
+            out[f"bank.T{l}.layer{j}.weight"] = w
+    return out
+
+
 def model_to_arrays(params: ModelParams) -> dict[str, np.ndarray]:
-    out = {name: t.data for name, t in params.named_parameters().items()}
+    out = _checkpoint_tensors(params)
     cfg = params.config
     for name in _CONFIG_SCALARS:
         out[f"config.{name}"] = np.asarray(float(getattr(cfg, name)))
@@ -107,15 +118,15 @@ def model_from_arrays(arrays: dict[str, np.ndarray]) -> tuple[ModelParams, dict[
     if "decoder.layer0.weight" in arrays:
         init_decoder(params, seed=0)
     used = {f"config.{n}" for n in _CONFIG_SCALARS} | {"config.filters", "config.strides"}
-    for name, tensor in params.named_parameters().items():
+    for name, target in _checkpoint_tensors(params).items():
         if name not in arrays:
             raise ValueError(f"checkpoint lacks tensor {name!r}")
         found = arrays[name].shape
-        if found != tensor.shape:
+        if found != target.shape:
             raise ValueError(
-                f"checkpoint tensor {name!r} has shape {found}, expected {tensor.shape}"
+                f"checkpoint tensor {name!r} has shape {found}, expected {target.shape}"
             )
-        tensor.data = Tensor(arrays[name]).data
+        target[...] = Tensor(arrays[name]).data
         used.add(name)
     leftover = {k: v for k, v in arrays.items() if k not in used}
     return params, leftover

@@ -185,7 +185,6 @@ def _norm_from_extra(extra: dict) -> NormStats:
 
 def cmd_synth(args) -> int:
     started = time.perf_counter()
-    os.makedirs(args.out_dir, exist_ok=True)
     seeds = np.random.default_rng(args.seed).integers(0, 2**31 - 1, size=3)
     train = synth_normal(args.channels, args.train_length, seed=int(seeds[0]))
     test = synth_normal(args.channels, args.test_length, seed=int(seeds[1]))
@@ -196,6 +195,7 @@ def cmd_synth(args) -> int:
             seed=int(seeds[2]),
         )
         test = inject_sine_anomalies(test, spec)
+    os.makedirs(args.out_dir, exist_ok=True)
     train_path = os.path.join(args.out_dir, "train.csv")
     test_path = os.path.join(args.out_dir, "test.csv")
     save_csv(train_path, train)
@@ -329,14 +329,12 @@ def cmd_viz_decode(args) -> int:
             lr=args.decoder_lr, seed=args.seed,
         )
     x = np.asarray(windows[args.window], dtype=tn.dtype())
-    z = mdl.encode(params, tn.Tensor(x))
-    recon = mdl.decode(params, z)
-    groups = [
-        ("input", x[:, : recon.shape[-1]]),
-        ("recon", recon.data),
-    ]
-    for l, view in enumerate(mdl.transform(params, z), start=1):
-        groups.append((f"view{l}", mdl.decode(params, view).data))
+    z = mdl.encode(params, tn.Tensor(x[None]))
+    recon = mdl.decode(params, z).data[0]
+    views = mdl.transform(params, tn.reshape(z, z.shape[1:]))
+    decoded = mdl.decode(params, tn.transpose(views, (1, 0, 2))).data
+    groups = [("input", x[:, : recon.shape[-1]]), ("recon", recon)]
+    groups += [(f"view{l}", arr) for l, arr in enumerate(decoded, start=1)]
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["view", "channel", "t", "value"])

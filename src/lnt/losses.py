@@ -27,32 +27,21 @@ from .tensor import Tensor
 
 @dataclass(frozen=True)
 class LossConfig:
-    """K horizons, L transformations, balance lambda, contrast size N.
+    """Balance lambda and contrast size N; K and L come from the model.
 
     ``cpc_weight`` scales the CPC part of the unified loss; zero gives the
     DDCL-only regime used to demonstrate manifold collapse.
     """
 
-    K: int = 4
-    L: int = 12
     lam: float = 1e-3
     N: int = 16
     cpc_weight: float = 1.0
 
     def __post_init__(self):
-        if self.K < 1:
-            raise ValueError("K must be >= 1")
-        if self.L < 2:
-            raise ValueError("L must be >= 2")
         if self.lam < 0:
             raise ValueError("lambda must be >= 0")
         if self.N < 2:
             raise ValueError("N must be >= 2")
-
-
-def _batched(seq: Tensor) -> Tensor:
-    """(T,D) -> (1,T,D); (B,T,D) unchanged."""
-    return tn.reshape(seq, (1,) + seq.shape) if seq.ndim == 2 else seq
 
 
 def _shifted(seq: Tensor, start: int, stop: int) -> Tensor:
@@ -80,20 +69,20 @@ def cpc_loss(
     params: ModelParams, z: Tensor, c: Tensor, cfg: LossConfig,
     rng: np.random.Generator,
 ) -> Tensor:
-    """Mean contrastive term over batch, valid t, and k = 1..K."""
-    z3, c3 = _batched(z), _batched(c)
-    batch, t_z, dim_z = z3.shape
-    if t_z <= cfg.K:
-        raise ValueError(f"sequence of {t_z} latent steps has no valid positives for K={cfg.K}")
+    """Mean contrastive term over the (B,T_z,·) batch, valid t, and k = 1..K."""
+    batch, t_z, dim_z = z.shape
+    K = params.config.K
+    if t_z <= K:
+        raise ValueError(f"sequence of {t_z} latent steps has no valid positives for K={K}")
     n_pos = batch * t_z
-    z_cols = tn.transpose(tn.reshape(z3, (n_pos, dim_z)))
+    z_cols = tn.transpose(tn.reshape(z, (n_pos, dim_z)))
 
     acc = None
     total = 0
-    for k in range(1, cfg.K + 1):
+    for k in range(1, K + 1):
         pos_idx = (np.arange(batch)[:, None] * t_z + np.arange(k, t_z)[None, :]).ravel()
-        pred = mdl.predict_rows(params, _shifted(c3, 0, t_z - k), k)
-        pos_logit = tn.sum_last(tn.mul(pred, _shifted(z3, k, t_z)))
+        pred = mdl.predict_rows(params, _shifted(c, 0, t_z - k), k)
+        pos_logit = tn.sum_last(tn.mul(pred, _shifted(z, k, t_z)))
         neg_idx = sample_negatives(rng, len(pos_idx), n_pos, pos_idx, cfg.N - 1)
         neg_logit = tn.gather_last(tn.matmul(pred, z_cols), neg_idx)
         logits = tn.concat([pos_logit, neg_logit], axis=1)
@@ -132,10 +121,8 @@ def view_gram(params: ModelParams, z_rows: Tensor) -> tuple[Tensor, Tensor]:
     between views; its exp row-sums with the diagonal masked out give
     S[r,l] = sum_{m != l} h(view_l, view_m), shape (R,L).
     """
-    views = mdl.transform(params, z_rows)
-    n_views = len(views)
-    stacked = tn.reshape(tn.concat(views, axis=1), (z_rows.shape[0], n_views, -1))
-    units = tn.unit_rows(stacked)
+    units = tn.unit_rows(mdl.transform(params, z_rows))
+    n_views = units.shape[1]
     gram = tn.bmm(units, tn.transpose(units, (0, 2, 1)))
     off_diag = Tensor(1.0 - np.eye(n_views))
     return units, tn.sum_last(tn.mul(tn.exp(gram), off_diag), keepdims=False)
@@ -156,26 +143,25 @@ def ddcl_terms(
     return tn.sub(tn.log(tn.add(tn.exp(cos), den)), cos)
 
 
-def ddcl_loss(params: ModelParams, z: Tensor, c: Tensor, cfg: LossConfig) -> Tensor:
-    """Mean DDCL term over batch, valid (t,k) pairs, and all L views."""
-    z3, c3 = _batched(z), _batched(c)
-    batch, t_z, dim_z = z3.shape
+def ddcl_loss(params: ModelParams, z: Tensor, c: Tensor) -> Tensor:
+    """Mean DDCL term over the (B,T_z,·) batch, valid (t,k) pairs, and all L views."""
+    batch, t_z, dim_z = z.shape
     if t_z < 2:
         raise ValueError("DDCL needs at least two latent steps (no valid (t,k) pair)")
 
-    units, den = view_gram(params, tn.reshape(z3, (batch * t_z, dim_z)))
+    units, den = view_gram(params, tn.reshape(z, (batch * t_z, dim_z)))
     n_views = units.shape[1]
     units = tn.reshape(units, (batch, t_z, n_views, dim_z))
     den = tn.reshape(den, (batch, t_z, n_views))
 
     acc = None
     count = 0
-    for k in range(1, cfg.K + 1):
+    for k in range(1, params.config.K + 1):
         if t_z - k < 1:
             continue
         terms = ddcl_terms(
             params, _shifted(units, k, t_z), _shifted(den, k, t_z),
-            _shifted(c3, 0, t_z - k), k,
+            _shifted(c, 0, t_z - k), k,
         )
         term_sum = tn.sum_all(terms)
         acc = term_sum if acc is None else tn.add(acc, term_sum)
@@ -190,6 +176,6 @@ def unified_loss(
     z = mdl.encode(params, x)
     c = mdl.contextualize(params, z)
     cpc = cpc_loss(params, z, c, cfg, rng)
-    ddcl = ddcl_loss(params, z, c, cfg)
+    ddcl = ddcl_loss(params, z, c)
     total = tn.add(tn.scale(cpc, cfg.cpc_weight), tn.scale(ddcl, cfg.lam))
     return total, cpc, ddcl

@@ -3,10 +3,10 @@ prediction heads, and the bank of local neural transformations.
 
 Layout conventions
 ------------------
-Raw windows are (C, T) or batched (B, C, T).  Latent and context sequences
-are time-major rows, (T_z, dim_z) / (T_z, dim_c), batched with a leading
-axis.  A "flattened" latent batch is the (B*T_z, dim) row matrix used by
-the losses.
+Every forward takes a batch: raw windows are (B, C, T), latent and context
+sequences time-major (B, T_z, dim_z) / (B, T_z, dim_c).  A "flattened"
+latent batch is the (R, dim_z) row matrix, R = B*T_z, that the losses and
+the bank take; the bank maps it to all L views at once, (R, L, dim_z).
 """
 
 from __future__ import annotations
@@ -132,7 +132,7 @@ class ModelParams:
     context_out_bias: Tensor | None = None
     heads: list[Tensor] = field(default_factory=list)
     ddcl_heads: list[Tensor] | None = None
-    bank: list[list[Tensor]] = field(default_factory=list)
+    bank: list[Tensor] = field(default_factory=list)
     decoder: list[tuple[Tensor, Tensor]] | None = None
 
     def named_parameters(self) -> dict[str, Tensor]:
@@ -151,9 +151,8 @@ class ModelParams:
         if self.ddcl_heads is not None:
             for k, w in enumerate(self.ddcl_heads, start=1):
                 out[f"ddcl_heads.W{k}"] = w
-        for l, layers in enumerate(self.bank, start=1):
-            for j, w in enumerate(layers):
-                out[f"bank.T{l}.layer{j}.weight"] = w
+        for j, w in enumerate(self.bank):
+            out[f"bank.layer{j}.weight"] = w
         if self.decoder is not None:
             for i, (w, b) in enumerate(self.decoder):
                 out[f"decoder.layer{i}.weight"] = w
@@ -197,13 +196,12 @@ def init_params(config: ModelConfig, seed: int) -> ModelParams:
     if config.separate_ddcl_heads:
         params.ddcl_heads = [_uniform(rng, (z, h), h) for _ in range(config.K)]
 
+    # drawn in (transform, layer) order and then stacked, so a seed gives the
+    # weights it gave when each transform was a separate MLP
     widths = [z] + [config.bank_width] * (config.bank_layers - 1) + [z]
-    for _ in range(config.L):
-        layers = [
-            _uniform(rng, (widths[j + 1], widths[j]), widths[j])
-            for j in range(config.bank_layers)
-        ]
-        params.bank.append(layers)
+    shapes = [(widths[j + 1], widths[j]) for j in range(config.bank_layers)]
+    draws = [[_uniform(rng, s, s[1]).data for s in shapes] for _ in range(config.L)]
+    params.bank = [Tensor(np.stack(layer), requires_grad=True) for layer in zip(*draws)]
     return params
 
 
@@ -225,18 +223,19 @@ def init_decoder(params: ModelParams, seed: int) -> None:
 
 
 def encode(params: ModelParams, x: Tensor) -> Tensor:
-    """Raw window (C,T) or (B,C,T) -> latent rows (T_z,dim_z) / (B,T_z,dim_z).
+    """Raw windows (B,C,T) -> latent rows (B,T_z,dim_z).
 
     T_z follows ModelConfig.latent_len; the window must cover at least one
     receptive field.  ReLU between conv layers, linear final layer.
     """
     cfg = params.config
-    single = x.ndim == 2
-    h = tn.reshape(x, (1,) + x.shape) if single else x
-    if h.shape[1] != cfg.in_channels:
-        raise ValueError(f"expected {cfg.in_channels} input channels, got {h.shape[1]}")
+    if x.ndim != 3:
+        raise ValueError(f"expected a (B, C, T) batch of windows, got shape {x.shape}")
+    if x.shape[1] != cfg.in_channels:
+        raise ValueError(f"expected {cfg.in_channels} input channels, got {x.shape[1]}")
     cfg.latent_len(x.shape[-1])  # raises if too short
 
+    h = x
     last = len(params.encoder) - 1
     for i, (w, b) in enumerate(params.encoder):
         h = tn.conv1d_strided(h, w, cfg.strides[i])
@@ -244,8 +243,7 @@ def encode(params: ModelParams, x: Tensor) -> Tensor:
             h = tn.add(h, b)
         if i < last:
             h = tn.relu(h)
-    z = tn.transpose(h, (0, 2, 1))  # time-major rows
-    return tn.reshape(z, z.shape[1:]) if single else z
+    return tn.transpose(h, (0, 2, 1))  # time-major rows
 
 
 def contextualize_with_state(
@@ -253,27 +251,24 @@ def contextualize_with_state(
 ) -> tuple[Tensor, Tensor]:
     """Run the recurrent context module; returns (contexts, final state).
 
-    ``z`` is (T_z,dim_z) or (B,T_z,dim_z); contexts have dim_c rows at the
-    same rank.  ``state`` defaults to zeros and lets chunked scoring carry
+    ``z`` is (B,T_z,dim_z); contexts are (B,T_z,dim_c) and the state
+    (B,dim_c).  ``state`` defaults to zeros and lets chunked scoring carry
     hidden state across chunk boundaries.
     """
     cfg = params.config
-    single = z.ndim == 2
-    zb = tn.reshape(z, (1,) + z.shape) if single else z
-    batch, t_z, _ = zb.shape
+    if z.ndim != 3:
+        raise ValueError(f"expected a (B, T_z, dim_z) latent batch, got shape {z.shape}")
+    batch, t_z, _ = z.shape
     if t_z < 1:
         raise ValueError("empty latent sequence")
     if state is None:
         state = Tensor(np.zeros((batch, cfg.dim_c)))
     outs = []
     for t in range(t_z):
-        step_in = tn.reshape(tn.slice_axis(zb, t, t + 1, axis=1), (batch, cfg.dim_z))
+        step_in = tn.reshape(tn.slice_axis(z, t, t + 1, axis=1), (batch, cfg.dim_z))
         state = tn.gru_step(state, step_in, params.context)
         outs.append(tn.reshape(tn.add(state, params.context_out_bias), (batch, 1, cfg.dim_c)))
-    c = tn.concat(outs, axis=1)
-    if single:
-        c = tn.reshape(c, (t_z, cfg.dim_c))
-    return c, state
+    return tn.concat(outs, axis=1), state
 
 
 def contextualize(params: ModelParams, z: Tensor) -> Tensor:
@@ -289,34 +284,37 @@ def predict_rows(params: ModelParams, c_rows: Tensor, k: int, ddcl: bool = False
     return tn.matmul(c_rows, tn.transpose(heads[k - 1]))
 
 
-def transform(params: ModelParams, z: Tensor) -> list[Tensor]:
-    """All L views of latent rows ``z`` (R,dim_z).
+def transform(params: ModelParams, z: Tensor) -> Tensor:
+    """All L views of latent rows ``z`` (R,dim_z), as one (R,L,dim_z) tensor.
 
     view_l = sigmoid(MLP_l(z)) * z — a multiplicative mask, so every view
     is elementwise strictly smaller in magnitude wherever z is nonzero.
+    Bank layer j holds all L transforms' weights, (L,out,in): the first
+    layer is one matmul of z against them all, each later one a ``bmm``
+    over the L transforms.
     """
-    views = []
-    for layers in params.bank:
-        h = z
-        for w in layers[:-1]:
-            h = tn.relu(tn.matmul(h, tn.transpose(w)))
-        mask = tn.sigmoid(tn.matmul(h, tn.transpose(layers[-1])))
-        views.append(tn.mul(mask, z))
-    return views
+    rows, dim_z = z.shape
+    first = params.bank[0]
+    h = tn.matmul(z, tn.transpose(tn.reshape(first, (-1, dim_z))))
+    h = tn.transpose(tn.reshape(h, (rows, first.shape[0], -1)), (1, 0, 2))  # (L,R,out)
+    for w in params.bank[1:]:
+        h = tn.bmm(tn.relu(h), tn.transpose(w, (0, 2, 1)))
+    mask = tn.sigmoid(tn.transpose(h, (1, 0, 2)))
+    return tn.mul(mask, tn.reshape(z, (rows, 1, dim_z)))
 
 
 def decode(params: ModelParams, z: Tensor) -> Tensor:
-    """Latent rows back to raw frames: (T_z,dim_z) -> (C, T_z*r).
+    """Latent rows back to raw frames: (B,T_z,dim_z) -> (B,C,T_z*r).
 
-    Batched input (B,T_z,dim_z) gives (B,C,T_z*r).  Output is cropped to
-    exactly r raw frames per latent step.
+    Output is cropped to exactly r raw frames per latent step.
     """
     if params.decoder is None:
         raise ValueError("model has no decoder (train one with fit_decoder)")
+    if z.ndim != 3:
+        raise ValueError(f"expected a (B, T_z, dim_z) latent batch, got shape {z.shape}")
     cfg = params.config
-    single = z.ndim == 2
-    t_z = z.shape[-2]
-    h = tn.transpose(tn.reshape(z, (1,) + z.shape) if single else z, (0, 2, 1))
+    t_z = z.shape[1]
+    h = tn.transpose(z, (0, 2, 1))
     strides = cfg.strides[::-1]
     last = len(params.decoder) - 1
     for i, (w, b) in enumerate(params.decoder):
@@ -324,8 +322,7 @@ def decode(params: ModelParams, z: Tensor) -> Tensor:
         h = tn.add(h, b)
         if i < last:
             h = tn.relu(h)
-    out = tn.slice_axis(h, 0, t_z * cfg.downsample, axis=-1)
-    return tn.reshape(out, out.shape[1:]) if single else out
+    return tn.slice_axis(h, 0, t_z * cfg.downsample, axis=-1)
 
 
 def constant_model(
@@ -371,8 +368,5 @@ def constant_model(
     params.heads = [Tensor(shared, requires_grad=True) for _ in range(K)]
 
     widths = [dim_z] + [cfg.bank_width] * (cfg.bank_layers - 1) + [dim_z]
-    for _ in range(L):
-        params.bank.append(
-            [_zeros((widths[j + 1], widths[j])) for j in range(cfg.bank_layers)]
-        )
+    params.bank = [_zeros((L, widths[j + 1], widths[j])) for j in range(cfg.bank_layers)]
     return params

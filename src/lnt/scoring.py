@@ -98,12 +98,12 @@ def _iter_chunks(params: ModelParams, x: np.ndarray, chunk_len: int | None):
     while step < m_total:
         this_m = min(chunk_m, m_total - step)
         pos = step * r
-        piece = x[:, pos : pos + this_m * r + lookahead]
+        piece = x[None, :, pos : pos + this_m * r + lookahead]
         z = mdl.encode(params, Tensor(piece))
         c, state = mdl.contextualize_with_state(
             params, z, None if state is None else state.detach()
         )
-        ctx_all = c.data if tail is None else np.concatenate([tail, c.data], axis=0)
+        ctx_all = c.data[0] if tail is None else np.concatenate([tail, c.data[0]], axis=0)
         tail_n = ctx_all.shape[0] - this_m
         horizons = []
         for k in range(1, K + 1):
@@ -111,7 +111,7 @@ def _iter_chunks(params: ModelParams, x: np.ndarray, chunk_len: int | None):
             if t0 < this_m:
                 c_prev = Tensor(ctx_all[tail_n + t0 - k : tail_n + this_m - k])
                 horizons.append((k, t0, c_prev, slice(step + t0, step + this_m)))
-        yield z, horizons
+        yield tn.reshape(z, z.shape[1:]), horizons
         tail = ctx_all[-min(K, ctx_all.shape[0]) :]
         step += this_m
 

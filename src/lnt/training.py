@@ -31,8 +31,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr <= 0 or self.batch_size < 1 or self.epochs < 0:
-            raise ValueError("lr must be positive, batch_size and epochs non-negative")
+        if self.lr <= 0:
+            raise ValueError(f"lr must be positive, got {self.lr}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.clip_norm <= 0 or self.eps <= 0:
             raise ValueError("clip_norm and eps must be positive")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
@@ -144,10 +148,7 @@ def fit(
     """Train in place over shuffled mini-batches of fixed-length windows."""
     data = _stack_windows(windows)
     n = data.shape[0]
-    mc = params.config
-    loss_cfg = LossConfig(
-        K=mc.K, L=mc.L, lam=cfg.lam, N=cfg.negatives, cpc_weight=cfg.cpc_weight,
-    )
+    loss_cfg = LossConfig(lam=cfg.lam, N=cfg.negatives, cpc_weight=cfg.cpc_weight)
     adam = Adam(trainable_parameters(params), cfg)
     rng = np.random.default_rng(cfg.seed)
     stats: list[EpochStats] = []
@@ -216,10 +217,8 @@ def fit_decoder(
         n: t for n, t in params.named_parameters().items()
         if n.startswith("decoder.")
     }
-    adam = Adam(named, TrainConfig(lr=lr, seed=seed))
-    latents = [
-        mdl.encode(params, Tensor(w)).data.copy() for w in data
-    ]
+    adam = Adam(named, TrainConfig(lr=lr, epochs=epochs, seed=seed))
+    latents = [mdl.encode(params, Tensor(data[i : i + 1])).data.copy() for i in range(len(data))]
     rng = np.random.default_rng(seed)
     history: list[float] = []
     for _ in range(epochs):
@@ -227,7 +226,7 @@ def fit_decoder(
         total = 0.0
         for i in order:
             z = latents[i]
-            target = Tensor(np.ascontiguousarray(data[i][:, : z.shape[0] * r]))
+            target = Tensor(np.ascontiguousarray(data[i : i + 1, :, : z.shape[1] * r]))
             with Tape():
                 recon = mdl.decode(params, Tensor(z))
                 err = tn.sub(recon, target)

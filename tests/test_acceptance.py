@@ -44,7 +44,7 @@ def test_criterion_1_autodiff_matches_finite_differences():
     started = time.perf_counter()
     with tn.precision_mode(64):
         params = mdl.init_params(tiny_config(separate_ddcl_heads=True), seed=0)
-        cfg = ls.LossConfig(K=2, L=3, N=8, lam=0.5)
+        cfg = ls.LossConfig(N=8, lam=0.5)
         # batch 2, T=48 -> T_z=8
         x = np.random.default_rng(1).normal(size=(2, 2, 48))
 
@@ -83,7 +83,7 @@ def test_criterion_2_contrastive_closed_forms():
     with tn.precision_mode(64):
         # (a) identical latents everywhere: every logit ties -> loss = log N
         params = mdl.init_params(tiny_config(), seed=0)
-        cfg = ls.LossConfig(K=2, L=3, N=16)
+        cfg = ls.LossConfig(N=16)
         row = np.random.default_rng(0).normal(size=8)
         z = Tensor(np.tile(row, (2, 6, 1)))
         c = Tensor(np.random.default_rng(1).normal(size=(2, 6, 4)))
@@ -99,14 +99,14 @@ def test_criterion_2_contrastive_closed_forms():
         a = np.zeros(8)
         a[:4] = b
         const = mdl.constant_model(8, 4, a, b, channels=1, K=2, L=3)
-        x1 = Tensor(np.random.default_rng(4).normal(size=(1, 600)))
+        x1 = Tensor(np.random.default_rng(4).normal(size=(1, 1, 600)))
         zt = mdl.encode(const, x1)
         ct = mdl.contextualize(const, zt)
-        mean_term = ls.ddcl_loss(const, zt, ct, ls.LossConfig(K=2, L=3)).item()
-        views = mdl.transform(const, zt)
+        mean_term = ls.ddcl_loss(const, zt, ct).item()
+        views = mdl.transform(const, tn.reshape(zt, zt.shape[1:]))
         one_term = ls.ddcl_term(
-            const, [Tensor(v.data[2].copy()) for v in views],
-            Tensor(ct.data[1].copy()), k=1, l=1).item()
+            const, [Tensor(v.copy()) for v in views.data[2]],
+            Tensor(ct.data[0, 1].copy()), k=1, l=1).item()
         ddcl_gap = max(abs(mean_term - math.log(3)), abs(one_term - math.log(3)))
         assert ddcl_gap <= 1e-6
 
@@ -132,17 +132,17 @@ def test_criterion_3_constant_model_terms_and_scores():
 
     values = []
     for _ in range(2):  # two unrelated random inputs
-        x = np.asarray(rng.normal(size=(2, 1100)), dtype=tn.dtype())
+        x = np.asarray(rng.normal(size=(1, 2, 1100)), dtype=tn.dtype())
         z = mdl.encode(const, Tensor(x))
         c = mdl.contextualize(const, z)
-        views = mdl.transform(const, z)
-        t_z = z.data.shape[0]
+        views = mdl.transform(const, tn.reshape(z, z.shape[1:]))
+        t_z = z.data.shape[1]
         for t in range(1, t_z):
-            row_views = [Tensor(v.data[t].copy()) for v in views]
+            row_views = [Tensor(v.copy()) for v in views.data[t]]
             for k in range(1, min(cfg.K, t) + 1):
                 for l in range(cfg.L):
                     term = ls.ddcl_term(
-                        const, row_views, Tensor(c.data[t - k].copy()), k, l)
+                        const, row_views, Tensor(c.data[0, t - k].copy()), k, l)
                     values.append(term.item())
     assert len(values) > 100
     assert len(set(values)) == 1, "DDCL terms must be bitwise identical"
@@ -247,7 +247,7 @@ def _directional_spread(params, wins):
     """
     zs = []
     for w in wins:
-        z = mdl.encode(params, Tensor(w)).data.astype(np.float64)
+        z = mdl.encode(params, Tensor(w[None])).data[0].astype(np.float64)
         norms = np.maximum(np.linalg.norm(z, axis=-1, keepdims=True), 1e-12)
         zs.append(z / norms)
     return float(np.stack(zs).std(axis=0).mean())

@@ -106,6 +106,11 @@ def test_synth_rejects_zero_channels(tmp_path, capsys):
     assert main(["synth", "--out-dir", str(tmp_path), "--channels", "0"]) == 1
     assert "error: channels must be >= 1, got 0" in capsys.readouterr().err
     assert not (tmp_path / "train.csv").exists()
+    # a rejected call leaves no output directory behind
+    fresh = tmp_path / "not_yet"
+    assert main(["synth", "--out-dir", str(fresh), "--channels", "0"]) == 1
+    assert "error: channels must be >= 1, got 0" in capsys.readouterr().err
+    assert not fresh.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -288,16 +293,32 @@ def test_viz_decode_recon_matches_direct_computation(workspace, tmp_path):
     std = standardize(load_csv(workspace["data"] / "test.csv"), _norm_from_extra(extra))
     x = np.asarray(window(std.values, params.config.sub_seq, params.config.sub_seq)[0],
                    dtype=tn.dtype())
-    recon = mdl.decode(params, mdl.encode(params, tn.Tensor(x))).data
+    z = mdl.encode(params, tn.Tensor(x[None]))
+    expected = {"recon": mdl.decode(params, z).data[0]}
+    # each view decoded on its own equals the CSV's batch-decoded view
+    views = mdl.transform(params, tn.Tensor(z.data[0])).data
+    for l in range(params.config.L):
+        expected[f"view{l + 1}"] = mdl.decode(params, tn.Tensor(views[None, :, l])).data[0]
 
     got = {}
     for line in out.read_text().strip().split("\n")[1:]:
         view, ch, t, value = line.split(",")
-        if view == "recon":
-            got[(int(ch), int(t))] = value
-    for ch in range(recon.shape[0]):
-        for t in range(recon.shape[1]):
-            assert got[(ch, t)] == f"{recon[ch, t]:.9g}"
+        got[(view, int(ch), int(t))] = value
+    for view, arr in expected.items():
+        for ch in range(arr.shape[0]):
+            for t in range(arr.shape[1]):
+                assert got[(view, ch, t)] == f"{arr[ch, t]:.9g}", (view, ch, t)
+
+
+def test_viz_decode_rejects_negative_decoder_epochs(workspace, tmp_path, capsys):
+    out, saved = tmp_path / "recon.csv", tmp_path / "with_decoder.lntc"
+    assert main([
+        "viz-decode", "--model", str(workspace["model"]),
+        "--data", str(workspace["data"] / "test.csv"),
+        "--out", str(out), "--decoder-epochs", "-3", "--save-model", str(saved),
+    ]) == 1
+    assert "error: epochs must be >= 0, got -3" in capsys.readouterr().err
+    assert not out.exists() and not saved.exists()
 
 
 # ---------------------------------------------------------------------------

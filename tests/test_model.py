@@ -1,6 +1,8 @@
 """Architecture contracts: shapes, causality, mask bound, constant model,
 and bit-exact checkpoint round-trips."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,12 @@ from lnt import checkpoint as ckpt
 from lnt import model as mdl
 from lnt import tensor as tn
 from lnt.tensor import Tensor
+
+
+# a tiny model (L=3, separate DDCL heads, decoder) saved by the code before
+# the bank was stacked (commit 92d6b55): fresh init_params(seed=5) and
+# init_decoder(seed=6), plus one extra "norm.mean" array
+FIXTURE = Path(__file__).parent / "fixtures" / "tiny_per_transform_bank.lntc"
 
 
 def small(channels=3, **over):
@@ -25,6 +33,8 @@ def test_config_downsample_and_receptive_field():
 
 
 def test_config_validation():
+    with pytest.raises(ValueError):
+        mdl.ModelConfig(K=0)
     with pytest.raises(ValueError):
         mdl.ModelConfig(L=1)
     with pytest.raises(ValueError):
@@ -52,21 +62,21 @@ def test_latent_len_matches_conv_stack():
         for t in (cfg.receptive_field, cfg.receptive_field + 1, 700, 731, 1111):
             if t < cfg.receptive_field:
                 continue
-            z = mdl.encode(params, Tensor(rng.normal(size=(cfg.in_channels, t))))
-            assert z.shape[0] == cfg.latent_len(t), (cfg.filters, t)
+            z = mdl.encode(params, Tensor(rng.normal(size=(1, cfg.in_channels, t))))
+            assert z.shape[1] == cfg.latent_len(t), (cfg.filters, t)
 
 
 def test_encode_shapes_small():
     params = mdl.init_params(small(), seed=0)
-    z = mdl.encode(params, Tensor(np.random.default_rng(0).normal(size=(3, 720))))
-    assert z.shape == (10, 128)
+    z = mdl.encode(params, Tensor(np.random.default_rng(0).normal(size=(1, 3, 720))))
+    assert z.shape == (1, 10, 128)
 
 
 def test_encode_ignores_trailing_remainder():
     params = mdl.init_params(small(), seed=0)
-    x = np.random.default_rng(1).normal(size=(3, 750)).astype(np.float32)
+    x = np.random.default_rng(1).normal(size=(1, 3, 750)).astype(np.float32)
     full = mdl.encode(params, Tensor(x))
-    trimmed = mdl.encode(params, Tensor(x[:, :720]))
+    trimmed = mdl.encode(params, Tensor(x[:, :, :720]))
     np.testing.assert_array_equal(full.data, trimmed.data)
 
 
@@ -76,32 +86,44 @@ def test_encode_zero_weights_zero_input():
     for w, b in params.encoder:
         w.data[:] = 0.0
         assert b is None
-    z = mdl.encode(params, Tensor(np.zeros((3, 720))))
-    np.testing.assert_array_equal(z.data, np.zeros((10, 128)))
+    z = mdl.encode(params, Tensor(np.zeros((1, 3, 720))))
+    np.testing.assert_array_equal(z.data, np.zeros((1, 10, 128)))
 
 
 def test_encode_channel_mismatch():
     params = mdl.init_params(small(), seed=0)
     with pytest.raises(ValueError):
-        mdl.encode(params, Tensor(np.zeros((6, 720))))
+        mdl.encode(params, Tensor(np.zeros((1, 6, 720))))
 
 
 def test_encode_too_short():
     params = mdl.init_params(small(), seed=0)
     with pytest.raises(ValueError):
-        mdl.encode(params, Tensor(np.zeros((3, 71))))
+        mdl.encode(params, Tensor(np.zeros((1, 3, 71))))
+
+
+def test_forward_rejects_unbatched_input():
+    """encode, contextualize and decode take only (B, ...) batches."""
+    params = mdl.init_params(small(), seed=0)
+    mdl.init_decoder(params, seed=1)
+    with pytest.raises(ValueError, match="batch"):
+        mdl.encode(params, Tensor(np.zeros((3, 720))))
+    with pytest.raises(ValueError, match="batch"):
+        mdl.contextualize(params, Tensor(np.zeros((10, 128))))
+    with pytest.raises(ValueError, match="batch"):
+        mdl.decode(params, Tensor(np.zeros((10, 128))))
 
 
 def test_encode_causality():
     """Latent step t never sees raw frames at index >= (t+1)*r."""
     params = mdl.init_params(small(), seed=3)
     rng = np.random.default_rng(4)
-    x = rng.normal(size=(3, 720)).astype(np.float32)
-    base = mdl.encode(params, Tensor(x)).data.copy()
+    x = rng.normal(size=(1, 3, 720)).astype(np.float32)
+    base = mdl.encode(params, Tensor(x)).data[0].copy()
     cut = 5
     mutated = x.copy()
-    mutated[:, cut * 72 :] += rng.normal(size=(3, 720 - cut * 72)).astype(np.float32)
-    z2 = mdl.encode(params, Tensor(mutated)).data
+    mutated[:, :, cut * 72 :] += rng.normal(size=(3, 720 - cut * 72)).astype(np.float32)
+    z2 = mdl.encode(params, Tensor(mutated)).data[0]
     np.testing.assert_array_equal(z2[:cut], base[:cut])
     assert not np.array_equal(z2[cut:], base[cut:])
 
@@ -113,28 +135,28 @@ def test_encode_batched_matches_single():
     zb = mdl.encode(params, Tensor(x))
     assert zb.shape == (3, 10, 128)
     for i in range(3):
-        np.testing.assert_array_equal(zb.data[i], mdl.encode(params, Tensor(x[i])).data)
+        np.testing.assert_array_equal(zb.data[i], mdl.encode(params, Tensor(x[i : i + 1])).data[0])
 
 
 def test_contextualize_causality_and_determinism():
     params = mdl.init_params(small(), seed=7)
     rng = np.random.default_rng(8)
-    z = rng.normal(size=(10, 128)).astype(np.float32)
-    c1 = mdl.contextualize(params, Tensor(z)).data
-    c2 = mdl.contextualize(params, Tensor(z)).data
+    z = rng.normal(size=(1, 10, 128)).astype(np.float32)
+    c1 = mdl.contextualize(params, Tensor(z)).data[0]
+    c2 = mdl.contextualize(params, Tensor(z)).data[0]
     np.testing.assert_array_equal(c1, c2)
     mutated = z.copy()
-    mutated[6:] += 1.0
-    c3 = mdl.contextualize(params, Tensor(mutated)).data
+    mutated[:, 6:] += 1.0
+    c3 = mdl.contextualize(params, Tensor(mutated)).data[0]
     np.testing.assert_array_equal(c3[:6], c1[:6])
     assert not np.array_equal(c3[6:], c1[6:])
 
 
 def test_contextualize_zero_weights_zero_state():
     params = mdl.constant_model(8, 4, np.zeros(8), np.zeros(4))
-    z = Tensor(np.random.default_rng(9).normal(size=(5, 8)))
+    z = Tensor(np.random.default_rng(9).normal(size=(1, 5, 8)))
     c = mdl.contextualize(params, z)
-    np.testing.assert_array_equal(c.data, np.zeros((5, 4)))
+    np.testing.assert_array_equal(c.data, np.zeros((1, 5, 4)))
 
 
 def test_contextualize_batched_matches_single():
@@ -144,19 +166,19 @@ def test_contextualize_batched_matches_single():
     cb = mdl.contextualize(params, Tensor(z))
     assert cb.shape == (4, 6, 32)
     for i in range(4):
-        one = mdl.contextualize(params, Tensor(z[i]))
-        np.testing.assert_allclose(cb.data[i], one.data, rtol=2e-6, atol=1e-7)
+        one = mdl.contextualize(params, Tensor(z[i : i + 1]))
+        np.testing.assert_allclose(cb.data[i], one.data[0], rtol=2e-6, atol=1e-7)
 
 
 def test_contextualize_state_carry():
     """Chunked runs with carried state equal one unchunked run."""
     params = mdl.init_params(small(), seed=12)
     rng = np.random.default_rng(13)
-    z = rng.normal(size=(9, 128)).astype(np.float32)
+    z = rng.normal(size=(1, 9, 128)).astype(np.float32)
     full = mdl.contextualize(params, Tensor(z)).data
-    c1, state = mdl.contextualize_with_state(params, Tensor(z[:4]))
-    c2, _ = mdl.contextualize_with_state(params, Tensor(z[4:]), state)
-    np.testing.assert_array_equal(np.vstack([c1.data, c2.data]), full)
+    c1, state = mdl.contextualize_with_state(params, Tensor(z[:, :4]))
+    c2, _ = mdl.contextualize_with_state(params, Tensor(z[:, 4:]), state)
+    np.testing.assert_array_equal(np.concatenate([c1.data, c2.data], axis=1), full)
 
 
 def test_predict_identity_zero_and_oracle():
@@ -197,64 +219,86 @@ def test_predict_rows_matches_vector():
 def test_transform_zero_gives_zero():
     params = mdl.init_params(small(), seed=20)
     views = mdl.transform(params, Tensor(np.zeros((1, 128))))
-    assert len(views) == 12
-    for v in views:
-        np.testing.assert_array_equal(v.data, np.zeros((1, 128)))
+    np.testing.assert_array_equal(views.data, np.zeros((1, 12, 128)))
 
 
 def test_transform_identical_params_identical_views():
     params = mdl.init_params(small(), seed=21)
-    for w_src, w_dst in zip(params.bank[0], params.bank[1]):
-        w_dst.data[:] = w_src.data
+    for w in params.bank:
+        w.data[1] = w.data[0]
     z = Tensor(np.random.default_rng(22).normal(size=(1, 128)))
-    views = mdl.transform(params, z)
-    np.testing.assert_array_equal(views[0].data, views[1].data)
+    views = mdl.transform(params, z).data[0]
+    np.testing.assert_array_equal(views[0], views[1])
 
 
 def test_transform_mask_bound():
     params = mdl.init_params(small(), seed=23)
     z = np.random.default_rng(24).normal(size=(1, 128)).astype(np.float32)
     z[z == 0.0] = 1.0  # ensure all coordinates nonzero
-    for v in mdl.transform(params, Tensor(z)):
-        assert np.all(np.abs(v.data) < np.abs(z))
+    for v in mdl.transform(params, Tensor(z)).data[0]:
+        assert np.all(np.abs(v) < np.abs(z[0]))
 
 
 def test_transform_rows_match_single():
     params = mdl.init_params(small(), seed=25)
     rows = np.random.default_rng(26).normal(size=(5, 128)).astype(np.float32)
     batched = mdl.transform(params, Tensor(rows))
-    singles = [mdl.transform(params, Tensor(rows[i : i + 1])) for i in range(5)]
-    for l in range(12):
-        for i in range(5):
-            np.testing.assert_allclose(
-                batched[l].data[i], singles[i][l].data[0], rtol=1e-5, atol=1e-6
-            )
+    assert batched.shape == (5, 12, 128)
+    for i in range(5):
+        single = mdl.transform(params, Tensor(rows[i : i + 1]))
+        np.testing.assert_allclose(batched.data[i], single.data[0], rtol=1e-5, atol=1e-6)
+
+
+def test_transform_matches_per_transform_mlp():
+    """View l of the stacked bank is transform l's own MLP mask times z."""
+    with tn.precision_mode(64):
+        params = mdl.init_params(small(bank_layers=3, L=4), seed=52)
+        rows = np.random.default_rng(53).normal(size=(6, 128))
+        views = mdl.transform(params, Tensor(rows)).data
+        for l in range(4):
+            h = rows
+            for w in params.bank[:-1]:
+                h = np.maximum(h @ w.data[l].T, 0.0)
+            mask = 1.0 / (1.0 + np.exp(-(h @ params.bank[-1].data[l].T)))
+            np.testing.assert_allclose(views[:, l], mask * rows, rtol=1e-12, atol=1e-15)
+
+
+def test_transform_record_count_independent_of_l():
+    """The bank is stacked: its tape cost does not grow with L."""
+    counts = []
+    for n_views in (3, 12):
+        params = mdl.init_params(small(L=n_views), seed=54)
+        z = Tensor(np.ones((4, 128)), requires_grad=True)
+        with tn.Tape() as tape:
+            mdl.transform(params, z)
+        counts.append(len(tape))
+    assert counts[0] == counts[1], counts
 
 
 def test_constant_model_input_invariance():
     rng = np.random.default_rng(27)
     a, b = rng.normal(size=8), rng.normal(size=4)
     params = mdl.constant_model(8, 4, a, b, channels=2, K=3, L=4)
-    x1 = Tensor(rng.normal(size=(2, 720)))
-    x2 = Tensor(rng.normal(size=(2, 720)))
+    x1 = Tensor(rng.normal(size=(1, 2, 720)))
+    x2 = Tensor(rng.normal(size=(1, 2, 720)))
     z1, z2 = mdl.encode(params, x1), mdl.encode(params, x2)
     np.testing.assert_array_equal(z1.data, z2.data)
-    np.testing.assert_allclose(z1.data, np.tile(a.astype(np.float32), (10, 1)), rtol=1e-6)
+    np.testing.assert_allclose(z1.data[0], np.tile(a.astype(np.float32), (10, 1)), rtol=1e-6)
     c1 = mdl.contextualize(params, z1)
-    np.testing.assert_allclose(c1.data, np.tile(b.astype(np.float32), (10, 1)), rtol=1e-6)
+    np.testing.assert_allclose(c1.data[0], np.tile(b.astype(np.float32), (10, 1)), rtol=1e-6)
     # every latent step identical bitwise
     for t in range(1, 10):
-        np.testing.assert_array_equal(z1.data[t], z1.data[0])
-        np.testing.assert_array_equal(c1.data[t], c1.data[0])
+        np.testing.assert_array_equal(z1.data[0, t], z1.data[0, 0])
+        np.testing.assert_array_equal(c1.data[0, t], c1.data[0, 0])
 
 
 def test_decode_shape_contract():
     cfg = small(45)
     params = mdl.init_params(cfg, seed=28)
     mdl.init_decoder(params, seed=29)
-    z = Tensor(np.random.default_rng(30).normal(size=(10, 128)))
+    z = Tensor(np.random.default_rng(30).normal(size=(2, 10, 128)))
     out = mdl.decode(params, z)
-    assert out.shape == (45, 720)
+    assert out.shape == (2, 45, 720)
 
 
 def test_decode_zero():
@@ -263,22 +307,22 @@ def test_decode_zero():
     for w, b in params.decoder:
         w.data[:] = 0.0
         b.data[:] = 0.0
-    out = mdl.decode(params, Tensor(np.zeros((4, 128))))
-    np.testing.assert_array_equal(out.data, np.zeros((3, 288)))
+    out = mdl.decode(params, Tensor(np.zeros((1, 4, 128))))
+    np.testing.assert_array_equal(out.data, np.zeros((1, 3, 288)))
 
 
 def test_decode_missing_decoder():
     params = mdl.init_params(small(), seed=33)
     with pytest.raises(ValueError):
-        mdl.decode(params, Tensor(np.zeros((4, 128))))
+        mdl.decode(params, Tensor(np.zeros((1, 4, 128))))
 
 
 def test_decode_audio_crops_to_r_per_step():
     cfg = mdl.audio_config()
     params = mdl.init_params(cfg, seed=34)
     mdl.init_decoder(params, seed=35)
-    out = mdl.decode(params, Tensor(np.zeros((3, 512))))
-    assert out.shape == (1, 3 * 160)
+    out = mdl.decode(params, Tensor(np.zeros((1, 3, 512))))
+    assert out.shape == (1, 1, 3 * 160)
 
 
 def test_init_deterministic_and_scaled():
@@ -298,10 +342,7 @@ def test_bank_is_bias_free():
     params = mdl.init_params(small(), seed=44)
     names = params.named_parameters()
     assert not any("bank" in n and "bias" in n for n in names)
-    assert len(params.bank) == 12
-    assert all(len(layers) == 2 for layers in params.bank)
-    assert params.bank[0][0].data.shape == (24, 128)
-    assert params.bank[0][1].data.shape == (128, 24)
+    assert [w.shape for w in params.bank] == [(12, 24, 128), (12, 128, 24)]
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +436,39 @@ def test_checkpoint_wrong_shape_rejected(tmp_path):
     assert "context.out_bias" in message
     assert f"({params.config.dim_c},)" in message
     assert f"(1, {params.config.dim_c})" in message
+
+
+def test_checkpoint_wrong_bank_shape_rejected(tmp_path):
+    """A per-transform bank matrix of the wrong shape fails by its own name."""
+    params = mdl.init_params(small(), seed=55)
+    arrays = ckpt.model_to_arrays(params)
+    arrays["bank.T3.layer1.weight"] = arrays["bank.T3.layer1.weight"][:, :-1]
+    path = tmp_path / "narrow.lnt"
+    ckpt.save_arrays(path, arrays)
+    with pytest.raises(ValueError) as err:
+        ckpt.load_model(path)
+    message = str(err.value)
+    assert "bank.T3.layer1.weight" in message
+    assert "(128, 23)" in message and "(128, 24)" in message
+
+
+def test_checkpoint_per_transform_fixture_loads_and_resaves_bitwise(tmp_path):
+    arrays = ckpt.load_arrays(FIXTURE)
+    params, extra = ckpt.load_model(FIXTURE)
+    cfg = params.config
+    assert cfg.L == 3 and len(params.bank) == cfg.bank_layers == 2
+    for j, layer in enumerate(params.bank):
+        for l in range(cfg.L):
+            np.testing.assert_array_equal(layer.data[l], arrays[f"bank.T{l + 1}.layer{j}.weight"])
+    # the stacked init draws the same weights from the same seed
+    fresh = mdl.init_params(cfg, seed=5)
+    mdl.init_decoder(fresh, seed=6)
+    loaded = params.named_parameters()
+    for name, tensor in fresh.named_parameters().items():
+        np.testing.assert_array_equal(loaded[name].data, tensor.data)
+    resaved = tmp_path / "resaved.lntc"
+    ckpt.save_model(resaved, params, extra)
+    assert resaved.read_bytes() == FIXTURE.read_bytes()
 
 
 def test_checkpoint_expected_names(tmp_path):

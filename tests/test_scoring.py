@@ -133,8 +133,8 @@ def test_score_cpc_approx_matches_naive():
     x = np.random.default_rng(11).normal(size=(2, 120)).astype(np.float32)
     series = sc.score_cpc_approx(params, x)
 
-    z = mdl.encode(params, Tensor(x)).data
-    c = mdl.contextualize(params, Tensor(z)).data
+    z = mdl.encode(params, Tensor(x[None])).data[0]
+    c = mdl.contextualize(params, Tensor(z[None])).data[0]
     m = len(z)
     expected = np.zeros(m)
     for t in range(m):
@@ -155,12 +155,12 @@ def test_score_ddcl_matches_term_loop():
     x = np.random.default_rng(13).normal(size=(2, 120)).astype(np.float32)
     series = sc.score_ddcl(params, x)
 
-    z = mdl.encode(params, Tensor(x)).data
-    c = mdl.contextualize(params, Tensor(z)).data
+    z = mdl.encode(params, Tensor(x[None])).data[0]
+    c = mdl.contextualize(params, Tensor(z[None])).data[0]
     m = len(z)
     expected = np.zeros(m)
     for t in range(m):
-        views = mdl.transform(params, Tensor(z[t : t + 1]))
+        views = [Tensor(v) for v in mdl.transform(params, Tensor(z[t : t + 1])).data[0]]
         terms = [
             ls.ddcl_term(params, views, Tensor(c[t - k]), k, l).item()
             for k in range(1, cfg.K + 1)

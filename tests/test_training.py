@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from lnt import tensor as tn
 from lnt.data import synth_normal, window
 from lnt.losses import LossConfig, unified_loss
-from lnt.model import ModelConfig, init_decoder, init_params
+from lnt.model import ModelConfig, init_decoder, init_params, small_config
 from lnt.tensor import Tape, Tensor, backward
 from lnt.training import (
     Adam,
@@ -96,6 +96,8 @@ def test_train_config_validation():
         TrainConfig(lr=0.0)
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
+    with pytest.raises(ValueError, match="epochs must be >= 0, got -3"):
+        TrainConfig(epochs=-3)
     with pytest.raises(ValueError):
         TrainConfig(beta1=1.0)
     with pytest.raises(ValueError):
@@ -110,7 +112,7 @@ def test_lam_zero_keeps_bank_gradients_exactly_zero():
     cfg = tiny_config()
     params = init_params(cfg, seed=1)
     x = Tensor(np.asarray(make_windows(2, cfg), dtype=tn.dtype()))
-    loss_cfg = LossConfig(K=cfg.K, L=cfg.L, lam=0.0, N=4)
+    loss_cfg = LossConfig(lam=0.0, N=4)
     with Tape():
         total, _, _ = unified_loss(params, x, loss_cfg, np.random.default_rng(0))
         backward(total)
@@ -126,7 +128,7 @@ def test_cpc_weight_zero_with_separate_heads_zeroes_cpc_heads():
     cfg = tiny_config(separate_ddcl_heads=True)
     params = init_params(cfg, seed=2)
     x = Tensor(np.asarray(make_windows(2, cfg), dtype=tn.dtype()))
-    loss_cfg = LossConfig(K=cfg.K, L=cfg.L, lam=1.0, N=4, cpc_weight=0.0)
+    loss_cfg = LossConfig(lam=1.0, N=4, cpc_weight=0.0)
     with Tape():
         total, _, _ = unified_loss(params, x, loss_cfg, np.random.default_rng(0))
         backward(total)
@@ -156,7 +158,7 @@ def test_train_step_reduces_loss_on_fixed_batch():
     cfg = tiny_config()
     params = init_params(cfg, seed=3)
     batch = np.asarray(make_windows(4, cfg), dtype=tn.dtype())
-    loss_cfg = LossConfig(K=cfg.K, L=cfg.L, N=8)
+    loss_cfg = LossConfig(N=8)
     adam = Adam(trainable_parameters(params), TrainConfig(lr=3e-3))
     rng = np.random.default_rng(0)
     first = None
@@ -168,6 +170,17 @@ def test_train_step_reduces_loss_on_fixed_batch():
             first = total
         last = total
     assert last < first
+
+
+def test_train_step_small_record_budget():
+    """A `small` train step stays under 500 tape records (491 now): the
+    stacked bank costs 12 records, one MLP per transform cost 84."""
+    params = init_params(small_config(), seed=0)
+    x = Tensor(np.random.default_rng(1).normal(size=(2, 3, 720)))
+    with Tape() as tape:
+        unified_loss(params, x, LossConfig(), np.random.default_rng(2))
+        records = len(tape)
+    assert records <= 500, records
 
 
 def test_fit_is_bitwise_reproducible():
