@@ -18,7 +18,6 @@ if _threads:
         os.environ[_var] = _threads
 
 import argparse
-import csv
 import dataclasses
 import hashlib
 import json
@@ -41,6 +40,7 @@ from .data import (
     standardize,
     synth_normal,
     window,
+    write_csv,
 )
 from .metrics import best_f1, result_csv, result_text
 from .model import ModelConfig, builtin_config, init_decoder, init_params
@@ -322,6 +322,8 @@ def cmd_viz_decode(args) -> int:
     windows = window(std.values, config.sub_seq, config.sub_seq)
     if args.window < 0 or args.window >= len(windows):
         raise ValueError(f"window index {args.window} out of range 0..{len(windows)-1}")
+    if args.decoder_epochs < 0:
+        raise ValueError(f"epochs must be >= 0, got {args.decoder_epochs}")
     if params.decoder is None:
         init_decoder(params, seed=args.seed)
         fit_decoder(
@@ -333,20 +335,16 @@ def cmd_viz_decode(args) -> int:
     recon = mdl.decode(params, z).data[0]
     views = mdl.transform(params, tn.reshape(z, z.shape[1:]))
     decoded = mdl.decode(params, tn.transpose(views, (1, 0, 2))).data
-    groups = [("input", x[:, : recon.shape[-1]]), ("recon", recon)]
-    groups += [(f"view{l}", arr) for l, arr in enumerate(decoded, start=1)]
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["view", "channel", "t", "value"])
-        for name, arr in groups:
-            for ch in range(arr.shape[0]):
-                for t in range(arr.shape[1]):
-                    writer.writerow([name, ch, t, f"{arr[ch, t]:.9g}"])
+    names = np.array(["input", "recon"] + [f"view{l}" for l in range(1, len(decoded) + 1)])
+    stacked = np.concatenate([x[None, :, : recon.shape[-1]], recon[None], decoded])
+    view, channel, t = np.indices(stacked.shape).reshape(3, -1)
+    write_csv(args.out, ["view", "channel", "t", "value"],
+              [names[view], channel, t, stacked.ravel()])
     if args.save_model:
         save_model(args.save_model, params, extra=extra)
     write_manifest(
         args.out, args, started,
-        config={"window": args.window, "groups": len(groups),
+        config={"window": args.window, "groups": len(names),
                 "decoder_epochs": args.decoder_epochs},
         inputs={"model": args.model, "data": args.data},
         outputs={"decode": args.out},

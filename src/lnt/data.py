@@ -9,7 +9,9 @@ injection is seed-deterministic.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,18 +92,120 @@ def standardize(series: LabeledSeries, stats: NormStats) -> LabeledSeries:
 # CSV
 
 
-def load_csv(path) -> LabeledSeries:
-    """Parse a headered CSV; a column named `label` becomes the labels."""
+# rows formatted and written per block: joining a whole long series at once
+# costs memory on the order of the file
+_BLOCK_ROWS = 8192
+
+
+def write_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
+    """Write a headered CSV with one row per entry of the equal-length columns.
+
+    Float columns print as %.9g, so reruns are byte-identical; other
+    columns print as ``str`` and must need no CSV quoting.  Lines end in
+    ``\\r\\n`` like ``csv.writer``'s, which writes the header.
+    """
+    columns = [np.asarray(c) for c in columns]
+    line = ",".join("%.9g" if c.dtype.kind == "f" else "%s" for c in columns) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        for start in range(0, len(columns[0]), _BLOCK_ROWS):
+            block = [c[start : start + _BLOCK_ROWS].tolist() for c in columns]
+            fh.write(line * len(block[0]) % tuple(itertools.chain.from_iterable(zip(*block))))
+
+
+def read_csv(
+    path, require: tuple[str, ...] = ()
+) -> tuple[list[str], np.ndarray, np.ndarray | None]:
+    """Parse a headered CSV of finite numbers: (names, values, labels).
+
+    A column named ``label`` holds literal ``0``/``1`` cells and becomes the
+    int64 ``labels`` (None without one).  Every other column is one float64
+    row of ``values`` (columns, rows), named in ``names``.  The header must
+    start with ``require`` and may not repeat a name.
+
+    numpy's C parser reads a well-formed file.  Whatever it cannot vouch
+    for (blank lines, quotes, stray text, non-finite values, labels other
+    than a literal 0/1, ragged rows) is read again row by row, so every
+    error names the file, the row and the cell.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if not header:
-            raise ValueError(f"{path}: empty file")
-        label_idx = header.index("label") if "label" in header else None
-        names = [h for i, h in enumerate(header) if i != label_idx]
-        if not names:
-            raise ValueError(f"{path}: no data columns")
-        cols: list[list[float]] = [[] for _ in names]
+        header_lines = reader.line_num
+    if not header:
+        raise ValueError(f"{path}: empty file")
+    if header[: len(require)] != list(require):
+        raise ValueError(
+            f"{path}: header must start with {','.join(require)}, got {','.join(header)}"
+        )
+    seen: set[str] = set()
+    for name in header:
+        if name in seen:
+            raise ValueError(f"{path}: duplicate column name {name!r}")
+        seen.add(name)
+    label_idx = header.index("label") if "label" in header else None
+    names = [h for i, h in enumerate(header) if i != label_idx]
+    if not names:
+        raise ValueError(f"{path}: no data columns")
+    parsed = None
+    if header_lines == 1:
+        parsed = _read_rows_fast(path, len(header), label_idx, _count_lines(path) - 1)
+    if parsed is None:
+        parsed = _read_rows_checked(path, header, label_idx)
+    return names, *parsed
+
+
+def _count_lines(path) -> int:
+    """Lines of the file, split at \\r\\n, \\r or \\n as both csv and
+    np.loadtxt split them."""
+    lf = cr = crlf = 0
+    last = b""
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            lf += block.count(b"\n")
+            cr += block.count(b"\r")
+            crlf += (last + block).count(b"\r\n")  # a pair may straddle blocks
+            last = block[-1:]
+    return lf + cr - crlf + (last not in (b"", b"\n", b"\r"))
+
+
+def _read_rows_fast(path, width: int, label_idx: int | None, rows: int):
+    """(values, labels) through ``np.loadtxt``, or None when the file needs
+    the row-by-row reader.  ``rows`` is the count of lines after the header:
+    loadtxt skips blank lines, which the row reader rejects, so a shortfall
+    means the file has one."""
+    if rows < 1:
+        return None
+    # 'U2' keeps a label cell's text (truncated, which no literal 0/1 needs),
+    # where a float would also take "1.0" or " 1"
+    dtype = np.dtype([(f"c{i}", "U2" if i == label_idx else "f8") for i in range(width)])
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # "input contained no data"
+            table = np.loadtxt(path, dtype=dtype, delimiter=",", comments=None,
+                               skiprows=1, ndmin=1)
+    except (ValueError, UserWarning):
+        return None
+    if table.shape != (rows,):
+        return None
+    values = np.stack([table[f"c{i}"] for i in range(width) if i != label_idx])
+    if not np.isfinite(values).all():
+        return None
+    if label_idx is None:
+        return values, None
+    cells = table[f"c{label_idx}"]
+    ones = cells == "1"
+    if not (ones | (cells == "0")).all():
+        return None
+    return values, ones.astype(np.int64)
+
+
+def _read_rows_checked(path, header: list[str], label_idx: int | None):
+    """(values, labels) validated cell by cell; raises on the first bad one."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        cols: list[list[float]] = [[] for i in range(len(header)) if i != label_idx]
         labels: list[int] = []
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(header):
@@ -119,32 +223,35 @@ def load_csv(path) -> LabeledSeries:
                     value = float(cell)
                 except ValueError:
                     raise ValueError(
-                        f"{path}: row {lineno} has non-numeric value {cell!r}"
+                        f"{path}: row {lineno} has non-numeric value {cell!r} "
+                        f"in column {header[i]!r}"
                     ) from None
                 if not math.isfinite(value):
-                    raise ValueError(f"{path}: row {lineno} has non-finite value {cell!r}")
+                    raise ValueError(
+                        f"{path}: row {lineno} has non-finite value {cell!r} "
+                        f"in column {header[i]!r}"
+                    )
                 cols[ci].append(value)
                 ci += 1
     if not cols[0]:
         raise ValueError(f"{path}: no data rows")
     values = np.asarray(cols, dtype=np.float64)
-    return LabeledSeries(values, np.asarray(labels) if label_idx is not None else None, names)
+    return values, np.asarray(labels, dtype=np.int64) if label_idx is not None else None
+
+
+def load_csv(path) -> LabeledSeries:
+    """Parse a headered CSV; a column named `label` becomes the labels."""
+    names, values, labels = read_csv(path)
+    return LabeledSeries(values, labels, names)
 
 
 def save_csv(path, series: LabeledSeries) -> None:
     """Inverse of load_csv; floats printed %.9g so reruns are byte-identical."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = list(series.channel_names)
-        if series.labels is not None:
-            header.append("label")
-        writer.writerow(header)
-        labeled = series.labels is not None
-        for t in range(series.length):
-            row = [f"{v:.9g}" for v in series.values[:, t]]
-            if labeled:
-                row.append(int(series.labels[t]))
-            writer.writerow(row)
+    header, columns = list(series.channel_names), list(series.values)
+    if series.labels is not None:
+        header.append("label")
+        columns.append(series.labels)
+    write_csv(path, header, columns)
 
 
 # ---------------------------------------------------------------------------

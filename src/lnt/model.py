@@ -12,11 +12,12 @@ the bank take; the bank maps it to all L views at once, (R, L, dim_z).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import tensor as tn
-from .tensor import GruParams, Tensor
+from .tensor import Tensor
 
 
 @dataclass(frozen=True)
@@ -120,6 +121,27 @@ def builtin_config(name: str, channels: int | None = None) -> ModelConfig:
     if channels is not None:
         cfg = replace(cfg, in_channels=channels)
     return cfg
+
+
+class GruParams(NamedTuple):
+    """Weights of the gated recurrent context unit: reset r, update u,
+    candidate n.
+
+    r = sigmoid(x W_r^T + h U_r^T + b_r)
+    u = sigmoid(x W_u^T + h U_u^T + b_u)
+    n = tanh(x W_n^T + (r * h) U_n^T + b_n)
+    h' = u * h + (1 - u) * n
+    """
+
+    w_r: Tensor
+    u_r: Tensor
+    b_r: Tensor
+    w_u: Tensor
+    u_u: Tensor
+    b_u: Tensor
+    w_n: Tensor
+    u_n: Tensor
+    b_n: Tensor
 
 
 @dataclass
@@ -254,21 +276,51 @@ def contextualize_with_state(
     ``z`` is (B,T_z,dim_z); contexts are (B,T_z,dim_c) and the state
     (B,dim_c).  ``state`` defaults to zeros and lets chunked scoring carry
     hidden state across chunk boundaries.
+
+    All steps' input projections are one matmul of the (B*T_z,dim_z) rows
+    against the stacked (dim_z,3H) [W_r; W_u; W_n]^T.  Each step multiplies
+    the state by the stacked [U_r; U_u]^T and the reset state by U_n^T, then
+    adds the biases, in the order of the GruParams equations.  Both stacks
+    are C-contiguous, so a sample's bits do not depend on B or T_z, except
+    that numpy sends a one-row product (B*T_z == 1) to gemv, not gemm.
     """
     cfg = params.config
+    gru = params.context
     if z.ndim != 3:
         raise ValueError(f"expected a (B, T_z, dim_z) latent batch, got shape {z.shape}")
-    batch, t_z, _ = z.shape
+    batch, t_z, dim_z = z.shape
+    hidden = cfg.dim_c
+    if dim_z != cfg.dim_z:
+        raise ValueError(f"expected latents of width {cfg.dim_z}, got shape {z.shape}")
     if t_z < 1:
         raise ValueError("empty latent sequence")
     if state is None:
-        state = Tensor(np.zeros((batch, cfg.dim_c)))
+        state = Tensor(np.zeros((batch, hidden)))
+    elif state.shape != (batch, hidden):
+        raise ValueError(f"expected a ({batch}, {hidden}) state, got shape {state.shape}")
+
+    w_x = tn.concat([tn.transpose(w) for w in (gru.w_r, gru.w_u, gru.w_n)], axis=1)
+    u_h = tn.concat([tn.transpose(u) for u in (gru.u_r, gru.u_u, gru.u_n)], axis=1)
+    u_ru = tn.slice_axis(u_h, 0, 2 * hidden, axis=1)
+    u_n = tn.slice_axis(u_h, 2 * hidden, 3 * hidden, axis=1)
+    b_ru = tn.concat([gru.b_r, gru.b_u])
+    x = tn.matmul(tn.reshape(z, (batch * t_z, dim_z)), w_x)
+    x = tn.reshape(x, (batch, t_z, 3 * hidden))
+    ones = Tensor(np.ones((batch, hidden)))
+
+    h = state
     outs = []
     for t in range(t_z):
-        step_in = tn.reshape(tn.slice_axis(z, t, t + 1, axis=1), (batch, cfg.dim_z))
-        state = tn.gru_step(state, step_in, params.context)
-        outs.append(tn.reshape(tn.add(state, params.context_out_bias), (batch, 1, cfg.dim_c)))
-    return tn.concat(outs, axis=1), state
+        x_t = tn.reshape(tn.slice_axis(x, t, t + 1, axis=1), (batch, 3 * hidden))
+        x_ru = tn.slice_axis(x_t, 0, 2 * hidden, axis=1)
+        ru = tn.sigmoid(tn.add(tn.add(x_ru, tn.matmul(h, u_ru)), b_ru))
+        r = tn.slice_axis(ru, 0, hidden, axis=1)
+        u = tn.slice_axis(ru, hidden, 2 * hidden, axis=1)
+        x_n = tn.slice_axis(x_t, 2 * hidden, 3 * hidden, axis=1)
+        n = tn.tanh(tn.add(tn.add(x_n, tn.matmul(tn.mul(r, h), u_n)), gru.b_n))
+        h = tn.add(tn.mul(u, h), tn.mul(tn.sub(ones, u), n))
+        outs.append(tn.reshape(h, (batch, 1, hidden)))
+    return tn.add(tn.concat(outs, axis=1), params.context_out_bias), h
 
 
 def contextualize(params: ModelParams, z: Tensor) -> Tensor:

@@ -60,7 +60,7 @@ def precision_mode(bits: int):
 
 
 def _check_finite(arr: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise FloatingPointError(f"non-finite values in {what}")
 
 
@@ -393,10 +393,14 @@ def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
+    """Join along ``axis`` into a C-contiguous result, whatever the inputs'
+    layout.  A matmul against a C-contiguous right operand gives a row the
+    same bits whatever the row count (from two rows up); one against a
+    transposed, Fortran-order operand does not."""
     tensors = list(tensors)
     if not tensors:
         raise ValueError("concat of empty sequence")
-    out = np.concatenate([t.data for t in tensors], axis=axis)
+    out = np.ascontiguousarray(np.concatenate([t.data for t in tensors], axis=axis))
     sizes = np.cumsum([t.shape[axis] for t in tensors])[:-1]
 
     def vjp(g):
@@ -528,44 +532,6 @@ def conv1d_transpose(x: Tensor, w: Tensor, stride: int) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # composites used across the model
-
-
-class GruParams(NamedTuple):
-    """Weights of one gated recurrent unit: reset r, update u, candidate n.
-
-    r = sigmoid(x W_r^T + h U_r^T + b_r)
-    u = sigmoid(x W_u^T + h U_u^T + b_u)
-    n = tanh(x W_n^T + (r * h) U_n^T + b_n)
-    h' = u * h + (1 - u) * n
-    """
-
-    w_r: Tensor
-    u_r: Tensor
-    b_r: Tensor
-    w_u: Tensor
-    u_u: Tensor
-    b_u: Tensor
-    w_n: Tensor
-    u_n: Tensor
-    b_n: Tensor
-
-
-def _linear(x: Tensor, w: Tensor) -> Tensor:
-    return matmul(x, transpose(w))
-
-
-def gru_step(h: Tensor, x: Tensor, params: GruParams) -> Tensor:
-    """One recurrent update of a (B,H) state from (B,Z) inputs."""
-    if x.shape[1:] != params.w_r.shape[1:] or h.shape[1:] != params.u_r.shape[1:]:
-        raise ValueError(f"gru_step shapes disagree: input {x.shape}, state {h.shape}")
-    r = sigmoid(add(add(_linear(x, params.w_r), _linear(h, params.u_r)), params.b_r))
-    u = sigmoid(add(add(_linear(x, params.w_u), _linear(h, params.u_u)), params.b_u))
-    n = tanh(add(add(_linear(x, params.w_n), _linear(mul(r, h), params.u_n)), params.b_n))
-    return add(mul(u, h), mul(sub(_ones_like(u), u), n))
-
-
-def _ones_like(t: Tensor) -> Tensor:
-    return Tensor(np.ones(t.shape, dtype=_dtype))
 
 
 def norms_last(a: Tensor) -> Tensor:

@@ -1,5 +1,7 @@
-import json
+import csv
 import hashlib
+import io
+import json
 import os
 import subprocess
 import sys
@@ -248,6 +250,16 @@ def test_eval_single_class_diagnostic(tmp_path, capsys):
     assert not (tmp_path / "e.csv").exists()
 
 
+@pytest.mark.parametrize("row, cell", [("1,nan,0", "'nan'"), ("1,2.5,7", "'7'")])
+def test_eval_rejects_bad_score_row_naming_file_row_cell(tmp_path, capsys, row, cell):
+    path = tmp_path / "scores.csv"
+    path.write_text(f"index,score,label\n0,1.0,1\n{row}\n2,0.5,0\n")
+    assert main(["eval", "--scores", str(path), "--out", str(tmp_path / "e.csv")]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {path}: row 3 has " in err and cell in err
+    assert not (tmp_path / "e.csv").exists()
+
+
 def test_eval_requires_labels(tmp_path, capsys):
     path = tmp_path / "plain.csv"
     path.write_text("index,score\n0,1.0\n1,2.0\n")
@@ -309,6 +321,18 @@ def test_viz_decode_recon_matches_direct_computation(workspace, tmp_path):
             for t in range(arr.shape[1]):
                 assert got[(view, ch, t)] == f"{arr[ch, t]:.9g}", (view, ch, t)
 
+    # byte for byte what the per-row csv.writer loop the shared writer
+    # replaced wrote
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["view", "channel", "t", "value"])
+    groups = {"input": x[:, : expected["recon"].shape[-1]], **expected}
+    for name, arr in groups.items():
+        for ch in range(arr.shape[0]):
+            for t in range(arr.shape[1]):
+                writer.writerow([name, ch, t, f"{arr[ch, t]:.9g}"])
+    assert out.read_bytes() == buf.getvalue().encode()
+
 
 def test_viz_decode_rejects_negative_decoder_epochs(workspace, tmp_path, capsys):
     out, saved = tmp_path / "recon.csv", tmp_path / "with_decoder.lntc"
@@ -319,6 +343,24 @@ def test_viz_decode_rejects_negative_decoder_epochs(workspace, tmp_path, capsys)
     ]) == 1
     assert "error: epochs must be >= 0, got -3" in capsys.readouterr().err
     assert not out.exists() and not saved.exists()
+
+    # a checkpoint that already has a decoder trains none, and must still
+    # reject the flag
+    assert main([
+        "viz-decode", "--model", str(workspace["model"]),
+        "--data", str(workspace["data"] / "test.csv"),
+        "--out", str(out), "--decoder-epochs", "1", "--save-model", str(saved),
+    ]) == 0
+    out.unlink()
+    capsys.readouterr()
+    again = tmp_path / "again.csv"
+    assert main([
+        "viz-decode", "--model", str(saved),
+        "--data", str(workspace["data"] / "test.csv"),
+        "--out", str(again), "--decoder-epochs", "-3",
+    ]) == 1
+    assert "error: epochs must be >= 0, got -3" in capsys.readouterr().err
+    assert not again.exists() and not (tmp_path / "again.csv.manifest.json").exists()
 
 
 # ---------------------------------------------------------------------------

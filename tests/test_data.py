@@ -1,7 +1,12 @@
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from lnt import data
 from lnt.data import (
     InjectionSpec,
     LabeledSeries,
@@ -126,6 +131,127 @@ def test_csv_rejects_header_only_file(tmp_path):
     path.write_text("a,b,label\n")
     with pytest.raises(ValueError, match="no data rows"):
         load_csv(path)
+
+
+@pytest.mark.parametrize("header, name", [("a,label,label", "label"), ("a,a,label", "a")])
+def test_csv_rejects_duplicate_column_names(tmp_path, header, name):
+    path = tmp_path / "dup.csv"
+    path.write_text(header + "\n1.0,0,1\n")
+    with pytest.raises(ValueError, match=f"duplicate column name '{name}'"):
+        load_csv(path)
+
+
+def test_csv_rejects_label_column_alone(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_text("label\n0\n1\n")
+    with pytest.raises(ValueError, match="no data columns"):
+        load_csv(path)
+
+
+def _per_row_csv_writer(path, series):
+    """The per-row writer the shared CSV writer replaced, as a byte oracle."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        header = list(series.channel_names)
+        if series.labels is not None:
+            header.append("label")
+        writer.writerow(header)
+        for t in range(series.length):
+            row = [f"{v:.9g}" for v in series.values[:, t]]
+            if series.labels is not None:
+                row.append(int(series.labels[t]))
+            writer.writerow(row)
+
+
+def test_csv_bytes_match_per_row_writer_and_read_fast(tmp_path):
+    rng = np.random.default_rng(3)
+    length = 2 * data._BLOCK_ROWS + 5  # a partial block after two full ones
+    values = rng.normal(scale=50.0, size=(3, length))
+    values[0, :6] = [0.0, -0.0, 5e-324, 1.7976931348623157e308, 0.1, -123456789.5]
+    values[1, :3] = [np.nan, np.inf, -np.inf]
+    names = ["acc x", 'quoted "y"', "z,comma"]  # the header still goes through csv
+    for labels in (None, (rng.uniform(size=length) < 0.3).astype(np.int64)):
+        series = LabeledSeries(values, labels, names)
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        save_csv(got, series)
+        _per_row_csv_writer(want, series)
+        assert got.read_bytes() == want.read_bytes()
+    finite = LabeledSeries(values[2:], labels, ["z"])
+    save_csv(got, finite)
+    fast = data._read_rows_fast(got, 2, 1, length)
+    assert fast is not None, "a file save_csv wrote must take the fast path"
+    slow = data._read_rows_checked(got, ["z", "label"], 1)
+    assert_array_equal(fast[0], slow[0])
+    assert_array_equal(fast[1], labels)
+
+
+_CLEAN_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map("{:.9g}".format),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+)
+_ODD_CELLS = st.sampled_from([
+    "", " ", " 1.5", "2.5 ", "\t3", '"1.5"', "1_0", "nan", "-inf", "Infinity",
+    "#", "#1", "1e999", "0x10", "abc", "+.5", "5.", "1,5", "\u00a02", "3\r4", "5\r",
+])
+_LABEL_CELLS = st.sampled_from(
+    ["0", "1"] * 6 + [" 1", "1 ", "1.0", "01", "2", "", '"1"', "#", "nan", "-0", "+1"]
+)
+
+
+@st.composite
+def _csv_files(draw):
+    width = draw(st.integers(1, 3))
+    header = [f"c{i}" for i in range(width)]
+    if draw(st.booleans()):
+        header.insert(draw(st.integers(0, width)), "label")
+    value_cells = st.one_of(_CLEAN_CELLS, _CLEAN_CELLS, _CLEAN_CELLS, _ODD_CELLS)
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 6))):
+        row = [draw(_LABEL_CELLS if name == "label" else value_cells) for name in header]
+        shape = draw(st.sampled_from(["row"] * 8 + ["short", "long", "blank"]))
+        if shape == "short":
+            row = row[:-1]
+        elif shape == "long":
+            row.append("0")
+        lines.append("" if shape == "blank" else ",".join(row))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = end.join(lines) + (end if draw(st.booleans()) else "")
+    return header, text
+
+
+def _outcome(read):
+    try:
+        return read()
+    except ValueError:
+        return "reject"
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_csv_files())
+def test_csv_fast_reader_agrees_with_row_reader(tmp_path_factory, case):
+    header, text = case
+    path = tmp_path_factory.mktemp("fast") / "case.csv"
+    path.write_bytes(text.encode())
+    label_idx = header.index("label") if "label" in header else None
+    slow = _outcome(lambda: data._read_rows_checked(path, header, label_idx))
+    fast = data._read_rows_fast(path, len(header), label_idx, data._count_lines(path) - 1)
+    if fast is not None:
+        assert slow != "reject"
+        assert_array_equal(fast[0], slow[0])
+        assert fast[0].dtype == slow[0].dtype == np.float64
+        if label_idx is None:
+            assert fast[1] is None and slow[1] is None
+        else:
+            assert_array_equal(fast[1], slow[1])
+    full = _outcome(lambda: data.read_csv(path)[1:])
+    if slow == "reject":
+        assert full == "reject"
+    else:
+        assert_array_equal(full[0], slow[0])
+        assert (full[1] is None) == (slow[1] is None)
+        if slow[1] is not None:
+            assert_array_equal(full[1], slow[1])
 
 
 # ---------------------------------------------------------------------------

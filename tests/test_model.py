@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import fd_grad_inplace, rel_err
 from lnt import checkpoint as ckpt
 from lnt import model as mdl
 from lnt import tensor as tn
@@ -160,14 +161,54 @@ def test_contextualize_zero_weights_zero_state():
 
 
 def test_contextualize_batched_matches_single():
-    params = mdl.init_params(small(), seed=10)
-    rng = np.random.default_rng(11)
-    z = rng.normal(size=(4, 6, 128)).astype(np.float32)
-    cb = mdl.contextualize(params, Tensor(z))
-    assert cb.shape == (4, 6, 32)
-    for i in range(4):
-        one = mdl.contextualize(params, Tensor(z[i : i + 1]))
-        np.testing.assert_allclose(cb.data[i], one.data[0], rtol=2e-6, atol=1e-7)
+    """Every sample's contexts carry the same bits in a batch as alone."""
+    for seed in (10, 20, 30, 40, 50):
+        params = mdl.init_params(small(), seed=seed)
+        rng = np.random.default_rng(seed + 1)
+        z = rng.normal(size=(4, 6, 128)).astype(np.float32)
+        state = rng.normal(size=(4, 32)).astype(np.float32)
+        cb, sb = mdl.contextualize_with_state(params, Tensor(z), Tensor(state))
+        assert cb.shape == (4, 6, 32)
+        for i in range(4):
+            one, s1 = mdl.contextualize_with_state(
+                params, Tensor(z[i : i + 1]), Tensor(state[i : i + 1]))
+            np.testing.assert_array_equal(cb.data[i], one.data[0])
+            np.testing.assert_array_equal(sb.data[i], s1.data[0])
+
+
+def test_contextualize_grad_fd_with_carried_state():
+    """FD gradients of all nine GRU weights through two chunks, the second
+    starting from the state the first one carried out."""
+    with tn.precision_mode(64):
+        cfg = mdl.ModelConfig(in_channels=1, dim_z=3, dim_c=4, K=1, L=2, bank_width=2)
+        params = mdl.init_params(cfg, seed=14)
+        rng = np.random.default_rng(15)
+        for name in ("b_r", "b_u", "b_n"):  # zero at init
+            getattr(params.context, name).data[:] = rng.normal(scale=0.5, size=4)
+        z = rng.normal(size=(2, 5, 3))
+        start = rng.normal(scale=0.5, size=(2, 4))
+
+        def run():
+            c1, carried = mdl.contextualize_with_state(params, Tensor(z[:, :2]), Tensor(start))
+            c2, _ = mdl.contextualize_with_state(params, Tensor(z[:, 2:]), carried)
+            c = tn.concat([c1, c2], axis=1)
+            return tn.sum_all(tn.mul(c, c))
+
+        with tn.Tape():
+            tn.backward(run())
+        for name in mdl.GruParams._fields:
+            weight = getattr(params.context, name)
+            num = fd_grad_inplace(lambda: run().item(), weight.data)
+            assert rel_err(weight.grad, num) <= 1e-6, name
+
+
+def test_contextualize_shape_mismatch():
+    params = mdl.init_params(small(), seed=16)
+    with pytest.raises(ValueError, match="width 128"):
+        mdl.contextualize(params, Tensor(np.zeros((1, 4, 5))))
+    with pytest.raises(ValueError, match=r"\(2, 32\) state"):
+        mdl.contextualize_with_state(params, Tensor(np.zeros((2, 4, 128))),
+                                     Tensor(np.zeros((1, 32))))
 
 
 def test_contextualize_state_carry():

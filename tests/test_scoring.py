@@ -1,6 +1,9 @@
 """Scoring contracts: broadcast rules, determinism, causality, chunking,
 constant-model degeneracy, and naive oracles for both score methods."""
 
+import csv
+import re
+
 import numpy as np
 import pytest
 
@@ -85,13 +88,22 @@ def test_score_chunk_invariance(maker):
     channels = params.config.in_channels
     x = np.random.default_rng(6).normal(size=(channels, 240)).astype(np.float32)
     whole = sc.score_ddcl(params, x, chunk_len=10_000)
-    small = sc.score_ddcl(params, x)  # default sub_seq chunks
+    small = sc.score_ddcl(params, x, chunk_len=params.config.sub_seq)
     odd = sc.score_ddcl(params, x, chunk_len=36)
     np.testing.assert_allclose(small.scores, whole.scores, rtol=1e-5, atol=1e-6)
     np.testing.assert_allclose(odd.scores, whole.scores, rtol=1e-5, atol=1e-6)
     whole_c = sc.score_cpc_approx(params, x, chunk_len=10_000)
     odd_c = sc.score_cpc_approx(params, x, chunk_len=36)
     np.testing.assert_allclose(odd_c.scores, whole_c.scores, rtol=1e-5, atol=1e-6)
+
+
+def test_default_chunk_is_chunk_steps_latent_steps():
+    params = tiny_params(seed=5)
+    r = params.config.downsample
+    x = np.zeros((2, (2 * sc.CHUNK_STEPS + 7) * r))
+    sizes = [z.shape[0] for z, _ in sc._iter_chunks(params, x, None)]
+    last = params.config.latent_len(x.shape[1]) - 2 * sc.CHUNK_STEPS
+    assert sizes == [sc.CHUNK_STEPS, sc.CHUNK_STEPS, last]
 
 
 def test_score_causality_small_config():
@@ -230,6 +242,35 @@ def test_scores_csv_roundtrip(tmp_path):
     assert again.read_bytes() == labeled.read_bytes()
 
 
+def _per_row_scores_writer(path, scores, labels=None):
+    """The per-row writer the shared CSV writer replaced, as a byte oracle."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        if labels is None:
+            writer.writerow(["index", "score"])
+            for i, s in enumerate(scores):
+                writer.writerow([i, f"{s:.9g}"])
+        else:
+            writer.writerow(["index", "score", "label"])
+            for i, (s, y) in enumerate(zip(scores, labels)):
+                writer.writerow([i, f"{s:.9g}", int(y)])
+
+
+def test_scores_csv_bytes_match_per_row_writer(tmp_path):
+    rng = np.random.default_rng(22)
+    scores = np.concatenate([
+        rng.normal(scale=1e3, size=20_000), rng.lognormal(sigma=30.0, size=200),
+        [0.0, -0.0, 5e-324, 1.7976931348623157e308, 0.1, 123456789.5],
+    ])
+    series = sc.ScoreSeries(scores, scores, 1)
+    labels = (rng.uniform(size=scores.size) < 0.3).astype(np.int64)
+    for name, lab in (("plain", None), ("labeled", labels)):
+        got, want = tmp_path / f"{name}.csv", tmp_path / f"{name}_want.csv"
+        sc.save_scores_csv(got, series, lab)
+        _per_row_scores_writer(want, scores, lab)
+        assert got.read_bytes() == want.read_bytes(), name
+
+
 def test_scores_csv_bad_inputs(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("time,value\n0,1\n")
@@ -239,6 +280,10 @@ def test_scores_csv_bad_inputs(tmp_path):
     ragged.write_text("index,score\n0,1.0\n1\n")
     with pytest.raises(ValueError):
         sc.load_scores_csv(ragged)
+    for body, cell in (("0,nan,0\n", "'nan'"), ("0,1.5,7\n", "'7'")):
+        bad.write_text("index,score,label\n0,1.0,1\n" + body)
+        with pytest.raises(ValueError, match=f"{re.escape(str(bad))}: row 3 .*{cell}"):
+            sc.load_scores_csv(bad)
     params = tiny_params(seed=20)
     x = np.random.default_rng(21).normal(size=(2, 60)).astype(np.float32)
     series = sc.score_ddcl(params, x)

@@ -287,6 +287,14 @@ def test_concat_crop_grads():
     check_grads(loss, arrays)
 
 
+def test_concat_of_transposed_views_is_c_contiguous():
+    """A stacked weight built from transposes must be a C-order matmul operand."""
+    a, b = Tensor(np.ones((3, 4))), Tensor(np.zeros((2, 4)))
+    out = tn.concat([tn.transpose(a), tn.transpose(b)], axis=1)
+    assert out.data.flags.c_contiguous
+    np.testing.assert_array_equal(out.data, np.concatenate([a.data.T, b.data.T], axis=1))
+
+
 def test_slice_axis_middle_grad_fd():
     rng = np.random.default_rng(10)
     arrays = {"x": rng.normal(size=(2, 5, 3))}
@@ -409,74 +417,6 @@ def test_conv_output_length_property(t, f, stride):
         return
     out = tn.conv1d_strided(Tensor(np.ones((1, 1, t))), Tensor(np.ones((1, 1, f))), stride)
     assert out.shape == (1, 1, (t - f) // stride + 1)
-
-
-# ---------------------------------------------------------------------------
-# gru_step
-
-
-def _zero_gru(h, z):
-    zeros = lambda *s: Tensor(np.zeros(s))
-    return tn.GruParams(
-        w_r=zeros(h, z), u_r=zeros(h, h), b_r=zeros(h),
-        w_u=zeros(h, z), u_u=zeros(h, h), b_u=zeros(h),
-        w_n=zeros(h, z), u_n=zeros(h, h), b_n=zeros(h),
-    )
-
-
-def test_gru_all_zero_stays_zero():
-    params = _zero_gru(3, 2)
-    out = tn.gru_step(Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 2))), params)
-    np.testing.assert_array_equal(out.data, np.zeros((1, 3)))
-
-
-def test_gru_deterministic():
-    rng = np.random.default_rng(29)
-    params = tn.GruParams(*[Tensor(rng.normal(size=s)) for s in
-                            [(3, 2), (3, 3), (3,)] * 3])
-    state = Tensor(rng.normal(size=(1, 3)))
-    inp = Tensor(rng.normal(size=(1, 2)))
-    a = tn.gru_step(state, inp, params)
-    b = tn.gru_step(state, inp, params)
-    assert np.array_equal(a.data, b.data)
-
-
-def test_gru_grad_fd():
-    rng = np.random.default_rng(31)
-    shapes = {
-        "w_r": (3, 2), "u_r": (3, 3), "b_r": (3,),
-        "w_u": (3, 2), "u_u": (3, 3), "b_u": (3,),
-        "w_n": (3, 2), "u_n": (3, 3), "b_n": (3,),
-        "state": (1, 3), "inp": (1, 2),
-    }
-    arrays = {k: rng.normal(scale=0.5, size=s) for k, s in shapes.items()}
-
-    def loss(p):
-        params = tn.GruParams(**{k: p[k] for k in tn.GruParams._fields})
-        out = tn.gru_step(p["state"], p["inp"], params)
-        return tn.sum_all(tn.mul(out, out))
-
-    check_grads(loss, arrays)
-
-
-def test_gru_batched_matches_single():
-    rng = np.random.default_rng(37)
-    params = tn.GruParams(*[Tensor(rng.normal(size=s).astype(np.float32))
-                            for s in [(3, 2), (3, 3), (3,)] * 3])
-    states = rng.normal(size=(4, 3)).astype(np.float32)
-    inputs = rng.normal(size=(4, 2)).astype(np.float32)
-    batched = tn.gru_step(Tensor(states), Tensor(inputs), params)
-    for i in range(4):
-        one = tn.gru_step(Tensor(states[i : i + 1]), Tensor(inputs[i : i + 1]), params)
-        np.testing.assert_allclose(batched.data[i], one.data[0], rtol=1e-6)
-
-
-def test_gru_shape_mismatch():
-    params = _zero_gru(3, 2)
-    with pytest.raises(ValueError):
-        tn.gru_step(Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 5))), params)
-    with pytest.raises(ValueError):  # one unbatched vector
-        tn.gru_step(Tensor(np.zeros(3)), Tensor(np.zeros(2)), params)
 
 
 # ---------------------------------------------------------------------------
