@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lnt import model as mdl
 from lnt import tensor as tn
 from lnt.tensor import Tape, Tensor, backward
 
@@ -417,6 +418,57 @@ def test_conv_output_length_property(t, f, stride):
         return
     out = tn.conv1d_strided(Tensor(np.ones((1, 1, t))), Tensor(np.ones((1, 1, f))), stride)
     assert out.shape == (1, 1, (t - f) // stride + 1)
+
+
+# ---------------------------------------------------------------------------
+# one GRU step, built from these primitives by model.contextualize_with_state
+
+
+def _gru_model(h, z, weights=None):
+    """Model whose context GRU has hidden width ``h`` and input width ``z``;
+    ``weights`` (nine arrays in GruParams order) default to zeros."""
+    cfg = mdl.ModelConfig(in_channels=1, dim_z=z, dim_c=h, K=1, L=2, bank_width=2)
+    params = mdl.init_params(cfg, seed=0)
+    if weights is None:
+        weights = [np.zeros(s) for s in [(h, z), (h, h), (h,)] * 3]
+    params.context = mdl.GruParams(*[Tensor(w) for w in weights])
+    params.context_out_bias = Tensor(np.zeros(h))
+    return params
+
+
+def _gru_step(params, state, inp):
+    """New (B,H) state from a (B,H) state and (B,Z) inputs."""
+    _, new_state = mdl.contextualize_with_state(
+        params, Tensor(inp[:, None, :]), Tensor(state))
+    return new_state.data
+
+
+def test_gru_all_zero_stays_zero():
+    params = _gru_model(3, 2)
+    out = _gru_step(params, np.zeros((1, 3)), np.zeros((1, 2)))
+    np.testing.assert_array_equal(out, np.zeros((1, 3)))
+
+
+def test_gru_deterministic():
+    rng = np.random.default_rng(29)
+    params = _gru_model(3, 2, [rng.normal(size=s) for s in [(3, 2), (3, 3), (3,)] * 3])
+    state = rng.normal(size=(1, 3))
+    inp = rng.normal(size=(1, 2))
+    a = _gru_step(params, state, inp)
+    b = _gru_step(params, state, inp)
+    assert np.array_equal(a, b)
+
+
+def test_gru_batched_matches_single():
+    rng = np.random.default_rng(37)
+    params = _gru_model(3, 2, [rng.normal(size=s).astype(np.float32)
+                               for s in [(3, 2), (3, 3), (3,)] * 3])
+    states = rng.normal(size=(4, 3)).astype(np.float32)
+    inputs = rng.normal(size=(4, 2)).astype(np.float32)
+    batched = _gru_step(params, states, inputs)
+    for i in range(4):
+        one = _gru_step(params, states[i : i + 1], inputs[i : i + 1])
+        np.testing.assert_allclose(batched[i], one[0], rtol=1e-6)
 
 
 # ---------------------------------------------------------------------------
