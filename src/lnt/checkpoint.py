@@ -8,6 +8,7 @@ written in sorted name order so identical contents give identical bytes.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -77,6 +78,7 @@ _CONFIG_SCALARS = (
     "in_channels", "dim_z", "dim_c", "K", "L",
     "bank_layers", "bank_width", "conv_bias", "separate_ddcl_heads", "sub_seq",
 )
+_CONFIG_FLAGS = ("conv_bias", "separate_ddcl_heads")
 
 
 def _checkpoint_tensors(params: ModelParams) -> dict[str, np.ndarray]:
@@ -100,16 +102,34 @@ def model_to_arrays(params: ModelParams) -> dict[str, np.ndarray]:
     return out
 
 
+def _config_ints(arrays: dict[str, np.ndarray], name: str, rank: int) -> list[int]:
+    """The non-negative integers stored in ``config.<name>``, of the given rank."""
+    key = f"config.{name}"
+    if key not in arrays:
+        raise ValueError(f"checkpoint lacks config entry {key!r}")
+    if arrays[key].ndim != rank:
+        raise ValueError(f"checkpoint config entry {key!r} has shape {arrays[key].shape}")
+    values = arrays[key].reshape(-1).tolist()
+    for v in values:
+        if not (math.isfinite(v) and v >= 0 and v == int(v)):
+            raise ValueError(f"checkpoint config entry {key!r} holds {v!r}, not an integer >= 0")
+    return [int(v) for v in values]
+
+
 def model_from_arrays(arrays: dict[str, np.ndarray]) -> tuple[ModelParams, dict[str, np.ndarray]]:
-    """Rebuild a model; returns (params, leftover non-model arrays)."""
-    try:
-        kwargs = {name: int(arrays[f"config.{name}"]) for name in _CONFIG_SCALARS}
-        kwargs["conv_bias"] = bool(kwargs["conv_bias"])
-        kwargs["separate_ddcl_heads"] = bool(kwargs["separate_ddcl_heads"])
-        kwargs["filters"] = tuple(int(v) for v in arrays["config.filters"])
-        kwargs["strides"] = tuple(int(v) for v in arrays["config.strides"])
-    except KeyError as missing:
-        raise ValueError(f"checkpoint lacks config entry {missing}") from None
+    """Rebuild a model; returns (params, leftover ``norm.*`` arrays).
+
+    Config entries must be integers (flags 0 or 1); a tensor the config
+    does not call for, other than ``norm.*``, is an error.
+    """
+    kwargs = {name: _config_ints(arrays, name, 0)[0] for name in _CONFIG_SCALARS}
+    for name in _CONFIG_FLAGS:
+        if kwargs[name] > 1:
+            raise ValueError(f"checkpoint config entry 'config.{name}' must be 0 or 1, "
+                             f"got {kwargs[name]}")
+        kwargs[name] = bool(kwargs[name])
+    kwargs["filters"] = tuple(_config_ints(arrays, "filters", 1))
+    kwargs["strides"] = tuple(_config_ints(arrays, "strides", 1))
     cfg = ModelConfig(**kwargs)
 
     # a freshly initialised model gives every tensor's name and shape; the
@@ -129,12 +149,18 @@ def model_from_arrays(arrays: dict[str, np.ndarray]) -> tuple[ModelParams, dict[
         target[...] = Tensor(arrays[name]).data
         used.add(name)
     leftover = {k: v for k, v in arrays.items() if k not in used}
+    unknown = sorted(k for k in leftover if not k.startswith("norm."))
+    if unknown:
+        raise ValueError(f"checkpoint holds tensors its config does not use: {unknown}")
     return params, leftover
 
 
 def save_model(path, params: ModelParams, extra: dict[str, np.ndarray] | None = None) -> None:
     arrays = model_to_arrays(params)
     if extra:
+        unknown = sorted(k for k in extra if not k.startswith("norm."))
+        if unknown:
+            raise ValueError(f"extra arrays must be named norm.*, got {unknown}")
         overlap = set(arrays) & set(extra)
         if overlap:
             raise ValueError(f"extra arrays collide with model tensors: {sorted(overlap)}")

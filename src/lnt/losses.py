@@ -135,10 +135,13 @@ def ddcl_terms(
 
     ``units`` and ``den`` are the anchor rows of :func:`view_gram`; term
     (r,l) is log(h(view_l, pred) + S[r,l]) - log h(view_l, pred).
+    ``units`` may keep leading (B, T) axes, (B,T,L,D), with B*T rows.
     """
-    rows, n_views, dim_z = units.shape
+    rows, n_views = den.shape
+    lead, dim_z = units.shape[:-2], units.shape[-1]
     pred = tn.unit_rows(mdl.predict_rows(params, c_prev, k, ddcl=True))
-    cos = tn.reshape(tn.bmm(units, tn.reshape(pred, (rows, dim_z, 1))), (rows, n_views))
+    cos = tn.bmm(units, tn.reshape(pred, lead + (dim_z, 1)))
+    cos = tn.reshape(cos, (rows, n_views))
     # h values live in [1/e, e]; the direct form is safe here
     return tn.sub(tn.log(tn.add(tn.exp(cos), den)), cos)
 
@@ -159,8 +162,10 @@ def ddcl_loss(params: ModelParams, z: Tensor, c: Tensor) -> Tensor:
     for k in range(1, params.config.K + 1):
         if t_z - k < 1:
             continue
+        # a slice of the (B, T_z, L, D) units is a view; flattened to rows
+        # it would be a copy that lives until backward
         terms = ddcl_terms(
-            params, _shifted(units, k, t_z), _shifted(den, k, t_z),
+            params, tn.slice_axis(units, k, t_z, axis=1), _shifted(den, k, t_z),
             _shifted(c, 0, t_z - k), k,
         )
         term_sum = tn.sum_all(terms)

@@ -14,11 +14,13 @@ Conventions
 * A tape and the tensors built on it belong to one thread.  Detached
   tensors (and anything computed with no tape active) are plain data and
   may be shared freely.
+* A tape serves one :func:`backward`, which consumes its records.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import threading
 from typing import Callable, NamedTuple, Sequence
 
@@ -71,7 +73,7 @@ class Tensor:
     every ``requires_grad`` tensor reachable from the loss.
     """
 
-    __slots__ = ("data", "grad", "requires_grad")
+    __slots__ = ("data", "grad", "requires_grad", "_tape", "_node")
 
     def __init__(self, values, requires_grad: bool = False):
         arr = np.asarray(values, dtype=_dtype)
@@ -79,6 +81,7 @@ class Tensor:
         self.data = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
+        self._tape = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -100,6 +103,7 @@ class Tensor:
         out.data = self.data
         out.grad = None
         out.requires_grad = False
+        out._tape = None
         return out
 
     def __repr__(self) -> str:
@@ -108,21 +112,39 @@ class Tensor:
 
 
 class _Record(NamedTuple):
-    out: Tensor
-    parents: tuple[Tensor, ...]
+    node: int
+    parents: tuple[int | None, ...]  # node per parent, None if untracked
+    shapes: tuple[tuple[int, ...], ...]
     vjp: Callable[[np.ndarray], tuple]
+
+
+class _Region(NamedTuple):
+    """A VJP result that is nonzero only in ``parent[index]``."""
+
+    index: tuple
+    grad: np.ndarray
+
+
+_serials = itertools.count()
 
 
 class Tape:
     """Execution-ordered record of primitive ops.
 
     By construction every record's inputs were produced by earlier records
-    (or are leaves), so the list is topologically ordered.
+    (or are leaves), so the list is topologically ordered.  A record holds
+    node ids and shapes, not tensors: an output is stamped with its tape's
+    serial and its node id, and only the arrays a VJP reads stay alive.
+    ``requires_grad`` leaves are the only tensors the tape keeps, so that
+    :func:`backward` can set their ``grad``.
     """
 
     def __init__(self):
         self._records: list[_Record] = []
-        self._tracked: set[int] = set()
+        self._serial = next(_serials)
+        self._nodes = 0
+        self._leaves: dict[int, tuple[int, Tensor]] = {}  # id(leaf) -> (node, leaf)
+        self._spent = False
 
     def __len__(self) -> int:
         return len(self._records)
@@ -136,12 +158,25 @@ class Tape:
     def __exit__(self, *exc) -> None:
         _state.active = None
 
-    def _tracks(self, t: Tensor) -> bool:
-        return t.requires_grad or id(t) in self._tracked
+    def _node_of(self, t: Tensor) -> int | None:
+        """``t``'s node on this tape, or None if no gradient flows to it."""
+        if t._tape == self._serial:
+            return t._node
+        if not t.requires_grad:
+            return None
+        if id(t) not in self._leaves:
+            self._leaves[id(t)] = (self._nodes, t)
+            self._nodes += 1
+        return self._leaves[id(t)][0]
 
     def _add(self, out: Tensor, parents: tuple[Tensor, ...], vjp) -> None:
-        self._records.append(_Record(out, parents, vjp))
-        self._tracked.add(id(out))
+        nodes = tuple(self._node_of(p) for p in parents)
+        if nodes.count(None) == len(nodes):
+            return
+        out._tape = self._serial
+        out._node = self._nodes
+        self._nodes += 1
+        self._records.append(_Record(out._node, nodes, tuple(p.shape for p in parents), vjp))
 
 
 class _State(threading.local):
@@ -156,6 +191,13 @@ def active_tape() -> Tape | None:
     return _state.active
 
 
+def _recording(a: Tensor) -> bool:
+    """Whether an op on ``a`` will be recorded, so that what its VJP reads
+    is worth computing in the forward pass."""
+    tape = _state.active
+    return tape is not None and (a._tape == tape._serial or a.requires_grad)
+
+
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], vjp, name: str) -> Tensor:
     data = np.asarray(data, dtype=_dtype)
     _check_finite(data, name)
@@ -163,8 +205,9 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], vjp, name: str) -> Tens
     out.data = data
     out.grad = None
     out.requires_grad = False
+    out._tape = None
     tape = _state.active
-    if tape is not None and any(tape._tracks(p) for p in parents):
+    if tape is not None:
         tape._add(out, parents, vjp)
     return out
 
@@ -172,31 +215,62 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], vjp, name: str) -> Tens
 def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every requires_grad tensor reachable from ``loss``.
 
-    The loss must be a scalar produced on the currently active tape.
+    The loss must be a scalar produced on the currently active tape.  The
+    sweep consumes the tape: each record is dropped once its VJP has run,
+    so a second ``backward`` on the same tape is an error.
+
+    Each node keeps one gradient buffer.  A VJP returns, per parent, None,
+    an array of the parent's shape, or a :class:`_Region`; it never writes
+    into ``g``.  A first contribution is kept as given and is owned by the
+    sweep when it is a fresh array (not ``g``, not a view).  A later one is
+    added into an owned buffer in place, or else into a new buffer that
+    the sweep then owns.  A region is added into its slice of the buffer.
     """
     tape = _state.active
     if tape is None:
         raise RuntimeError("backward requires an active tape")
+    if tape._spent:
+        raise RuntimeError("this tape was already consumed by backward; record a new one")
     if loss.ndim != 0:
         raise ValueError(f"loss must be scalar, got shape {loss.shape}")
-    if id(loss) not in tape._tracked:
+    if loss._tape != tape._serial:
         raise RuntimeError("loss is not connected to the active tape")
+    tape._spent = True
 
-    grads: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=_dtype)}
-    for rec in reversed(tape._records):
-        g = grads.pop(id(rec.out), None)
+    records = tape._records
+    grads: dict[int, np.ndarray] = {loss._node: np.ones((), dtype=_dtype)}
+    owned: set[int] = set()
+    while records:
+        node, parents, shapes, vjp = records.pop()
+        g = grads.pop(node, None)
         if g is None:
             continue
-        for parent, pg in zip(rec.parents, rec.vjp(g)):
-            if pg is None or not tape._tracks(parent):
+        for pnode, shape, pg in zip(parents, shapes, vjp(g)):
+            if pnode is None or pg is None:
                 continue
-            pid = id(parent)
-            got = grads.get(pid)
-            grads[pid] = pg.astype(_dtype, copy=False) if got is None else got + pg
-    for rec in tape._records:
-        for parent in rec.parents:
-            if parent.requires_grad and id(parent) in grads:
-                parent.grad = grads[id(parent)]
+            buf = grads.get(pnode)
+            if type(pg) is _Region:
+                if buf is None:
+                    buf = grads[pnode] = np.zeros(shape, dtype=_dtype)
+                    buf[pg.index] = pg.grad
+                else:
+                    if pnode not in owned:
+                        buf = grads[pnode] = np.array(buf)
+                    buf[pg.index] += pg.grad
+                owned.add(pnode)
+            elif buf is None:
+                grads[pnode] = pg
+                if type(pg) is np.ndarray and pg.base is None and pg is not g:
+                    owned.add(pnode)
+            elif pnode in owned:
+                np.add(buf, pg, out=buf)
+            else:
+                # asarray: numpy returns a scalar, not an array, for a 0-d sum
+                grads[pnode] = np.asarray(buf + pg)
+                owned.add(pnode)
+    for node, leaf in tape._leaves.values():
+        if node in grads:
+            leaf.grad = grads[node]
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -218,43 +292,50 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
+    sa, sb = a.shape, b.shape
     return _make(
         out,
         (a, b),
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)),
+        lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)),
         "add",
     )
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     out = a.data - b.data
+    sa, sb = a.shape, b.shape
     return _make(
         out,
         (a, b),
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)),
+        lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)),
         "sub",
     )
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data * b.data
+    ad, bd = a.data, b.data
+    out = ad * bd
     return _make(
         out,
         (a, b),
-        lambda g: (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)),
+        lambda g: (_unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)),
         "mul",
     )
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
+    sa, bd = a.shape, b.data
     with np.errstate(all="ignore"):
-        out = a.data / b.data
-    return _make(
-        out,
-        (a, b),
-        lambda g: (_unbroadcast(g / b.data, a.shape), _unbroadcast(-g * out / b.data, b.shape)),
-        "div",
-    )
+        out = a.data / bd
+
+    def vjp(g):
+        # -(g*out/b) has the bits of (-g)*out/b, and negating after the
+        # broadcast sum gives those of the sum, with one temporary fewer
+        db = g * out
+        db /= bd
+        return (_unbroadcast(g / bd, sa), -_unbroadcast(db, bd.shape))
+
+    return _make(out, (a, b), vjp, "div")
 
 
 def scale(a: Tensor, factor: float) -> Tensor:
@@ -278,7 +359,11 @@ def tanh(a: Tensor) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     out = np.maximum(a.data, 0.0)
-    return _make(out, (a,), lambda g: (g * (a.data > 0),), "relu")
+    # C order: a conv layer's output is a time-major view while its
+    # gradient arrives C-ordered, and g * mask across the two layouts
+    # ran 9x slower than within one
+    mask = np.greater(out, 0, order="C") if _recording(a) else None
+    return _make(out, (a,), lambda g: (g * mask,), "relu")
 
 
 def exp(a: Tensor) -> Tensor:
@@ -288,9 +373,10 @@ def exp(a: Tensor) -> Tensor:
 
 
 def log(a: Tensor) -> Tensor:
+    ad = a.data
     with np.errstate(all="ignore"):
-        out = np.log(a.data)
-    return _make(out, (a,), lambda g: (g / a.data,), "log")
+        out = np.log(ad)
+    return _make(out, (a,), lambda g: (g / ad,), "log")
 
 
 def sqrt(a: Tensor) -> Tensor:
@@ -302,7 +388,8 @@ def sqrt(a: Tensor) -> Tensor:
 def clamp_min(a: Tensor, floor: float) -> Tensor:
     floor = float(floor)
     out = np.maximum(a.data, floor)
-    return _make(out, (a,), lambda g: (g * (a.data > floor),), "clamp_min")
+    mask = a.data > floor if _recording(a) else None
+    return _make(out, (a,), lambda g: (g * mask,), "clamp_min")
 
 
 # ---------------------------------------------------------------------------
@@ -314,55 +401,63 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
-    out = a.data @ b.data
-    return _make(out, (a, b), lambda g: (g @ b.data.T, a.data.T @ g), "matmul")
+    ad, bd = a.data, b.data
+    out = ad @ bd
+    return _make(out, (a, b), lambda g: (g @ bd.T, ad.T @ g), "matmul")
 
 
 def bmm(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matmul of (N, I, J) and (N, J, K) operands into (N, I, K)."""
-    if a.ndim != 3 or b.ndim != 3:
-        raise ValueError(f"bmm expects 3-D operands, got {a.shape} and {b.shape}")
-    if a.shape[0] != b.shape[0]:
+    """Batched matmul of (..., I, J) and (..., J, K) stacks into (..., I, K).
+
+    Both operands have the same leading (stack) dimensions.
+    """
+    if a.ndim < 3 or a.ndim != b.ndim:
+        raise ValueError(f"bmm expects stacks of matrices, got {a.shape} and {b.shape}")
+    if a.shape[:-2] != b.shape[:-2]:
         raise ValueError(f"bmm batch dimensions disagree: {a.shape} x {b.shape}")
-    if a.shape[2] != b.shape[1]:
+    if a.shape[-1] != b.shape[-2]:
         raise ValueError(f"bmm inner dimensions disagree: {a.shape} x {b.shape}")
-    out = np.matmul(a.data, b.data)
+    ad, bd = a.data, b.data
+    out = np.matmul(ad, bd)
     return _make(
         out,
         (a, b),
-        lambda g: (g @ b.data.transpose(0, 2, 1), a.data.transpose(0, 2, 1) @ g),
+        lambda g: (g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g),
         "bmm",
     )
 
 
 def sum_all(a: Tensor) -> Tensor:
+    shape = a.shape
     return _make(
-        a.data.sum(), (a,), lambda g: (np.broadcast_to(g, a.shape).copy(),), "sum_all"
+        a.data.sum(), (a,), lambda g: (np.broadcast_to(g, shape).copy(),), "sum_all"
     )
 
 
 def mean_all(a: Tensor) -> Tensor:
-    n = a.size
+    shape, n = a.shape, a.size
     return _make(
         a.data.mean(),
         (a,),
-        lambda g: (np.broadcast_to(g / n, a.shape).copy(),),
+        lambda g: (np.broadcast_to(g / n, shape).copy(),),
         "mean_all",
     )
 
 
 def sum_last(a: Tensor, keepdims: bool = True) -> Tensor:
     out = a.data.sum(axis=-1, keepdims=keepdims)
+    shape = a.shape
 
     def vjp(g):
         if not keepdims:
             g = np.expand_dims(g, -1)
-        return (np.broadcast_to(g, a.shape).copy(),)
+        return (np.broadcast_to(g, shape).copy(),)
 
     return _make(out, (a,), vjp, "sum_last")
 
 
 def logsumexp_last(a: Tensor, keepdims: bool = True) -> Tensor:
+    ad = a.data
     m = a.data.max(axis=-1, keepdims=True)
     out_k = m + np.log(np.sum(np.exp(a.data - m), axis=-1, keepdims=True))
     out = out_k if keepdims else np.squeeze(out_k, axis=-1)
@@ -370,15 +465,15 @@ def logsumexp_last(a: Tensor, keepdims: bool = True) -> Tensor:
     def vjp(g):
         if not keepdims:
             g = np.expand_dims(g, -1)
-        return (g * np.exp(a.data - out_k),)
+        return (g * np.exp(ad - out_k),)
 
     return _make(out, (a,), vjp, "logsumexp_last")
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
-    shape = tuple(shape)
+    shape, before = tuple(shape), a.shape
     return _make(
-        a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),), "reshape"
+        a.data.reshape(shape), (a,), lambda g: (g.reshape(before),), "reshape"
     )
 
 
@@ -410,19 +505,13 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 def slice_axis(a: Tensor, start: int, stop: int, axis: int = 0) -> Tensor:
-    """Entries ``[start, stop)`` along ``axis``; the gradient is zero-padded."""
+    """Entries ``[start, stop)`` along ``axis``; the gradient is a region of
+    the input's, which :func:`backward` adds in place."""
     axis = axis % a.ndim
     if not 0 <= start <= stop <= a.shape[axis]:
         raise ValueError(f"slice [{start}, {stop}) outside axis {axis} of size {a.shape[axis]}")
     index = (slice(None),) * axis + (slice(start, stop),)
-    out = a.data[index]
-
-    def vjp(g):
-        da = np.zeros(a.shape, dtype=_dtype)
-        da[index] = g
-        return (da,)
-
-    return _make(out, (a,), vjp, "slice_axis")
+    return _make(a.data[index], (a,), lambda g: (_Region(index, g),), "slice_axis")
 
 
 def gather_last(a: Tensor, idx: np.ndarray) -> Tensor:
@@ -438,10 +527,11 @@ def gather_last(a: Tensor, idx: np.ndarray) -> Tensor:
         )
     out = np.take_along_axis(a.data, idx, axis=1)
     flat = (idx + np.arange(a.shape[0])[:, None] * a.shape[1]).ravel()
+    shape, size = a.shape, a.size
 
     def vjp(g):
-        da = np.bincount(flat, weights=g.ravel(), minlength=a.size)
-        return (da.reshape(a.shape).astype(_dtype, copy=False),)
+        da = np.bincount(flat, weights=g.ravel(), minlength=size)
+        return (da.reshape(shape).astype(_dtype, copy=False),)
 
     return _make(out, (a,), vjp, "gather_last")
 
@@ -477,13 +567,18 @@ def conv1d_strided(x: Tensor, w: Tensor, stride: int) -> Tensor:
     for tap in range(f):
         patches[:, :, tap, :] = x.data[:, :, tap : tap + last + 1 : stride]
     pmat = patches.transpose(0, 3, 1, 2).reshape(batch * t_out, c_in * f)
-    wmat = w.data.reshape(c_out, c_in * f)
+    wshape, wmat = w.shape, w.data.reshape(c_out, c_in * f)
     ymat = pmat @ wmat.T
     y = ymat.reshape(batch, t_out, c_out).transpose(0, 2, 1)
 
+    # an untracked input (the data batch) gets no gradient, so skip its GEMM
+    need_dx = _recording(x)
+
     def vjp(g):
         gmat = g.transpose(0, 2, 1).reshape(batch * t_out, c_out)
-        dw = (gmat.T @ pmat).reshape(w.shape)
+        dw = (gmat.T @ pmat).reshape(wshape)
+        if not need_dx:
+            return (None, dw)
         dpatches = (gmat @ wmat).reshape(batch, t_out, c_in, f).transpose(0, 2, 3, 1)
         dx = np.zeros((batch, c_in, t), dtype=_dtype)
         # taps within one offset never overlap (stride apart)
@@ -511,7 +606,7 @@ def conv1d_transpose(x: Tensor, w: Tensor, stride: int) -> Tensor:
     t_out = (t - 1) * stride + f
 
     xmat = x.data.transpose(0, 2, 1).reshape(batch * t, c_in)
-    wmat = w.data.reshape(c_in, c_out * f)
+    wshape, wmat = w.shape, w.data.reshape(c_in, c_out * f)
     contrib = (xmat @ wmat).reshape(batch, t, c_out, f).transpose(0, 2, 3, 1)
     y = np.zeros((batch, c_out, t_out), dtype=_dtype)
     last = stride * (t - 1)
@@ -524,7 +619,7 @@ def conv1d_transpose(x: Tensor, w: Tensor, stride: int) -> Tensor:
             dcontrib[:, :, tap, :] = g[:, :, tap : tap + last + 1 : stride]
         dmat = dcontrib.transpose(0, 3, 1, 2).reshape(batch * t, c_out * f)
         dx = (dmat @ wmat.T).reshape(batch, t, c_in).transpose(0, 2, 1)
-        dw = (xmat.T @ dmat).reshape(w.shape)
+        dw = (xmat.T @ dmat).reshape(wshape)
         return (dx, dw)
 
     return _make(y, (x, w), vjp, "conv1d_transpose")

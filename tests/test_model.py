@@ -493,6 +493,50 @@ def test_checkpoint_wrong_bank_shape_rejected(tmp_path):
     assert "(128, 23)" in message and "(128, 24)" in message
 
 
+@pytest.mark.parametrize(
+    "entry,value,expect",
+    [
+        ("sub_seq", 720.9, "720.9"),
+        ("conv_bias", 0.5, "0.5"),
+        ("K", np.nan, "nan"),
+        ("dim_c", -4.0, "-4.0"),
+        ("L", np.inf, "inf"),
+        ("separate_ddcl_heads", 2.0, "0 or 1"),
+        ("conv_bias", -1.0, "-1.0"),
+        ("filters", np.array([3.0, 3.0, 4.5, 2.0]), "4.5"),
+        ("strides", np.array([3.0, np.nan, 4.0, 2.0]), "nan"),
+        ("dim_z", np.array([128.0]), "shape (1,)"),
+    ],
+)
+def test_checkpoint_config_entries_must_be_integers(tmp_path, entry, value, expect):
+    """A config entry that is not a non-negative integer (a flag: 0 or 1)
+    fails by name; it used to be truncated (720.9 -> 720, 0.5 -> False)."""
+    arrays = ckpt.model_to_arrays(mdl.init_params(small(), seed=52))
+    arrays[f"config.{entry}"] = np.asarray(value, dtype=np.float32)
+    path = tmp_path / "bad_config.lntc"
+    ckpt.save_arrays(path, arrays)
+    with pytest.raises(ValueError) as err:
+        ckpt.load_model(path)
+    assert f"config.{entry}" in str(err.value) and expect in str(err.value)
+
+
+def test_checkpoint_rejects_tensors_the_config_does_not_use(tmp_path):
+    """Encoder biases in a conv_bias=0 checkpoint used to load as leftovers
+    and be written out again by viz-decode --save-model."""
+    arrays = ckpt.model_to_arrays(mdl.init_params(small(), seed=53))
+    arrays["config.conv_bias"] = np.asarray(0.0)
+    arrays["norm.mean"] = np.zeros(3)
+    path = tmp_path / "stray.lntc"
+    ckpt.save_arrays(path, arrays)
+    with pytest.raises(ValueError) as err:
+        ckpt.load_model(path)
+    message = str(err.value)
+    assert all(f"encoder.layer{i}.bias" in message for i in range(4))
+    assert "norm.mean" not in message
+    with pytest.raises(ValueError, match="stray"):
+        ckpt.save_model(path, mdl.init_params(small(), seed=53), {"stray": np.zeros(1)})
+
+
 def test_checkpoint_per_transform_fixture_loads_and_resaves_bitwise(tmp_path):
     arrays = ckpt.load_arrays(FIXTURE)
     params, extra = ckpt.load_model(FIXTURE)

@@ -4,9 +4,11 @@ Every gradient rule is checked against central finite differences computed
 from the forward pass alone, in 64-bit mode with step 1e-4.
 """
 
+import gc
 import math
 import threading
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 
 from lnt import model as mdl
 from lnt import tensor as tn
-from lnt.tensor import Tape, Tensor, backward
+from lnt.tensor import Tape, Tensor, active_tape, backward
 
 EPS = 1e-4
 
@@ -111,6 +113,20 @@ def test_bmm_matches_per_matrix_matmul_and_fd():
     check_grads(lambda p: tn.sum_all(tn.mul(tn.bmm(p["a"], p["b"]), Tensor(weights))), arrays)
 
 
+def test_bmm_four_dim_stack_matches_three_dim_bitwise_and_fd():
+    """The DDCL multiplies a (B, T, L, D) view of the unit views: same bits
+    as the flattened (B*T, L, D) copy, and FD gradients."""
+    rng = np.random.default_rng(6)
+    a = rng.normal(size=(2, 5, 3, 4)).astype(np.float32)[:, 1:]
+    b = rng.normal(size=(2, 4, 4, 1)).astype(np.float32)
+    four = tn.bmm(Tensor(a), Tensor(b)).data
+    three = tn.bmm(Tensor(a.reshape(8, 3, 4)), Tensor(b.reshape(8, 4, 1))).data
+    assert np.array_equal(four.reshape(8, 3, 1), three)
+    arrays = {"a": rng.normal(size=(2, 3, 2, 4)), "b": rng.normal(size=(2, 3, 4, 5))}
+    weights = rng.normal(size=(2, 3, 2, 5))
+    check_grads(lambda p: tn.sum_all(tn.mul(tn.bmm(p["a"], p["b"]), Tensor(weights))), arrays)
+
+
 def test_bmm_shape_mismatch():
     with pytest.raises(ValueError, match="batch"):
         tn.bmm(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 4, 5))))
@@ -118,6 +134,8 @@ def test_bmm_shape_mismatch():
         tn.bmm(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 3, 5))))
     with pytest.raises(ValueError):
         tn.bmm(Tensor(np.ones((3, 4))), Tensor(np.ones((4, 5))))
+    with pytest.raises(ValueError):
+        tn.bmm(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((1, 2, 4, 5))))
 
 
 # ---------------------------------------------------------------------------
@@ -581,6 +599,78 @@ def test_backward_fanout_accumulates():
         y = tn.add(tn.mul(x, x), tn.scale(x, 3.0))  # x^2 + 3x
         backward(tn.reshape(y, ()))
     assert x.grad == pytest.approx(7.0)
+
+
+def test_backward_fanout_accumulates_into_0d_buffer():
+    """Three contributions to a 0-d leaf: numpy returns scalars for 0-d
+    products, so the sweep must add into an array it owns, not rebind."""
+    with tn.precision_mode(64), Tape():
+        x = Tensor(2.0, requires_grad=True)
+        y = tn.add(tn.add(tn.mul(x, x), tn.scale(x, 3.0)), tn.scale(x, 5.0))
+        backward(tn.reshape(y, ()))
+    assert x.grad == 12.0  # 2x + 3 + 5
+
+
+def test_backward_shared_gradient_is_not_accumulated_in_place():
+    """add hands its g to both parents; adding a later contribution for one
+    of them must not change the other's gradient."""
+    w = np.array([1.0, 2.0, 4.0])
+    c = np.array([8.0, 16.0, 32.0])
+    with Tape():
+        a = Tensor(np.ones(3), requires_grad=True)
+        b = Tensor(np.ones(3), requires_grad=True)
+        later = tn.mul(a, Tensor(c))  # recorded first, so reached last
+        both = tn.add(a, b)
+        backward(tn.add(tn.sum_all(tn.mul(both, Tensor(w))), tn.sum_all(later)))
+    np.testing.assert_array_equal(b.grad, w)
+    np.testing.assert_array_equal(a.grad, w + c)
+
+
+@pytest.mark.parametrize("dense_first", [True, False])
+def test_backward_overlapping_regions_and_dense_contribution(dense_first):
+    """Two overlapping slice_axis regions plus a dense term, all to one parent."""
+    rng = np.random.default_rng(12)
+    w1, w2, w3 = (rng.integers(-8, 8, size=s).astype(float) for s in [(2, 3), (2, 4), (2, 5)])
+    with tn.precision_mode(64), Tape():
+        x = Tensor(rng.normal(size=(2, 5)), requires_grad=True)
+        terms = [
+            tn.sum_all(tn.mul(tn.slice_axis(x, 0, 3, axis=1), Tensor(w1))),
+            tn.sum_all(tn.mul(tn.slice_axis(x, 1, 5, axis=1), Tensor(w2))),
+        ]
+        dense = tn.sum_all(tn.mul(x, Tensor(w3)))
+        terms = [dense] + terms if dense_first else terms + [dense]
+        backward(tn.add(tn.add(terms[0], terms[1]), terms[2]))
+    expected = w3.copy()
+    expected[:, 0:3] += w1
+    expected[:, 1:5] += w2
+    np.testing.assert_array_equal(x.grad, expected)
+
+
+def test_unread_intermediates_are_freed_before_backward():
+    """Records keep what their VJPs read, not the tensors: add and sum_all
+    keep shapes and relu a mask, so their inputs die with the forward."""
+    with Tape():
+        x = Tensor(np.arange(-2.0, 2.0), requires_grad=True)
+        y = tn.add(x, x)
+        r = tn.relu(y)
+        loss = tn.sum_all(r)
+        refs = [weakref.ref(y.data), weakref.ref(r.data)]
+        del y, r
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
+        backward(loss)
+    np.testing.assert_array_equal(x.grad, [0.0, 0.0, 0.0, 2.0])
+
+
+def test_second_backward_on_spent_tape_rejected():
+    with Tape():
+        x = Tensor(np.ones(3), requires_grad=True)
+        loss = tn.sum_all(tn.mul(x, x))
+        backward(loss)
+        assert len(active_tape()) == 0
+        with pytest.raises(RuntimeError, match="already consumed"):
+            backward(loss)
+    np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
 
 
 def test_backward_requires_scalar():
