@@ -21,6 +21,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import platform
 import sys
 import time
 
@@ -142,10 +143,27 @@ def sha256_file(path) -> str:
     return digest.hexdigest()
 
 
+def environment() -> dict:
+    """What produced the numbers: python, numpy, BLAS, and the LNT_THREADS
+    cap this process applied at import (None when unset)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 2 has no dict mode
+        blas = {}
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "lnt_threads": _threads or None,
+    }
+
+
 def write_manifest(output, args, started, *, config=None, inputs=None,
                    outputs=None, checkpoint=None) -> None:
     manifest = {
         "command": args.command,
+        "environment": environment(),
         "seed": args.seed,
         "precision": args.precision,
         "config": config or {},

@@ -278,11 +278,12 @@ def contextualize_with_state(
     hidden state across chunk boundaries.
 
     All steps' input projections are one matmul of the (B*T_z,dim_z) rows
-    against the stacked (dim_z,3H) [W_r; W_u; W_n]^T.  Each step multiplies
-    the state by the stacked [U_r; U_u]^T and the reset state by U_n^T, then
-    adds the biases, in the order of the GruParams equations.  Both stacks
-    are C-contiguous, so a sample's bits do not depend on B or T_z, except
-    that numpy sends a one-row product (B*T_z == 1) to gemv, not gemm.
+    against the stacked (dim_z,3H) [W_r; W_u; W_n]^T.  The recurrence is one
+    ``tn.gru`` record, which multiplies the state by the stacked
+    [U_r; U_u]^T and the reset state by U_n^T, then adds the biases, in the
+    order of the GruParams equations.  Both stacks are C-contiguous, so a
+    sample's bits do not depend on B or T_z, except that numpy sends a
+    one-row product (B*T_z == 1) to gemv, not gemm.
     """
     cfg = params.config
     gru = params.context
@@ -306,21 +307,9 @@ def contextualize_with_state(
     b_ru = tn.concat([gru.b_r, gru.b_u])
     x = tn.matmul(tn.reshape(z, (batch * t_z, dim_z)), w_x)
     x = tn.reshape(x, (batch, t_z, 3 * hidden))
-    ones = Tensor(np.ones((batch, hidden)))
-
-    h = state
-    outs = []
-    for t in range(t_z):
-        x_t = tn.reshape(tn.slice_axis(x, t, t + 1, axis=1), (batch, 3 * hidden))
-        x_ru = tn.slice_axis(x_t, 0, 2 * hidden, axis=1)
-        ru = tn.sigmoid(tn.add(tn.add(x_ru, tn.matmul(h, u_ru)), b_ru))
-        r = tn.slice_axis(ru, 0, hidden, axis=1)
-        u = tn.slice_axis(ru, hidden, 2 * hidden, axis=1)
-        x_n = tn.slice_axis(x_t, 2 * hidden, 3 * hidden, axis=1)
-        n = tn.tanh(tn.add(tn.add(x_n, tn.matmul(tn.mul(r, h), u_n)), gru.b_n))
-        h = tn.add(tn.mul(u, h), tn.mul(tn.sub(ones, u), n))
-        outs.append(tn.reshape(h, (batch, 1, hidden)))
-    return tn.add(tn.concat(outs, axis=1), params.context_out_bias), h
+    h = tn.gru(x, state, u_ru, u_n, b_ru, gru.b_n)
+    last = tn.reshape(tn.slice_axis(h, t_z - 1, t_z, axis=1), (batch, hidden))
+    return tn.add(h, params.context_out_bias), last
 
 
 def contextualize(params: ModelParams, z: Tensor) -> Tensor:

@@ -191,11 +191,13 @@ def active_tape() -> Tape | None:
     return _state.active
 
 
-def _recording(a: Tensor) -> bool:
-    """Whether an op on ``a`` will be recorded, so that what its VJP reads
-    is worth computing in the forward pass."""
+def _recording(*tensors: Tensor) -> bool:
+    """Whether an op on ``tensors`` will be recorded, so that what its VJP
+    reads is worth computing in the forward pass."""
     tape = _state.active
-    return tape is not None and (a._tape == tape._serial or a.requires_grad)
+    return tape is not None and any(
+        t._tape == tape._serial or t.requires_grad for t in tensors
+    )
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], vjp, name: str) -> Tensor:
@@ -343,12 +345,25 @@ def scale(a: Tensor, factor: float) -> Tensor:
     return _make(a.data * factor, (a,), lambda g: (g * factor,), "scale")
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    # exp(min(x, 0)) / (1 + exp(-|x|)): exp of non-positive values only, so
+    # large |x| cannot overflow.  The numerator is exactly 1 for x >= 0 and
+    # exp(x) otherwise, so these are the bits of the two stable branches
+    # 1 / (1 + exp(-x)) and exp(x) / (1 + exp(x)), without a select.
+    # The out= buffers keep a 0-d result an array, not a numpy scalar.
+    real = x.dtype.type
+    den = np.abs(x, out=np.empty_like(x))
+    np.negative(den, out=den)
+    np.exp(den, out=den)
+    den += real(1)
+    num = np.minimum(x, real(0), out=np.empty_like(x))
+    np.exp(num, out=num)
+    num /= den
+    return num
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    # exp of -|x| only, so large |x| cannot overflow; each branch is the
-    # stable form for its sign
-    x = a.data
-    ex = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
+    out = _sigmoid(a.data)
     return _make(out, (a,), lambda g: (g * out * (1.0 - out),), "sigmoid")
 
 
@@ -534,6 +549,119 @@ def gather_last(a: Tensor, idx: np.ndarray) -> Tensor:
         return (da.reshape(shape).astype(_dtype, copy=False),)
 
     return _make(out, (a,), vjp, "gather_last")
+
+
+# ---------------------------------------------------------------------------
+# gated recurrence
+
+
+def gru(x: Tensor, h0: Tensor, u_ru: Tensor, u_n: Tensor, b_ru: Tensor, b_n: Tensor) -> Tensor:
+    """A whole GRU recurrence as one record: the (B, T, H) hidden states.
+
+    ``x`` is (B, T, 3H), each step's input projections [x_r, x_u, x_n];
+    ``h0`` the (B, H) initial state; ``u_ru`` the (H, 2H) stacked
+    [U_r; U_u]^T and ``u_n`` the (H, H) U_n^T; ``b_ru`` (2H,) and ``b_n``
+    (H,) the biases.  Each step computes
+
+        ru = sigmoid((x_ru + h @ u_ru) + b_ru),  r, u = ru[:, :H], ru[:, H:]
+        n  = tanh((x_n + (r * h) @ u_n) + b_n)
+        h  = u * h + (1 - u) * n
+
+    with the operands and evaluation order the step had as separate tape
+    primitives, and the VJP runs back-propagation through time in the
+    order the reverse sweep over those primitives took, so values and
+    gradients keep the bits of the composed step.  All pre-activations
+    are checked once per call: sigmoid and tanh saturate, so a check of
+    the states alone would let an overflow of ``h @ u_ru`` through.
+    """
+    if x.ndim != 3 or h0.ndim != 2:
+        raise ValueError(
+            f"gru expects (B, T, 3H) inputs and a (B, H) state, got {x.shape}, {h0.shape}"
+        )
+    batch, steps, _ = x.shape
+    hidden = h0.shape[1]
+    for name, t, shape in (
+        ("inputs", x, (batch, steps, 3 * hidden)), ("state", h0, (batch, hidden)),
+        ("u_ru", u_ru, (hidden, 2 * hidden)), ("u_n", u_n, (hidden, hidden)),
+        ("b_ru", b_ru, (2 * hidden,)), ("b_n", b_n, (hidden,)),
+    ):
+        if t.shape != shape:
+            raise ValueError(f"gru {name} must have shape {shape}, got {t.shape}")
+
+    two = 2 * hidden
+    xd, urd, und, brd, bnd = x.data, u_ru.data, u_n.data, b_ru.data, b_n.data
+    # one buffer of every step's pre-activations, each step's (B, 2H) and
+    # (B, H) blocks contiguous, as the composed step's fresh arrays were
+    pre = np.empty(steps * batch * 3 * hidden, dtype=_dtype)
+    a_ru_all = pre[: steps * batch * two].reshape(steps, batch, two)
+    a_n_all = pre[steps * batch * two :].reshape(steps, batch, hidden)
+    out = np.empty((batch, steps, hidden), dtype=_dtype)
+    h = h0.data
+    one = _dtype(1)
+    saved = [] if _recording(x, h0, u_ru, u_n, b_ru, b_n) else None
+    with np.errstate(all="ignore"):
+        for t in range(steps):
+            a_ru = np.add(xd[:, t, :two], h @ urd, out=a_ru_all[t])
+            a_ru += brd
+            ru = _sigmoid(a_ru)
+            r, u = ru[:, :hidden], ru[:, hidden:]
+            rh = r * h
+            a_n = np.add(xd[:, t, two:], rh @ und, out=a_n_all[t])
+            a_n += bnd
+            n = np.tanh(a_n)
+            omu = one - u
+            h_next = np.add(u * h, omu * n, out=out[:, t])
+            if saved is not None:
+                saved.append((h, ru, rh, n, omu))
+            h = h_next
+    _check_finite(pre, "gru")
+    need_dh0 = _recording(h0)
+
+    def vjp(g):
+        # the sweep built the x_t and ru gradients in zeroed buffers, one
+        # region assigned and the other added (0 + v), and summed each
+        # weight's terms from the last step back; doing the same keeps
+        # every bit, down to the sign of a zero
+        dx = np.zeros((batch, steps, 3 * hidden), dtype=_dtype)
+        du_ru = du_n = db_ru = db_n = None
+        dh = None  # gradient of step t's state from step t + 1
+        for t in range(steps - 1, -1, -1):
+            h_prev, ru, rh, n, omu = saved[t]
+            r, u = ru[:, :hidden], ru[:, hidden:]
+            if dh is None:
+                gh = g[:, t]
+            else:
+                dh += g[:, t]
+                gh = dh
+            du = -(gh * n)
+            du += gh * h_prev
+            d_n = gh * omu
+            da_n = d_n * (1.0 - n * n)
+            d_rh = da_n @ und.T
+            d_r = d_rh * h_prev
+            dru = np.zeros((batch, two), dtype=_dtype)
+            dru[:, hidden:] = du
+            dru[:, :hidden] += d_r
+            da_ru = dru * ru * (1.0 - ru)
+            if t == steps - 1:
+                dx[:, t, two:] = da_n
+                du_ru, du_n = h_prev.T @ da_ru, rh.T @ da_n
+                db_ru, db_n = _unbroadcast(da_ru, brd.shape), _unbroadcast(da_n, bnd.shape)
+            else:
+                dx[:, t, two:] += da_n
+                du_ru += h_prev.T @ da_ru
+                du_n += rh.T @ da_n
+                db_ru += _unbroadcast(da_ru, brd.shape)
+                db_n += _unbroadcast(da_n, bnd.shape)
+            dx[:, t, :two] += da_ru
+            dh = None
+            if t or need_dh0:
+                dh = gh * u
+                dh += d_rh * r
+                dh += da_ru @ urd.T
+        return (dx, dh, du_ru, du_n, db_ru, db_n)
+
+    return _make(out, (x, h0, u_ru, u_n, b_ru, b_n), vjp, "gru")
 
 
 # ---------------------------------------------------------------------------

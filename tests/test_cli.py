@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 from numpy.testing import assert_array_equal
 
 import lnt
+import lnt.cli
 from lnt import model as mdl
 from lnt import tensor as tn
 from lnt.checkpoint import load_model
@@ -136,6 +138,32 @@ def test_train_writes_checkpoint_report_manifest(workspace):
     assert manifest["checkpoint_sha256"] == digest
     assert manifest["config"]["model"]["dim_z"] == 8
     assert manifest["config"]["train"]["epochs"] == 2
+
+
+def test_manifests_record_environment(workspace):
+    """train and score manifests say which python, numpy, BLAS and thread
+    cap produced them."""
+    for output in (workspace["model"], workspace["scores"]):
+        manifest = json.loads(open(f"{output}.manifest.json").read())
+        env = manifest["environment"]
+        assert set(env) == {"python", "numpy", "blas", "blas_version", "lnt_threads"}
+        assert env["python"] == platform.python_version()
+        assert env["numpy"] == np.__version__
+        assert env["blas"] is None or isinstance(env["blas"], str)
+        assert env["blas_version"] is None or isinstance(env["blas_version"], str)
+        assert env["lnt_threads"] == (lnt.cli._threads or None)
+
+
+@pytest.mark.parametrize("threads", ["1", None])
+def test_manifest_environment_reports_thread_cap(threads):
+    env = {k: v for k, v in os.environ.items() if k != "LNT_THREADS"}
+    if threads is not None:
+        env["LNT_THREADS"] = threads
+    out = subprocess.run(
+        [sys.executable, "-c", "import json, lnt.cli; print(json.dumps(lnt.cli.environment()))"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert json.loads(out.stdout)["lnt_threads"] == threads
 
 
 def test_train_flag_overrides_config_file(workspace, tmp_path):

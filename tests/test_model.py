@@ -316,6 +316,19 @@ def test_transform_record_count_independent_of_l():
     assert counts[0] == counts[1], counts
 
 
+def test_contextualize_record_count_independent_of_t():
+    """The recurrence is one record: the context's tape cost does not grow
+    with the sequence length."""
+    params = mdl.init_params(small(), seed=55)
+    counts = []
+    for t_z in (1, 10, 100):
+        z = Tensor(np.ones((2, t_z, 128)), requires_grad=True)
+        with tn.Tape() as tape:
+            mdl.contextualize_with_state(params, z)
+        counts.append(len(tape))
+    assert counts[0] == counts[1] == counts[2], counts
+
+
 def test_constant_model_input_invariance():
     rng = np.random.default_rng(27)
     a, b = rng.normal(size=8), rng.normal(size=4)

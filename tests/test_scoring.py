@@ -6,10 +6,15 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lnt import checkpoint as ckpt
 from lnt import losses as ls
 from lnt import model as mdl
 from lnt import scoring as sc
+from lnt import tensor as tn
+from lnt.data import synth_normal
 from lnt.tensor import Tensor
 
 
@@ -55,6 +60,34 @@ def test_broadcast_errors():
         sc.broadcast_scores(np.array([1.0]), 3, 2)
     with pytest.raises(ValueError):
         sc.broadcast_scores(np.array([1.0, 2.0, 3.0]), 3, 8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.floats(-1e6, 1e6), max_size=12),
+    st.integers(1, 9),
+    st.integers(0, 150),
+)
+def test_broadcast_property(latent, r, raw_len):
+    """Each latent score fills exactly r frames and the tail repeats the
+    last one; every input that cannot be laid out so is rejected by name."""
+    latent = np.asarray(latent, dtype=np.float64)
+    if latent.size == 0:
+        with pytest.raises(ValueError, match="empty"):
+            sc.broadcast_scores(latent, r, raw_len)
+    elif raw_len < r:
+        with pytest.raises(ValueError, match="shorter than one latent stride"):
+            sc.broadcast_scores(latent, r, raw_len)
+    elif raw_len < latent.size * r:
+        with pytest.raises(ValueError, match="cannot hold"):
+            sc.broadcast_scores(latent, r, raw_len)
+    else:
+        out = sc.broadcast_scores(latent, r, raw_len)
+        assert out.shape == (raw_len,)
+        covered = latent.size * r
+        np.testing.assert_array_equal(out[:covered].reshape(latent.size, r),
+                                      np.repeat(latent[:, None], r, axis=1))
+        np.testing.assert_array_equal(out[covered:], latent[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -289,3 +322,30 @@ def test_scores_csv_bad_inputs(tmp_path):
     series = sc.score_ddcl(params, x)
     with pytest.raises(ValueError):
         sc.save_scores_csv(tmp_path / "x.csv", series, np.zeros(5))
+
+
+# ---------------------------------------------------------------------------
+# precision
+
+
+def test_float32_scores_track_float64_on_long_series():
+    """One untrained `small` model (seed 0) scores 2,000 latent steps, 20
+    chunks of recurrence carried across boundaries, in float32 and in
+    float64 with the same weights.  Measured: DDCL max relative difference
+    4.3e-8 (abs 1.4e-7 on scores near 3.4); cpc-approx max absolute
+    difference 7.3e-9 on scores within 0.005 of zero, where a relative
+    bound means nothing.  Bounds, about 10x the measurements: DDCL
+    rtol 5e-7 + atol 1e-8, cpc-approx atol 1e-7 + rtol 1e-5."""
+    cfg = mdl.small_config()
+    p32 = mdl.init_params(cfg, seed=0)
+    with tn.precision_mode(64):
+        p64, _ = ckpt.model_from_arrays(ckpt.model_to_arrays(p32))
+    x = synth_normal(3, 2000 * cfg.downsample + cfg.downsample // 2, seed=10).values
+    ddcl32 = sc.score_ddcl(p32, x).latent_scores
+    cpc32 = sc.score_cpc_approx(p32, x).latent_scores
+    with tn.precision_mode(64):
+        ddcl64 = sc.score_ddcl(p64, x).latent_scores
+        cpc64 = sc.score_cpc_approx(p64, x).latent_scores
+    assert ddcl32.size == 2000 and ddcl32.size >= 20 * sc.CHUNK_STEPS
+    np.testing.assert_allclose(ddcl32, ddcl64, rtol=5e-7, atol=1e-8)
+    np.testing.assert_allclose(cpc32, cpc64, rtol=1e-5, atol=1e-7)
