@@ -22,10 +22,7 @@ VERSION = 1
 def save_arrays(path, arrays: dict[str, np.ndarray]) -> None:
     chunks = [MAGIC, struct.pack("<II", VERSION, len(arrays))]
     for name in sorted(arrays):
-        # note: ascontiguousarray would promote 0-d scalars to shape (1,)
-        arr = np.asarray(arrays[name], dtype="<f4")
-        if not arr.flags.c_contiguous:
-            arr = np.ascontiguousarray(arr)
+        arr = np.asarray(arrays[name], dtype="<f4")  # tobytes writes it in C order
         raw = name.encode("utf-8")
         if len(raw) > 0xFFFF:
             raise ValueError(f"tensor name too long: {name!r}")
@@ -62,9 +59,12 @@ def load_arrays(path) -> dict[str, np.ndarray]:
     for _ in range(count):
         (name_len,) = struct.unpack("<H", chomp(2))
         name = chomp(name_len).decode("utf-8")
+        # sorted and unique as save_arrays writes them, so saving reproduces the file
+        if arrays and name <= (previous := next(reversed(arrays))):
+            raise ValueError(f"checkpoint tensor {name!r} follows {previous!r}: {path}")
         (rank,) = struct.unpack("<B", chomp(1))
         shape = struct.unpack(f"<{rank}I", chomp(4 * rank))
-        n = int(np.prod(shape, dtype=np.int64)) if rank else 1
+        n = math.prod(shape)
         arrays[name] = np.frombuffer(chomp(4 * n), dtype="<f4").reshape(shape).copy()
     if off != len(blob):
         raise ValueError(f"trailing bytes in checkpoint: {path}")
@@ -79,13 +79,23 @@ _CONFIG_SCALARS = (
     "bank_layers", "bank_width", "conv_bias", "separate_ddcl_heads", "sub_seq",
 )
 _CONFIG_FLAGS = ("conv_bias", "separate_ddcl_heads")
+_CONFIG_SIZES = ("in_channels", "dim_z", "dim_c", "K", "L", "bank_layers", "bank_width", "filters")
 
 
 def _checkpoint_tensors(params: ModelParams) -> dict[str, np.ndarray]:
-    """Parameter arrays by checkpoint name.  Bank layer j (L,out,in) is
-    stored as L per-transform ``bank.T{l}.layer{j}.weight`` matrices: views
-    into the stacked array, so writing them writes the model."""
-    out = {n: t.data for n, t in params.named_parameters().items() if not n.startswith("bank.")}
+    """Parameter arrays by checkpoint name, as views into the model's
+    stacks, so writing them writes the model: the GRU stacks as per-gate
+    ``context.W_r`` ... ``context.b_n`` blocks, and bank layer j (L,out,in)
+    as L per-transform ``bank.T{l}.layer{j}.weight`` matrices."""
+    named = params.named_parameters().items()
+    out = {n: t.data for n, t in named if not n.startswith(("bank.", "context."))}
+    w_x, u_ru, u_n, b_ru, b_n, out["context.out_bias"] = (t.data for t in params.context)
+    h = b_n.shape[0]
+    u, b = (u_ru[:, :h], u_ru[:, h:], u_n), (b_ru[:h], b_ru[h:], b_n)
+    for i, gate in enumerate("run"):
+        out[f"context.W_{gate}"] = w_x[:, i * h : (i + 1) * h].T
+        out[f"context.U_{gate}"] = u[i].T
+        out[f"context.b_{gate}"] = b[i]
     for j, layer in enumerate(params.bank):
         for l, w in enumerate(layer.data, start=1):
             out[f"bank.T{l}.layer{j}.weight"] = w
@@ -93,17 +103,24 @@ def _checkpoint_tensors(params: ModelParams) -> dict[str, np.ndarray]:
 
 
 def model_to_arrays(params: ModelParams) -> dict[str, np.ndarray]:
+    """Parameter and config arrays by checkpoint name; a config entry that
+    float32 cannot hold exactly is an error, not a silent rounding."""
     out = _checkpoint_tensors(params)
     cfg = params.config
-    for name in _CONFIG_SCALARS:
-        out[f"config.{name}"] = np.asarray(float(getattr(cfg, name)))
-    out["config.filters"] = np.asarray(cfg.filters, dtype=float)
-    out["config.strides"] = np.asarray(cfg.strides, dtype=float)
+    for name in (*_CONFIG_SCALARS, "filters", "strides"):
+        value = getattr(cfg, name)
+        with np.errstate(over="ignore"):
+            out[f"config.{name}"] = stored = np.asarray(value, dtype=np.float32)
+        if stored.tolist() != (list(value) if isinstance(value, tuple) else value):
+            raise ValueError(f"config entry 'config.{name}' = {value} "
+                             f"cannot be stored exactly as float32")
     return out
 
 
-def _config_ints(arrays: dict[str, np.ndarray], name: str, rank: int) -> list[int]:
-    """The non-negative integers stored in ``config.<name>``, of the given rank."""
+def _config_ints(arrays: dict[str, np.ndarray], name: str, rank: int, limit: int) -> list[int]:
+    """The non-negative integers stored in ``config.<name>``, of the given
+    rank; in an entry that sizes tensors, neither they nor their count may
+    exceed ``limit``."""
     key = f"config.{name}"
     if key not in arrays:
         raise ValueError(f"checkpoint lacks config entry {key!r}")
@@ -113,23 +130,33 @@ def _config_ints(arrays: dict[str, np.ndarray], name: str, rank: int) -> list[in
     for v in values:
         if not (math.isfinite(v) and v >= 0 and v == int(v)):
             raise ValueError(f"checkpoint config entry {key!r} holds {v!r}, not an integer >= 0")
+    size = int(max([len(values), *values]))
+    if name in _CONFIG_SIZES and size > limit:
+        raise ValueError(f"checkpoint config entry {key!r} asks for size {size}, more than "
+                         f"the file's largest tensor dimension or tensor count ({limit})")
     return [int(v) for v in values]
 
 
 def model_from_arrays(arrays: dict[str, np.ndarray]) -> tuple[ModelParams, dict[str, np.ndarray]]:
     """Rebuild a model; returns (params, leftover ``norm.*`` arrays).
 
-    Config entries must be integers (flags 0 or 1); a tensor the config
-    does not call for, other than ``norm.*``, is an error.
+    Config entries must be integers (flags 0 or 1), sizes within the
+    file's; a tensor the config does not call for, other than ``norm.*``,
+    is an error.
     """
-    kwargs = {name: _config_ints(arrays, name, 0)[0] for name in _CONFIG_SCALARS}
+    # init_params allocates at the sizes the config gives, so bound them by
+    # the file first: a width is some tensor's dimension, and a count cannot
+    # exceed the number of tensors
+    stored = [a for n, a in arrays.items() if not n.startswith("config.")]
+    limit = max([len(stored), *(d for a in stored for d in a.shape)])
+    kwargs = {name: _config_ints(arrays, name, 0, limit)[0] for name in _CONFIG_SCALARS}
     for name in _CONFIG_FLAGS:
         if kwargs[name] > 1:
             raise ValueError(f"checkpoint config entry 'config.{name}' must be 0 or 1, "
                              f"got {kwargs[name]}")
         kwargs[name] = bool(kwargs[name])
-    kwargs["filters"] = tuple(_config_ints(arrays, "filters", 1))
-    kwargs["strides"] = tuple(_config_ints(arrays, "strides", 1))
+    kwargs["filters"] = tuple(_config_ints(arrays, "filters", 1, limit))
+    kwargs["strides"] = tuple(_config_ints(arrays, "strides", 1, limit))
     cfg = ModelConfig(**kwargs)
 
     # a freshly initialised model gives every tensor's name and shape; the

@@ -7,6 +7,8 @@ Every forward takes a batch: raw windows are (B, C, T), latent and context
 sequences time-major (B, T_z, dim_z) / (B, T_z, dim_c).  A "flattened"
 latent batch is the (R, dim_z) row matrix, R = B*T_z, that the losses and
 the bank take; the bank maps it to all L views at once, (R, L, dim_z).
+Parameters are stored in the layout their forward reads (GRU gates and
+bank transforms stacked); only ``checkpoint`` splits them.
 """
 
 from __future__ import annotations
@@ -124,24 +126,21 @@ def builtin_config(name: str, channels: int | None = None) -> ModelConfig:
 
 
 class GruParams(NamedTuple):
-    """Weights of the gated recurrent context unit: reset r, update u,
-    candidate n.
+    """The gated recurrent context unit (reset r, update u, candidate n),
+    stored C-contiguous in the stacked layout ``tn.gru`` reads:
 
-    r = sigmoid(x W_r^T + h U_r^T + b_r)
-    u = sigmoid(x W_u^T + h U_u^T + b_u)
-    n = tanh(x W_n^T + (r * h) U_n^T + b_n)
-    h' = u * h + (1 - u) * n
+    [x_ru, x_n] = x @ w_x                       w_x = [W_r; W_u; W_n]^T
+    [r, u] = sigmoid(x_ru + h @ u_ru + b_ru)    u_ru = [U_r; U_u]^T
+    n = tanh(x_n + (r * h) @ u_n + b_n)         u_n = U_n^T
+    h' = u * h + (1 - u) * n,   context = h' + out_bias
     """
 
-    w_r: Tensor
-    u_r: Tensor
-    b_r: Tensor
-    w_u: Tensor
-    u_u: Tensor
-    b_u: Tensor
-    w_n: Tensor
+    w_x: Tensor
+    u_ru: Tensor
     u_n: Tensor
+    b_ru: Tensor
     b_n: Tensor
+    out_bias: Tensor
 
 
 @dataclass
@@ -151,7 +150,6 @@ class ModelParams:
     config: ModelConfig
     encoder: list[tuple[Tensor, Tensor | None]] = field(default_factory=list)
     context: GruParams | None = None
-    context_out_bias: Tensor | None = None
     heads: list[Tensor] = field(default_factory=list)
     ddcl_heads: list[Tensor] | None = None
     bank: list[Tensor] = field(default_factory=list)
@@ -164,10 +162,8 @@ class ModelParams:
             out[f"encoder.layer{i}.weight"] = w
             if b is not None:
                 out[f"encoder.layer{i}.bias"] = b
-        for name in GruParams._fields:
-            label = name if name.startswith("b") else name[0].upper() + name[1:]
-            out[f"context.{label}"] = getattr(self.context, name)
-        out["context.out_bias"] = self.context_out_bias
+        for name, t in zip(GruParams._fields, self.context):
+            out[f"context.{name}"] = t
         for k, w in enumerate(self.heads, start=1):
             out[f"heads.W{k}"] = w
         if self.ddcl_heads is not None:
@@ -206,13 +202,18 @@ def init_params(config: ModelConfig, seed: int) -> ModelParams:
         params.encoder.append((w, b))
         c_in = config.dim_z
 
+    # drawn per gate (W_r, U_r, W_u, U_u, W_n, U_n) and then stacked, so a
+    # seed gives the weights it gave when each gate was a separate tensor
     z, h = config.dim_z, config.dim_c
+    w_r, u_r, w_u, u_u, w_n, u_n = (_uniform(rng, s, s[1]).data for s in [(h, z), (h, h)] * 3)
+
+    def stack_t(*gates):
+        return Tensor(np.ascontiguousarray(np.concatenate(gates).T), requires_grad=True)
+
     params.context = GruParams(
-        w_r=_uniform(rng, (h, z), z), u_r=_uniform(rng, (h, h), h), b_r=_zeros(h),
-        w_u=_uniform(rng, (h, z), z), u_u=_uniform(rng, (h, h), h), b_u=_zeros(h),
-        w_n=_uniform(rng, (h, z), z), u_n=_uniform(rng, (h, h), h), b_n=_zeros(h),
+        w_x=stack_t(w_r, w_u, w_n), u_ru=stack_t(u_r, u_u), u_n=stack_t(u_n),
+        b_ru=_zeros(2 * h), b_n=_zeros(h), out_bias=_zeros(h),
     )
-    params.context_out_bias = _zeros(h)
 
     params.heads = [_uniform(rng, (z, h), h) for _ in range(config.K)]
     if config.separate_ddcl_heads:
@@ -278,12 +279,9 @@ def contextualize_with_state(
     hidden state across chunk boundaries.
 
     All steps' input projections are one matmul of the (B*T_z,dim_z) rows
-    against the stacked (dim_z,3H) [W_r; W_u; W_n]^T.  The recurrence is one
-    ``tn.gru`` record, which multiplies the state by the stacked
-    [U_r; U_u]^T and the reset state by U_n^T, then adds the biases, in the
-    order of the GruParams equations.  Both stacks are C-contiguous, so a
-    sample's bits do not depend on B or T_z, except that numpy sends a
-    one-row product (B*T_z == 1) to gemv, not gemm.
+    against ``w_x``; the recurrence is one ``tn.gru`` record.  The stacks
+    are C-contiguous, so a sample's bits do not depend on B or T_z, except
+    that numpy sends a one-row product (B*T_z == 1) to gemv, not gemm.
     """
     cfg = params.config
     gru = params.context
@@ -300,16 +298,11 @@ def contextualize_with_state(
     elif state.shape != (batch, hidden):
         raise ValueError(f"expected a ({batch}, {hidden}) state, got shape {state.shape}")
 
-    w_x = tn.concat([tn.transpose(w) for w in (gru.w_r, gru.w_u, gru.w_n)], axis=1)
-    u_h = tn.concat([tn.transpose(u) for u in (gru.u_r, gru.u_u, gru.u_n)], axis=1)
-    u_ru = tn.slice_axis(u_h, 0, 2 * hidden, axis=1)
-    u_n = tn.slice_axis(u_h, 2 * hidden, 3 * hidden, axis=1)
-    b_ru = tn.concat([gru.b_r, gru.b_u])
-    x = tn.matmul(tn.reshape(z, (batch * t_z, dim_z)), w_x)
+    x = tn.matmul(tn.reshape(z, (batch * t_z, dim_z)), gru.w_x)
     x = tn.reshape(x, (batch, t_z, 3 * hidden))
-    h = tn.gru(x, state, u_ru, u_n, b_ru, gru.b_n)
+    h = tn.gru(x, state, gru.u_ru, gru.u_n, gru.b_ru, gru.b_n)
     last = tn.reshape(tn.slice_axis(h, t_z - 1, t_z, axis=1), (batch, hidden))
-    return tn.add(h, params.context_out_bias), last
+    return tn.add(h, gru.out_bias), last
 
 
 def contextualize(params: ModelParams, z: Tensor) -> Tensor:
@@ -379,35 +372,18 @@ def constant_model(
 
     All multiplicative weights are zero; the final conv bias carries ``a``
     and the context output bias carries ``b`` (the recurrent state stays
-    exactly zero under zero weights).  All K heads share one fixed matrix
-    so every DDCL term is bitwise identical across t and k.
+    exactly zero under zero weights).  All K heads hold the same fixed
+    matrix, so every DDCL term is bitwise identical across t and k.
     """
     a = np.asarray(a, dtype=float).reshape(-1)
     b = np.asarray(b, dtype=float).reshape(-1)
     if a.size != dim_z or b.size != dim_c:
         raise ValueError("a must have dim_z entries and b dim_c entries")
-    cfg = ModelConfig(in_channels=channels, dim_z=dim_z, dim_c=dim_c, K=K, L=L)
-    params = ModelParams(config=cfg)
-
-    c_in = channels
-    for i, f in enumerate(cfg.filters):
-        w = _zeros((dim_z, c_in, f))
-        bias = np.zeros((dim_z, 1))
-        if i == len(cfg.filters) - 1:
-            bias[:, 0] = a
-        params.encoder.append((w, Tensor(bias, requires_grad=True)))
-        c_in = dim_z
-
-    params.context = GruParams(
-        w_r=_zeros((dim_c, dim_z)), u_r=_zeros((dim_c, dim_c)), b_r=_zeros(dim_c),
-        w_u=_zeros((dim_c, dim_z)), u_u=_zeros((dim_c, dim_c)), b_u=_zeros(dim_c),
-        w_n=_zeros((dim_c, dim_z)), u_n=_zeros((dim_c, dim_c)), b_n=_zeros(dim_c),
-    )
-    params.context_out_bias = Tensor(b, requires_grad=True)
-
-    shared = np.eye(dim_z, dim_c)
-    params.heads = [Tensor(shared, requires_grad=True) for _ in range(K)]
-
-    widths = [dim_z] + [cfg.bank_width] * (cfg.bank_layers - 1) + [dim_z]
-    params.bank = [_zeros((L, widths[j + 1], widths[j])) for j in range(cfg.bank_layers)]
+    params = init_params(ModelConfig(in_channels=channels, dim_z=dim_z, dim_c=dim_c, K=K, L=L), 0)
+    for t in params.named_parameters().values():
+        t.data[...] = 0
+    params.encoder[-1][1].data[:, 0] = a
+    params.context.out_bias.data[...] = b
+    for w in params.heads:
+        w.data[...] = np.eye(dim_z, dim_c)
     return params

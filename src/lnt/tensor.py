@@ -503,14 +503,10 @@ def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Join along ``axis`` into a C-contiguous result, whatever the inputs'
-    layout.  A matmul against a C-contiguous right operand gives a row the
-    same bits whatever the row count (from two rows up); one against a
-    transposed, Fortran-order operand does not."""
     tensors = list(tensors)
     if not tensors:
         raise ValueError("concat of empty sequence")
-    out = np.ascontiguousarray(np.concatenate([t.data for t in tensors], axis=axis))
+    out = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = np.cumsum([t.shape[axis] for t in tensors])[:-1]
 
     def vjp(g):

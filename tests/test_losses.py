@@ -337,7 +337,7 @@ def test_unified_loss_gradient_wiring():
         with tn.Tape():
             tn.backward(run())
         named = params.named_parameters()
-        for name in ("encoder.layer1.weight", "context.W_u", "heads.W1",
+        for name in ("encoder.layer1.weight", "context.w_x", "heads.W1",
                      "bank.layer0.weight", "context.out_bias"):
             p = named[name]
             ana = p.grad

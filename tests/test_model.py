@@ -1,10 +1,15 @@
 """Architecture contracts: shapes, causality, mask bound, constant model,
 and bit-exact checkpoint round-trips."""
 
+import math
+import struct
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import fd_grad_inplace, rel_err
 from lnt import checkpoint as ckpt
@@ -177,14 +182,15 @@ def test_contextualize_batched_matches_single():
 
 
 def test_contextualize_grad_fd_with_carried_state():
-    """FD gradients of all nine GRU weights through two chunks, the second
-    starting from the state the first one carried out."""
+    """FD gradients of every GRU entry (the six stacks) through two chunks,
+    the second starting from the state the first one carried out."""
     with tn.precision_mode(64):
         cfg = mdl.ModelConfig(in_channels=1, dim_z=3, dim_c=4, K=1, L=2, bank_width=2)
         params = mdl.init_params(cfg, seed=14)
         rng = np.random.default_rng(15)
-        for name in ("b_r", "b_u", "b_n"):  # zero at init
-            getattr(params.context, name).data[:] = rng.normal(scale=0.5, size=4)
+        # zero at init; b_ru's 8 draws are the 4 of b_r then the 4 of b_u
+        params.context.b_ru.data[:] = rng.normal(scale=0.5, size=8)
+        params.context.b_n.data[:] = rng.normal(scale=0.5, size=4)
         z = rng.normal(size=(2, 5, 3))
         start = rng.normal(scale=0.5, size=(2, 4))
 
@@ -196,8 +202,7 @@ def test_contextualize_grad_fd_with_carried_state():
 
         with tn.Tape():
             tn.backward(run())
-        for name in mdl.GruParams._fields:
-            weight = getattr(params.context, name)
+        for name, weight in zip(mdl.GruParams._fields, params.context):
             num = fd_grad_inplace(lambda: run().item(), weight.data)
             assert rel_err(weight.grad, num) <= 1e-6, name
 
@@ -389,7 +394,7 @@ def test_init_deterministic_and_scaled():
     assert any(not np.array_equal(na[k].data, nc[k].data) for k in na)
     w0 = na["encoder.layer0.weight"].data
     assert np.abs(w0).max() <= 1.0 / np.sqrt(3 * 3)
-    np.testing.assert_array_equal(na["context.b_r"].data, np.zeros(32))
+    np.testing.assert_array_equal(na["context.b_ru"].data, np.zeros(64))
 
 
 def test_bank_is_bias_free():
@@ -531,6 +536,90 @@ def test_checkpoint_config_entries_must_be_integers(tmp_path, entry, value, expe
     with pytest.raises(ValueError) as err:
         ckpt.load_model(path)
     assert f"config.{entry}" in str(err.value) and expect in str(err.value)
+
+
+@pytest.mark.parametrize("entry,value", [("dim_z", 65536), ("L", 2**20)])
+def test_checkpoint_config_sizes_checked_before_allocating(tmp_path, entry, value):
+    """A config entry that sizes tensors is checked against the file before
+    a model is built at its size: dim_z = 65,536 asked for 96 GiB at once
+    (MemoryError), and L = 2**20 allocated for seconds before failing."""
+    arrays = ckpt.model_to_arrays(mdl.init_params(small(), seed=56))
+    arrays[f"config.{entry}"] = np.asarray(float(value))
+    path = tmp_path / "huge.lntc"
+    ckpt.save_arrays(path, arrays)
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match=f"'config.{entry}' asks for size {value}"):
+        ckpt.load_model(path)
+    assert time.perf_counter() - started < 1.0
+
+
+def test_checkpoint_config_entries_must_fit_float32(tmp_path):
+    """2**24 + 1 used to save as float32 and load back as 2**24."""
+    path = tmp_path / "model.lntc"
+    with pytest.raises(ValueError, match="'config.sub_seq' = 16777217"):
+        ckpt.save_model(path, mdl.init_params(small(sub_seq=2**24 + 1), seed=57))
+    assert not path.exists()
+    ckpt.save_model(path, mdl.init_params(small(sub_seq=2**24), seed=57))
+    assert ckpt.load_model(path)[0].config.sub_seq == 2**24
+
+
+@pytest.fixture(scope="module")
+def small_checkpoint(tmp_path_factory):
+    """A saved `small` checkpoint with the CLI's norm.* arrays, and the byte
+    offsets of its structure: the file header, every tensor's header and
+    every config value."""
+    path = tmp_path_factory.mktemp("small") / "model.lntc"
+    extra = {"norm.mean": np.array([0.5, -1.0, 2.0]), "norm.std": np.array([1.0, 2.0, 0.5]),
+             "norm.keep": np.array([1.0, 1.0, 0.0])}
+    ckpt.save_model(path, mdl.init_params(small(), seed=58), extra)
+    blob = path.read_bytes()
+    structure, off = list(range(12)), 12
+    while off < len(blob):
+        (name_len,) = struct.unpack_from("<H", blob, off)
+        name = blob[off + 2 : off + 2 + name_len].decode()
+        rank = blob[off + 2 + name_len]
+        shape = struct.unpack_from(f"<{rank}I", blob, off + 3 + name_len)
+        head, size = 3 + name_len + 4 * rank, 4 * math.prod(shape)
+        structure += range(off, off + head + (size if name.startswith("config.") else 0))
+        off += head + size
+    return blob, structure
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_checkpoint_mutation_fails_or_round_trips(small_checkpoint, tmp_path_factory, data):
+    """A `small` checkpoint truncated at any byte or with any one bit
+    flipped either fails to load with ValueError/FloatingPointError or loads
+    a model that saves back to exactly the mutated bytes."""
+    blob, structure = small_checkpoint
+    if data.draw(st.booleans(), label="truncate"):
+        mutated = blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
+    else:
+        byte = data.draw(st.sampled_from(structure) | st.integers(0, len(blob) - 1),
+                         label="byte")
+        flipped = bytearray(blob)
+        flipped[byte] ^= 1 << data.draw(st.integers(0, 7), label="bit")
+        mutated = bytes(flipped)
+    path = tmp_path_factory.getbasetemp() / "mutated.lntc"
+    path.write_bytes(mutated)
+    try:
+        params, extra = ckpt.load_model(path)
+    except (ValueError, FloatingPointError):
+        return
+    ckpt.save_model(path, params, extra)
+    assert path.read_bytes() == mutated
+
+
+def test_checkpoint_rejects_names_out_of_order(small_checkpoint, tmp_path):
+    """One bit turns norm.keep into norm.oeep, after norm.mean: that file
+    used to load, and save_model wrote its names in another order."""
+    blob, _ = small_checkpoint
+    mutated = bytearray(blob)
+    mutated[blob.index(b"norm.keep") + len("norm.")] ^= 0x04  # 'k' -> 'o'
+    path = tmp_path / "unsorted.lntc"
+    path.write_bytes(bytes(mutated))
+    with pytest.raises(ValueError, match="'norm.mean' follows 'norm.oeep'"):
+        ckpt.load_model(path)
 
 
 def test_checkpoint_rejects_tensors_the_config_does_not_use(tmp_path):

@@ -307,14 +307,6 @@ def test_concat_crop_grads():
     check_grads(loss, arrays)
 
 
-def test_concat_of_transposed_views_is_c_contiguous():
-    """A stacked weight built from transposes must be a C-order matmul operand."""
-    a, b = Tensor(np.ones((3, 4))), Tensor(np.zeros((2, 4)))
-    out = tn.concat([tn.transpose(a), tn.transpose(b)], axis=1)
-    assert out.data.flags.c_contiguous
-    np.testing.assert_array_equal(out.data, np.concatenate([a.data.T, b.data.T], axis=1))
-
-
 def test_slice_axis_middle_grad_fd():
     rng = np.random.default_rng(10)
     arrays = {"x": rng.normal(size=(2, 5, 3))}
@@ -446,13 +438,20 @@ def test_conv_output_length_property(t, f, stride):
 
 def _gru_model(h, z, weights=None):
     """Model whose context GRU has hidden width ``h`` and input width ``z``;
-    ``weights`` (nine arrays in GruParams order) default to zeros."""
+    ``weights`` (nine per-gate arrays: W_r, U_r, b_r, W_u, U_u, b_u, W_n,
+    U_n, b_n) are written into the stacks, which default to zeros."""
     cfg = mdl.ModelConfig(in_channels=1, dim_z=z, dim_c=h, K=1, L=2, bank_width=2)
     params = mdl.init_params(cfg, seed=0)
-    if weights is None:
-        weights = [np.zeros(s) for s in [(h, z), (h, h), (h,)] * 3]
-    params.context = mdl.GruParams(*[Tensor(w) for w in weights])
-    params.context_out_bias = Tensor(np.zeros(h))
+    gru = params.context
+    for t in gru:
+        t.data[...] = 0
+    if weights is not None:
+        w_r, u_r, b_r, w_u, u_u, b_u, w_n, u_n, b_n = weights
+        gru.w_x.data[...] = np.concatenate([w_r.T, w_u.T, w_n.T], axis=1)
+        gru.u_ru.data[...] = np.concatenate([u_r.T, u_u.T], axis=1)
+        gru.u_n.data[...] = u_n.T
+        gru.b_ru.data[...] = np.concatenate([b_r, b_u])
+        gru.b_n.data[...] = b_n
     return params
 
 
@@ -499,12 +498,7 @@ def _composed_contextualize(params, z, state=None):
     hidden = params.config.dim_c
     if state is None:
         state = Tensor(np.zeros((batch, hidden)))
-    w_x = tn.concat([tn.transpose(w) for w in (gru.w_r, gru.w_u, gru.w_n)], axis=1)
-    u_h = tn.concat([tn.transpose(u) for u in (gru.u_r, gru.u_u, gru.u_n)], axis=1)
-    u_ru = tn.slice_axis(u_h, 0, 2 * hidden, axis=1)
-    u_n = tn.slice_axis(u_h, 2 * hidden, 3 * hidden, axis=1)
-    b_ru = tn.concat([gru.b_r, gru.b_u])
-    x = tn.matmul(tn.reshape(z, (batch * t_z, dim_z)), w_x)
+    x = tn.matmul(tn.reshape(z, (batch * t_z, dim_z)), gru.w_x)
     x = tn.reshape(x, (batch, t_z, 3 * hidden))
     ones = Tensor(np.ones((batch, hidden)))
 
@@ -513,14 +507,14 @@ def _composed_contextualize(params, z, state=None):
     for t in range(t_z):
         x_t = tn.reshape(tn.slice_axis(x, t, t + 1, axis=1), (batch, 3 * hidden))
         x_ru = tn.slice_axis(x_t, 0, 2 * hidden, axis=1)
-        ru = tn.sigmoid(tn.add(tn.add(x_ru, tn.matmul(h, u_ru)), b_ru))
+        ru = tn.sigmoid(tn.add(tn.add(x_ru, tn.matmul(h, gru.u_ru)), gru.b_ru))
         r = tn.slice_axis(ru, 0, hidden, axis=1)
         u = tn.slice_axis(ru, hidden, 2 * hidden, axis=1)
         x_n = tn.slice_axis(x_t, 2 * hidden, 3 * hidden, axis=1)
-        n = tn.tanh(tn.add(tn.add(x_n, tn.matmul(tn.mul(r, h), u_n)), gru.b_n))
+        n = tn.tanh(tn.add(tn.add(x_n, tn.matmul(tn.mul(r, h), gru.u_n)), gru.b_n))
         h = tn.add(tn.mul(u, h), tn.mul(tn.sub(ones, u), n))
         outs.append(tn.reshape(h, (batch, 1, hidden)))
-    return tn.add(tn.concat(outs, axis=1), params.context_out_bias), h
+    return tn.add(tn.concat(outs, axis=1), gru.out_bias), h
 
 
 def _context_run(run, params, z, state, rng):
@@ -545,14 +539,15 @@ def _context_run(run, params, z, state, rng):
 @pytest.mark.parametrize("t_z", [1, 2, 7])
 def test_gru_matches_composed_steps_bitwise(bits, batch, t_z):
     """One tn.gru record gives the contexts, final state and gradients
-    (latents, carried state, the nine GRU weights, context.out_bias) of the
+    (latents, carried state, the six GRU stacks) of the
     step-by-step primitives, bit for bit."""
     with tn.precision_mode(bits):
         params = mdl.init_params(mdl.small_config(), seed=batch * 10 + t_z)
         rng = np.random.default_rng(t_z)
-        for name in ("b_r", "b_u", "b_n"):  # zero at init
-            getattr(params.context, name).data[:] = rng.normal(scale=0.5, size=32)
-        params.context_out_bias.data[:] = rng.normal(size=32)
+        # zero at init; b_ru's 64 draws are the 32 of b_r then the 32 of b_u
+        params.context.b_ru.data[:] = rng.normal(scale=0.5, size=64)
+        params.context.b_n.data[:] = rng.normal(scale=0.5, size=32)
+        params.context.out_bias.data[:] = rng.normal(size=32)
         z = Tensor(rng.normal(size=(batch, t_z, 128)), requires_grad=True)
         state = Tensor(rng.normal(scale=0.5, size=(batch, 32)), requires_grad=True)
         seed = int(rng.integers(1 << 30))
@@ -561,7 +556,7 @@ def test_gru_matches_composed_steps_bitwise(bits, batch, t_z):
         got = _context_run(mdl.contextualize_with_state, params, z, state,
                            np.random.default_rng(seed))
     pairs = dict(zip(("contexts", "state", "dz", "dstate"), zip(got[:4], want[:4])))
-    assert len(want[4]) == 10
+    assert len(want[4]) == 6
     pairs.update((name, (got[4][name], want[4][name])) for name in want[4])
     for name, (g, w) in pairs.items():
         np.testing.assert_array_equal(g, w, err_msg=name)

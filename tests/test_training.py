@@ -175,16 +175,16 @@ def test_train_step_reduces_loss_on_fixed_batch():
 
 
 def test_train_step_small_record_budget():
-    """A `small` train step stays under 220 tape records (204 now): the GRU
-    recurrence is one record at any sequence length (it was about 20 per
-    latent step, 216 of 402), and the stacked bank costs 12 records (one
-    MLP per transform cost 84)."""
+    """A `small` train step stays under 200 tape records (193 now): the GRU
+    context is 7 records at any sequence length (the recurrence was about
+    20 per latent step, and stacking its weights took 11 more), and the
+    stacked bank costs 12 records (one MLP per transform cost 84)."""
     params = init_params(small_config(), seed=0)
     x = Tensor(np.random.default_rng(1).normal(size=(2, 3, 720)))
     with Tape() as tape:
         unified_loss(params, x, LossConfig(), np.random.default_rng(2))
         records = len(tape)
-    assert records <= 220, records
+    assert records <= 200, records
 
 
 def test_tape_records_hold_no_tensors():
