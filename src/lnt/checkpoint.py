@@ -4,6 +4,8 @@ Layout (all little-endian): magic ``LNTC``, version u32, tensor count u32;
 then per tensor: name length u16, UTF-8 name, rank u8, each dim u32, and
 the values as raw 32-bit IEEE-754 floats in row-major order.  Tensors are
 written in sorted name order so identical contents give identical bytes.
+Every value is finite: ``save_model`` refuses to write, and ``load_arrays``
+to read, a tensor that holds NaN or infinity.
 """
 
 from __future__ import annotations
@@ -58,14 +60,26 @@ def load_arrays(path) -> dict[str, np.ndarray]:
     arrays: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", chomp(2))
-        name = chomp(name_len).decode("utf-8")
+        try:
+            name = chomp(name_len).decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise ValueError(f"checkpoint tensor name at byte {off - name_len + err.start} "
+                             f"is not UTF-8: {path}") from None
         # sorted and unique as save_arrays writes them, so saving reproduces the file
         if arrays and name <= (previous := next(reversed(arrays))):
             raise ValueError(f"checkpoint tensor {name!r} follows {previous!r}: {path}")
         (rank,) = struct.unpack("<B", chomp(1))
+        try:  # numpy's rank limit: 32 before numpy 2, 64 since
+            np.empty((0,) * rank)
+        except ValueError:
+            raise ValueError(f"checkpoint tensor {name!r} has rank {rank}, more than numpy "
+                             f"supports: {path}") from None
         shape = struct.unpack(f"<{rank}I", chomp(4 * rank))
-        n = math.prod(shape)
-        arrays[name] = np.frombuffer(chomp(4 * n), dtype="<f4").reshape(shape).copy()
+        values = np.frombuffer(chomp(4 * math.prod(shape)), dtype="<f4")
+        bad = values[~np.isfinite(values)]
+        if bad.size:
+            raise ValueError(f"checkpoint tensor {name!r} holds {bad[0]}: {path}")
+        arrays[name] = values.reshape(shape).copy()
     if off != len(blob):
         raise ValueError(f"trailing bytes in checkpoint: {path}")
     return arrays
@@ -183,6 +197,7 @@ def model_from_arrays(arrays: dict[str, np.ndarray]) -> tuple[ModelParams, dict[
 
 
 def save_model(path, params: ModelParams, extra: dict[str, np.ndarray] | None = None) -> None:
+    """Write a checkpoint; a non-finite tensor is an error and writes nothing."""
     arrays = model_to_arrays(params)
     if extra:
         unknown = sorted(k for k in extra if not k.startswith("norm."))
@@ -192,6 +207,9 @@ def save_model(path, params: ModelParams, extra: dict[str, np.ndarray] | None = 
         if overlap:
             raise ValueError(f"extra arrays collide with model tensors: {sorted(overlap)}")
         arrays.update(extra)
+    for name, arr in arrays.items():
+        if not np.isfinite(arr).all():
+            raise ValueError(f"tensor {name!r} holds non-finite values; not saving {path}")
     save_arrays(path, arrays)
 
 

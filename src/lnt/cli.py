@@ -241,11 +241,7 @@ def cmd_train(args) -> int:
     std = standardize(series, stats)
     config = dataclasses.replace(base, in_channels=std.channels)
     stride = stride if stride is not None else max(config.sub_seq // 2, 1)
-    windows = window(std.values, config.sub_seq, stride)
-    if not windows:
-        raise ValueError(
-            f"series of {std.length} frames yields no {config.sub_seq}-frame windows"
-        )
+    windows = window(np.asarray(std.values, dtype=tn.dtype()), config.sub_seq, stride)
     params = init_params(config, seed=args.seed)
 
     def echo(entry):
@@ -289,16 +285,14 @@ def cmd_score(args) -> int:
     params, _, std = _load_scoring_inputs(args)
     x = np.asarray(std.values, dtype=tn.dtype())
     if args.method == "ddcl":
-        series = score_ddcl(
-            params, x, normalized=not args.unnormalized, chunk_len=args.chunk_len
-        )
+        series = score_ddcl(params, x, normalized=not args.unnormalized)
     else:
-        series = score_cpc_approx(params, x, chunk_len=args.chunk_len)
+        series = score_cpc_approx(params, x)
     save_scores_csv(args.out, series, labels=std.labels)
     write_manifest(
         args.out, args, started,
         config={"method": args.method, "normalized": not args.unnormalized,
-                "chunk_len": args.chunk_len, "model": dataclasses.asdict(params.config)},
+                "model": dataclasses.asdict(params.config)},
         inputs={"model": args.model, "data": args.data},
         outputs={"scores": args.out},
         checkpoint=args.model,
@@ -413,7 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--method", choices=("ddcl", "cpc-approx"), default="ddcl")
     p.add_argument("--unnormalized", action="store_true")
-    p.add_argument("--chunk-len", type=int, default=None)
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("eval", parents=[common], help="metrics from scored CSV")

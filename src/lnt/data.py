@@ -366,8 +366,8 @@ def inject_sine_anomalies(series: LabeledSeries, spec: InjectionSpec) -> Labeled
     return LabeledSeries(values, labels, list(series.channel_names), series.rate)
 
 
-def window(values, length: int, stride: int) -> list[np.ndarray]:
-    """Contiguous (C,length) windows every ``stride`` frames; the final
+def window(values, length: int, stride: int) -> np.ndarray:
+    """(n, C, length) copy of the windows every ``stride`` frames; the final
     partial window is dropped."""
     if isinstance(values, LabeledSeries):
         values = values.values
@@ -377,7 +377,4 @@ def window(values, length: int, stride: int) -> list[np.ndarray]:
         raise ValueError(f"window length {length} exceeds series length {t_total}")
     if length < 1 or stride < 1:
         raise ValueError("length and stride must be >= 1")
-    return [
-        values[:, s : s + length].copy()
-        for s in range(0, t_total - length + 1, stride)
-    ]
+    return np.stack([values[:, s : s + length] for s in range(0, t_total - length + 1, stride)])

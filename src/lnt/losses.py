@@ -15,6 +15,7 @@ t-k >= first step) and each loss is the mean over its valid terms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +39,10 @@ class LossConfig:
     cpc_weight: float = 1.0
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lambda must be >= 0")
+        for name in ("lam", "cpc_weight"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if self.N < 2:
             raise ValueError("N must be >= 2")
 
@@ -123,7 +126,7 @@ def view_gram(params: ModelParams, z_rows: Tensor) -> tuple[Tensor, Tensor]:
     """
     units = tn.unit_rows(mdl.transform(params, z_rows))
     n_views = units.shape[1]
-    gram = tn.bmm(units, tn.transpose(units, (0, 2, 1)))
+    gram = tn.matmul(units, tn.transpose(units, (0, 2, 1)))
     off_diag = Tensor(1.0 - np.eye(n_views))
     return units, tn.sum_last(tn.mul(tn.exp(gram), off_diag), keepdims=False)
 
@@ -140,7 +143,7 @@ def ddcl_terms(
     rows, n_views = den.shape
     lead, dim_z = units.shape[:-2], units.shape[-1]
     pred = tn.unit_rows(mdl.predict_rows(params, c_prev, k, ddcl=True))
-    cos = tn.bmm(units, tn.reshape(pred, lead + (dim_z, 1)))
+    cos = tn.matmul(units, tn.reshape(pred, lead + (dim_z, 1)))
     cos = tn.reshape(cos, (rows, n_views))
     # h values live in [1/e, e]; the direct form is safe here
     return tn.sub(tn.log(tn.add(tn.exp(cos), den)), cos)

@@ -324,15 +324,15 @@ def transform(params: ModelParams, z: Tensor) -> Tensor:
     view_l = sigmoid(MLP_l(z)) * z — a multiplicative mask, so every view
     is elementwise strictly smaller in magnitude wherever z is nonzero.
     Bank layer j holds all L transforms' weights, (L,out,in): the first
-    layer is one matmul of z against them all, each later one a ``bmm``
-    over the L transforms.
+    layer is one matmul of z against them all, each later one a stacked
+    ``matmul`` over the L transforms.
     """
     rows, dim_z = z.shape
     first = params.bank[0]
     h = tn.matmul(z, tn.transpose(tn.reshape(first, (-1, dim_z))))
     h = tn.transpose(tn.reshape(h, (rows, first.shape[0], -1)), (1, 0, 2))  # (L,R,out)
     for w in params.bank[1:]:
-        h = tn.bmm(tn.relu(h), tn.transpose(w, (0, 2, 1)))
+        h = tn.matmul(tn.relu(h), tn.transpose(w, (0, 2, 1)))
     mask = tn.sigmoid(tn.transpose(h, (1, 0, 2)))
     return tn.mul(mask, tn.reshape(z, (rows, 1, dim_z)))
 

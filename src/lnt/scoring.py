@@ -6,17 +6,17 @@ is the negated positive-logit baseline.  Latent-rate scores are broadcast
 back to the raw rate: each latent step covers its r raw frames and trailing
 remainder frames inherit the last score.
 
-Long series are walked in chunks aligned to the downsample factor with the
-recurrent state carried across boundaries, plus enough raw lookahead that
-every chunk's latent steps see their full receptive field, so chunking
-introduces no boundary artifacts.  A chunk holds ``CHUNK_STEPS`` latent
-steps unless ``chunk_len`` (raw frames) says otherwise.  Repeated calls on
-identical inputs are bitwise-identical.
+Long series are walked in chunks of ``CHUNK_STEPS`` latent steps, aligned
+to the downsample factor, with the recurrent state carried across
+boundaries and enough raw lookahead that every chunk's latent steps see
+their full receptive field.  Contexts go into one buffer for the whole
+series, so c_{t-k} is a row of it whichever chunk computed it.  Repeated
+calls on identical inputs are bitwise-identical.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,8 +39,6 @@ class ScoreSeries:
 
     scores: np.ndarray
     latent_scores: np.ndarray
-    r: int
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.scores)):
@@ -80,71 +78,37 @@ def _check_series(params: ModelParams, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _iter_chunks(params: ModelParams, x: np.ndarray, chunk_len: int | None):
-    """Yield (z_chunk, horizons) per chunk.
+def _iter_chunks(params: ModelParams, x: np.ndarray):
+    """Yield (step, z, ctx) per chunk of up to ``CHUNK_STEPS`` latent steps.
 
-    ``z_chunk`` is the (m, dim_z) latent Tensor.  ``horizons`` holds one
-    (k, t0, c_prev, rows) per horizon with a valid step in the chunk:
-    chunk-local steps [t0, m) pair with the context rows c_{t-k} in
-    ``c_prev`` (carried across chunk boundaries) and land on the global
-    latent steps ``rows``.
+    ``z`` is the chunk's (m, dim_z) latent Tensor, starting at latent step
+    ``step``; ``ctx`` is the (M, dim_c) context buffer of the whole series,
+    filled through the chunk's last step, so c_{t-k} is ``ctx[t - k]``.
     """
     cfg = params.config
-    r, rf, K = cfg.downsample, cfg.receptive_field, cfg.K
-    lookahead = rf - r
+    r = cfg.downsample
+    lookahead = cfg.receptive_field - r
     m_total = cfg.latent_len(x.shape[1])
-    if chunk_len is None:
-        chunk_m = CHUNK_STEPS
-    elif chunk_len < 1:
-        raise ValueError(f"chunk length must be >= 1, got {chunk_len}")
-    else:
-        chunk_m = max(chunk_len // r, 1)
-
+    ctx = np.empty((m_total, cfg.dim_c), dtype=tn.dtype())
     state = None
-    tail = None
-    step = 0
-    while step < m_total:
-        this_m = min(chunk_m, m_total - step)
-        pos = step * r
-        piece = x[None, :, pos : pos + this_m * r + lookahead]
-        z = mdl.encode(params, Tensor(piece))
-        c, state = mdl.contextualize_with_state(
-            params, z, None if state is None else state.detach()
-        )
-        ctx_all = c.data[0] if tail is None else np.concatenate([tail, c.data[0]], axis=0)
-        tail_n = ctx_all.shape[0] - this_m
-        horizons = []
-        for k in range(1, K + 1):
-            t0 = max(0, k - step)  # first chunk-local step with c_{t-k} available
-            if t0 < this_m:
-                c_prev = Tensor(ctx_all[tail_n + t0 - k : tail_n + this_m - k])
-                horizons.append((k, t0, c_prev, slice(step + t0, step + this_m)))
-        yield tn.reshape(z, z.shape[1:]), horizons
-        tail = ctx_all[-min(K, ctx_all.shape[0]) :]
-        step += this_m
+    for step in range(0, m_total, CHUNK_STEPS):
+        end = min(step + CHUNK_STEPS, m_total)
+        z = mdl.encode(params, Tensor(x[None, :, step * r : end * r + lookahead]))
+        c, state = mdl.contextualize_with_state(params, z, state)
+        ctx[step:end] = c.data[0]
+        yield step, tn.reshape(z, z.shape[1:]), ctx
 
 
-def _finish(latent: np.ndarray, counts: np.ndarray, raw_len: int, r: int,
-            normalized: bool, meta: dict) -> ScoreSeries:
+def _finish(latent: np.ndarray, per_k: int, cfg: mdl.ModelConfig, raw_len: int,
+            normalized: bool) -> ScoreSeries:
     if normalized:
-        scored = counts > 0
-        latent = latent.copy()
-        latent[scored] /= counts[scored]
-    # leading steps with no valid horizon inherit the first computed score
-    first = int(np.argmax(counts > 0))
-    latent[:first] = latent[first]
-    return ScoreSeries(
-        scores=broadcast_scores(latent, r, raw_len),
-        latent_scores=latent,
-        r=r,
-        meta=meta,
-    )
+        # step t >= 1 has per_k terms for each of its min(t, K) horizons
+        latent[1:] /= per_k * np.minimum(np.arange(1, latent.size), cfg.K)
+    latent[0] = latent[1]  # step 0 has no c_{t-k}; it copies step 1
+    return ScoreSeries(broadcast_scores(latent, cfg.downsample, raw_len), latent)
 
 
-def score_ddcl(
-    params: ModelParams, x: np.ndarray,
-    normalized: bool = True, chunk_len: int | None = None,
-) -> ScoreSeries:
+def score_ddcl(params: ModelParams, x: np.ndarray, normalized: bool = True) -> ScoreSeries:
     """DDCL anomaly score per raw timestep (higher = more anomalous).
 
     latent score(t) = sum over valid horizons k and all L transformations
@@ -153,28 +117,23 @@ def score_ddcl(
     """
     x = _check_series(params, x)
     cfg = params.config
-    L = cfg.L
     total = np.zeros(cfg.latent_len(x.shape[1]), dtype=np.float64)
-    counts = np.zeros_like(total)
 
-    for z, horizons in _iter_chunks(params, x, chunk_len):
-        this_m = z.shape[0]
+    for step, z, ctx in _iter_chunks(params, x):
+        m = z.shape[0]
         units, den = ls.view_gram(params, z)
-        for k, t0, c_prev, rows in horizons:
+        for k in range(1, min(cfg.K, step + m - 1) + 1):
+            lo = max(step, k)  # steps [lo, step + m) have a c_{t-k}
             terms = ls.ddcl_terms(
-                params, tn.slice_axis(units, t0, this_m), tn.slice_axis(den, t0, this_m),
-                c_prev, k,
+                params, tn.slice_axis(units, lo - step, m), tn.slice_axis(den, lo - step, m),
+                Tensor(ctx[lo - k : step + m - k]), k,
             )
-            total[rows] += terms.data.sum(axis=1, dtype=np.float64)
-            counts[rows] += L
+            total[lo : step + m] += terms.data.sum(axis=1, dtype=np.float64)
 
-    meta = {"method": "ddcl", "normalized": normalized, "K": cfg.K, "L": L}
-    return _finish(total, counts, x.shape[1], cfg.downsample, normalized, meta)
+    return _finish(total, cfg.L, cfg, x.shape[1], normalized)
 
 
-def score_cpc_approx(
-    params: ModelParams, x: np.ndarray, chunk_len: int | None = None,
-) -> ScoreSeries:
+def score_cpc_approx(params: ModelParams, x: np.ndarray) -> ScoreSeries:
     """Negated positive logit -z_t . W_k c_{t-k}, averaged over valid k.
 
     A sampling-free stand-in for the contrastive objective: poorly
@@ -183,18 +142,16 @@ def score_cpc_approx(
     x = _check_series(params, x)
     cfg = params.config
     total = np.zeros(cfg.latent_len(x.shape[1]), dtype=np.float64)
-    counts = np.zeros_like(total)
 
-    for z, horizons in _iter_chunks(params, x, chunk_len):
-        for k, t0, c_prev, rows in horizons:
-            pred = mdl.predict_rows(params, c_prev, k)
-            anchor = tn.slice_axis(z, t0, z.shape[0])
-            logit = tn.sum_last(tn.mul(anchor, pred))
-            total[rows] -= logit.data[:, 0]
-            counts[rows] += 1
+    for step, z, ctx in _iter_chunks(params, x):
+        m = z.shape[0]
+        for k in range(1, min(cfg.K, step + m - 1) + 1):
+            lo = max(step, k)
+            pred = mdl.predict_rows(params, Tensor(ctx[lo - k : step + m - k]), k)
+            logit = tn.sum_last(tn.mul(tn.slice_axis(z, lo - step, m), pred))
+            total[lo : step + m] -= logit.data[:, 0]
 
-    meta = {"method": "cpc-approx", "normalized": True, "K": cfg.K}
-    return _finish(total, counts, x.shape[1], cfg.downsample, True, meta)
+    return _finish(total, 1, cfg, x.shape[1], True)
 
 
 # ---------------------------------------------------------------------------

@@ -412,33 +412,17 @@ def clamp_min(a: Tensor, floor: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    """Product of (..., I, J) and (..., J, K) into (..., I, K): two matrices,
+    or two stacks of them with the same leading (stack) dimensions."""
+    if a.ndim < 2 or a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2]:
+        raise ValueError(f"matmul expects operands of equal rank >= 2 and equal stack "
+                         f"dimensions, got {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
     ad, bd = a.data, b.data
-    out = ad @ bd
-    return _make(out, (a, b), lambda g: (g @ bd.T, ad.T @ g), "matmul")
-
-
-def bmm(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matmul of (..., I, J) and (..., J, K) stacks into (..., I, K).
-
-    Both operands have the same leading (stack) dimensions.
-    """
-    if a.ndim < 3 or a.ndim != b.ndim:
-        raise ValueError(f"bmm expects stacks of matrices, got {a.shape} and {b.shape}")
-    if a.shape[:-2] != b.shape[:-2]:
-        raise ValueError(f"bmm batch dimensions disagree: {a.shape} x {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ValueError(f"bmm inner dimensions disagree: {a.shape} x {b.shape}")
-    ad, bd = a.data, b.data
-    out = np.matmul(ad, bd)
     return _make(
-        out,
-        (a, b),
-        lambda g: (g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g),
-        "bmm",
+        ad @ bd, (a, b),
+        lambda g: (g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g), "matmul",
     )
 
 

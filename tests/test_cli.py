@@ -177,6 +177,22 @@ def test_train_flag_overrides_config_file(workspace, tmp_path):
     assert len(lines) == 2  # flag wins over the file's epochs = 2
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--lr", "nan"), ("--lr", "inf"), ("--clip-norm", "nan"), ("--cpc-weight", "-1"),
+])
+def test_train_rejects_bad_float_flag_and_writes_nothing(workspace, tmp_path, capsys,
+                                                          flag, value):
+    """`--lr nan --epochs 1` used to exit 0 with a checkpoint of NaNs;
+    `--clip-norm nan` silently turned clipping off."""
+    out = tmp_path / "m.lntc"
+    assert main([
+        "train", "--data", str(workspace["data"] / "train.csv"),
+        "--out", str(out), "--config", str(workspace["cfg"]), "--epochs", "1", flag, value,
+    ]) == 1
+    assert f"error: {flag[2:].replace('-', '_')} must be finite" in capsys.readouterr().err
+    assert not out.exists() and not Path(f"{out}.manifest.json").exists()
+
+
 def test_config_file_parsing(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text("dim_z = 16  # latent\n\nlr = 5e-4\nbase = small\n")
@@ -242,17 +258,6 @@ def test_score_cpc_approx_method(workspace, tmp_path):
     assert np.isfinite(scores).all()
     manifest = json.loads((str(out) + ".manifest.json") and open(str(out) + ".manifest.json").read())
     assert manifest["config"]["method"] == "cpc-approx"
-
-
-def test_score_rejects_nonpositive_chunk_len(workspace, tmp_path, capsys):
-    out = tmp_path / "s.csv"
-    assert main([
-        "score", "--model", str(workspace["model"]),
-        "--data", str(workspace["data"] / "test.csv"),
-        "--out", str(out), "--chunk-len", "-5000",
-    ]) == 1
-    assert "error: chunk length must be >= 1, got -5000" in capsys.readouterr().err
-    assert not out.exists()
 
 
 def test_eval_writes_csv_and_text(workspace, tmp_path, capsys):

@@ -27,6 +27,10 @@ def test_loss_config_validation():
         ls.LossConfig(lam=-0.1)
     with pytest.raises(ValueError):
         ls.LossConfig(N=1)
+    for field in ("lam", "cpc_weight"):
+        for value in (np.nan, np.inf, -1.0):
+            with pytest.raises(ValueError, match=f"{field} must be finite and >= 0, got {value}"):
+                ls.LossConfig(**{field: value})
 
 
 def test_sample_negatives_excludes_positive():

@@ -622,6 +622,41 @@ def test_checkpoint_rejects_names_out_of_order(small_checkpoint, tmp_path):
         ckpt.load_model(path)
 
 
+def test_checkpoint_rejects_bad_name_and_rank_naming_the_file(small_checkpoint, tmp_path):
+    """A name that is not UTF-8 and a rank numpy cannot build used to fail
+    with the codec's or numpy's message, naming neither tensor nor file."""
+    blob, _ = small_checkpoint
+    at = blob.index(b"norm.keep")
+    bad_name = bytearray(blob)
+    bad_name[at] = 0x80
+    path = tmp_path / "name.lntc"
+    path.write_bytes(bytes(bad_name))
+    with pytest.raises(ValueError, match=f"name at byte {at} is not UTF-8: {path}"):
+        ckpt.load_arrays(path)
+    bad_rank = bytearray(blob)
+    bad_rank[at + len("norm.keep")] = 0xFF
+    path = tmp_path / "rank.lntc"
+    path.write_bytes(bytes(bad_rank))
+    with pytest.raises(ValueError, match=f"'norm.keep' has rank 255, more than numpy "
+                                         f"supports: {path}"):
+        ckpt.load_arrays(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_checkpoint_non_finite_tensor_is_named_on_save_and_load(tmp_path, value):
+    params = mdl.init_params(small(), seed=59)
+    params.heads[1].data[2, 3] = value
+    path = tmp_path / "bad.lntc"
+    with pytest.raises(ValueError, match=f"tensor 'heads.W2' holds non-finite values; "
+                                         f"not saving {path}"):
+        ckpt.save_model(path, params)
+    assert not path.exists()
+    arrays = ckpt.model_to_arrays(params)
+    ckpt.save_arrays(path, arrays)
+    with pytest.raises(ValueError, match=f"checkpoint tensor 'heads.W2' holds {value}: {path}"):
+        ckpt.load_model(path)
+
+
 def test_checkpoint_rejects_tensors_the_config_does_not_use(tmp_path):
     """Encoder biases in a conv_bias=0 checkpoint used to load as leftovers
     and be written out again by viz-decode --save-model."""

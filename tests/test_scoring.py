@@ -115,18 +115,23 @@ def test_score_cpc_approx_deterministic():
 
 
 @pytest.mark.parametrize("maker", [tiny_params, lookahead_params])
-def test_score_chunk_invariance(maker):
+def test_score_chunk_invariance(maker, monkeypatch):
     """Chunked scoring equals a single-chunk pass (state + context carry)."""
     params = maker(seed=5)
     channels = params.config.in_channels
     x = np.random.default_rng(6).normal(size=(channels, 240)).astype(np.float32)
-    whole = sc.score_ddcl(params, x, chunk_len=10_000)
-    small = sc.score_ddcl(params, x, chunk_len=params.config.sub_seq)
-    odd = sc.score_ddcl(params, x, chunk_len=36)
+
+    def chunked(score, frames):
+        monkeypatch.setattr(sc, "CHUNK_STEPS", max(frames // params.config.downsample, 1))
+        return score(params, x)
+
+    whole = chunked(sc.score_ddcl, 10_000)
+    small = chunked(sc.score_ddcl, params.config.sub_seq)
+    odd = chunked(sc.score_ddcl, 36)
     np.testing.assert_allclose(small.scores, whole.scores, rtol=1e-5, atol=1e-6)
     np.testing.assert_allclose(odd.scores, whole.scores, rtol=1e-5, atol=1e-6)
-    whole_c = sc.score_cpc_approx(params, x, chunk_len=10_000)
-    odd_c = sc.score_cpc_approx(params, x, chunk_len=36)
+    whole_c = chunked(sc.score_cpc_approx, 10_000)
+    odd_c = chunked(sc.score_cpc_approx, 36)
     np.testing.assert_allclose(odd_c.scores, whole_c.scores, rtol=1e-5, atol=1e-6)
 
 
@@ -134,9 +139,30 @@ def test_default_chunk_is_chunk_steps_latent_steps():
     params = tiny_params(seed=5)
     r = params.config.downsample
     x = np.zeros((2, (2 * sc.CHUNK_STEPS + 7) * r))
-    sizes = [z.shape[0] for z, _ in sc._iter_chunks(params, x, None)]
+    chunks = [(step, z.shape[0]) for step, z, _ in sc._iter_chunks(params, x)]
     last = params.config.latent_len(x.shape[1]) - 2 * sc.CHUNK_STEPS
-    assert sizes == [sc.CHUNK_STEPS, sc.CHUNK_STEPS, last]
+    assert chunks == [(0, sc.CHUNK_STEPS), (sc.CHUNK_STEPS, sc.CHUNK_STEPS),
+                      (2 * sc.CHUNK_STEPS, last)]
+
+
+@pytest.mark.parametrize("bits", [32, 64])
+@pytest.mark.parametrize("m", [37, 100, 250])
+def test_chunks_match_whole_series_encode_and_contextualize_bitwise(bits, m):
+    """The chunks' latents, and the context buffer they fill, are the bits
+    of one whole-series encode and contextualize.  M = 201 is left out: its
+    one-step last chunk goes through BLAS gemv (ROADMAP item 3)."""
+    cfg = mdl.small_config()
+    with tn.precision_mode(bits):
+        params = mdl.init_params(cfg, seed=3)
+        raw = synth_normal(3, (m - 1) * cfg.downsample + cfg.receptive_field, seed=4).values
+        x = raw.astype(tn.dtype())
+        z_whole = mdl.encode(params, Tensor(x[None]))
+        c_whole = mdl.contextualize(params, z_whole).data[0]
+        chunks = [(z.data.copy(), ctx) for _, z, ctx in sc._iter_chunks(params, x)]
+    assert z_whole.shape[1] == m
+    assert len(chunks) == -(-m // sc.CHUNK_STEPS)
+    np.testing.assert_array_equal(np.concatenate([z for z, _ in chunks]), z_whole.data[0])
+    np.testing.assert_array_equal(chunks[-1][1], c_whole)
 
 
 def test_score_causality_small_config():
@@ -242,15 +268,6 @@ def test_score_errors():
         sc.score_ddcl(params, np.zeros(300))  # not (C,T)
 
 
-@pytest.mark.parametrize("score", [sc.score_ddcl, sc.score_cpc_approx])
-@pytest.mark.parametrize("chunk_len", [0, -5000])
-def test_score_rejects_nonpositive_chunk_len(score, chunk_len):
-    params = tiny_params(seed=16)
-    x = np.zeros((2, 120))
-    with pytest.raises(ValueError, match=f"chunk length must be >= 1, got {chunk_len}"):
-        score(params, x, chunk_len=chunk_len)
-
-
 def test_scores_csv_roundtrip(tmp_path):
     params = tiny_params(seed=17)
     x = np.random.default_rng(18).normal(size=(2, 120)).astype(np.float32)
@@ -295,7 +312,7 @@ def test_scores_csv_bytes_match_per_row_writer(tmp_path):
         rng.normal(scale=1e3, size=20_000), rng.lognormal(sigma=30.0, size=200),
         [0.0, -0.0, 5e-324, 1.7976931348623157e308, 0.1, 123456789.5],
     ])
-    series = sc.ScoreSeries(scores, scores, 1)
+    series = sc.ScoreSeries(scores, scores)
     labels = (rng.uniform(size=scores.size) < 0.3).astype(np.int64)
     for name, lab in (("plain", None), ("labeled", labels)):
         got, want = tmp_path / f"{name}.csv", tmp_path / f"{name}_want.csv"

@@ -98,45 +98,42 @@ def test_matmul_grad_closed_form_and_fd():
 
 
 def test_matmul_shape_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="inner"):
         tn.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
     with pytest.raises(ValueError):
         tn.matmul(Tensor(np.ones(3)), Tensor(np.ones((3, 2))))
+    with pytest.raises(ValueError, match="stack"):
+        tn.matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 4, 5))))
+    with pytest.raises(ValueError, match="inner"):
+        tn.matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 3, 5))))
+    with pytest.raises(ValueError, match="rank"):
+        tn.matmul(Tensor(np.ones((3, 4))), Tensor(np.ones((2, 4, 5))))
+    with pytest.raises(ValueError, match="rank"):
+        tn.matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((1, 2, 4, 5))))
 
 
-def test_bmm_matches_per_matrix_matmul_and_fd():
+def test_matmul_stack_matches_per_matrix_matmul_and_fd():
     rng = np.random.default_rng(5)
     arrays = {"a": rng.normal(size=(3, 2, 4)), "b": rng.normal(size=(3, 4, 5))}
-    out = tn.bmm(Tensor(arrays["a"]), Tensor(arrays["b"]))
+    out = tn.matmul(Tensor(arrays["a"]), Tensor(arrays["b"]))
     for i in range(3):
         np.testing.assert_allclose(out.data[i], arrays["a"][i] @ arrays["b"][i], rtol=1e-5)
     weights = rng.normal(size=(3, 2, 5))
-    check_grads(lambda p: tn.sum_all(tn.mul(tn.bmm(p["a"], p["b"]), Tensor(weights))), arrays)
+    check_grads(lambda p: tn.sum_all(tn.mul(tn.matmul(p["a"], p["b"]), Tensor(weights))), arrays)
 
 
-def test_bmm_four_dim_stack_matches_three_dim_bitwise_and_fd():
+def test_matmul_four_dim_stack_matches_three_dim_bitwise_and_fd():
     """The DDCL multiplies a (B, T, L, D) view of the unit views: same bits
     as the flattened (B*T, L, D) copy, and FD gradients."""
     rng = np.random.default_rng(6)
     a = rng.normal(size=(2, 5, 3, 4)).astype(np.float32)[:, 1:]
     b = rng.normal(size=(2, 4, 4, 1)).astype(np.float32)
-    four = tn.bmm(Tensor(a), Tensor(b)).data
-    three = tn.bmm(Tensor(a.reshape(8, 3, 4)), Tensor(b.reshape(8, 4, 1))).data
+    four = tn.matmul(Tensor(a), Tensor(b)).data
+    three = tn.matmul(Tensor(a.reshape(8, 3, 4)), Tensor(b.reshape(8, 4, 1))).data
     assert np.array_equal(four.reshape(8, 3, 1), three)
     arrays = {"a": rng.normal(size=(2, 3, 2, 4)), "b": rng.normal(size=(2, 3, 4, 5))}
     weights = rng.normal(size=(2, 3, 2, 5))
-    check_grads(lambda p: tn.sum_all(tn.mul(tn.bmm(p["a"], p["b"]), Tensor(weights))), arrays)
-
-
-def test_bmm_shape_mismatch():
-    with pytest.raises(ValueError, match="batch"):
-        tn.bmm(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 4, 5))))
-    with pytest.raises(ValueError, match="inner"):
-        tn.bmm(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 3, 5))))
-    with pytest.raises(ValueError):
-        tn.bmm(Tensor(np.ones((3, 4))), Tensor(np.ones((4, 5))))
-    with pytest.raises(ValueError):
-        tn.bmm(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((1, 2, 4, 5))))
+    check_grads(lambda p: tn.sum_all(tn.mul(tn.matmul(p["a"], p["b"]), Tensor(weights))), arrays)
 
 
 # ---------------------------------------------------------------------------

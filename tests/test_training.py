@@ -104,6 +104,11 @@ def test_train_config_validation():
         TrainConfig(beta1=1.0)
     with pytest.raises(ValueError):
         TrainConfig(clip_norm=0.0)
+    # nan passed every `<= 0` check: lr = nan trained a model of NaNs
+    for field in ("lr", "clip_norm", "eps"):
+        for value in (np.nan, np.inf):
+            with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
+                TrainConfig(**{field: value})
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,109 @@
+"""Digests of every output of the CLI recipe, for bit checks between checkouts.
+
+    python3 tools/recipe_bytes.py OUT_DIR
+
+Runs ``lnt`` from the checkout this file lives in (its ``src``), one
+process per command: synth 20k/20k frames; train 2 epochs at float32 and
+1 epoch at ``--precision 64``, with reports; score ddcl,
+``--unnormalized``, cpc-approx and ``--precision 64`` on the test split and
+on a prefix of it whose last scoring chunk is one latent step; eval each
+test-split score; viz-decode with ``--save-model``.  Prints one
+``sha256  name`` line per output, names relative to OUT_DIR.  Report
+``seconds`` (wall time) are stripped before hashing; manifests, which hold
+times and paths, are not hashed.
+
+The environment passes through, so ``LNT_THREADS=1`` caps BLAS threads.
+Run it from two checkouts into two directories and diff the output.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+TRAIN = ["--seed", "0", "--lr", "1e-3", "--lam", "0.1", "--window-stride", "72"]
+
+
+def lnt(*args: str) -> None:
+    env = dict(os.environ, PYTHONPATH=SRC)
+    subprocess.run([sys.executable, "-m", "lnt.cli", *args], env=env, check=True,
+                   stdout=subprocess.DEVNULL)
+
+
+def without_seconds(path: str) -> bytes:
+    """A report CSV with its trailing ``seconds`` column dropped."""
+    with open(path) as fh:
+        rows = [line.rstrip("\n").split(",") for line in fh]
+    if rows[0][-1] != "seconds":
+        raise ValueError(f"{path}: last column is {rows[0][-1]!r}, not 'seconds'")
+    return "".join(",".join(row[:-1]) + "\n" for row in rows).encode()
+
+
+def one_step_tail_prefix(test_csv: str, out_csv: str) -> None:
+    """The longest prefix of ``test_csv`` whose `small`-config latent steps
+    leave one step in the last scoring chunk."""
+    sys.path.insert(0, SRC)
+    from lnt.model import small_config
+    from lnt.scoring import CHUNK_STEPS
+
+    cfg = small_config()
+    with open(test_csv) as fh:
+        lines = fh.readlines()
+    steps = cfg.latent_len(len(lines) - 1)
+    steps -= (steps - 1) % CHUNK_STEPS
+    frames = (steps - 1) * cfg.downsample + cfg.receptive_field
+    with open(out_csv, "w") as fh:
+        fh.writelines(lines[: 1 + frames])
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("out_dir")
+    out = parser.parse_args(argv).out_dir
+    os.makedirs(out, exist_ok=True)
+
+    def path(name: str) -> str:
+        return os.path.join(out, name)
+
+    lnt("synth", "--out-dir", path("data"), "--seed", "0",
+        "--train-length", "20000", "--test-length", "20000")
+    one_step_tail_prefix(path("data/test.csv"), path("data/tail.csv"))
+    lnt("train", "--data", path("data/train.csv"), "--out", path("model.lntc"),
+        "--epochs", "2", *TRAIN)
+    lnt("train", "--data", path("data/train.csv"), "--out", path("model64.lntc"),
+        "--epochs", "1", "--precision", "64", *TRAIN)
+
+    hashed = ["data/train.csv", "data/test.csv", "model.lntc", "model64.lntc"]
+    variants = {
+        "ddcl": ["--model", path("model.lntc")],
+        "unnormalized": ["--model", path("model.lntc"), "--unnormalized"],
+        "cpc": ["--model", path("model.lntc"), "--method", "cpc-approx"],
+        "fp64": ["--model", path("model64.lntc"), "--precision", "64"],
+    }
+    for split in ("test", "tail"):
+        for variant, flags in variants.items():
+            name = f"scores-{split}-{variant}.csv"
+            lnt("score", "--data", path(f"data/{split}.csv"), "--out", path(name), *flags)
+            hashed.append(name)
+            if split == "test":
+                lnt("eval", "--scores", path(name), "--out", path(f"eval-{variant}.csv"))
+                hashed.append(f"eval-{variant}.csv")
+    lnt("viz-decode", "--model", path("model.lntc"), "--data", path("data/train.csv"),
+        "--out", path("views.csv"), "--save-model", path("decoder.lntc"))
+    hashed += ["views.csv", "decoder.lntc"]
+
+    digests = {name: hashlib.sha256(open(path(name), "rb").read()).hexdigest()
+               for name in hashed}
+    for report in ("model.lntc.report.csv", "model64.lntc.report.csv"):
+        digests[report] = hashlib.sha256(without_seconds(path(report))).hexdigest()
+    for name, digest in digests.items():
+        print(f"{digest}  {name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
