@@ -102,6 +102,10 @@ def test_matmul_shape_mismatch():
         tn.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
     with pytest.raises(ValueError):
         tn.matmul(Tensor(np.ones(3)), Tensor(np.ones((3, 2))))
+
+
+def test_bmm_shape_mismatch():
+    """Batched products go through tn.matmul: stack, inner and rank checks."""
     with pytest.raises(ValueError, match="stack"):
         tn.matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 4, 5))))
     with pytest.raises(ValueError, match="inner"):
