@@ -102,15 +102,55 @@ def write_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
 
     Float columns print as %.9g, so reruns are byte-identical; other
     columns print as ``str`` and must need no CSV quoting.  Lines end in
-    ``\\r\\n`` like ``csv.writer``'s, which writes the header.
+    ``\\r\\n`` like ``csv.writer``'s, which writes the header.  Rows are
+    formatted a block at a time, by :func:`_format_runs` where a block's
+    rows repeat.
     """
     columns = [np.asarray(c) for c in columns]
-    line = ",".join("%.9g" if c.dtype.kind == "f" else "%s" for c in columns) + "\r\n"
+    fmts = ["%.9g" if c.dtype.kind == "f" else "%s" for c in columns]
+    line = ",".join(fmts) + "\r\n"
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
         for start in range(0, len(columns[0]), _BLOCK_ROWS):
-            block = [c[start : start + _BLOCK_ROWS].tolist() for c in columns]
-            fh.write(line * len(block[0]) % tuple(itertools.chain.from_iterable(zip(*block))))
+            block = [c[start : start + _BLOCK_ROWS] for c in columns]
+            text = _format_runs(block, fmts)
+            if text is None:
+                cells = zip(*(c.tolist() for c in block))
+                text = line * len(block[0]) % tuple(itertools.chain.from_iterable(cells))
+            fh.write(text)
+
+
+def _format_runs(block: list[np.ndarray], fmts: list[str]) -> str | None:
+    """A block's rows formatted once per run, or None when runs are too
+    short to pay.
+
+    A run is a stretch of consecutive rows whose cells are bitwise equal,
+    apart from an integer column that counts up by one per row (a score
+    CSV's index): a score CSV repeats each latent step's score r times.
+    Each run's row template is formatted once, with the counter's cell
+    left as ``%d``, and one ``%`` over the whole block fills the counter in.
+    """
+    rows = len(block[0])
+    if rows < 2 or any(c.dtype.kind not in "biuf" for c in block):
+        return None
+    counter = next((i for i, c in enumerate(block) if c.dtype.kind in "iu"
+                    and c[-1] - c[0] == rows - 1 and (np.diff(c) == 1).all()), None)
+    same = np.ones(rows - 1, dtype=bool)
+    for i, c in enumerate(block):
+        if i != counter:
+            bits = c.view(f"u{c.itemsize}")  # tells -0.0 from 0.0
+            same &= bits[1:] == bits[:-1]
+            if 2 * (rows - np.count_nonzero(same)) > rows:  # runs > rows / 2
+                return None
+    starts = np.concatenate([[0], np.flatnonzero(~same) + 1])
+    lengths = np.diff(np.append(starts, rows)).tolist()
+    template = ",".join("%%d" if i == counter else f for i, f in enumerate(fmts)) + "\r\n"
+    heads = zip(*(c[starts].tolist() for i, c in enumerate(block) if i != counter))
+    text = "".join(template % cells * n for cells, n in zip(heads, lengths))
+    if counter is None:
+        return text
+    first = int(block[counter][0])
+    return text % tuple(range(first, first + rows))
 
 
 def read_csv(

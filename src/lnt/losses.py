@@ -95,28 +95,6 @@ def cpc_loss(
     return tn.scale(acc, 1.0 / total)
 
 
-def _unit_cos(a: Tensor, b: Tensor) -> Tensor:
-    """Rowwise cosine of two row matrices, (R,1); equals log h."""
-    return tn.sum_last(tn.mul(tn.unit_rows(a), tn.unit_rows(b)))
-
-
-def ddcl_term(params: ModelParams, views: list[Tensor], c_prev: Tensor, k: int, l: int) -> Tensor:
-    """One DDCL term for view l of a single latent step, given c_{t-k}."""
-    if len(views) < 2:
-        raise ValueError("DDCL needs at least two views (L >= 2)")
-    if not 0 <= l < len(views):
-        raise ValueError(f"view index {l} out of range")
-    pred = mdl.predict_rows(params, tn.reshape(c_prev, (1, -1)), k, ddcl=True)
-    anchor = tn.reshape(views[l], (1, -1))
-    log_pos = tn.reshape(_unit_cos(anchor, pred), ())
-    log_negs = [
-        tn.reshape(_unit_cos(anchor, tn.reshape(v, (1, -1))), ())
-        for m, v in enumerate(views)
-        if m != l
-    ]
-    return tn.log_softmax_contrast(log_pos, log_negs)
-
-
 def view_gram(params: ModelParams, z_rows: Tensor) -> tuple[Tensor, Tensor]:
     """Unit views (R,L,D) of latent rows (R,D) and their DDCL denominators.
 

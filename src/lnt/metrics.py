@@ -40,9 +40,9 @@ def _validate(scores, labels):
     return scores, pos
 
 
-def _tied_ranks(scores):
-    """1-based ranks, ties averaged."""
-    order = np.argsort(scores, kind="stable")
+def _auc(scores, pos, order) -> float:
+    """Mann-Whitney AUC from tie-averaged 1-based ranks, given the stable
+    ascending ``order`` of ``scores``."""
     s = scores[order]
     n = s.size
     boundaries = np.flatnonzero(np.diff(s) != 0) + 1
@@ -52,17 +52,15 @@ def _tied_ranks(scores):
     avg = 0.5 * (starts + 1 + starts + counts)
     ranks = np.empty(n)
     ranks[order] = np.repeat(avg, counts)
-    return ranks
+    n_pos = int(pos.sum())
+    u = ranks[pos].sum() - 0.5 * n_pos * (n_pos + 1)
+    return float(u / (n_pos * (n - n_pos)))
 
 
 def roc_auc(scores, labels) -> float:
     """Mann-Whitney AUC from tie-averaged ranks."""
     scores, pos = _validate(scores, labels)
-    n_pos = int(pos.sum())
-    n_neg = scores.size - n_pos
-    ranks = _tied_ranks(scores)
-    u = ranks[pos].sum() - 0.5 * n_pos * (n_pos + 1)
-    return float(u / (n_pos * n_neg))
+    return _auc(scores, pos, np.argsort(scores, kind="stable"))
 
 
 def confusion(scores, labels, threshold: float) -> tuple[int, int, int, int]:
@@ -85,7 +83,8 @@ def best_f1(scores, labels) -> EvalResult:
     scores, pos = _validate(scores, labels)
     n_pos = int(pos.sum())
 
-    order = np.argsort(scores, kind="stable")[::-1]
+    ascending = np.argsort(scores, kind="stable")
+    order = ascending[::-1]
     sorted_pos = pos[order].astype(np.int64)
     cum_tp = np.cumsum(sorted_pos)
     # last index of each distinct value in the descending sort = counts at
@@ -106,7 +105,7 @@ def best_f1(scores, labels) -> EvalResult:
     tp_i, fp_i, fn_i = int(tp[idx]), int(fp[idx]), int(fn[idx])
     tn_i = scores.size - tp_i - fp_i - fn_i
     return EvalResult(
-        auc=roc_auc(scores, labels),
+        auc=_auc(scores, pos, ascending),
         best_f1=float(best),
         best_threshold=float(thresholds[idx]),
         precision=tp_i / (tp_i + fp_i),

@@ -10,8 +10,19 @@ Long series are walked in chunks of ``CHUNK_STEPS`` latent steps, aligned
 to the downsample factor, with the recurrent state carried across
 boundaries and enough raw lookahead that every chunk's latent steps see
 their full receptive field.  Contexts go into one buffer for the whole
-series, so c_{t-k} is a row of it whichever chunk computed it.  Repeated
-calls on identical inputs are bitwise-identical.
+series, so c_{t-k} is a row of it whichever chunk computed it.  The series
+is padded with zero frames to a whole number of chunks, and the padded
+steps' scores are dropped.  So every chunk's products have one shape, and
+a step's bits cannot depend on where the series ends: BLAS computes a
+one-row product with gemv and a product of a few rows with small-matrix
+kernels, and both round differently from the full chunk's gemm.  Every
+prefix of a series scores the bits of the same steps of the whole series,
+and repeated calls on identical inputs are bitwise-identical.
+
+The forward records no tape and is checked for finiteness once per stage
+(``tensor.stage``): the input chunk, the latents, the bank, the contexts,
+and the DDCL terms or cpc logits.  An error names the stage and its
+latent steps.
 """
 
 from __future__ import annotations
@@ -78,23 +89,51 @@ def _check_series(params: ModelParams, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _iter_chunks(params: ModelParams, x: np.ndarray):
+def _padded(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, int]:
+    """``x`` with zero frames appended until its latent steps fill whole
+    chunks, and the latent step count M of ``x`` itself."""
+    cfg = params.config
+    m_total = cfg.latent_len(x.shape[1])
+    steps = -(-m_total // CHUNK_STEPS) * CHUNK_STEPS
+    if steps == m_total:
+        return x, m_total
+    frames = (steps - 1) * cfg.downsample + cfg.receptive_field
+    out = np.zeros((x.shape[0], frames), dtype=x.dtype)
+    out[:, : x.shape[1]] = x
+    return out, m_total
+
+
+def _at(stage: str, lo: int, hi: int) -> str:
+    return f"{stage} at latent steps {lo}..{hi - 1}"
+
+
+def _iter_chunks(params: ModelParams, x: np.ndarray, real_steps: int | None = None):
     """Yield (step, z, ctx) per chunk of up to ``CHUNK_STEPS`` latent steps.
 
     ``z`` is the chunk's (m, dim_z) latent Tensor, starting at latent step
     ``step``; ``ctx`` is the (M, dim_c) context buffer of the whole series,
     filled through the chunk's last step, so c_{t-k} is ``ctx[t - k]``.
+    Errors name latent steps below ``real_steps``, the steps of ``x``
+    before padding.
     """
     cfg = params.config
     r = cfg.downsample
     lookahead = cfg.receptive_field - r
     m_total = cfg.latent_len(x.shape[1])
+    real_steps = real_steps or m_total
     ctx = np.empty((m_total, cfg.dim_c), dtype=tn.dtype())
     state = None
     for step in range(0, m_total, CHUNK_STEPS):
         end = min(step + CHUNK_STEPS, m_total)
-        z = mdl.encode(params, Tensor(x[None, :, step * r : end * r + lookahead]))
-        c, state = mdl.contextualize_with_state(params, z, state)
+        real_end = min(end, real_steps)
+        with tn.stage(_at("input", step, real_end)):
+            chunk = Tensor(x[None, :, step * r : end * r + lookahead])
+        with tn.stage(_at("latents", step, real_end)):
+            z = mdl.encode(params, chunk)
+            tn.check_stage(z)
+        with tn.stage(_at("contexts", step, real_end)):
+            c, state = mdl.contextualize_with_state(params, z, state)
+            tn.check_stage(c)
         ctx[step:end] = c.data[0]
         yield step, tn.reshape(z, z.shape[1:]), ctx
 
@@ -117,20 +156,25 @@ def score_ddcl(params: ModelParams, x: np.ndarray, normalized: bool = True) -> S
     """
     x = _check_series(params, x)
     cfg = params.config
-    total = np.zeros(cfg.latent_len(x.shape[1]), dtype=np.float64)
+    padded, m_total = _padded(params, x)
+    total = np.zeros(cfg.latent_len(padded.shape[1]), dtype=np.float64)
 
-    for step, z, ctx in _iter_chunks(params, x):
+    for step, z, ctx in _iter_chunks(params, padded, m_total):
         m = z.shape[0]
-        units, den = ls.view_gram(params, z)
+        real_end = min(step + m, m_total)
+        with tn.stage(_at("bank", step, real_end)):
+            units, den = ls.view_gram(params, z)
         for k in range(1, min(cfg.K, step + m - 1) + 1):
             lo = max(step, k)  # steps [lo, step + m) have a c_{t-k}
-            terms = ls.ddcl_terms(
-                params, tn.slice_axis(units, lo - step, m), tn.slice_axis(den, lo - step, m),
-                Tensor(ctx[lo - k : step + m - k]), k,
-            )
+            with tn.stage(_at("ddcl terms", lo, real_end)):
+                terms = ls.ddcl_terms(
+                    params, tn.slice_axis(units, lo - step, m), tn.slice_axis(den, lo - step, m),
+                    Tensor(ctx[lo - k : step + m - k]), k,
+                )
+                tn.check_stage(terms)
             total[lo : step + m] += terms.data.sum(axis=1, dtype=np.float64)
 
-    return _finish(total, cfg.L, cfg, x.shape[1], normalized)
+    return _finish(total[:m_total], cfg.L, cfg, x.shape[1], normalized)
 
 
 def score_cpc_approx(params: ModelParams, x: np.ndarray) -> ScoreSeries:
@@ -141,17 +185,21 @@ def score_cpc_approx(params: ModelParams, x: np.ndarray) -> ScoreSeries:
     """
     x = _check_series(params, x)
     cfg = params.config
-    total = np.zeros(cfg.latent_len(x.shape[1]), dtype=np.float64)
+    padded, m_total = _padded(params, x)
+    total = np.zeros(cfg.latent_len(padded.shape[1]), dtype=np.float64)
 
-    for step, z, ctx in _iter_chunks(params, x):
+    for step, z, ctx in _iter_chunks(params, padded, m_total):
         m = z.shape[0]
+        real_end = min(step + m, m_total)
         for k in range(1, min(cfg.K, step + m - 1) + 1):
             lo = max(step, k)
-            pred = mdl.predict_rows(params, Tensor(ctx[lo - k : step + m - k]), k)
-            logit = tn.sum_last(tn.mul(tn.slice_axis(z, lo - step, m), pred))
+            with tn.stage(_at("cpc logits", lo, real_end)):
+                pred = mdl.predict_rows(params, Tensor(ctx[lo - k : step + m - k]), k)
+                logit = tn.sum_last(tn.mul(tn.slice_axis(z, lo - step, m), pred))
+                tn.check_stage(logit)
             total[lo : step + m] -= logit.data[:, 0]
 
-    return _finish(total, 1, cfg, x.shape[1], True)
+    return _finish(total[:m_total], 1, cfg, x.shape[1], True)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ Conventions
 -----------
 * Storage and compute are 32-bit by default; :func:`set_precision` switches
   to 64-bit for gradient verification runs.
-* Any op producing NaN/Inf raises ``FloatingPointError``.
+* Any op producing NaN/Inf raises ``FloatingPointError``: each op checks
+  its output, except in a tape-free forward run under :func:`stage`,
+  which checks each stage's output once instead.
 * A tape and the tensors built on it belong to one thread.  Detached
   tensors (and anything computed with no tape active) are plain data and
   may be shared freely.
@@ -63,7 +65,8 @@ def precision_mode(bits: int):
 
 def _check_finite(arr: np.ndarray, what: str) -> None:
     if not np.isfinite(arr).all():
-        raise FloatingPointError(f"non-finite values in {what}")
+        where = f" ({_state.stage})" if _state.stage is not None else ""
+        raise FloatingPointError(f"non-finite values in {what}{where}")
 
 
 class Tensor:
@@ -182,6 +185,7 @@ class Tape:
 class _State(threading.local):
     def __init__(self):
         self.active: Tape | None = None
+        self.stage: str | None = None  # set by `stage`
 
 
 _state = _State()
@@ -189,6 +193,41 @@ _state = _State()
 
 def active_tape() -> Tape | None:
     return _state.active
+
+
+@contextlib.contextmanager
+def stage(name: str):
+    """Check a tape-free forward once per stage instead of once per op.
+
+    Ops run in this block with no tape active skip their output check;
+    the caller checks the stage's outputs with :func:`check_stage`.  Ops
+    that can map a non-finite input to a finite output (relu, sigmoid, exp,
+    clamp_min and logsumexp on their input, div on its denominator) still
+    check it, so no overflow is lost before the stage's outputs are
+    checked, and ``gru`` checks its pre-activations as it always does.
+    Every finiteness error raised in the block names ``name``.
+    """
+    if _state.active is not None:
+        raise RuntimeError("per-stage checks are for tape-free forwards")
+    previous, _state.stage = _state.stage, name
+    try:
+        yield
+    finally:
+        _state.stage = previous
+
+
+def check_stage(*tensors: Tensor) -> None:
+    """Raise ``FloatingPointError`` naming the current stage unless every
+    value of ``tensors`` is finite."""
+    for t in tensors:
+        if not np.isfinite(t.data).all():
+            raise FloatingPointError(f"non-finite values in {_state.stage}")
+
+
+def _check_input(arr: np.ndarray, what: str) -> None:
+    """The input check of an op that can hide an overflow (see `stage`)."""
+    if _state.stage is not None and _state.active is None:
+        _check_finite(arr, what)
 
 
 def _recording(*tensors: Tensor) -> bool:
@@ -202,13 +241,14 @@ def _recording(*tensors: Tensor) -> bool:
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], vjp, name: str) -> Tensor:
     data = np.asarray(data, dtype=_dtype)
-    _check_finite(data, name)
+    tape = _state.active
+    if tape is not None or _state.stage is None:
+        _check_finite(data, name)
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
     out.requires_grad = False
     out._tape = None
-    tape = _state.active
     if tape is not None:
         tape._add(out, parents, vjp)
     return out
@@ -327,6 +367,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     sa, bd = a.shape, b.data
+    _check_input(bd, "div denominator")
     with np.errstate(all="ignore"):
         out = a.data / bd
 
@@ -363,16 +404,13 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(a: Tensor) -> Tensor:
+    _check_input(a.data, "sigmoid input")
     out = _sigmoid(a.data)
     return _make(out, (a,), lambda g: (g * out * (1.0 - out),), "sigmoid")
 
 
-def tanh(a: Tensor) -> Tensor:
-    out = np.tanh(a.data)
-    return _make(out, (a,), lambda g: (g * (1.0 - out * out),), "tanh")
-
-
 def relu(a: Tensor) -> Tensor:
+    _check_input(a.data, "relu input")
     out = np.maximum(a.data, 0.0)
     # C order: a conv layer's output is a time-major view while its
     # gradient arrives C-ordered, and g * mask across the two layouts
@@ -382,6 +420,7 @@ def relu(a: Tensor) -> Tensor:
 
 
 def exp(a: Tensor) -> Tensor:
+    _check_input(a.data, "exp input")
     with np.errstate(all="ignore"):
         out = np.exp(a.data)
     return _make(out, (a,), lambda g: (g * out,), "exp")
@@ -402,6 +441,7 @@ def sqrt(a: Tensor) -> Tensor:
 
 def clamp_min(a: Tensor, floor: float) -> Tensor:
     floor = float(floor)
+    _check_input(a.data, "clamp_min input")
     out = np.maximum(a.data, floor)
     mask = a.data > floor if _recording(a) else None
     return _make(out, (a,), lambda g: (g * mask,), "clamp_min")
@@ -457,6 +497,7 @@ def sum_last(a: Tensor, keepdims: bool = True) -> Tensor:
 
 def logsumexp_last(a: Tensor, keepdims: bool = True) -> Tensor:
     ad = a.data
+    _check_input(ad, "logsumexp input")
     m = a.data.max(axis=-1, keepdims=True)
     out_k = m + np.log(np.sum(np.exp(a.data - m), axis=-1, keepdims=True))
     out = out_k if keepdims else np.squeeze(out_k, axis=-1)
@@ -745,16 +786,3 @@ def norms_last(a: Tensor) -> Tensor:
 def unit_rows(a: Tensor) -> Tensor:
     """Rows scaled to unit norm (zero rows map near zero, never NaN)."""
     return div(a, norms_last(a))
-
-
-def log_softmax_contrast(log_pos: Tensor, log_negs: Sequence[Tensor]) -> Tensor:
-    """-log(pos / (pos + sum(negs))) from log-similarities, via log-sum-exp.
-
-    Strictly positive for any nonempty negative set.
-    """
-    log_negs = list(log_negs)
-    if not log_negs:
-        raise ValueError("log_softmax_contrast needs at least one negative")
-    cols = [reshape(log_pos, (1,))] + [reshape(t, (1,)) for t in log_negs]
-    lse = logsumexp_last(concat(cols, axis=0), keepdims=False)
-    return sub(lse, reshape(log_pos, ()))

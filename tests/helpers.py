@@ -1,6 +1,16 @@
-"""Shared test utilities: in-place finite differences over model parameters."""
+"""Shared test utilities: in-place finite differences over model
+parameters, and the one-term oracles that ``lnt`` itself does not use: the
+tanh op (the composed GRU step), the per-anchor contrastive softmax, and
+the DDCL term of a single step and view."""
+
+from typing import Sequence
 
 import numpy as np
+
+from lnt import model as mdl
+from lnt import tensor as tn
+from lnt.model import ModelParams
+from lnt.tensor import Tensor
 
 
 def fd_grad_inplace(loss_fn, arr: np.ndarray, eps: float = 1e-4) -> np.ndarray:
@@ -25,3 +35,43 @@ def fd_grad_inplace(loss_fn, arr: np.ndarray, eps: float = 1e-4) -> np.ndarray:
 
 def rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return np.abs(analytic - numeric).max() / max(np.abs(numeric).max(), 1e-6)
+
+
+def tanh(a: Tensor) -> Tensor:
+    out = np.tanh(a.data)
+    return tn._make(out, (a,), lambda g: (g * (1.0 - out * out),), "tanh")
+
+
+def log_softmax_contrast(log_pos: Tensor, log_negs: Sequence[Tensor]) -> Tensor:
+    """-log(pos / (pos + sum(negs))) from log-similarities, via log-sum-exp.
+
+    Strictly positive for any nonempty negative set.
+    """
+    log_negs = list(log_negs)
+    if not log_negs:
+        raise ValueError("log_softmax_contrast needs at least one negative")
+    cols = [tn.reshape(log_pos, (1,))] + [tn.reshape(t, (1,)) for t in log_negs]
+    lse = tn.logsumexp_last(tn.concat(cols, axis=0), keepdims=False)
+    return tn.sub(lse, tn.reshape(log_pos, ()))
+
+
+def _unit_cos(a: Tensor, b: Tensor) -> Tensor:
+    """Rowwise cosine of two row matrices, (R,1); equals log h."""
+    return tn.sum_last(tn.mul(tn.unit_rows(a), tn.unit_rows(b)))
+
+
+def ddcl_term(params: ModelParams, views: list[Tensor], c_prev: Tensor, k: int, l: int) -> Tensor:
+    """One DDCL term for view l of a single latent step, given c_{t-k}."""
+    if len(views) < 2:
+        raise ValueError("DDCL needs at least two views (L >= 2)")
+    if not 0 <= l < len(views):
+        raise ValueError(f"view index {l} out of range")
+    pred = mdl.predict_rows(params, tn.reshape(c_prev, (1, -1)), k, ddcl=True)
+    anchor = tn.reshape(views[l], (1, -1))
+    log_pos = tn.reshape(_unit_cos(anchor, pred), ())
+    log_negs = [
+        tn.reshape(_unit_cos(anchor, tn.reshape(v, (1, -1))), ())
+        for m, v in enumerate(views)
+        if m != l
+    ]
+    return log_softmax_contrast(log_pos, log_negs)

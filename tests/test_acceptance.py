@@ -9,7 +9,7 @@ import math
 import time
 
 import numpy as np
-from helpers import fd_grad_inplace, rel_err
+from helpers import ddcl_term, fd_grad_inplace, rel_err
 
 from lnt import checkpoint as ckpt
 from lnt import cli
@@ -104,7 +104,7 @@ def test_criterion_2_contrastive_closed_forms():
         ct = mdl.contextualize(const, zt)
         mean_term = ls.ddcl_loss(const, zt, ct).item()
         views = mdl.transform(const, tn.reshape(zt, zt.shape[1:]))
-        one_term = ls.ddcl_term(
+        one_term = ddcl_term(
             const, [Tensor(v.copy()) for v in views.data[2]],
             Tensor(ct.data[0, 1].copy()), k=1, l=1).item()
         ddcl_gap = max(abs(mean_term - math.log(3)), abs(one_term - math.log(3)))
@@ -141,7 +141,7 @@ def test_criterion_3_constant_model_terms_and_scores():
             row_views = [Tensor(v.copy()) for v in views.data[t]]
             for k in range(1, min(cfg.K, t) + 1):
                 for l in range(cfg.L):
-                    term = ls.ddcl_term(
+                    term = ddcl_term(
                         const, row_views, Tensor(c.data[0, t - k].copy()), k, l)
                     values.append(term.item())
     assert len(values) > 100

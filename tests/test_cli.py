@@ -193,6 +193,21 @@ def test_train_rejects_bad_float_flag_and_writes_nothing(workspace, tmp_path, ca
     assert not out.exists() and not Path(f"{out}.manifest.json").exists()
 
 
+@pytest.mark.parametrize("flag, value, field", [
+    ("--cpc-weight", "-1", "cpc_weight"), ("--lam", "nan", "lam"), ("--negatives", "1", "negatives"),
+])
+def test_train_rejects_bad_loss_flag_before_reading_data(tmp_path, capsys, flag, value, field):
+    """The loss flags are checked with the other training flags, before
+    any CSV is opened: the error names the flag, not the missing file."""
+    missing = tmp_path / "no_such.csv"
+    out = tmp_path / "m.lntc"
+    assert main(["train", "--data", str(missing), "--out", str(out), flag, value]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {field} must be" in err
+    assert "no_such.csv" not in err
+    assert not out.exists()
+
+
 def test_config_file_parsing(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text("dim_z = 16  # latent\n\nlr = 5e-4\nbase = small\n")

@@ -1,4 +1,5 @@
 import csv
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -183,6 +184,30 @@ def test_csv_bytes_match_per_row_writer_and_read_fast(tmp_path):
     slow = data._read_rows_checked(got, ["z", "label"], 1)
     assert_array_equal(fast[0], slow[0])
     assert_array_equal(fast[1], labels)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.data())
+def test_csv_bytes_match_per_row_writer_property(tmp_path_factory, case):
+    """save_csv writes the per-row writer's bytes for series whose rows
+    repeat in runs or not, with label runs or no label column, signed
+    zeros, subnormals and non-finite values, at any block size."""
+    channels = case.draw(st.integers(1, 3), label="channels")
+    cell = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 5e-324, -1e-310]))
+    runs = case.draw(st.lists(st.tuples(st.lists(cell, min_size=channels, max_size=channels),
+                                        st.integers(1, 12)), min_size=1, max_size=12),
+                     label="runs")
+    values = np.concatenate([np.repeat(np.array(row)[:, None], n, axis=1) for row, n in runs],
+                            axis=1)
+    labels = case.draw(st.none() | st.lists(st.integers(0, 1), min_size=values.shape[1],
+                                            max_size=values.shape[1]), label="labels")
+    block = case.draw(st.integers(1, 40), label="block rows")
+    series = LabeledSeries(values, labels)
+    path = tmp_path_factory.mktemp("series")
+    with mock.patch.object(data, "_BLOCK_ROWS", block):
+        save_csv(path / "got.csv", series)
+    _per_row_csv_writer(path / "want.csv", series)
+    assert (path / "got.csv").read_bytes() == (path / "want.csv").read_bytes()
 
 
 _CLEAN_CELLS = st.one_of(

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import fd_grad_inplace, rel_err
+from helpers import ddcl_term, fd_grad_inplace, rel_err
 
 from lnt import losses as ls
 from lnt import model as mdl
@@ -145,7 +145,7 @@ def test_ddcl_term_uniform_gives_log_l():
         params = eye_params(L=L)
         v = np.random.default_rng(L).normal(size=6).astype(np.float32)
         views = [Tensor(v) for _ in range(L)]
-        term = ls.ddcl_term(params, views, Tensor(v), k=1, l=0)
+        term = ddcl_term(params, views, Tensor(v), k=1, l=0)
         assert term.item() == pytest.approx(math.log(L), rel=1e-6)
 
 
@@ -156,7 +156,7 @@ def test_ddcl_term_orthogonal_closed_form():
         Tensor(np.eye(6)[m] * s) for m, s in zip((1, 2, 3), (1.3, 0.7, 1.1))
     ]
     c_prev = Tensor(0.5 * np.eye(6)[0])  # prediction parallel to view 0
-    term = ls.ddcl_term(params, views, c_prev, k=1, l=0)
+    term = ddcl_term(params, views, c_prev, k=1, l=0)
     expected = math.log(1.0 + (L - 1) / math.e)
     assert term.item() == pytest.approx(expected, rel=1e-6)
 
@@ -173,7 +173,7 @@ def test_ddcl_term_matches_naive_oracle():
         for l in range(4):
             vs = [rng.normal(size=6) for _ in range(4)]
             c_prev = rng.normal(size=6)
-            term = ls.ddcl_term(params, [Tensor(v) for v in vs], Tensor(c_prev), 2, l).item()
+            term = ddcl_term(params, [Tensor(v) for v in vs], Tensor(c_prev), 2, l).item()
             num = naive_h(vs[l], c_prev)  # identity head: prediction == c_prev
             den = num + sum(naive_h(vs[l], vs[m]) for m in range(4) if m != l)
             assert term == pytest.approx(-np.log(num / den), abs=1e-9)
@@ -185,21 +185,21 @@ def test_ddcl_term_scale_invariance():
         rng = np.random.default_rng(17)
         vs = [rng.normal(size=6) for _ in range(4)]
         c_prev = rng.normal(size=6)
-        base = ls.ddcl_term(params, [Tensor(v) for v in vs], Tensor(c_prev), 1, 0).item()
+        base = ddcl_term(params, [Tensor(v) for v in vs], Tensor(c_prev), 1, 0).item()
         scaled_view = [Tensor(v * 3.7 if i == 0 else v) for i, v in enumerate(vs)]
-        assert ls.ddcl_term(params, scaled_view, Tensor(c_prev), 1, 0).item() == pytest.approx(base, abs=1e-9)
+        assert ddcl_term(params, scaled_view, Tensor(c_prev), 1, 0).item() == pytest.approx(base, abs=1e-9)
         scaled_other = [Tensor(v * 3.7 if i == 2 else v) for i, v in enumerate(vs)]
-        assert ls.ddcl_term(params, scaled_other, Tensor(c_prev), 1, 0).item() == pytest.approx(base, abs=1e-9)
-        assert ls.ddcl_term(params, [Tensor(v) for v in vs], Tensor(c_prev * 3.7), 1, 0).item() == pytest.approx(base, abs=1e-9)
+        assert ddcl_term(params, scaled_other, Tensor(c_prev), 1, 0).item() == pytest.approx(base, abs=1e-9)
+        assert ddcl_term(params, [Tensor(v) for v in vs], Tensor(c_prev * 3.7), 1, 0).item() == pytest.approx(base, abs=1e-9)
 
 
 def test_ddcl_term_errors():
     params = eye_params()
     v = Tensor(np.ones(6))
     with pytest.raises(ValueError):
-        ls.ddcl_term(params, [v], Tensor(np.ones(6)), 1, 0)
+        ddcl_term(params, [v], Tensor(np.ones(6)), 1, 0)
     with pytest.raises(ValueError):
-        ls.ddcl_term(params, [v, v], Tensor(np.ones(6)), 1, 5)
+        ddcl_term(params, [v, v], Tensor(np.ones(6)), 1, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +223,7 @@ def test_ddcl_loss_matches_term_loop():
                     views = [Tensor(v) for v in stacked.data[0]]
                     for l in range(3):
                         terms.append(
-                            ls.ddcl_term(params, views, Tensor(c[b, t - k]), k, l).item()
+                            ddcl_term(params, views, Tensor(c[b, t - k]), k, l).item()
                         )
         assert batched == pytest.approx(np.mean(terms), abs=1e-9)
 

@@ -3,19 +3,21 @@ constant-model degeneracy, and naive oracles for both score methods."""
 
 import csv
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import ddcl_term
 from lnt import checkpoint as ckpt
-from lnt import losses as ls
+from lnt import data as dt
 from lnt import model as mdl
 from lnt import scoring as sc
 from lnt import tensor as tn
 from lnt.data import synth_normal
-from lnt.tensor import Tensor
+from lnt.tensor import Tape, Tensor
 
 
 def tiny_params(seed=0, **over):
@@ -146,11 +148,11 @@ def test_default_chunk_is_chunk_steps_latent_steps():
 
 
 @pytest.mark.parametrize("bits", [32, 64])
-@pytest.mark.parametrize("m", [37, 100, 250])
+@pytest.mark.parametrize("m", [37, 100, 101, 201, 250])
 def test_chunks_match_whole_series_encode_and_contextualize_bitwise(bits, m):
-    """The chunks' latents, and the context buffer they fill, are the bits
-    of one whole-series encode and contextualize.  M = 201 is left out: its
-    one-step last chunk goes through BLAS gemv (ROADMAP item 3)."""
+    """The chunks of the padded series (as scoring walks it) give the
+    latents, and fill the context buffer with, the bits of one
+    whole-series encode and contextualize, for every real step."""
     cfg = mdl.small_config()
     with tn.precision_mode(bits):
         params = mdl.init_params(cfg, seed=3)
@@ -158,11 +160,31 @@ def test_chunks_match_whole_series_encode_and_contextualize_bitwise(bits, m):
         x = raw.astype(tn.dtype())
         z_whole = mdl.encode(params, Tensor(x[None]))
         c_whole = mdl.contextualize(params, z_whole).data[0]
-        chunks = [(z.data.copy(), ctx) for _, z, ctx in sc._iter_chunks(params, x)]
-    assert z_whole.shape[1] == m
+        padded, m_total = sc._padded(params, x)
+        chunks = [(z.data.copy(), ctx) for _, z, ctx in sc._iter_chunks(params, padded)]
+    assert z_whole.shape[1] == m == m_total
     assert len(chunks) == -(-m // sc.CHUNK_STEPS)
-    np.testing.assert_array_equal(np.concatenate([z for z, _ in chunks]), z_whole.data[0])
-    np.testing.assert_array_equal(chunks[-1][1], c_whole)
+    assert all(z.shape[0] == sc.CHUNK_STEPS for z, _ in chunks)
+    np.testing.assert_array_equal(np.concatenate([z for z, _ in chunks])[:m], z_whole.data[0])
+    np.testing.assert_array_equal(chunks[-1][1][:m], c_whole)
+
+
+def test_every_prefix_scores_the_bits_of_the_whole_series():
+    """Each prefix of M >= 2 latent steps scores the bits of the first M
+    steps of the whole series, for both methods: with chunk tails of one
+    step (M = 101, 201) and of a few, which BLAS computes with gemv and
+    small-matrix kernels unless the chunk is padded."""
+    cfg = mdl.small_config()
+    params = mdl.init_params(cfg, seed=3)
+    full_m = 2 * sc.CHUNK_STEPS + 15
+    x = synth_normal(3, (full_m - 1) * cfg.downsample + cfg.receptive_field, seed=4).values
+    x = x.astype(np.float32)
+    for score in (sc.score_ddcl, sc.score_cpc_approx):
+        whole = score(params, x).latent_scores
+        for m in range(2, full_m):
+            frames = (m - 1) * cfg.downsample + cfg.receptive_field
+            got = score(params, x[:, :frames]).latent_scores
+            assert np.array_equal(got, whole[:m]), (score.__name__, m)
 
 
 def test_score_causality_small_config():
@@ -177,6 +199,54 @@ def test_score_causality_small_config():
     after = sc.score_ddcl(params, mutated)
     np.testing.assert_array_equal(after.scores[: cut * 72], base.scores[: cut * 72])
     assert not np.array_equal(after.scores[cut * 72 :], base.scores[cut * 72 :])
+
+
+def _overflow(part):
+    """A tiny model with one part's weights set so large that float32
+    overflows there and nowhere before."""
+    params = tiny_params(seed=30, separate_ddcl_heads=True)
+    weight = {
+        "encoder": params.encoder[-1][0], "bank": params.bank[-1],
+        "context": params.context.w_x, "ddcl head": params.ddcl_heads[0],
+        "cpc head": params.heads[0],
+    }[part]
+    weight.data[...] = 3e38
+    if part.endswith("head"):
+        # contexts whose entries sum to at least 4, so that W_k c overflows
+        params.context.out_bias.data[...] = 2.0
+    return params
+
+
+@pytest.mark.parametrize("part, method, stage", [
+    ("encoder", sc.score_ddcl, "latents"),
+    ("encoder", sc.score_cpc_approx, "latents"),
+    ("context", sc.score_ddcl, "contexts"),
+    ("context", sc.score_cpc_approx, "contexts"),
+    ("bank", sc.score_ddcl, "bank"),
+    ("ddcl head", sc.score_ddcl, "ddcl terms"),
+    ("cpc head", sc.score_cpc_approx, "cpc logits"),
+])
+def test_stage_overflow_raises_naming_the_stage(part, method, stage):
+    """Scoring checks finiteness per stage, not per op.  An overflow in
+    each part is caught in its stage, even where a saturating op (the
+    bank's sigmoid, the GRU's gates) would leave the stage's output
+    finite, and the error names the stage and its latent steps."""
+    params = _overflow(part)
+    x = np.random.default_rng(31).normal(size=(2, 300)).astype(np.float32)
+    with pytest.raises(FloatingPointError, match=rf"{stage} at latent steps \d+\.\.\d+"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        method(params, x)
+
+
+def test_stage_checks_end_with_the_stage():
+    """Outside scoring's stages, every op checks its own output again."""
+    with pytest.raises(FloatingPointError, match="non-finite values in exp$"):
+        with tn.stage("bank at latent steps 0..9"):
+            pass
+        tn.exp(Tensor([1000.0]))
+    with Tape(), pytest.raises(RuntimeError, match="tape-free"):
+        with tn.stage("bank"):
+            pass
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +303,7 @@ def test_score_ddcl_matches_term_loop():
     for t in range(m):
         views = [Tensor(v) for v in mdl.transform(params, Tensor(z[t : t + 1])).data[0]]
         terms = [
-            ls.ddcl_term(params, views, Tensor(c[t - k]), k, l).item()
+            ddcl_term(params, views, Tensor(c[t - k]), k, l).item()
             for k in range(1, cfg.K + 1)
             if t - k >= 0
             for l in range(cfg.L)
@@ -319,6 +389,46 @@ def test_scores_csv_bytes_match_per_row_writer(tmp_path):
         sc.save_scores_csv(got, series, lab)
         _per_row_scores_writer(want, scores, lab)
         assert got.read_bytes() == want.read_bytes(), name
+
+
+# finite scores that print unlike their neighbours: signed zeros, subnormals
+_EDGE_SCORES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-320,
+                                2.2250738585072014e-308, 1e-45])
+
+
+@st.composite
+def label_runs(draw, n, max_run):
+    """n 0/1 labels in runs of 1..max_run, so that runs start and end
+    anywhere: inside a latent step, on its edge, or across a block."""
+    labels = np.empty(n, dtype=np.int64)
+    pos, value = 0, draw(st.integers(0, 1))
+    while pos < n:
+        length = draw(st.integers(1, max_run))
+        labels[pos : pos + length] = value
+        pos, value = pos + length, 1 - value
+    return labels
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.data())
+def test_scores_csv_bytes_match_per_row_writer_property(tmp_path_factory, case):
+    """The run-formatted writer writes the per-row writer's bytes for any
+    r, remainder frames, block size, label runs or no label column, and
+    for scores of -0.0 and subnormals."""
+    r = case.draw(st.integers(1, 9), label="r")
+    latent = np.array(case.draw(st.lists(
+        st.one_of(st.floats(allow_nan=False, allow_infinity=False), _EDGE_SCORES),
+        min_size=1, max_size=30,
+    ), label="latent"))
+    raw_len = latent.size * r + case.draw(st.integers(0, r - 1), label="remainder")
+    scores = sc.broadcast_scores(latent, r, raw_len)
+    labels = case.draw(st.none() | label_runs(raw_len, 3 * r + 2), label="labels")
+    block = case.draw(st.integers(1, 64), label="block rows")
+    path = tmp_path_factory.mktemp("scores")
+    with mock.patch.object(dt, "_BLOCK_ROWS", block):
+        sc.save_scores_csv(path / "got.csv", sc.ScoreSeries(scores, latent), labels)
+    _per_row_scores_writer(path / "want.csv", scores, labels)
+    assert (path / "got.csv").read_bytes() == (path / "want.csv").read_bytes()
 
 
 def test_scores_csv_bad_inputs(tmp_path):

@@ -109,6 +109,13 @@ def test_train_config_validation():
         for value in (np.nan, np.inf):
             with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
                 TrainConfig(**{field: value})
+    for field in ("lam", "cpc_weight"):
+        for value in (np.nan, np.inf, -1.0):
+            with pytest.raises(ValueError, match=f"{field} must be finite and >= 0"):
+                TrainConfig(**{field: value})
+        assert getattr(TrainConfig(**{field: 0.0}), field) == 0.0
+    with pytest.raises(ValueError, match="negatives must be >= 2, got 1"):
+        TrainConfig(negatives=1)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,10 @@ Runs ``lnt`` from the checkout this file lives in (its ``src``), one
 process per command: synth 20k/20k frames; train 2 epochs at float32 and
 1 epoch at ``--precision 64``, with reports; score ddcl,
 ``--unnormalized``, cpc-approx and ``--precision 64`` on the test split and
-on a prefix of it whose last scoring chunk is one latent step; eval each
-test-split score; viz-decode with ``--save-model``.  Prints one
+on a prefix of it whose last scoring chunk holds one latent step; score
+ddcl on a copy of the test split without its label column, so the score
+CSV's two-column form is hashed too; eval each test-split score;
+viz-decode with ``--save-model``.  Prints one
 ``sha256  name`` line per output, names relative to OUT_DIR.  Report
 ``seconds`` (wall time) are stripped before hashing; manifests, which hold
 times and paths, are not hashed.
@@ -60,6 +62,16 @@ def one_step_tail_prefix(test_csv: str, out_csv: str) -> None:
         fh.writelines(lines[: 1 + frames])
 
 
+def without_labels(in_csv: str, out_csv: str) -> None:
+    """``in_csv`` with its trailing ``label`` column dropped."""
+    with open(in_csv, newline="") as fh:
+        lines = fh.read().split("\r\n")
+    if not lines[0].endswith(",label"):
+        raise ValueError(f"{in_csv}: last column is not 'label'")
+    with open(out_csv, "w", newline="") as fh:
+        fh.write("\r\n".join(line.rpartition(",")[0] for line in lines[:-1]) + "\r\n")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("out_dir")
@@ -72,6 +84,7 @@ def main(argv=None) -> int:
     lnt("synth", "--out-dir", path("data"), "--seed", "0",
         "--train-length", "20000", "--test-length", "20000")
     one_step_tail_prefix(path("data/test.csv"), path("data/tail.csv"))
+    without_labels(path("data/test.csv"), path("data/unlabeled.csv"))
     lnt("train", "--data", path("data/train.csv"), "--out", path("model.lntc"),
         "--epochs", "2", *TRAIN)
     lnt("train", "--data", path("data/train.csv"), "--out", path("model64.lntc"),
@@ -92,6 +105,9 @@ def main(argv=None) -> int:
             if split == "test":
                 lnt("eval", "--scores", path(name), "--out", path(f"eval-{variant}.csv"))
                 hashed.append(f"eval-{variant}.csv")
+    lnt("score", "--data", path("data/unlabeled.csv"), "--out", path("scores-unlabeled-ddcl.csv"),
+        "--model", path("model.lntc"))
+    hashed.append("scores-unlabeled-ddcl.csv")
     lnt("viz-decode", "--model", path("model.lntc"), "--data", path("data/train.csv"),
         "--out", path("views.csv"), "--save-model", path("decoder.lntc"))
     hashed += ["views.csv", "decoder.lntc"]
