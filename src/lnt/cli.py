@@ -1,9 +1,12 @@
 """Command-line interface: synth, train, score, eval, viz-decode.
 
 LNT_THREADS caps BLAS threading; it must take effect before numpy loads,
-which is why the environment block sits above every other import.
+which is why the environment block sits above every other import.  The
+heap policy beside it keeps glibc from trimming a train step's freed
+working set and faulting it back in on the next step.
 """
 
+import ctypes
 import os
 
 _threads = os.environ.get("LNT_THREADS")
@@ -16,6 +19,22 @@ if _threads:
         "NUMEXPR_NUM_THREADS",
     ):
         os.environ[_var] = _threads
+
+# glibc mallopt(3): serve blocks below 32 MiB (its ceiling) from the heap
+# and trim the heap only past 256 MiB free.  Both are set: setting either
+# one alone freezes glibc's dynamic mmap threshold at its 128 KiB start.
+# _malloc is the policy applied, None where libc has no mallopt or
+# refuses a value.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_HEAP_POLICY = {"mmap_threshold": 32 << 20, "trim_threshold": 256 << 20}
+try:
+    _mallopt = ctypes.CDLL(None).mallopt
+except (AttributeError, OSError, TypeError):
+    _malloc = None
+else:
+    _applied = [_mallopt(_M_MMAP_THRESHOLD, _HEAP_POLICY["mmap_threshold"]),
+                _mallopt(_M_TRIM_THRESHOLD, _HEAP_POLICY["trim_threshold"])]
+    _malloc = _HEAP_POLICY if _applied == [1, 1] else None
 
 import argparse
 import dataclasses
@@ -144,8 +163,9 @@ def sha256_file(path) -> str:
 
 
 def environment() -> dict:
-    """What produced the numbers: python, numpy, BLAS, and the LNT_THREADS
-    cap this process applied at import (None when unset)."""
+    """What produced the numbers: python, numpy, BLAS, the LNT_THREADS
+    cap this process applied at import (None when unset), and the heap
+    policy it applied (None where libc has no mallopt)."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # numpy < 2 has no dict mode
@@ -156,6 +176,7 @@ def environment() -> dict:
         "blas": blas.get("name"),
         "blas_version": blas.get("version"),
         "lnt_threads": _threads or None,
+        "malloc": dict(_malloc) if _malloc else None,
     }
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 CONSTANT_STD = 1e-12  # channels at or below this are dropped
+COUNT_BLOCK = 1 << 20  # bytes per read when counting a file's lines
 
 
 @dataclass
@@ -197,16 +198,19 @@ def read_csv(
 
 def _count_lines(path) -> int:
     """Lines of the file, split at \\r\\n, \\r or \\n as both csv and
-    np.loadtxt split them."""
-    lf = cr = crlf = 0
-    last = b""
+    np.loadtxt split them, read in blocks of ``COUNT_BLOCK`` bytes."""
+    ends = 0
+    last = None  # the previous block's last byte
     with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            lf += block.count(b"\n")
-            cr += block.count(b"\r")
-            crlf += (last + block).count(b"\r\n")  # a pair may straddle blocks
-            last = block[-1:]
-    return lf + cr - crlf + (last not in (b"", b"\n", b"\r"))
+        for block in iter(lambda: fh.read(COUNT_BLOCK), b""):
+            b = np.frombuffer(block, dtype=np.uint8)
+            lf, cr = b == 10, b == 13
+            # every \n and \r ends a line, except a \n right after a \r,
+            # which may sit at the end of the previous block
+            ends += np.count_nonzero(lf) + np.count_nonzero(cr)
+            ends -= np.count_nonzero(cr[:-1] & lf[1:]) + (last == 13 and b[0] == 10)
+            last = b[-1]
+    return int(ends) + (last is not None and last not in (10, 13))
 
 
 def _read_rows_fast(path, width: int, label_idx: int | None, rows: int):

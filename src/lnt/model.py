@@ -249,7 +249,10 @@ def encode(params: ModelParams, x: Tensor) -> Tensor:
     """Raw windows (B,C,T) -> latent rows (B,T_z,dim_z).
 
     T_z follows ModelConfig.latent_len; the window must cover at least one
-    receptive field.  ReLU between conv layers, linear final layer.
+    receptive field.  ReLU between conv layers, linear final layer.  The
+    batch is transposed once to time-major (B,T,C), a tape record only
+    when it is tracked; each layer is one ``conv1d_strided`` record with
+    its bias and relu, and the last one's output is the latents.
     """
     cfg = params.config
     if x.ndim != 3:
@@ -258,15 +261,11 @@ def encode(params: ModelParams, x: Tensor) -> Tensor:
         raise ValueError(f"expected {cfg.in_channels} input channels, got {x.shape[1]}")
     cfg.latent_len(x.shape[-1])  # raises if too short
 
-    h = x
+    h = tn.transpose(x, (0, 2, 1))
     last = len(params.encoder) - 1
     for i, (w, b) in enumerate(params.encoder):
-        h = tn.conv1d_strided(h, w, cfg.strides[i])
-        if b is not None:
-            h = tn.add(h, b)
-        if i < last:
-            h = tn.relu(h)
-    return tn.transpose(h, (0, 2, 1))  # time-major rows
+        h = tn.conv1d_strided(h, w, cfg.strides[i], b, relu=i < last)
+    return h
 
 
 def contextualize_with_state(

@@ -201,10 +201,12 @@ def stage(name: str):
 
     Ops run in this block with no tape active skip their output check;
     the caller checks the stage's outputs with :func:`check_stage`.  Ops
-    that can map a non-finite input to a finite output (relu, sigmoid, exp,
+    that can map a non-finite input to a finite output (sigmoid, exp,
     clamp_min and logsumexp on their input, div on its denominator) still
-    check it, so no overflow is lost before the stage's outputs are
-    checked, and ``gru`` checks its pre-activations as it always does.
+    check it, and relu checks its input for -inf, the one value it hides,
+    so no overflow is lost before the stage's outputs are checked.  A conv
+    with relu folded in checks its pre-activation for -inf in every mode,
+    and ``gru`` checks its pre-activations as it always does.
     Every finiteness error raised in the block names ``name``.
     """
     if _state.active is not None:
@@ -227,6 +229,13 @@ def check_stage(*tensors: Tensor) -> None:
 def _check_input(arr: np.ndarray, what: str) -> None:
     """The input check of an op that can hide an overflow (see `stage`)."""
     if _state.stage is not None and _state.active is None:
+        _check_finite(arr, what)
+
+
+def _check_relu_input(arr: np.ndarray, what: str) -> None:
+    """relu maps -inf to 0, so its input is checked for -inf; NaN and +inf
+    pass through to the output's check (or the stage's)."""
+    if arr.size and arr.min() == -np.inf:
         _check_finite(arr, what)
 
 
@@ -410,11 +419,12 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    _check_input(a.data, "relu input")
+    if _state.stage is not None and _state.active is None:
+        _check_relu_input(a.data, "relu input")
     out = np.maximum(a.data, 0.0)
-    # C order: a conv layer's output is a time-major view while its
-    # gradient arrives C-ordered, and g * mask across the two layouts
-    # ran 9x slower than within one
+    # C order: the input may be a transposed view (the bank's hidden
+    # layer) while its gradient arrives C-ordered, and g * mask across
+    # two layouts ran 9x slower than within one
     mask = np.greater(out, 0, order="C") if _recording(a) else None
     return _make(out, (a,), lambda g: (g * mask,), "relu")
 
@@ -693,53 +703,90 @@ def _conv_out_len(t: int, f: int, stride: int) -> int:
     return (t - f) // stride + 1
 
 
-def conv1d_strided(x: Tensor, w: Tensor, stride: int) -> Tensor:
-    """Valid cross-correlation along the last axis.
+def conv1d_strided(x: Tensor, w: Tensor, stride: int, bias: Tensor | None = None,
+                   relu: bool = False) -> Tensor:
+    """Valid cross-correlation along time, time-major: (B, T, C_in) in,
+    C-contiguous (B, t_out, C_out) out, t_out = floor((T - F) / stride) + 1.
 
-    ``x`` is (B, C_in, T); ``w`` is (C_out, C_in, F).
-    Output length is floor((T - F) / stride) + 1.
+    ``w`` is (C_out, C_in, F) and ``bias``, when given, (C_out, 1); with
+    ``relu`` the bias-added output goes through max(., 0) in the same
+    record.  ``x`` may have any strides.  The output is one product of
+    the (B*t_out, C_in*F) patch matrix, whose row for step t holds
+    x[b, t*stride + tap, c] at column c*F + tap, with the (C_out, C_in*F)
+    filter matrix.
     """
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     if x.ndim != 3 or w.ndim != 3:
-        raise ValueError(f"conv1d expects (B,C,T) and (C_out,C_in,F), got {x.shape}, {w.shape}")
-    batch, c_in, t = x.shape
+        raise ValueError(f"conv1d expects (B,T,C) and (C_out,C_in,F), got {x.shape}, {w.shape}")
+    batch, t, c_in = x.shape
     c_out, c_in_w, f = w.shape
     if c_in != c_in_w:
         raise ValueError(f"input has {c_in} channels but filter expects {c_in_w}")
     if t < f:
         raise ValueError(f"input length {t} shorter than filter length {f}")
+    if bias is not None and bias.shape != (c_out, 1):
+        raise ValueError(f"conv1d bias must have shape {(c_out, 1)}, got {bias.shape}")
     t_out = _conv_out_len(t, f, stride)
 
-    patches = np.empty((batch, c_in, f, t_out), dtype=_dtype)
+    parents = (x, w) if bias is None else (x, w, bias)
+    # one strided time slice per tap fills the patch matrix's last axis:
+    # numpy copies each with inner loops over channels, where a copy of
+    # one (B, t_out, C_in, F) window view runs inner loops over the F taps
+    # and took 1.5-5x as long
+    patches = np.empty((batch, t_out, c_in, f), dtype=_dtype)
     last = stride * (t_out - 1)
     for tap in range(f):
-        patches[:, :, tap, :] = x.data[:, :, tap : tap + last + 1 : stride]
-    pmat = patches.transpose(0, 3, 1, 2).reshape(batch * t_out, c_in * f)
+        patches[..., tap] = x.data[:, tap : tap + last + 1 : stride]
+    pmat = patches.reshape(batch * t_out, c_in * f)
     wshape, wmat = w.shape, w.data.reshape(c_out, c_in * f)
-    ymat = pmat @ wmat.T
-    y = ymat.reshape(batch, t_out, c_out).transpose(0, 2, 1)
+    y = (pmat @ wmat.T).reshape(batch, t_out, c_out)
+    if bias is not None:
+        y += bias.data.reshape(c_out)
+    mask = None
+    if relu:
+        _check_relu_input(y, "conv1d pre-activation")
+        np.maximum(y, 0.0, out=y)
+        mask = y > 0 if _recording(*parents) else None
 
     # an untracked input (the data batch) gets no gradient, so skip its GEMM
     need_dx = _recording(x)
+    has_bias = bias is not None  # a flag: a record holds no tensors
 
     def vjp(g):
-        gmat = g.transpose(0, 2, 1).reshape(batch * t_out, c_out)
-        dw = (gmat.T @ pmat).reshape(wshape)
-        if not need_dx:
-            return (None, dw)
-        dpatches = (gmat @ wmat).reshape(batch, t_out, c_in, f).transpose(0, 2, 3, 1)
-        dx = np.zeros((batch, c_in, t), dtype=_dtype)
-        # taps within one offset never overlap (stride apart)
-        for tap in range(f):
-            dx[:, :, tap : tap + last + 1 : stride] += dpatches[:, :, tap, :]
-        return (dx, dw)
+        if mask is not None:
+            g = g * mask
+        gmat, pmat_dw = g.reshape(batch * t_out, c_out), pmat
+        if batch == 1:
+            # at B=1 the channel-major encoder's patch matrix, and a relu
+            # layer's gradient matrix, were transposed views rather than
+            # copies, and BLAS sums dw in another order for that layout
+            pmat_dw = np.asfortranarray(pmat)
+            if relu:
+                gmat = np.asfortranarray(gmat)
+        dw = (gmat.T @ pmat_dw).reshape(wshape)
+        dx = None
+        if need_dx:
+            dpatches = (gmat @ wmat).reshape(batch, t_out, c_in, f)
+            dx = np.zeros((batch, t, c_in), dtype=_dtype)
+            # taps within one offset never overlap (stride apart)
+            for tap in range(f):
+                dx[:, tap : tap + last + 1 : stride] += dpatches[..., tap]
+        if not has_bias:
+            return (dx, dw)
+        # summed over the batch, then over time in the order the bias
+        # gradient of a separate add took: a conv followed by relu had its
+        # gradient arrive channel-major (pairwise over time), the last one
+        # time-major (row by row)
+        s = g.sum(0)
+        db = np.ascontiguousarray(s.T).sum(1) if relu else s.sum(0)
+        return (dx, dw, db.reshape(c_out, 1))
 
-    return _make(y, (x, w), vjp, "conv1d")
+    return _make(y, parents, vjp, "conv1d")
 
 
 def conv1d_transpose(x: Tensor, w: Tensor, stride: int) -> Tensor:
-    """Adjoint of :func:`conv1d_strided`.
+    """Adjoint of a strided conv, channel-major as the decoder runs it.
 
     ``x`` is (B, C_in, T); ``w`` is (C_in, C_out, F).
     Output length is (T - 1) * stride + F.

@@ -1,7 +1,7 @@
 """Shared test utilities: in-place finite differences over model
-parameters, and the one-term oracles that ``lnt`` itself does not use: the
-tanh op (the composed GRU step), the per-anchor contrastive softmax, and
-the DDCL term of a single step and view."""
+parameters, and the oracles that ``lnt`` itself does not use: the tanh op
+(the composed GRU step), the per-anchor contrastive softmax, the DDCL
+term of a single step and view, and the channel-major encoder."""
 
 from typing import Sequence
 
@@ -75,3 +75,46 @@ def ddcl_term(params: ModelParams, views: list[Tensor], c_prev: Tensor, k: int, 
         if m != l
     ]
     return log_softmax_contrast(log_pos, log_negs)
+
+
+def conv1d_channel_major(x: Tensor, w: Tensor, stride: int) -> Tensor:
+    """The strided conv as the encoder ran it channel-major: (B, C_in, T)
+    in, a (B, C_out, t_out) transposed view of a time-major product out."""
+    batch, c_in, t = x.shape
+    c_out, _, f = w.shape
+    t_out = (t - f) // stride + 1
+    last = stride * (t_out - 1)
+    patches = np.empty((batch, c_in, f, t_out), dtype=tn.dtype())
+    for tap in range(f):
+        patches[:, :, tap, :] = x.data[:, :, tap : tap + last + 1 : stride]
+    pmat = patches.transpose(0, 3, 1, 2).reshape(batch * t_out, c_in * f)
+    wmat = w.data.reshape(c_out, c_in * f)
+    y = (pmat @ wmat.T).reshape(batch, t_out, c_out).transpose(0, 2, 1)
+    need_dx = tn._recording(x)
+
+    def vjp(g):
+        gmat = g.transpose(0, 2, 1).reshape(batch * t_out, c_out)
+        dw = (gmat.T @ pmat).reshape(w.shape)
+        if not need_dx:
+            return (None, dw)
+        dpatches = (gmat @ wmat).reshape(batch, t_out, c_in, f).transpose(0, 2, 3, 1)
+        dx = np.zeros((batch, c_in, t), dtype=tn.dtype())
+        for tap in range(f):
+            dx[:, :, tap : tap + last + 1 : stride] += dpatches[:, :, tap, :]
+        return (dx, dw)
+
+    return tn._make(y, (x, w), vjp, "conv1d")
+
+
+def encode_channel_major(params: ModelParams, x: Tensor) -> Tensor:
+    """``model.encode`` as separate conv, bias, relu and transpose records
+    on channel-major activations."""
+    h = x
+    last = len(params.encoder) - 1
+    for i, (w, b) in enumerate(params.encoder):
+        h = conv1d_channel_major(h, w, params.config.strides[i])
+        if b is not None:
+            h = tn.add(h, b)
+        if i < last:
+            h = tn.relu(h)
+    return tn.transpose(h, (0, 2, 1))

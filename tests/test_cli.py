@@ -1,4 +1,5 @@
 import csv
+import ctypes
 import hashlib
 import io
 import json
@@ -141,12 +142,18 @@ def test_train_writes_checkpoint_report_manifest(workspace):
 
 
 def test_manifests_record_environment(workspace):
-    """train and score manifests say which python, numpy, BLAS and thread
-    cap produced them."""
+    """train and score manifests say which python, numpy, BLAS, thread cap
+    and heap policy produced them."""
+    try:
+        has_mallopt = hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        has_mallopt = False
+    heap = {"mmap_threshold": 32 << 20, "trim_threshold": 256 << 20} if has_mallopt else None
     for output in (workspace["model"], workspace["scores"]):
         manifest = json.loads(open(f"{output}.manifest.json").read())
         env = manifest["environment"]
-        assert set(env) == {"python", "numpy", "blas", "blas_version", "lnt_threads"}
+        assert set(env) == {"python", "numpy", "blas", "blas_version", "lnt_threads", "malloc"}
+        assert env["malloc"] == heap
         assert env["python"] == platform.python_version()
         assert env["numpy"] == np.__version__
         assert env["blas"] is None or isinstance(env["blas"], str)

@@ -1,4 +1,5 @@
 import csv
+import io
 from unittest import mock
 
 import numpy as np
@@ -277,6 +278,31 @@ def test_csv_fast_reader_agrees_with_row_reader(tmp_path_factory, case):
         assert (full[1] is None) == (slow[1] is None)
         if slow[1] is not None:
             assert_array_equal(full[1], slow[1])
+
+
+def _lines_reference(text: bytes) -> int:
+    """Lines under universal newlines: \\r\\n, \\r and \\n each end one."""
+    return len(io.StringIO(text.decode(), newline=None).readlines())
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=st.text(alphabet="a,\r\n", max_size=40), block=st.integers(1, 9))
+def test_count_lines_matches_universal_newlines(tmp_path_factory, text, block):
+    path = tmp_path_factory.mktemp("count") / "lines.csv"
+    path.write_bytes(text.encode())
+    with mock.patch.object(data, "COUNT_BLOCK", block):
+        assert data._count_lines(path) == _lines_reference(text.encode())
+
+
+@pytest.mark.parametrize("text", [b"abc\r\ndef", b"abc\r\rdef\r", b"abc\n\r\ndef\n"])
+def test_count_lines_crlf_across_block_boundary(tmp_path, text):
+    """A \\r ending one 4-byte block and the \\n starting the next are one
+    line end."""
+    path = tmp_path / "lines.csv"
+    path.write_bytes(text)
+    with mock.patch.object(data, "COUNT_BLOCK", 4):
+        assert data._count_lines(path) == _lines_reference(text)
+    assert _lines_reference(b"abc\r\ndef") == 2
 
 
 # ---------------------------------------------------------------------------

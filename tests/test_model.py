@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import fd_grad_inplace, rel_err
+from helpers import encode_channel_major, fd_grad_inplace, rel_err
 from lnt import checkpoint as ckpt
 from lnt import model as mdl
 from lnt import tensor as tn
@@ -319,6 +319,38 @@ def test_transform_record_count_independent_of_l():
             mdl.transform(params, z)
         counts.append(len(tape))
     assert counts[0] == counts[1], counts
+
+
+def test_encode_is_one_record_per_layer():
+    """Bias and relu fold into each conv record, and an untracked batch is
+    transposed to time-major without one; a tracked one adds the transpose."""
+    params = mdl.init_params(small(), seed=56)
+    x = np.random.default_rng(57).normal(size=(2, 3, 720))
+    for tracked, expected in ((False, 4), (True, 5)):
+        with tn.Tape() as tape:
+            z = mdl.encode(params, Tensor(x, requires_grad=tracked))
+            assert len(tape) == expected
+        assert z.data.flags.c_contiguous
+
+
+@pytest.mark.parametrize("batch", [1, 2, 5])
+def test_encode_keeps_the_bits_of_the_channel_major_encoder(batch):
+    """The time-major encoder gives the latents and the encoder gradients
+    of the channel-major one, bit for bit, B = 1 included (whose patch and
+    gradient matrices were transposed views there, not copies)."""
+    params = mdl.init_params(small(), seed=58)
+    x = np.random.default_rng(59).normal(size=(batch, 3, 1440)).astype(np.float32)
+    weights = np.random.default_rng(60).normal(size=(batch, 20, 128)).astype(np.float32)
+    runs = []
+    for encode in (mdl.encode, encode_channel_major):
+        with tn.Tape():
+            z = encode(params, Tensor(x))
+            tn.backward(tn.sum_all(tn.mul(z, Tensor(weights))))
+        runs.append([z.data] + [t.grad for w, b in params.encoder for t in (w, b)])
+        for w, b in params.encoder:
+            w.grad = b.grad = None
+    for new, old in zip(*runs):
+        np.testing.assert_array_equal(new, old)
 
 
 def test_contextualize_record_count_independent_of_t():

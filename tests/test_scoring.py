@@ -238,6 +238,20 @@ def test_stage_overflow_raises_naming_the_stage(part, method, stage):
         method(params, x)
 
 
+@pytest.mark.parametrize("value", [np.nan, -3e38])
+def test_first_encoder_layer_nan_or_hidden_neg_inf_raises_at_latents(value):
+    """A NaN weight carries NaN through every relu to the latents check.
+    Weights of -3e38 against a positive input make every pre-activation of
+    the first layer -inf; relu would map them to 0 and the latents would be
+    finite, so the layer's own -inf check raises, naming the stage."""
+    params = tiny_params(seed=32)
+    params.encoder[0][0].data[...] = value
+    x = np.abs(np.random.default_rng(33).normal(size=(2, 300))).astype(np.float32) + 1
+    with pytest.raises(FloatingPointError, match=r"latents at latent steps \d+\.\.\d+"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        sc.score_ddcl(params, x)
+
+
 def test_stage_checks_end_with_the_stage():
     """Outside scoring's stages, every op checks its own output again."""
     with pytest.raises(FloatingPointError, match="non-finite values in exp$"):

@@ -336,36 +336,67 @@ def test_slice_axis_bounds_rejected():
 
 
 def test_conv_trivial_adjacent_pairs():
-    x = Tensor(np.arange(1.0, 11.0).reshape(1, 1, 10))
+    x = Tensor(np.arange(1.0, 11.0).reshape(1, 10, 1))
     w = Tensor(np.ones((1, 1, 2)))
     out = tn.conv1d_strided(x, w, stride=2)
-    np.testing.assert_array_equal(out.data, [[[3.0, 7.0, 11.0, 15.0, 19.0]]])
+    np.testing.assert_array_equal(out.data, [[[3.0], [7.0], [11.0], [15.0], [19.0]]])
 
 
 def test_conv_stack_downsamples_72_to_1():
-    x = Tensor(np.zeros((1, 1, 72)))
-    c = 1
+    x = Tensor(np.zeros((1, 72, 1)))
     for f in (3, 3, 4, 2):
-        w = Tensor(np.zeros((1, c, f)))
-        x = tn.conv1d_strided(x, w, stride=f)
-        c = 1
+        x = tn.conv1d_strided(x, Tensor(np.zeros((1, 1, f))), stride=f)
     assert x.shape == (1, 1, 1)
 
 
 def test_conv_batched_matches_single():
     rng = np.random.default_rng(13)
-    x = rng.normal(size=(4, 2, 15)).astype(np.float32)
+    x = rng.normal(size=(4, 15, 2)).astype(np.float32)
     w = Tensor(rng.normal(size=(3, 2, 4)).astype(np.float32))
     batched = tn.conv1d_strided(Tensor(x), w, stride=3)
+    assert batched.data.flags.c_contiguous
     for i in range(4):
         one = tn.conv1d_strided(Tensor(x[i : i + 1]), w, stride=3)
         np.testing.assert_array_equal(batched.data[i], one.data[0])
 
 
+def _conv_reference(x, w, b, stride, relu):
+    """The cross-correlation as a direct sum over taps, (B, T, C_in) in."""
+    f = w.shape[2]
+    t_out = (x.shape[1] - f) // stride + 1
+    y = np.stack([
+        np.einsum("btc,oc->bto", x[:, tap : tap + stride * (t_out - 1) + 1 : stride], w[:, :, tap])
+        for tap in range(f)
+    ]).sum(0)
+    if b is not None:
+        y = y + b[:, 0]
+    return np.maximum(y, 0.0) if relu else y
+
+
+@pytest.mark.parametrize("stride, f", [(3, 3), (2, 4), (3, 4)])
+@pytest.mark.parametrize("bias", [False, True])
+@pytest.mark.parametrize("relu", [False, True])
+def test_conv_matches_direct_sum_any_input_strides(stride, f, bias, relu):
+    """Time-major output, C-contiguous, from a channel-major input's
+    transposed view as from a contiguous one."""
+    rng = np.random.default_rng(14)
+    x = rng.normal(size=(2, 3, 17))  # (B, C, T), viewed time-major below
+    w = rng.normal(size=(4, 3, f))
+    b = rng.normal(size=(4, 1)) if bias else None
+    expected = _conv_reference(x.transpose(0, 2, 1), w, b, stride, relu)
+    with tn.precision_mode(64):
+        for view in (x.transpose(0, 2, 1), np.ascontiguousarray(x.transpose(0, 2, 1))):
+            xt = Tensor(view)
+            assert xt.data.strides == view.strides
+            out = tn.conv1d_strided(xt, Tensor(w), stride, Tensor(b) if bias else None, relu=relu)
+            assert out.data.flags.c_contiguous
+            np.testing.assert_allclose(out.data, expected, rtol=1e-12, atol=1e-12)
+
+
 def test_conv_grad_fd():
     rng = np.random.default_rng(17)
     arrays = {
-        "x": rng.normal(size=(1, 2, 11)),
+        "x": rng.normal(size=(1, 11, 2)),
         "w": rng.normal(size=(3, 2, 4)),
     }
 
@@ -379,12 +410,35 @@ def test_conv_grad_fd():
 def test_conv_batched_grad_fd():
     rng = np.random.default_rng(19)
     arrays = {
-        "x": rng.normal(size=(2, 2, 9)),
+        "x": rng.normal(size=(2, 9, 2)),
         "w": rng.normal(size=(2, 2, 3)),
     }
 
     def loss(p):
         return tn.sum_all(tn.conv1d_strided(p["x"], p["w"], stride=2))
+
+    check_grads(loss, arrays)
+
+
+@pytest.mark.parametrize("stride, f", [(3, 3), (2, 4)])  # F == stride, F > stride
+@pytest.mark.parametrize("relu", [False, True])
+def test_conv_bias_relu_grad_fd(stride, f, relu):
+    """x, w and the bias against finite differences, with the bias and
+    relu folded into the conv record; weights keep the relu off its kink."""
+    rng = np.random.default_rng(20)
+    arrays = {
+        "x": rng.normal(size=(2, 13, 2)),
+        "w": rng.normal(size=(3, 2, f)),
+        "b": rng.normal(size=(3, 1)),
+    }
+    weights = rng.normal(size=(2, (13 - f) // stride + 1, 3))
+    with tn.precision_mode(64):
+        pre = _conv_reference(arrays["x"], arrays["w"], arrays["b"], stride, False)
+    assert np.abs(pre).min() > 1e-3
+
+    def loss(p):
+        y = tn.conv1d_strided(p["x"], p["w"], stride, p["b"], relu=relu)
+        return tn.sum_all(tn.mul(y, Tensor(weights)))
 
     check_grads(loss, arrays)
 
@@ -406,14 +460,17 @@ def test_conv_transpose_length_and_grad():
 
 
 def test_conv_errors():
-    with pytest.raises(ValueError):
-        tn.conv1d_strided(Tensor(np.ones((1, 1, 3))), Tensor(np.ones((1, 1, 4))), stride=1)
-    with pytest.raises(ValueError):
-        tn.conv1d_strided(Tensor(np.ones((1, 1, 8))), Tensor(np.ones((1, 1, 2))), stride=0)
-    with pytest.raises(ValueError):
-        tn.conv1d_strided(Tensor(np.ones((1, 2, 8))), Tensor(np.ones((1, 3, 2))), stride=1)
-    with pytest.raises(ValueError, match="B,C,T"):  # one unbatched sample
-        tn.conv1d_strided(Tensor(np.ones((1, 8))), Tensor(np.ones((1, 1, 2))), stride=1)
+    with pytest.raises(ValueError, match="shorter"):
+        tn.conv1d_strided(Tensor(np.ones((1, 3, 1))), Tensor(np.ones((1, 1, 4))), stride=1)
+    with pytest.raises(ValueError, match="stride"):
+        tn.conv1d_strided(Tensor(np.ones((1, 8, 1))), Tensor(np.ones((1, 1, 2))), stride=0)
+    with pytest.raises(ValueError, match="channels"):
+        tn.conv1d_strided(Tensor(np.ones((1, 8, 2))), Tensor(np.ones((1, 3, 2))), stride=1)
+    with pytest.raises(ValueError, match="bias"):
+        tn.conv1d_strided(Tensor(np.ones((1, 8, 1))), Tensor(np.ones((2, 1, 2))), stride=1,
+                          bias=Tensor(np.ones(2)))
+    with pytest.raises(ValueError, match="B,T,C"):  # one unbatched sample
+        tn.conv1d_strided(Tensor(np.ones((8, 1))), Tensor(np.ones((1, 1, 2))), stride=1)
     with pytest.raises(ValueError, match="3-D"):
         tn.conv1d_transpose(Tensor(np.ones((1, 8))), Tensor(np.ones((1, 1, 2))), stride=1)
 
@@ -427,10 +484,10 @@ def test_conv_errors():
 def test_conv_output_length_property(t, f, stride):
     if f > t:
         with pytest.raises(ValueError):
-            tn.conv1d_strided(Tensor(np.ones((1, 1, t))), Tensor(np.ones((1, 1, f))), stride)
+            tn.conv1d_strided(Tensor(np.ones((1, t, 1))), Tensor(np.ones((1, 1, f))), stride)
         return
-    out = tn.conv1d_strided(Tensor(np.ones((1, 1, t))), Tensor(np.ones((1, 1, f))), stride)
-    assert out.shape == (1, 1, (t - f) // stride + 1)
+    out = tn.conv1d_strided(Tensor(np.ones((1, t, 1))), Tensor(np.ones((1, 1, f))), stride)
+    assert out.shape == (1, (t - f) // stride + 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -900,7 +957,7 @@ def test_other_thread_does_not_record():
 
 def test_ops_are_pure():
     rng = np.random.default_rng(59)
-    x = rng.normal(size=(1, 3, 4)).astype(np.float32)
+    x = rng.normal(size=(1, 4, 3)).astype(np.float32)
     w = rng.normal(size=(2, 3, 2)).astype(np.float32)
     xc, wc = x.copy(), w.copy()
     a = tn.conv1d_strided(Tensor(x), Tensor(w), stride=2)
@@ -929,6 +986,31 @@ def test_nonfinite_input_rejected():
         Tensor([1.0, np.inf])
     with pytest.raises(FloatingPointError):
         Tensor([np.nan])
+
+
+def test_relu_checks_its_input_for_neg_inf_only():
+    """relu hides -inf alone: a -inf pre-activation raises in a conv with
+    relu folded in (under a tape, under a stage naming it, and with
+    neither) and in relu under a stage; NaN and +inf pass relu and are
+    left to the stage's check."""
+    x = Tensor(np.full((1, 2, 1), 3e38))  # (B, T, C)
+    w = Tensor(np.full((1, 1, 1), -3e38))
+    with np.errstate(over="ignore"):
+        with Tape(), pytest.raises(FloatingPointError, match="conv1d pre-activation$"):
+            tn.conv1d_strided(x, w, 1, relu=True)
+        with pytest.raises(FloatingPointError, match=r"conv1d pre-activation \(latents\)$"):
+            with tn.stage("latents"):
+                tn.conv1d_strided(x, w, 1, relu=True)
+        with pytest.raises(FloatingPointError, match="conv1d pre-activation$"):
+            tn.conv1d_strided(x, w, 1, relu=True)
+        with pytest.raises(FloatingPointError, match=r"relu input \(bank\)$"):
+            with tn.stage("bank"):
+                tn.relu(tn.scale(Tensor([1.0, -3e38]), 10.0))
+        with tn.stage("bank"):
+            for value in (3e38, np.nan):
+                out = tn.relu(tn.scale(Tensor([10.0]), value))
+                with pytest.raises(FloatingPointError, match="bank"):
+                    tn.check_stage(out)
 
 
 def test_nonfinite_op_output_rejected():

@@ -1,3 +1,8 @@
+import json
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -187,16 +192,17 @@ def test_train_step_reduces_loss_on_fixed_batch():
 
 
 def test_train_step_small_record_budget():
-    """A `small` train step stays under 200 tape records (193 now): the GRU
-    context is 7 records at any sequence length (the recurrence was about
-    20 per latent step, and stacking its weights took 11 more), and the
-    stacked bank costs 12 records (one MLP per transform cost 84)."""
+    """A `small` train step makes at most 185 tape records: the GRU context
+    is 7 records at any sequence length (the recurrence was about 20 per
+    latent step, and stacking its weights took 11 more), the stacked bank
+    costs 12 records (one MLP per transform cost 84), and the encoder one
+    per layer (12 with separate bias, relu and transpose records)."""
     params = init_params(small_config(), seed=0)
     x = Tensor(np.random.default_rng(1).normal(size=(2, 3, 720)))
     with Tape() as tape:
         unified_loss(params, x, LossConfig(), np.random.default_rng(2))
         records = len(tape)
-    assert records <= 200, records
+    assert records <= 185, records
 
 
 def test_tape_records_hold_no_tensors():
@@ -234,6 +240,44 @@ def test_train_step_small_memory_budget():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20, peak / 2**20
+
+
+_FAULTS_SCRIPT = textwrap.dedent("""
+    import json, resource
+    import lnt.cli  # applies the heap policy
+    import numpy as np
+    from lnt import tensor as tn
+    from lnt.losses import LossConfig
+    from lnt.model import init_params, small_config
+    from lnt.training import Adam, TrainConfig, train_step, trainable_parameters
+
+    cfg = small_config()
+    params = init_params(cfg, seed=0)
+    rng = np.random.default_rng(0)
+    batch = rng.normal(size=(32, cfg.in_channels, cfg.sub_seq)).astype(tn.dtype())
+    adam = Adam(trainable_parameters(params), TrainConfig())
+    faults = []
+    for _ in range(7):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        train_step(params, batch, LossConfig(), adam, rng, 5.0)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    print(json.dumps({"malloc": lnt.cli.environment()["malloc"], "faults": faults}))
+""")
+
+
+def test_train_step_keeps_its_heap_mapped():
+    """Once `lnt.cli` has set glibc's heap policy, `small` B=32 steps after
+    two warm-up steps take a median of at most 500 minor page faults
+    (about 6,800 when glibc trimmed the freed working set after every
+    backward and the next step faulted it back in)."""
+    src = os.path.dirname(os.path.dirname(tn.__file__))
+    env = dict(os.environ, LNT_THREADS="1", PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", _FAULTS_SCRIPT], env=env,
+                         capture_output=True, text=True, check=True)
+    result = json.loads(out.stdout)
+    if result["malloc"] is None:
+        pytest.skip("libc has no mallopt")
+    assert float(np.median(result["faults"][2:])) <= 500, result["faults"]
 
 
 def test_fit_is_bitwise_reproducible():

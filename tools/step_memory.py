@@ -10,6 +10,15 @@ B=32, one BLAS thread), timing every call of ``training.train_step``.
 Prints one JSON line with the median wall time and the median minor page
 faults (``getrusage``) of the last epoch's steps, and the ``tracemalloc``
 live size after one B=32 forward pass and its peak through the backward.
+
+The measured process imports ``lnt.cli``, so it runs under the heap
+policy that import sets (glibc ``mallopt``: no trimming below 256 MiB
+free, no mmap below 32 MiB).  With it a step takes no page faults once
+the heap has grown to the step's working set; without it (libc has no
+``mallopt``, or a checkout from before the policy) glibc trims the freed
+working set after every backward and the next step faults it back in,
+about 7,000 minor faults per step.  The allocation peak does not depend
+on the policy: ``tracemalloc`` counts live Python allocations, not pages.
 """
 
 from __future__ import annotations
