@@ -106,6 +106,14 @@ _TRAIN_KEYS = {
     "window_stride": int,
 }
 
+_TRAIN_HELP = {
+    "lam": f"DDCL weight lambda in the unified loss (default {TrainConfig.lam:g})",
+    "cpc_weight": "CPC weight in the unified loss; 0 trains the DDCL alone "
+                  f"(default {TrainConfig.cpc_weight:g})",
+    "negatives": "CPC contrast size N: each positive against N-1 negatives "
+                 f"(default {TrainConfig.negatives})",
+}
+
 
 def parse_config_file(path) -> dict[str, str]:
     """key = value lines; # starts a comment."""
@@ -419,7 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="checkpoint path to write")
     p.add_argument("--report", default=None, help="epoch report CSV path")
     for key, caster in _TRAIN_KEYS.items():
-        p.add_argument(f"--{key.replace('_', '-')}", type=caster, default=None)
+        p.add_argument(f"--{key.replace('_', '-')}", type=caster, default=None,
+                       help=_TRAIN_HELP.get(key))
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("score", parents=[common], help="score a series")

@@ -11,12 +11,11 @@
 
 Boundary terms are skipped (CPC needs t+k inside the sequence, DDCL needs
 t-k >= first step) and each loss is the mean over its valid terms.
+lambda, cpc_weight and N are keyword arguments without defaults (their
+defaults live in ``training.TrainConfig``); K and L come from the model.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,27 +23,6 @@ from . import model as mdl
 from . import tensor as tn
 from .model import ModelParams
 from .tensor import Tensor
-
-
-@dataclass(frozen=True)
-class LossConfig:
-    """Balance lambda and contrast size N; K and L come from the model.
-
-    ``cpc_weight`` scales the CPC part of the unified loss; zero gives the
-    DDCL-only regime used to demonstrate manifold collapse.
-    """
-
-    lam: float = 1e-3
-    N: int = 16
-    cpc_weight: float = 1.0
-
-    def __post_init__(self):
-        for name in ("lam", "cpc_weight"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        if self.N < 2:
-            raise ValueError("N must be >= 2")
 
 
 def _shifted(seq: Tensor, start: int, stop: int) -> Tensor:
@@ -69,10 +47,12 @@ def sample_negatives(
 
 
 def cpc_loss(
-    params: ModelParams, z: Tensor, c: Tensor, cfg: LossConfig,
-    rng: np.random.Generator,
+    params: ModelParams, z: Tensor, c: Tensor, rng: np.random.Generator, *, N: int,
 ) -> Tensor:
-    """Mean contrastive term over the (B,T_z,·) batch, valid t, and k = 1..K."""
+    """Mean contrastive term over the (B,T_z,·) batch, valid t, and k = 1..K;
+    each positive is contrasted in a set of N (N - 1 negatives)."""
+    if N < 2:
+        raise ValueError(f"N must be >= 2, got {N}")
     batch, t_z, dim_z = z.shape
     K = params.config.K
     if t_z <= K:
@@ -86,7 +66,7 @@ def cpc_loss(
         pos_idx = (np.arange(batch)[:, None] * t_z + np.arange(k, t_z)[None, :]).ravel()
         pred = mdl.predict_rows(params, _shifted(c, 0, t_z - k), k)
         pos_logit = tn.sum_last(tn.mul(pred, _shifted(z, k, t_z)))
-        neg_idx = sample_negatives(rng, len(pos_idx), n_pos, pos_idx, cfg.N - 1)
+        neg_idx = sample_negatives(rng, len(pos_idx), n_pos, pos_idx, N - 1)
         neg_logit = tn.gather_last(tn.matmul(pred, z_cols), neg_idx)
         logits = tn.concat([pos_logit, neg_logit], axis=1)
         k_sum = tn.sum_all(tn.sub(tn.logsumexp_last(logits), pos_logit))
@@ -156,12 +136,14 @@ def ddcl_loss(params: ModelParams, z: Tensor, c: Tensor) -> Tensor:
 
 
 def unified_loss(
-    params: ModelParams, x: Tensor, cfg: LossConfig, rng: np.random.Generator,
+    params: ModelParams, x: Tensor, rng: np.random.Generator, *,
+    lam: float, cpc_weight: float, N: int,
 ) -> tuple[Tensor, Tensor, Tensor]:
-    """(total, cpc_part, ddcl_part) on a raw batch; total = w*cpc + lam*ddcl."""
+    """(total, cpc_part, ddcl_part) on a raw batch; total = cpc_weight*cpc +
+    lam*ddcl, and N is the CPC contrast size."""
     z = mdl.encode(params, x)
     c = mdl.contextualize(params, z)
-    cpc = cpc_loss(params, z, c, cfg, rng)
+    cpc = cpc_loss(params, z, c, rng, N=N)
     ddcl = ddcl_loss(params, z, c)
-    total = tn.add(tn.scale(cpc, cfg.cpc_weight), tn.scale(ddcl, cfg.lam))
+    total = tn.add(tn.scale(cpc, cpc_weight), tn.scale(ddcl, lam))
     return total, cpc, ddcl

@@ -357,32 +357,3 @@ def decode(params: ModelParams, z: Tensor) -> Tensor:
             h = tn.relu(h)
     return tn.slice_axis(h, 0, t_z * cfg.downsample, axis=-1)
 
-
-def constant_model(
-    dim_z: int,
-    dim_c: int,
-    a,
-    b,
-    channels: int = 1,
-    K: int = 4,
-    L: int = 12,
-) -> ModelParams:
-    """A model whose encoder always emits ``a`` and context always ``b``.
-
-    All multiplicative weights are zero; the final conv bias carries ``a``
-    and the context output bias carries ``b`` (the recurrent state stays
-    exactly zero under zero weights).  All K heads hold the same fixed
-    matrix, so every DDCL term is bitwise identical across t and k.
-    """
-    a = np.asarray(a, dtype=float).reshape(-1)
-    b = np.asarray(b, dtype=float).reshape(-1)
-    if a.size != dim_z or b.size != dim_c:
-        raise ValueError("a must have dim_z entries and b dim_c entries")
-    params = init_params(ModelConfig(in_channels=channels, dim_z=dim_z, dim_c=dim_c, K=K, L=L), 0)
-    for t in params.named_parameters().values():
-        t.data[...] = 0
-    params.encoder[-1][1].data[:, 0] = a
-    params.context.out_bias.data[...] = b
-    for w in params.heads:
-        w.data[...] = np.eye(dim_z, dim_c)
-    return params

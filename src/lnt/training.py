@@ -1,24 +1,30 @@
-"""Joint CPC+DDCL training loop: Adam, global-norm clipping, seeded epoch
-shuffling.  Same seed and data give bitwise-identical parameters.
+"""Joint CPC+DDCL training and the decoder fit: one checked Adam step with
+global-norm clipping, one loop of seeded epoch shuffling.  Same seed and
+data give bitwise-identical parameters.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import model as mdl
 from . import tensor as tn
-from .losses import LossConfig, unified_loss
+from .losses import unified_loss
 from .model import ModelParams
 from .tensor import Tape, Tensor, backward
 
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Optimiser and loss settings.  ``lam`` weighs the DDCL and
+    ``cpc_weight`` the CPC term of the unified loss (zero gives the
+    DDCL-only regime of manifold collapse); ``negatives`` is the CPC
+    contrast size N, one positive and N - 1 negatives."""
+
     lr: float = 2e-4
     batch_size: int = 32
     epochs: int = 20
@@ -112,19 +118,18 @@ def trainable_parameters(params: ModelParams) -> dict[str, Tensor]:
     }
 
 
-def train_step(
-    params: ModelParams,
-    batch: np.ndarray,
-    loss_cfg: LossConfig,
-    adam: Adam,
-    rng: np.random.Generator,
-    clip_norm: float,
-) -> tuple[float, float, float, float]:
-    """One optimizer step on a (B,C,T) batch; returns cpc, ddcl, total,
-    pre-clip grad norm."""
+def train_step(adam: Adam, loss_fn, clip_norm: float) -> tuple[float, ...]:
+    """One Adam step on the parameters ``adam`` holds.
+
+    ``loss_fn()`` runs on a fresh tape and returns scalar tensors, the
+    first of which is backpropagated.  Every parameter must get a finite
+    gradient; the gradients are clipped to global norm ``clip_norm``
+    (``math.inf`` for none).  Returns the outputs' values and the pre-clip
+    norm.
+    """
     with Tape():
-        total, cpc, ddcl = unified_loss(params, Tensor(batch), loss_cfg, rng)
-        backward(total)
+        outputs = loss_fn()
+        backward(outputs[0])
     grads = {}
     for name, tensor in adam.params.items():
         g = tensor.grad
@@ -136,14 +141,37 @@ def train_step(
         tensor.grad = None
     norm = clip_grads_(grads, clip_norm)
     adam.step(grads)
-    return cpc.item(), ddcl.item(), total.item(), norm
+    return tuple(t.item() for t in outputs) + (norm,)
 
 
-def _stack_windows(windows) -> np.ndarray:
-    batch = np.asarray(windows, dtype=tn.dtype())
-    if batch.ndim != 3:
-        raise ValueError(f"windows must stack to (n, channels, time), got {batch.shape}")
-    return batch
+def _epochs(windows, make_loss, adam: Adam, rng: np.random.Generator,
+            epochs: int, batch_size: int, clip_norm: float):
+    """Train over a seeded permutation of the (n, C, T) windows per epoch;
+    yields each epoch's index, mean step values and wall seconds.
+
+    ``make_loss(data)`` gets the windows as one array and returns the loss
+    function of a mini-batch, given its rows' indices.
+    """
+    data = np.asarray(windows, dtype=tn.dtype())
+    if data.ndim != 3 or not len(data):
+        raise ValueError(f"windows must stack to (n >= 1, channels, time), got {data.shape}")
+    batch_loss = make_loss(data)
+    for epoch in range(epochs):
+        started = time.perf_counter()
+        order = rng.permutation(len(data))
+        sums = 0.0
+        steps = 0
+        for lo in range(0, len(data), batch_size):
+            idx = order[lo : lo + batch_size]
+            try:
+                values = train_step(adam, lambda: batch_loss(idx), clip_norm)
+            except FloatingPointError as err:
+                raise FloatingPointError(
+                    f"aborting at epoch {epoch} step {steps}: {err}"
+                ) from err
+            sums += np.array(values)
+            steps += 1
+        yield epoch, sums / steps, time.perf_counter() - started
 
 
 def fit(
@@ -153,38 +181,20 @@ def fit(
     on_epoch=None,
 ) -> list[EpochStats]:
     """Train in place over shuffled mini-batches of fixed-length windows."""
-    data = _stack_windows(windows)
-    n = data.shape[0]
-    loss_cfg = LossConfig(lam=cfg.lam, N=cfg.negatives, cpc_weight=cfg.cpc_weight)
     adam = Adam(trainable_parameters(params), cfg)
     rng = np.random.default_rng(cfg.seed)
-    stats: list[EpochStats] = []
-    for epoch in range(cfg.epochs):
-        started = time.perf_counter()
-        order = rng.permutation(n)
-        sums = np.zeros(4)
-        steps = 0
-        for lo in range(0, n, cfg.batch_size):
-            batch = data[order[lo : lo + cfg.batch_size]]
-            try:
-                metrics = train_step(
-                    params, batch, loss_cfg, adam, rng, cfg.clip_norm
-                )
-            except FloatingPointError as err:
-                raise FloatingPointError(
-                    f"aborting at epoch {epoch} step {steps}: {err}"
-                ) from err
-            sums += metrics
-            steps += 1
-        mean = sums / max(steps, 1)
-        entry = EpochStats(
-            epoch=epoch,
-            cpc=float(mean[0]),
-            ddcl=float(mean[1]),
-            total=float(mean[2]),
-            grad_norm=float(mean[3]),
-            seconds=time.perf_counter() - started,
+
+    def make_loss(data):
+        return lambda idx: unified_loss(
+            params, Tensor(data[idx]), rng,
+            lam=cfg.lam, cpc_weight=cfg.cpc_weight, N=cfg.negatives,
         )
+
+    stats: list[EpochStats] = []
+    for epoch, (total, cpc, ddcl, norm), seconds in _epochs(
+        windows, make_loss, adam, rng, cfg.epochs, cfg.batch_size, cfg.clip_norm
+    ):
+        entry = EpochStats(epoch, float(cpc), float(ddcl), float(total), float(norm), seconds)
         stats.append(entry)
         if on_epoch is not None:
             on_epoch(entry)
@@ -213,37 +223,29 @@ def fit_decoder(
 ) -> list[float]:
     """Train only the decoder to invert frozen latents; returns per-epoch MSE.
 
-    Encoder/context/heads/bank are untouched: latents are computed off-tape
-    and treated as constants.
+    Encoder/context/heads/bank are untouched: each window's latents are
+    computed once, off-tape at B=1, and treated as constants.  Steps take
+    one window at a time, unclipped.
     """
     if params.decoder is None:
         raise ValueError("model has no decoder; call init_decoder first")
-    data = _stack_windows(windows)
-    r = params.config.downsample
-    named = {
+    decoder = {
         n: t for n, t in params.named_parameters().items()
         if n.startswith("decoder.")
     }
-    adam = Adam(named, TrainConfig(lr=lr, epochs=epochs, seed=seed))
-    latents = [mdl.encode(params, Tensor(data[i : i + 1])).data.copy() for i in range(len(data))]
+    adam = Adam(decoder, TrainConfig(lr=lr, epochs=epochs, seed=seed))
+
+    def make_loss(data):
+        latents = np.concatenate(
+            [mdl.encode(params, Tensor(data[i : i + 1])).data for i in range(len(data))]
+        )
+        frames = latents.shape[1] * params.config.downsample
+
+        def loss(idx):
+            err = tn.sub(mdl.decode(params, Tensor(latents[idx])), Tensor(data[idx, :, :frames]))
+            return (tn.mean_all(tn.mul(err, err)),)
+
+        return loss
+
     rng = np.random.default_rng(seed)
-    history: list[float] = []
-    for _ in range(epochs):
-        order = rng.permutation(len(latents))
-        total = 0.0
-        for i in order:
-            z = latents[i]
-            target = Tensor(np.ascontiguousarray(data[i : i + 1, :, : z.shape[1] * r]))
-            with Tape():
-                recon = mdl.decode(params, Tensor(z))
-                err = tn.sub(recon, target)
-                loss = tn.mean_all(tn.mul(err, err))
-                backward(loss)
-            grads = {}
-            for name, tensor in named.items():
-                grads[name] = tensor.grad
-                tensor.grad = None
-            adam.step(grads)
-            total += loss.item()
-        history.append(total / len(latents))
-    return history
+    return [float(mean[0]) for _, mean, _ in _epochs(windows, make_loss, adam, rng, epochs, 1, math.inf)]

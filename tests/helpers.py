@@ -1,7 +1,8 @@
-"""Shared test utilities: in-place finite differences over model
-parameters, and the oracles that ``lnt`` itself does not use: the tanh op
-(the composed GRU step), the per-anchor contrastive softmax, the DDCL
-term of a single step and view, and the channel-major encoder."""
+"""Shared test utilities: the tiny desk model, the constant model, in-place
+finite differences over model parameters, and the oracles that ``lnt``
+itself does not use: the tanh op (the composed GRU step), the per-anchor
+contrastive softmax, the DDCL term of a single step and view, and the
+channel-major encoder."""
 
 from typing import Sequence
 
@@ -11,6 +12,21 @@ from lnt import model as mdl
 from lnt import tensor as tn
 from lnt.model import ModelParams
 from lnt.tensor import Tensor
+
+
+def tiny_config(**over) -> mdl.ModelConfig:
+    """Desk-size model: 2 channels, dim_z=8, dim_c=4, K=2, L=3, r=rf=6."""
+    base = dict(
+        in_channels=2, dim_z=8, dim_c=4, K=2, L=3,
+        filters=(3, 2), strides=(3, 2), bank_layers=2, bank_width=5,
+        sub_seq=48,
+    )
+    base.update(over)
+    return mdl.ModelConfig(**base)
+
+
+def tiny_params(seed: int = 0, **over) -> ModelParams:
+    return mdl.init_params(tiny_config(**over), seed=seed)
 
 
 def fd_grad_inplace(loss_fn, arr: np.ndarray, eps: float = 1e-4) -> np.ndarray:
@@ -118,3 +134,34 @@ def encode_channel_major(params: ModelParams, x: Tensor) -> Tensor:
         if i < last:
             h = tn.relu(h)
     return tn.transpose(h, (0, 2, 1))
+
+
+def constant_model(
+    dim_z: int,
+    dim_c: int,
+    a,
+    b,
+    channels: int = 1,
+    K: int = 4,
+    L: int = 12,
+) -> ModelParams:
+    """A model whose encoder always emits ``a`` and context always ``b``.
+
+    All multiplicative weights are zero; the final conv bias carries ``a``
+    and the context output bias carries ``b`` (the recurrent state stays
+    exactly zero under zero weights).  All K heads hold the same fixed
+    matrix, so every DDCL term is bitwise identical across t and k.
+    """
+    a = np.asarray(a, dtype=float).reshape(-1)
+    b = np.asarray(b, dtype=float).reshape(-1)
+    if a.size != dim_z or b.size != dim_c:
+        raise ValueError("a must have dim_z entries and b dim_c entries")
+    params = mdl.init_params(
+        mdl.ModelConfig(in_channels=channels, dim_z=dim_z, dim_c=dim_c, K=K, L=L), 0)
+    for t in params.named_parameters().values():
+        t.data[...] = 0
+    params.encoder[-1][1].data[:, 0] = a
+    params.context.out_bias.data[...] = b
+    for w in params.heads:
+        w.data[...] = np.eye(dim_z, dim_c)
+    return params

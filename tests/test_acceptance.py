@@ -9,7 +9,7 @@ import math
 import time
 
 import numpy as np
-from helpers import ddcl_term, fd_grad_inplace, rel_err
+from helpers import constant_model, ddcl_term, fd_grad_inplace, rel_err, tiny_config
 
 from lnt import checkpoint as ckpt
 from lnt import cli
@@ -25,17 +25,6 @@ from lnt.tensor import Tape, Tensor, backward
 DETECTION_SEEDS = (0, 1, 2)
 
 
-def tiny_config(**over):
-    """Desk-size model: 2 channels, dim_z=8, dim_c=4, K=2, L=3, r=rf=6."""
-    base = dict(
-        in_channels=2, dim_z=8, dim_c=4, K=2, L=3,
-        filters=(3, 2), strides=(3, 2), bank_layers=2, bank_width=5,
-        sub_seq=48,
-    )
-    base.update(over)
-    return mdl.ModelConfig(**base)
-
-
 # ---------------------------------------------------------------------------
 # 1. gradient correctness
 
@@ -44,18 +33,17 @@ def test_criterion_1_autodiff_matches_finite_differences():
     started = time.perf_counter()
     with tn.precision_mode(64):
         params = mdl.init_params(tiny_config(separate_ddcl_heads=True), seed=0)
-        cfg = ls.LossConfig(N=8, lam=0.5)
         # batch 2, T=48 -> T_z=8
         x = np.random.default_rng(1).normal(size=(2, 2, 48))
 
         def loss_value():
             total, _, _ = ls.unified_loss(
-                params, Tensor(x), cfg, np.random.default_rng(5))
+                params, Tensor(x), np.random.default_rng(5), lam=0.5, cpc_weight=1.0, N=8)
             return total.item()
 
         with Tape():
             total, _, _ = ls.unified_loss(
-                params, Tensor(x), cfg, np.random.default_rng(5))
+                params, Tensor(x), np.random.default_rng(5), lam=0.5, cpc_weight=1.0, N=8)
             backward(total)
         named = params.named_parameters()
         analytic = {name: t.grad.copy() for name, t in named.items()}
@@ -83,11 +71,10 @@ def test_criterion_2_contrastive_closed_forms():
     with tn.precision_mode(64):
         # (a) identical latents everywhere: every logit ties -> loss = log N
         params = mdl.init_params(tiny_config(), seed=0)
-        cfg = ls.LossConfig(N=16)
         row = np.random.default_rng(0).normal(size=8)
         z = Tensor(np.tile(row, (2, 6, 1)))
         c = Tensor(np.random.default_rng(1).normal(size=(2, 6, 4)))
-        cpc = ls.cpc_loss(params, z, c, cfg, np.random.default_rng(2)).item()
+        cpc = ls.cpc_loss(params, z, c, np.random.default_rng(2), N=16).item()
         cpc_gap = abs(cpc - math.log(16))
         assert cpc_gap <= 1e-6
 
@@ -98,7 +85,7 @@ def test_criterion_2_contrastive_closed_forms():
         b = np.random.default_rng(3).normal(size=4)
         a = np.zeros(8)
         a[:4] = b
-        const = mdl.constant_model(8, 4, a, b, channels=1, K=2, L=3)
+        const = constant_model(8, 4, a, b, channels=1, K=2, L=3)
         x1 = Tensor(np.random.default_rng(4).normal(size=(1, 1, 600)))
         zt = mdl.encode(const, x1)
         ct = mdl.contextualize(const, zt)
@@ -127,7 +114,7 @@ def test_criterion_3_constant_model_terms_and_scores():
     rng = np.random.default_rng(0)
     a = rng.normal(size=6)
     b = rng.normal(size=5)
-    const = mdl.constant_model(6, 5, a, b, channels=2, K=3, L=4)
+    const = constant_model(6, 5, a, b, channels=2, K=3, L=4)
     cfg = const.config
 
     values = []

@@ -5,32 +5,13 @@ import math
 
 import numpy as np
 import pytest
-from helpers import ddcl_term, fd_grad_inplace, rel_err
+from helpers import constant_model, ddcl_term, fd_grad_inplace, rel_err, tiny_params
 
 from lnt import losses as ls
 from lnt import model as mdl
 from lnt import tensor as tn
 from lnt.tensor import Tensor
-
-
-def tiny_params(dim_z=8, dim_c=4, K=2, L=3, seed=0, **over):
-    cfg = mdl.ModelConfig(
-        in_channels=2, dim_z=dim_z, dim_c=dim_c, K=K, L=L,
-        filters=(3, 2), strides=(3, 2), bank_layers=2, bank_width=5,
-        sub_seq=48, **over,
-    )
-    return mdl.init_params(cfg, seed=seed)
-
-
-def test_loss_config_validation():
-    with pytest.raises(ValueError):
-        ls.LossConfig(lam=-0.1)
-    with pytest.raises(ValueError):
-        ls.LossConfig(N=1)
-    for field in ("lam", "cpc_weight"):
-        for value in (np.nan, np.inf, -1.0):
-            with pytest.raises(ValueError, match=f"{field} must be finite and >= 0, got {value}"):
-                ls.LossConfig(**{field: value})
+from lnt.training import TrainConfig
 
 
 def test_sample_negatives_excludes_positive():
@@ -58,21 +39,19 @@ def test_sample_negatives_deterministic():
 
 def test_cpc_all_z_identical_gives_log_n():
     params = tiny_params()
-    cfg = ls.LossConfig(N=16)
     z = Tensor(np.tile(np.linspace(-1, 1, 8, dtype=np.float32), (2, 6, 1)))
     c = Tensor(np.random.default_rng(1).normal(size=(2, 6, 4)).astype(np.float32))
-    loss = ls.cpc_loss(params, z, c, cfg, np.random.default_rng(2))
+    loss = ls.cpc_loss(params, z, c, np.random.default_rng(2), N=16)
     assert loss.item() == pytest.approx(math.log(16), rel=1e-6)
 
 
 def test_cpc_matches_naive_oracle():
     with tn.precision_mode(64):
         params = tiny_params(seed=3)
-        cfg = ls.LossConfig(N=4)
         rng = np.random.default_rng(11)
         z = rng.normal(size=(2, 5, 8))
         c = rng.normal(size=(2, 5, 4))
-        loss = ls.cpc_loss(params, Tensor(z), Tensor(c), cfg, np.random.default_rng(42)).item()
+        loss = ls.cpc_loss(params, Tensor(z), Tensor(c), np.random.default_rng(42), N=4).item()
 
         heads = [w.data for w in params.heads]
         z_flat = z.reshape(10, 8)
@@ -94,7 +73,6 @@ def test_cpc_matches_naive_oracle():
 def test_cpc_monotone_in_positive_logit():
     """Raising the positive logit (negatives fixed) strictly lowers the loss."""
     params = tiny_params(K=1, seed=5)
-    cfg = ls.LossConfig(N=2)
     rng = np.random.default_rng(6)
     z0 = rng.normal(size=8).astype(np.float32)
     c_arr = rng.normal(size=(1, 2, 4)).astype(np.float32)
@@ -103,28 +81,34 @@ def test_cpc_monotone_in_positive_logit():
     for alpha in (0.0, 0.5, 2.0):
         z = np.stack([z0, z0 + alpha * pred.astype(np.float32)])[None]
         # single anchor: positive is step 1, the only negative is step 0
-        val = ls.cpc_loss(params, Tensor(z), Tensor(c_arr), cfg, np.random.default_rng(8)).item()
+        val = ls.cpc_loss(params, Tensor(z), Tensor(c_arr), np.random.default_rng(8), N=2).item()
         losses.append(val)
     assert losses[0] > losses[1] > losses[2]
 
 
 def test_cpc_rejects_short_sequences():
     params = tiny_params(K=2)
-    cfg = ls.LossConfig()
     z = Tensor(np.zeros((1, 2, 8)))
     c = Tensor(np.zeros((1, 2, 4)))
     with pytest.raises(ValueError):
-        ls.cpc_loss(params, z, c, cfg, np.random.default_rng(0))
+        ls.cpc_loss(params, z, c, np.random.default_rng(0), N=16)
+
+
+def test_cpc_rejects_contrast_size_below_two():
+    params = tiny_params()
+    z = Tensor(np.zeros((1, 4, 8)))
+    c = Tensor(np.zeros((1, 4, 4)))
+    with pytest.raises(ValueError, match="N must be >= 2, got 1"):
+        ls.cpc_loss(params, z, c, np.random.default_rng(0), N=1)
 
 
 def test_cpc_deterministic_given_seed():
     params = tiny_params(seed=9)
-    cfg = ls.LossConfig(N=8)
     rng = np.random.default_rng(10)
     z = Tensor(rng.normal(size=(2, 6, 8)).astype(np.float32))
     c = Tensor(rng.normal(size=(2, 6, 4)).astype(np.float32))
-    a = ls.cpc_loss(params, z, c, cfg, np.random.default_rng(3)).item()
-    b = ls.cpc_loss(params, z, c, cfg, np.random.default_rng(3)).item()
+    a = ls.cpc_loss(params, z, c, np.random.default_rng(3), N=8).item()
+    b = ls.cpc_loss(params, z, c, np.random.default_rng(3), N=8).item()
     assert a == b
 
 
@@ -232,7 +216,7 @@ def test_ddcl_loss_uniform_l2_gives_log_2():
     b = np.random.default_rng(29).normal(size=4)
     a = np.zeros(8)
     a[:4] = b  # aligned with the identity-like shared head
-    params = mdl.constant_model(8, 4, a, b, K=2, L=2)
+    params = constant_model(8, 4, a, b, K=2, L=2)
     z = Tensor(np.tile(a, (1, 5, 1)))
     c = Tensor(np.tile(b, (1, 5, 1)))
     loss = ls.ddcl_loss(params, z, c)
@@ -261,7 +245,7 @@ def test_ddcl_loss_skips_invalid_k_and_rejects_empty():
 def test_ddcl_loss_constant_model_input_invariant():
     rng = np.random.default_rng(47)
     a, b = rng.normal(size=8), rng.normal(size=4)
-    params = mdl.constant_model(8, 4, a, b, channels=1, K=2, L=3)
+    params = constant_model(8, 4, a, b, channels=1, K=2, L=3)
     vals = []
     for seed in (1, 2):
         x = Tensor(np.random.default_rng(seed).normal(size=(2, 1, 144)))
@@ -290,26 +274,27 @@ def test_ddcl_loss_small_record_budget():
 
 def test_unified_lambda_zero_equals_cpc():
     params = tiny_params(seed=53)
-    cfg = ls.LossConfig(lam=0.0)
     x = Tensor(np.random.default_rng(59).normal(size=(2, 2, 96)).astype(np.float32))
-    total, cpc, ddcl = ls.unified_loss(params, x, cfg, np.random.default_rng(1))
+    total, cpc, ddcl = ls.unified_loss(
+        params, x, np.random.default_rng(1), lam=0.0, cpc_weight=1.0, N=16)
     assert total.item() == cpc.item()
     assert ddcl.item() > 0.0
 
 
 def test_unified_default_lambda_sum():
     params = tiny_params(seed=61)
-    cfg = ls.LossConfig()  # lam = 1e-3
+    d = TrainConfig()  # lam = 1e-3
     x = Tensor(np.random.default_rng(67).normal(size=(2, 2, 96)).astype(np.float32))
-    total, cpc, ddcl = ls.unified_loss(params, x, cfg, np.random.default_rng(2))
+    total, cpc, ddcl = ls.unified_loss(
+        params, x, np.random.default_rng(2), lam=d.lam, cpc_weight=d.cpc_weight, N=d.negatives)
     assert total.item() == pytest.approx(cpc.item() + 1e-3 * ddcl.item(), rel=1e-6)
 
 
 def test_unified_cpc_weight_zero():
     params = tiny_params(seed=71)
-    cfg = ls.LossConfig(lam=1.0, cpc_weight=0.0)
     x = Tensor(np.random.default_rng(73).normal(size=(2, 2, 96)).astype(np.float32))
-    total, cpc, ddcl = ls.unified_loss(params, x, cfg, np.random.default_rng(3))
+    total, cpc, ddcl = ls.unified_loss(
+        params, x, np.random.default_rng(3), lam=1.0, cpc_weight=0.0, N=16)
     assert total.item() == ddcl.item()
     assert cpc.item() > 0.0
 
@@ -319,10 +304,10 @@ def test_unified_uniform_case_log_n_plus_log_l():
     b = rng.normal(size=4)
     a = np.zeros(8)
     a[:4] = b
-    params = mdl.constant_model(8, 4, a, b, channels=1, K=2, L=3)
-    cfg = ls.LossConfig(lam=1.0, N=16)
+    params = constant_model(8, 4, a, b, channels=1, K=2, L=3)
     x = Tensor(rng.normal(size=(2, 1, 432)))  # T_z = 6
-    total, cpc, ddcl = ls.unified_loss(params, x, cfg, np.random.default_rng(4))
+    total, cpc, ddcl = ls.unified_loss(
+        params, x, np.random.default_rng(4), lam=1.0, cpc_weight=1.0, N=16)
     assert cpc.item() == pytest.approx(math.log(16), rel=1e-6)
     assert ddcl.item() == pytest.approx(math.log(3), rel=1e-6)
     assert total.item() == pytest.approx(math.log(16) + math.log(3), rel=1e-6)
@@ -332,11 +317,11 @@ def test_unified_loss_gradient_wiring():
     """FD spot-check on one parameter from each group through the full loss."""
     with tn.precision_mode(64):
         params = tiny_params(seed=83)
-        cfg = ls.LossConfig(lam=0.5, N=4)
         x = np.random.default_rng(89).normal(size=(2, 2, 48))
 
         def run():
-            return ls.unified_loss(params, Tensor(x), cfg, np.random.default_rng(5))[0]
+            return ls.unified_loss(params, Tensor(x), np.random.default_rng(5),
+                                   lam=0.5, cpc_weight=1.0, N=4)[0]
 
         with tn.Tape():
             tn.backward(run())

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import encode_channel_major, fd_grad_inplace, rel_err
+from helpers import constant_model, encode_channel_major, fd_grad_inplace, rel_err
 from lnt import checkpoint as ckpt
 from lnt import model as mdl
 from lnt import tensor as tn
@@ -159,7 +159,7 @@ def test_contextualize_causality_and_determinism():
 
 
 def test_contextualize_zero_weights_zero_state():
-    params = mdl.constant_model(8, 4, np.zeros(8), np.zeros(4))
+    params = constant_model(8, 4, np.zeros(8), np.zeros(4))
     z = Tensor(np.random.default_rng(9).normal(size=(1, 5, 8)))
     c = mdl.contextualize(params, z)
     np.testing.assert_array_equal(c.data, np.zeros((1, 5, 4)))
@@ -369,7 +369,7 @@ def test_contextualize_record_count_independent_of_t():
 def test_constant_model_input_invariance():
     rng = np.random.default_rng(27)
     a, b = rng.normal(size=8), rng.normal(size=4)
-    params = mdl.constant_model(8, 4, a, b, channels=2, K=3, L=4)
+    params = constant_model(8, 4, a, b, channels=2, K=3, L=4)
     x1 = Tensor(rng.normal(size=(1, 2, 720)))
     x2 = Tensor(rng.normal(size=(1, 2, 720)))
     z1, z2 = mdl.encode(params, x1), mdl.encode(params, x2)

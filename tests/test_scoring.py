@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ddcl_term
+from helpers import constant_model, ddcl_term, tiny_params
 from lnt import checkpoint as ckpt
 from lnt import data as dt
 from lnt import model as mdl
@@ -18,15 +18,6 @@ from lnt import scoring as sc
 from lnt import tensor as tn
 from lnt.data import synth_normal
 from lnt.tensor import Tape, Tensor
-
-
-def tiny_params(seed=0, **over):
-    cfg = mdl.ModelConfig(
-        in_channels=2, dim_z=8, dim_c=4, K=2, L=3,
-        filters=(3, 2), strides=(3, 2), bank_layers=2, bank_width=5,
-        sub_seq=48, **over,
-    )
-    return mdl.init_params(cfg, seed=seed)
 
 
 def lookahead_params(seed=0):
@@ -270,7 +261,7 @@ def test_stage_checks_end_with_the_stage():
 def test_constant_model_scores_constant():
     rng = np.random.default_rng(9)
     a, b = rng.normal(size=8), rng.normal(size=4)
-    params = mdl.constant_model(8, 4, a, b, channels=1, K=2, L=3)
+    params = constant_model(8, 4, a, b, channels=1, K=2, L=3)
     x = rng.normal(size=(1, 600))
     for series in (sc.score_ddcl(params, x), sc.score_cpc_approx(params, x)):
         assert len(np.unique(series.latent_scores)) == 1

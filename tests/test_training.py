@@ -7,12 +7,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from helpers import tiny_config
 from numpy.testing import assert_allclose, assert_array_equal
 
+from lnt import model as mdl
 from lnt import tensor as tn
 from lnt.data import synth_normal, window
-from lnt.losses import LossConfig, unified_loss
-from lnt.model import ModelConfig, init_decoder, init_params, small_config
+from lnt.losses import unified_loss
+from lnt.model import init_decoder, init_params, small_config
 from lnt.tensor import Tape, Tensor, backward
 from lnt.training import (
     Adam,
@@ -26,15 +28,6 @@ from lnt.training import (
     train_step,
     trainable_parameters,
 )
-
-
-def tiny_config(**over):
-    base = dict(
-        in_channels=2, dim_z=8, dim_c=4, filters=(3, 2), strides=(3, 2),
-        K=2, L=3, bank_layers=2, bank_width=5, sub_seq=48,
-    )
-    base.update(over)
-    return ModelConfig(**base)
 
 
 def make_windows(n, cfg, seed=0):
@@ -131,9 +124,9 @@ def test_lam_zero_keeps_bank_gradients_exactly_zero():
     cfg = tiny_config()
     params = init_params(cfg, seed=1)
     x = Tensor(np.asarray(make_windows(2, cfg), dtype=tn.dtype()))
-    loss_cfg = LossConfig(lam=0.0, N=4)
     with Tape():
-        total, _, _ = unified_loss(params, x, loss_cfg, np.random.default_rng(0))
+        total, _, _ = unified_loss(
+            params, x, np.random.default_rng(0), lam=0.0, cpc_weight=1.0, N=4)
         backward(total)
     for name, tensor in params.named_parameters().items():
         assert tensor.grad is not None, name
@@ -147,9 +140,9 @@ def test_cpc_weight_zero_with_separate_heads_zeroes_cpc_heads():
     cfg = tiny_config(separate_ddcl_heads=True)
     params = init_params(cfg, seed=2)
     x = Tensor(np.asarray(make_windows(2, cfg), dtype=tn.dtype()))
-    loss_cfg = LossConfig(lam=1.0, N=4, cpc_weight=0.0)
     with Tape():
-        total, _, _ = unified_loss(params, x, loss_cfg, np.random.default_rng(0))
+        total, _, _ = unified_loss(
+            params, x, np.random.default_rng(0), lam=1.0, cpc_weight=0.0, N=4)
         backward(total)
     named = params.named_parameters()
     for name, tensor in named.items():
@@ -177,13 +170,14 @@ def test_train_step_reduces_loss_on_fixed_batch():
     cfg = tiny_config()
     params = init_params(cfg, seed=3)
     batch = np.asarray(make_windows(4, cfg), dtype=tn.dtype())
-    loss_cfg = LossConfig(N=8)
     adam = Adam(trainable_parameters(params), TrainConfig(lr=3e-3))
     rng = np.random.default_rng(0)
     first = None
     last = None
     for _ in range(30):
-        cpc, ddcl, total, norm = train_step(params, batch, loss_cfg, adam, rng, 5.0)
+        total, cpc, ddcl, norm = train_step(
+            adam, lambda: unified_loss(params, Tensor(batch), rng, lam=1e-3, cpc_weight=1.0, N=8),
+            5.0)
         assert np.isfinite([cpc, ddcl, total, norm]).all()
         if first is None:
             first = total
@@ -200,7 +194,7 @@ def test_train_step_small_record_budget():
     params = init_params(small_config(), seed=0)
     x = Tensor(np.random.default_rng(1).normal(size=(2, 3, 720)))
     with Tape() as tape:
-        unified_loss(params, x, LossConfig(), np.random.default_rng(2))
+        unified_loss(params, x, np.random.default_rng(2), lam=1e-3, cpc_weight=1.0, N=16)
         records = len(tape)
     assert records <= 185, records
 
@@ -211,7 +205,7 @@ def test_tape_records_hold_no_tensors():
     params = init_params(tiny_config(), seed=0)
     x = Tensor(np.random.default_rng(1).normal(size=(2, 2, 48)))
     with Tape() as tape:
-        unified_loss(params, x, LossConfig(N=4), np.random.default_rng(2))
+        unified_loss(params, x, np.random.default_rng(2), lam=1e-3, cpc_weight=1.0, N=4)
         held = [
             cell.cell_contents
             for rec in tape._records
@@ -234,7 +228,8 @@ def test_train_step_small_memory_budget():
     tracemalloc.start()
     try:
         with Tape():
-            total = unified_loss(params, batch, LossConfig(), np.random.default_rng(2))[0]
+            total = unified_loss(params, batch, np.random.default_rng(2),
+                                 lam=1e-3, cpc_weight=1.0, N=16)[0]
             backward(total)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -247,7 +242,7 @@ _FAULTS_SCRIPT = textwrap.dedent("""
     import lnt.cli  # applies the heap policy
     import numpy as np
     from lnt import tensor as tn
-    from lnt.losses import LossConfig
+    from lnt.losses import unified_loss
     from lnt.model import init_params, small_config
     from lnt.training import Adam, TrainConfig, train_step, trainable_parameters
 
@@ -259,7 +254,8 @@ _FAULTS_SCRIPT = textwrap.dedent("""
     faults = []
     for _ in range(7):
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        train_step(params, batch, LossConfig(), adam, rng, 5.0)
+        train_step(adam, lambda: unified_loss(params, tn.Tensor(batch), rng,
+                                              lam=1e-3, cpc_weight=1.0, N=16), 5.0)
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     print(json.dumps({"malloc": lnt.cli.environment()["malloc"], "faults": faults}))
 """)
@@ -341,8 +337,9 @@ def test_fit_aborts_on_non_finite_with_context():
 def test_fit_rejects_bad_window_stack():
     cfg = tiny_config()
     params = init_params(cfg, seed=0)
-    with pytest.raises(ValueError, match="windows"):
-        fit(params, np.zeros((4, 10)), TrainConfig(epochs=1))
+    for shape in ((4, 10), (0, 2, 48)):
+        with pytest.raises(ValueError, match="windows"):
+            fit(params, np.zeros(shape), TrainConfig(epochs=1))
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +366,24 @@ def test_fit_decoder_requires_decoder():
     params = init_params(cfg, seed=0)
     with pytest.raises(ValueError, match="decoder"):
         fit_decoder(params, make_windows(2, cfg))
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero", "ignore:invalid value")
+def test_fit_decoder_aborts_on_non_finite_gradient_with_context(monkeypatch):
+    cfg = tiny_config()
+    params = init_params(cfg, seed=0)
+    init_decoder(params, seed=0)
+    decode = mdl.decode
+
+    def decode_with_nan_gradient(p, z):
+        # adds sqrt(0) = 0; its infinite derivative times 0 is NaN
+        recon = decode(p, z)
+        return tn.add(recon, tn.sqrt(tn.scale(recon, 0.0)))
+
+    monkeypatch.setattr(mdl, "decode", decode_with_nan_gradient)
+    with pytest.raises(FloatingPointError, match=r"^aborting at epoch 0 step 0: "
+                                                 r"non-finite gradient in decoder\."):
+        fit_decoder(params, make_windows(2, cfg), epochs=1)
 
 
 def test_fit_decoder_is_deterministic():

@@ -52,7 +52,7 @@ def main(argv=None) -> int:
     from lnt import cli  # applies the thread cap before numpy loads
     import numpy as np
     from lnt import data, tensor as tn, training
-    from lnt.losses import LossConfig, unified_loss
+    from lnt.losses import unified_loss
     from lnt.model import init_params, small_config
 
     steps: list[tuple[float, int]] = []
@@ -87,7 +87,9 @@ def main(argv=None) -> int:
     params = init_params(cfg, seed=0)
     tracemalloc.start()
     with tn.Tape():
-        total = unified_loss(params, tn.Tensor(batch), LossConfig(), np.random.default_rng(0))[0]
+        defaults = training.TrainConfig()
+        total = unified_loss(params, tn.Tensor(batch), np.random.default_rng(0), lam=defaults.lam,
+                             cpc_weight=defaults.cpc_weight, N=defaults.negatives)[0]
         live, _ = tracemalloc.get_traced_memory()
         tn.backward(total)
     _, peak = tracemalloc.get_traced_memory()
