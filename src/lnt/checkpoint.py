@@ -99,10 +99,17 @@ _CONFIG_SIZES = ("in_channels", "dim_z", "dim_c", "K", "L", "bank_layers", "bank
 def _checkpoint_tensors(params: ModelParams) -> dict[str, np.ndarray]:
     """Parameter arrays by checkpoint name, as views into the model's
     stacks, so writing them writes the model: the GRU stacks as per-gate
-    ``context.W_r`` ... ``context.b_n`` blocks, and bank layer j (L,out,in)
-    as L per-transform ``bank.T{l}.layer{j}.weight`` matrices."""
-    named = params.named_parameters().items()
-    out = {n: t.data for n, t in named if not n.startswith(("bank.", "context."))}
+    ``context.W_r`` ... ``context.b_n`` blocks, the (K,dim_z,dim_c) head
+    stacks as per-horizon ``heads.W{k}`` and ``ddcl_heads.W{k}`` matrices,
+    and bank layer j (L,out,in) as L per-transform
+    ``bank.T{l}.layer{j}.weight`` matrices."""
+    named = params.named_parameters()
+    heads = [n for n in ("heads", "ddcl_heads") if n in named]
+    out = {n: t.data for n, t in named.items()
+           if n not in heads and not n.startswith(("bank.", "context."))}
+    for name in heads:
+        for k, w in enumerate(named[name].data, start=1):
+            out[f"{name}.W{k}"] = w
     w_x, u_ru, u_n, b_ru, b_n, out["context.out_bias"] = (t.data for t in params.context)
     h = b_n.shape[0]
     u, b = (u_ru[:, :h], u_ru[:, h:], u_n), (b_ru[:h], b_ru[h:], b_n)

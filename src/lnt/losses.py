@@ -25,10 +25,23 @@ from .model import ModelParams
 from .tensor import Tensor
 
 
-def _shifted(seq: Tensor, start: int, stop: int) -> Tensor:
-    """Steps [start, stop) of every sequence in a (B,T,...) batch, as rows."""
-    part = tn.slice_axis(seq, start, stop, axis=1)
-    return tn.reshape(part, (-1,) + part.shape[2:])
+def horizons(steps: int, K: int, past: int = 0) -> tuple[list, list]:
+    """(anchor spans, context spans) of the horizons k = 1, 2, ... <= K that
+    have an anchor in a sequence of ``steps`` latent steps.
+
+    Horizon k's anchors are steps [a, steps), a = max(k - past, 0), and
+    their contexts c_{t-k} are rows [a - k + past, steps - k + past) of a
+    context sequence that starts ``past`` steps before the first latent
+    step: 0 in training, the carried-over rows in chunked scoring.
+    """
+    anchors, contexts = [], []
+    for k in range(1, K + 1):
+        first = max(k - past, 0)
+        if first >= steps:
+            break
+        anchors.append((first, steps))
+        contexts.append((first - k + past, steps - k + past))
+    return anchors, contexts
 
 
 def sample_negatives(
@@ -50,7 +63,9 @@ def cpc_loss(
     params: ModelParams, z: Tensor, c: Tensor, rng: np.random.Generator, *, N: int,
 ) -> Tensor:
     """Mean contrastive term over the (B,T_z,·) batch, valid t, and k = 1..K;
-    each positive is contrasted in a set of N (N - 1 negatives)."""
+    each positive is contrasted in a set of N (N - 1 negatives).  All
+    horizons are one k-major stack of anchor rows, and the negatives are
+    drawn horizon by horizon."""
     if N < 2:
         raise ValueError(f"N must be >= 2, got {N}")
     batch, t_z, dim_z = z.shape
@@ -59,20 +74,19 @@ def cpc_loss(
         raise ValueError(f"sequence of {t_z} latent steps has no valid positives for K={K}")
     n_pos = batch * t_z
     z_cols = tn.transpose(tn.reshape(z, (n_pos, dim_z)))
+    anchors, contexts = horizons(t_z, K)
+    sizes = tn.span_rows(batch, anchors)
 
-    acc = None
-    total = 0
-    for k in range(1, K + 1):
-        pos_idx = (np.arange(batch)[:, None] * t_z + np.arange(k, t_z)[None, :]).ravel()
-        pred = mdl.predict_rows(params, _shifted(c, 0, t_z - k), k)
-        pos_logit = tn.sum_last(tn.mul(pred, _shifted(z, k, t_z)))
-        neg_idx = sample_negatives(rng, len(pos_idx), n_pos, pos_idx, N - 1)
-        neg_logit = tn.gather_last(tn.matmul(pred, z_cols), neg_idx)
-        logits = tn.concat([pos_logit, neg_logit], axis=1)
-        k_sum = tn.sum_all(tn.sub(tn.logsumexp_last(logits), pos_logit))
-        acc = k_sum if acc is None else tn.add(acc, k_sum)
-        total += len(pos_idx)
-    return tn.scale(acc, 1.0 / total)
+    pred = mdl.predict(params, c, contexts)
+    pos_logit = tn.sum_last(tn.mul(pred, tn.stack_spans(z, anchors)))
+    negatives = []
+    for first, _ in anchors:  # an anchor row's positive is its own latent row
+        pos_idx = (np.arange(batch)[:, None] * t_z + np.arange(first, t_z)[None, :]).ravel()
+        negatives.append(sample_negatives(rng, len(pos_idx), n_pos, pos_idx, N - 1))
+    neg_logit = tn.gather_last(tn.block_matmul(pred, z_cols, sizes), np.concatenate(negatives))
+    logits = tn.concat([pos_logit, neg_logit], axis=1)
+    total = tn.sum_blocks(tn.sub(tn.logsumexp_last(logits), pos_logit), sizes)
+    return tn.scale(total, 1.0 / sum(sizes))
 
 
 def view_gram(params: ModelParams, z_rows: Tensor) -> tuple[Tensor, Tensor]:
@@ -90,21 +104,20 @@ def view_gram(params: ModelParams, z_rows: Tensor) -> tuple[Tensor, Tensor]:
 
 
 def ddcl_terms(
-    params: ModelParams, units: Tensor, den: Tensor, c_prev: Tensor, k: int,
+    params: ModelParams, units: Tensor, den: Tensor, c: Tensor, anchors, contexts,
 ) -> Tensor:
-    """DDCL terms (R,L) of anchor rows, given their c_{t-k} rows (R,dim_c).
+    """DDCL terms of every horizon, a k-major (S,L) stack of anchor rows.
 
-    ``units`` and ``den`` are the anchor rows of :func:`view_gram`; term
-    (r,l) is log(h(view_l, pred) + S[r,l]) - log h(view_l, pred).
-    ``units`` may keep leading (B, T) axes, (B,T,L,D), with B*T rows.
+    ``units`` (B,T,L,D) and ``den`` (B,T,L) are :func:`view_gram`'s
+    outputs for a batch of T-step sequences, ``c`` (B,T_c,dim_c) their
+    contexts, and ``anchors``/``contexts`` the spans of :func:`horizons`.
+    Term (r,l) is log(h(view_l, pred) + S[r,l]) - log h(view_l, pred).
+    Training and scoring share this kernel.
     """
-    rows, n_views = den.shape
-    lead, dim_z = units.shape[:-2], units.shape[-1]
-    pred = tn.unit_rows(mdl.predict_rows(params, c_prev, k, ddcl=True))
-    cos = tn.matmul(units, tn.reshape(pred, lead + (dim_z, 1)))
-    cos = tn.reshape(cos, (rows, n_views))
+    pred = tn.unit_rows(mdl.predict(params, c, contexts, ddcl=True))
+    cos = tn.span_matvec(units, pred, anchors)
     # h values live in [1/e, e]; the direct form is safe here
-    return tn.sub(tn.log(tn.add(tn.exp(cos), den)), cos)
+    return tn.sub(tn.log(tn.add(tn.exp(cos), tn.stack_spans(den, anchors))), cos)
 
 
 def ddcl_loss(params: ModelParams, z: Tensor, c: Tensor) -> Tensor:
@@ -115,24 +128,13 @@ def ddcl_loss(params: ModelParams, z: Tensor, c: Tensor) -> Tensor:
 
     units, den = view_gram(params, tn.reshape(z, (batch * t_z, dim_z)))
     n_views = units.shape[1]
-    units = tn.reshape(units, (batch, t_z, n_views, dim_z))
-    den = tn.reshape(den, (batch, t_z, n_views))
-
-    acc = None
-    count = 0
-    for k in range(1, params.config.K + 1):
-        if t_z - k < 1:
-            continue
-        # a slice of the (B, T_z, L, D) units is a view; flattened to rows
-        # it would be a copy that lives until backward
-        terms = ddcl_terms(
-            params, tn.slice_axis(units, k, t_z, axis=1), _shifted(den, k, t_z),
-            _shifted(c, 0, t_z - k), k,
-        )
-        term_sum = tn.sum_all(terms)
-        acc = term_sum if acc is None else tn.add(acc, term_sum)
-        count += terms.size
-    return tn.scale(acc, 1.0 / count)
+    anchors, contexts = horizons(t_z, params.config.K)
+    terms = ddcl_terms(
+        params, tn.reshape(units, (batch, t_z, n_views, dim_z)),
+        tn.reshape(den, (batch, t_z, n_views)), c, anchors, contexts,
+    )
+    total = tn.sum_blocks(terms, tn.span_rows(batch, anchors))
+    return tn.scale(total, 1.0 / terms.size)
 
 
 def unified_loss(

@@ -7,8 +7,10 @@ Every forward takes a batch: raw windows are (B, C, T), latent and context
 sequences time-major (B, T_z, dim_z) / (B, T_z, dim_c).  A "flattened"
 latent batch is the (R, dim_z) row matrix, R = B*T_z, that the losses and
 the bank take; the bank maps it to all L views at once, (R, L, dim_z).
-Parameters are stored in the layout their forward reads (GRU gates and
-bank transforms stacked); only ``checkpoint`` splits them.
+The K prediction horizons are one k-major stack of rows: block k holds
+the rows of horizon k (see ``tensor.stack_spans``).  Parameters are stored
+in the layout their forward reads (GRU gates, prediction heads and bank
+transforms stacked); only ``checkpoint`` splits them.
 """
 
 from __future__ import annotations
@@ -150,8 +152,8 @@ class ModelParams:
     config: ModelConfig
     encoder: list[tuple[Tensor, Tensor | None]] = field(default_factory=list)
     context: GruParams | None = None
-    heads: list[Tensor] = field(default_factory=list)
-    ddcl_heads: list[Tensor] | None = None
+    heads: Tensor | None = None  # (K, dim_z, dim_c): W_1 .. W_K
+    ddcl_heads: Tensor | None = None
     bank: list[Tensor] = field(default_factory=list)
     decoder: list[tuple[Tensor, Tensor]] | None = None
 
@@ -164,11 +166,9 @@ class ModelParams:
                 out[f"encoder.layer{i}.bias"] = b
         for name, t in zip(GruParams._fields, self.context):
             out[f"context.{name}"] = t
-        for k, w in enumerate(self.heads, start=1):
-            out[f"heads.W{k}"] = w
+        out["heads"] = self.heads
         if self.ddcl_heads is not None:
-            for k, w in enumerate(self.ddcl_heads, start=1):
-                out[f"ddcl_heads.W{k}"] = w
+            out["ddcl_heads"] = self.ddcl_heads
         for j, w in enumerate(self.bank):
             out[f"bank.layer{j}.weight"] = w
         if self.decoder is not None:
@@ -177,7 +177,7 @@ class ModelParams:
                 out[f"decoder.layer{i}.bias"] = b
         return out
 
-    def heads_for_ddcl(self) -> list[Tensor]:
+    def heads_for_ddcl(self) -> Tensor:
         return self.ddcl_heads if self.ddcl_heads is not None else self.heads
 
 
@@ -215,9 +215,15 @@ def init_params(config: ModelConfig, seed: int) -> ModelParams:
         b_ru=_zeros(2 * h), b_n=_zeros(h), out_bias=_zeros(h),
     )
 
-    params.heads = [_uniform(rng, (z, h), h) for _ in range(config.K)]
+    # drawn per horizon and then stacked, so a seed gives the weights it
+    # gave when each head was a separate tensor
+    def heads():
+        return Tensor(np.stack([_uniform(rng, (z, h), h).data for _ in range(config.K)]),
+                      requires_grad=True)
+
+    params.heads = heads()
     if config.separate_ddcl_heads:
-        params.ddcl_heads = [_uniform(rng, (z, h), h) for _ in range(config.K)]
+        params.ddcl_heads = heads()
 
     # drawn in (transform, layer) order and then stacked, so a seed gives the
     # weights it gave when each transform was a separate MLP
@@ -309,12 +315,15 @@ def contextualize(params: ModelParams, z: Tensor) -> Tensor:
     return contextualize_with_state(params, z)[0]
 
 
-def predict_rows(params: ModelParams, c_rows: Tensor, k: int, ddcl: bool = False) -> Tensor:
-    """k-step predictions W_k c of context rows (1-based k): (R,dim_c) -> (R,dim_z)."""
+def predict(params: ModelParams, c: Tensor, spans, ddcl: bool = False) -> Tensor:
+    """k-step predictions W_k c_t of the contexts ``c`` (B,T,dim_c), with t
+    in ``spans[k - 1]`` for k = 1, 2, ...: the k-major (S,dim_z) stack of
+    ``tensor.stack_spans``.  ``ddcl`` picks the DDCL heads."""
     heads = params.heads_for_ddcl() if ddcl else params.heads
-    if not 1 <= k <= len(heads):
-        raise ValueError(f"k must be in 1..{len(heads)}, got {k}")
-    return tn.matmul(c_rows, tn.transpose(heads[k - 1]))
+    if not 1 <= len(spans) <= heads.shape[0]:
+        raise ValueError(f"expected 1..{heads.shape[0]} horizon spans, got {len(spans)}")
+    rows = tn.stack_spans(c, spans)
+    return tn.block_matmul(rows, tn.transpose(heads, (0, 2, 1)), tn.span_rows(c.shape[0], spans))
 
 
 def transform(params: ModelParams, z: Tensor) -> Tensor:

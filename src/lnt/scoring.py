@@ -138,6 +138,16 @@ def _iter_chunks(params: ModelParams, x: np.ndarray, real_steps: int | None = No
         yield step, tn.reshape(z, z.shape[1:]), ctx
 
 
+def _horizons(cfg: mdl.ModelConfig, step: int, m: int, ctx: np.ndarray):
+    """(anchors, contexts, c) of the chunk of ``m`` steps from ``step``:
+    the spans of ``losses.horizons`` and the (1, T_c, dim_c) ``ctx`` rows
+    they index, which start past = min(K, step) steps before the chunk.
+    Horizon k's anchors are chunk steps [first, m)."""
+    past = min(cfg.K, step)
+    anchors, contexts = ls.horizons(m, cfg.K, past)
+    return anchors, contexts, Tensor(ctx[None, step - past : step + m - 1])
+
+
 def _finish(latent: np.ndarray, per_k: int, cfg: mdl.ModelConfig, raw_len: int,
             normalized: bool) -> ScoreSeries:
     if normalized:
@@ -152,7 +162,9 @@ def score_ddcl(params: ModelParams, x: np.ndarray, normalized: bool = True) -> S
 
     latent score(t) = sum over valid horizons k and all L transformations
     of the DDCL term, divided by the valid-term count unless
-    ``normalized=False`` requests the raw sum.
+    ``normalized=False`` requests the raw sum.  Each horizon's terms are
+    summed per step in float64 and added into the score horizon after
+    horizon.
     """
     x = _check_series(params, x)
     cfg = params.config
@@ -162,17 +174,19 @@ def score_ddcl(params: ModelParams, x: np.ndarray, normalized: bool = True) -> S
     for step, z, ctx in _iter_chunks(params, padded, m_total):
         m = z.shape[0]
         real_end = min(step + m, m_total)
+        anchors, contexts, c = _horizons(cfg, step, m, ctx)
         with tn.stage(_at("bank", step, real_end)):
             units, den = ls.view_gram(params, z)
-        for k in range(1, min(cfg.K, step + m - 1) + 1):
-            lo = max(step, k)  # steps [lo, step + m) have a c_{t-k}
-            with tn.stage(_at("ddcl terms", lo, real_end)):
-                terms = ls.ddcl_terms(
-                    params, tn.slice_axis(units, lo - step, m), tn.slice_axis(den, lo - step, m),
-                    Tensor(ctx[lo - k : step + m - k]), k,
-                )
-                tn.check_stage(terms)
-            total[lo : step + m] += terms.data.sum(axis=1, dtype=np.float64)
+        with tn.stage(_at("ddcl terms", step + anchors[0][0], real_end)):
+            terms = ls.ddcl_terms(
+                params, tn.reshape(units, (1, m, cfg.L, cfg.dim_z)),
+                tn.reshape(den, (1, m, cfg.L)), c, anchors, contexts,
+            )
+            tn.check_stage(terms)
+        end = 0
+        for first, _ in anchors:
+            begin, end = end, end + m - first
+            total[step + first : step + m] += terms.data[begin:end].sum(axis=1, dtype=np.float64)
 
     return _finish(total[:m_total], cfg.L, cfg, x.shape[1], normalized)
 
@@ -190,14 +204,16 @@ def score_cpc_approx(params: ModelParams, x: np.ndarray) -> ScoreSeries:
 
     for step, z, ctx in _iter_chunks(params, padded, m_total):
         m = z.shape[0]
-        real_end = min(step + m, m_total)
-        for k in range(1, min(cfg.K, step + m - 1) + 1):
-            lo = max(step, k)
-            with tn.stage(_at("cpc logits", lo, real_end)):
-                pred = mdl.predict_rows(params, Tensor(ctx[lo - k : step + m - k]), k)
-                logit = tn.sum_last(tn.mul(tn.slice_axis(z, lo - step, m), pred))
-                tn.check_stage(logit)
-            total[lo : step + m] -= logit.data[:, 0]
+        anchors, contexts, c = _horizons(cfg, step, m, ctx)
+        with tn.stage(_at("cpc logits", step + anchors[0][0], min(step + m, m_total))):
+            pred = mdl.predict(params, c, contexts)
+            z_rows = tn.stack_spans(tn.reshape(z, (1, m, cfg.dim_z)), anchors)
+            logit = tn.sum_last(tn.mul(z_rows, pred))
+            tn.check_stage(logit)
+        end = 0
+        for first, _ in anchors:
+            begin, end = end, end + m - first
+            total[step + first : step + m] -= logit.data[begin:end, 0]
 
     return _finish(total[:m_total], 1, cfg, x.shape[1], True)
 

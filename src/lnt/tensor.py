@@ -119,6 +119,7 @@ class _Record(NamedTuple):
     parents: tuple[int | None, ...]  # node per parent, None if untracked
     shapes: tuple[tuple[int, ...], ...]
     vjp: Callable[[np.ndarray], tuple]
+    name: str  # the op's name, as its finiteness errors give it
 
 
 class _Region(NamedTuple):
@@ -172,14 +173,15 @@ class Tape:
             self._nodes += 1
         return self._leaves[id(t)][0]
 
-    def _add(self, out: Tensor, parents: tuple[Tensor, ...], vjp) -> None:
+    def _add(self, out: Tensor, parents: tuple[Tensor, ...], vjp, name: str) -> None:
         nodes = tuple(self._node_of(p) for p in parents)
         if nodes.count(None) == len(nodes):
             return
         out._tape = self._serial
         out._node = self._nodes
         self._nodes += 1
-        self._records.append(_Record(out._node, nodes, tuple(p.shape for p in parents), vjp))
+        self._records.append(
+            _Record(out._node, nodes, tuple(p.shape for p in parents), vjp, name))
 
 
 class _State(threading.local):
@@ -259,7 +261,7 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], vjp, name: str) -> Tens
     out.requires_grad = False
     out._tape = None
     if tape is not None:
-        tape._add(out, parents, vjp)
+        tape._add(out, parents, vjp, name)
     return out
 
 
@@ -271,11 +273,13 @@ def backward(loss: Tensor) -> None:
     so a second ``backward`` on the same tape is an error.
 
     Each node keeps one gradient buffer.  A VJP returns, per parent, None,
-    an array of the parent's shape, or a :class:`_Region`; it never writes
-    into ``g``.  A first contribution is kept as given and is owned by the
-    sweep when it is a fresh array (not ``g``, not a view).  A later one is
-    added into an owned buffer in place, or else into a new buffer that
-    the sweep then owns.  A region is added into its slice of the buffer.
+    an array of the parent's shape, a :class:`_Region`, or a list of
+    these, which are added in list order as separate records' would be;
+    it never writes into ``g``.  A first contribution is kept as given and
+    is owned by the sweep when it is a fresh array (not ``g``, not a
+    view).  A later one is added into an owned buffer in place, or else
+    into a new buffer that the sweep then owns.  A region is added into
+    its slice of the buffer.
     """
     tape = _state.active
     if tape is None:
@@ -292,33 +296,34 @@ def backward(loss: Tensor) -> None:
     grads: dict[int, np.ndarray] = {loss._node: np.ones((), dtype=_dtype)}
     owned: set[int] = set()
     while records:
-        node, parents, shapes, vjp = records.pop()
+        node, parents, shapes, vjp, _ = records.pop()
         g = grads.pop(node, None)
         if g is None:
             continue
-        for pnode, shape, pg in zip(parents, shapes, vjp(g)):
-            if pnode is None or pg is None:
+        for pnode, shape, contribution in zip(parents, shapes, vjp(g)):
+            if pnode is None or contribution is None:
                 continue
-            buf = grads.get(pnode)
-            if type(pg) is _Region:
-                if buf is None:
-                    buf = grads[pnode] = np.zeros(shape, dtype=_dtype)
-                    buf[pg.index] = pg.grad
-                else:
-                    if pnode not in owned:
-                        buf = grads[pnode] = np.array(buf)
-                    buf[pg.index] += pg.grad
-                owned.add(pnode)
-            elif buf is None:
-                grads[pnode] = pg
-                if type(pg) is np.ndarray and pg.base is None and pg is not g:
+            for pg in contribution if type(contribution) is list else (contribution,):
+                buf = grads.get(pnode)
+                if type(pg) is _Region:
+                    if buf is None:
+                        buf = grads[pnode] = np.zeros(shape, dtype=_dtype)
+                        buf[pg.index] = pg.grad
+                    else:
+                        if pnode not in owned:
+                            buf = grads[pnode] = np.array(buf)
+                        buf[pg.index] += pg.grad
                     owned.add(pnode)
-            elif pnode in owned:
-                np.add(buf, pg, out=buf)
-            else:
-                # asarray: numpy returns a scalar, not an array, for a 0-d sum
-                grads[pnode] = np.asarray(buf + pg)
-                owned.add(pnode)
+                elif buf is None:
+                    grads[pnode] = pg
+                    if type(pg) is np.ndarray and pg.base is None and pg is not g:
+                        owned.add(pnode)
+                elif pnode in owned:
+                    np.add(buf, pg, out=buf)
+                else:
+                    # asarray: numpy returns a scalar, not an array, for a 0-d sum
+                    grads[pnode] = np.asarray(buf + pg)
+                    owned.add(pnode)
     for node, leaf in tape._leaves.values():
         if node in grads:
             leaf.grad = grads[node]
@@ -472,8 +477,71 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
     return _make(
         ad @ bd, (a, b),
-        lambda g: (g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g), "matmul",
+        lambda g: (_product(g, bd.swapaxes(-1, -2)), _product(ad.swapaxes(-1, -2), g)),
+        "matmul",
     )
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b``, with a contracted length of 1 taken as the outer product
+    ``a * b``: BLAS spends a call per matrix on it.  BLAS adds the product
+    to 0, so 0 is added to it too, and a -0.0 product gives +0.0 as there."""
+    if a.shape[-1] != 1:
+        return a @ b
+    out = a * b
+    out += 0
+    return out
+
+
+def _blocks(sizes: Sequence[int], rows: int) -> list[slice]:
+    """The row ranges of consecutive blocks of ``sizes`` rows, which must
+    cover ``rows`` exactly."""
+    if any(n < 1 for n in sizes) or sum(sizes) != rows:
+        raise ValueError(f"blocks of {list(sizes)} rows do not tile {rows} rows")
+    ends = np.cumsum(sizes).tolist()
+    return [slice(end - n, end) for n, end in zip(sizes, ends)]
+
+
+def block_matmul(a: Tensor, b: Tensor, sizes: Sequence[int]) -> Tensor:
+    """Row block i of ``a`` (S, I), ``sizes[i]`` rows, times ``b[i]`` of an
+    (n, I, J) stack, or times ``b`` itself when it is one (I, J) matrix:
+    an (S, J) stack of blocks.
+
+    It is one record for what ``len(sizes)`` matmul records of the blocks
+    compute, and it keeps their bits: each block is its own product, since
+    BLAS rounds a product of a few rows differently from the same rows in
+    a taller one.  A shared ``b``'s gradient is the blocks' products added
+    last block first, as the reverse sweep would have added them; a
+    stacked ``b``'s blocks beyond ``len(sizes)`` get a zero gradient.
+    """
+    if a.ndim != 2 or b.ndim not in (2, 3) or a.shape[1] != b.shape[-2]:
+        raise ValueError(f"block_matmul expects (S, I) rows and an (I, J) matrix or (n, I, J) "
+                         f"stack, got {a.shape} and {b.shape}")
+    stacked = b.ndim == 3
+    if stacked and len(sizes) > b.shape[0]:
+        raise ValueError(f"{len(sizes)} blocks but a stack of {b.shape[0]} matrices")
+    blocks = _blocks(sizes, a.shape[0])
+    ad, bd = a.data, b.data
+    mats = list(bd) if stacked else [bd] * len(blocks)
+    out = np.empty((a.shape[0], b.shape[-1]), dtype=_dtype)
+    for rows, mat in zip(blocks, mats):
+        np.matmul(ad[rows], mat, out=out[rows])
+
+    def vjp(g):
+        da = np.empty(ad.shape, dtype=_dtype)
+        if stacked:
+            db = (np.empty if len(blocks) == bd.shape[0] else np.zeros)(bd.shape, dtype=_dtype)
+        else:
+            db = []
+        for i, (rows, mat) in enumerate(zip(blocks, mats)):
+            da[rows] = _product(g[rows], mat.T)
+            if stacked:
+                db[i] = _product(ad[rows].T, g[rows])
+            else:
+                db.insert(0, _product(ad[rows].T, g[rows]))
+        return (da, db)
+
+    return _make(out, (a, b), vjp, "block_matmul")
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -558,6 +626,95 @@ def slice_axis(a: Tensor, start: int, stop: int, axis: int = 0) -> Tensor:
         raise ValueError(f"slice [{start}, {stop}) outside axis {axis} of size {a.shape[axis]}")
     index = (slice(None),) * axis + (slice(start, stop),)
     return _make(a.data[index], (a,), lambda g: (_Region(index, g),), "slice_axis")
+
+
+def span_rows(batch: int, spans: Sequence[tuple[int, int]]) -> list[int]:
+    """Rows per block of the stack of time ``spans`` of a batch of ``batch``
+    sequences (see :func:`stack_spans`)."""
+    return [batch * (stop - start) for start, stop in spans]
+
+
+def _span_blocks(spans: Sequence[tuple[int, int]], batch: int, steps: int) -> list[slice]:
+    """The stack's row range per span; each span must lie in [0, steps)."""
+    if not spans:
+        raise ValueError("no time spans given")
+    for start, stop in spans:
+        if not 0 <= start < stop <= steps:
+            raise ValueError(f"time span [{start}, {stop}) outside a sequence of {steps} steps")
+    sizes = span_rows(batch, spans)
+    return _blocks(sizes, sum(sizes))
+
+
+def stack_spans(x: Tensor, spans: Sequence[tuple[int, int]]) -> Tensor:
+    """The rows of the time spans ``x[:, start:stop]`` of a (B, T, ...)
+    tensor, span after span: an (S, ...) stack whose block i holds
+    B * (stop - start) rows in (b, t) order.  The gradient is one region
+    per span, added last span first, as per-span slice records would have
+    added them."""
+    batch, rest = x.shape[0], x.shape[2:]
+    blocks = _span_blocks(spans, batch, x.shape[1])
+    out = np.empty((blocks[-1].stop,) + rest, dtype=_dtype)
+    for (start, stop), rows in zip(spans, blocks):
+        out[rows].reshape((batch, stop - start) + rest)[...] = x.data[:, start:stop]
+
+    def vjp(g):
+        return ([
+            _Region((slice(None), slice(start, stop)),
+                    g[rows].reshape((batch, stop - start) + rest))
+            for (start, stop), rows in zip(spans[::-1], blocks[::-1])
+        ],)
+
+    return _make(out, (x,), vjp, "stack_spans")
+
+
+def span_matvec(x: Tensor, v: Tensor, spans: Sequence[tuple[int, int]]) -> Tensor:
+    """For each time span, the matrices ``x[b, t]`` of a (B, T, M, J) tensor,
+    t in the span, times the matching rows of ``v``, an (S, J) stack laid
+    out as ``stack_spans`` lays out the spans: an (S, M) stack.
+
+    Each row is one matrix-vector product, as a matmul of the span's slice
+    of ``x`` with its rows of ``v`` as (..., J, 1) columns computes it, so
+    the bits are those of such per-span records.  The slices are views, so
+    ``x`` is not copied per span; its gradient is one region per span,
+    added last span first.
+    """
+    if x.ndim != 4 or v.ndim != 2 or v.shape[1] != x.shape[3]:
+        raise ValueError(f"span_matvec expects (B, T, M, J) matrices and (S, J) rows, "
+                         f"got {x.shape} and {v.shape}")
+    batch, _, m, j = x.shape
+    blocks = _span_blocks(spans, batch, x.shape[1])
+    if blocks[-1].stop != v.shape[0]:
+        raise ValueError(f"spans of {blocks[-1].stop} rows but {v.shape[0]} rows to multiply")
+    xd, vd = x.data, v.data
+    out = np.empty((v.shape[0], m), dtype=_dtype)
+    for (start, stop), rows in zip(spans, blocks):
+        cols = vd[rows].reshape(batch, stop - start, j, 1)
+        out[rows] = np.matmul(xd[:, start:stop], cols).reshape(-1, m)
+
+    def vjp(g):
+        dv = np.empty(vd.shape, dtype=_dtype)
+        regions = []
+        for (start, stop), rows in zip(spans, blocks):
+            n = stop - start
+            gk = g[rows].reshape(batch, n, m, 1)
+            regions.insert(0, _Region((slice(None), slice(start, stop)),
+                                      _product(gk, vd[rows].reshape(batch, n, 1, j))))
+            dv[rows] = np.matmul(xd[:, start:stop].swapaxes(-1, -2), gk).reshape(-1, j)
+        return (regions, dv)
+
+    return _make(out, (x, v), vjp, "span_matvec")
+
+
+def sum_blocks(a: Tensor, sizes: Sequence[int]) -> Tensor:
+    """Sum of each block of ``sizes[i]`` leading-axis entries of ``a``, the
+    block sums added in block order: the bits of one ``sum_all`` record
+    per block and ``add`` records joining them."""
+    total = None
+    for rows in _blocks(sizes, a.shape[0]):
+        part = a.data[rows].sum()
+        total = part if total is None else total + part
+    shape = a.shape
+    return _make(total, (a,), lambda g: (np.full(shape, g, dtype=_dtype),), "sum_blocks")
 
 
 def gather_last(a: Tensor, idx: np.ndarray) -> Tensor:
@@ -739,7 +896,7 @@ def conv1d_strided(x: Tensor, w: Tensor, stride: int, bias: Tensor | None = None
     for tap in range(f):
         patches[..., tap] = x.data[:, tap : tap + last + 1 : stride]
     pmat = patches.reshape(batch * t_out, c_in * f)
-    wshape, wmat = w.shape, w.data.reshape(c_out, c_in * f)
+    wd, wmat = w.data, w.data.reshape(c_out, c_in * f)
     y = (pmat @ wmat.T).reshape(batch, t_out, c_out)
     if bias is not None:
         y += bias.data.reshape(c_out)
@@ -764,9 +921,22 @@ def conv1d_strided(x: Tensor, w: Tensor, stride: int, bias: Tensor | None = None
             pmat_dw = np.asfortranarray(pmat)
             if relu:
                 gmat = np.asfortranarray(gmat)
-        dw = (gmat.T @ pmat_dw).reshape(wshape)
+        dw = (gmat.T @ pmat_dw).reshape(wd.shape)
         dx = None
-        if need_dx:
+        if need_dx and stride == f:
+            # the taps tile the input, so one product against the tap-major
+            # filter matrix lays dx out in time order; the tap loop added
+            # each value to 0, which turns a -0.0 into +0.0, and so does += 0
+            tiled = t_out * f
+            dtiles = gmat @ wd.transpose(0, 2, 1).reshape(c_out, f * c_in)
+            dtiles = dtiles.reshape(batch, tiled, c_in)
+            if tiled == t:
+                dx = dtiles
+                dx += 0
+            else:  # the frames past the last step get no gradient
+                dx = np.zeros((batch, t, c_in), dtype=_dtype)
+                np.add(dtiles, 0, out=dx[:, :tiled])
+        elif need_dx:
             dpatches = (gmat @ wmat).reshape(batch, t_out, c_in, f)
             dx = np.zeros((batch, t, c_in), dtype=_dtype)
             # taps within one offset never overlap (stride apart)

@@ -1,14 +1,18 @@
 """Shared test utilities: the tiny desk model, the constant model, in-place
 finite differences over model parameters, and the oracles that ``lnt``
 itself does not use: the tanh op (the composed GRU step), the per-anchor
-contrastive softmax, the DDCL term of a single step and view, and the
-channel-major encoder."""
+contrastive softmax, the DDCL term of a single step and view, the
+channel-major encoder, and the losses and scores composed horizon by
+horizon from per-horizon head tensors."""
 
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
 
+from lnt import losses as ls
 from lnt import model as mdl
+from lnt import scoring as sc
 from lnt import tensor as tn
 from lnt.model import ModelParams
 from lnt.tensor import Tensor
@@ -82,7 +86,8 @@ def ddcl_term(params: ModelParams, views: list[Tensor], c_prev: Tensor, k: int, 
         raise ValueError("DDCL needs at least two views (L >= 2)")
     if not 0 <= l < len(views):
         raise ValueError(f"view index {l} out of range")
-    pred = mdl.predict_rows(params, tn.reshape(c_prev, (1, -1)), k, ddcl=True)
+    head = Tensor(params.heads_for_ddcl().data[k - 1])
+    pred = tn.matmul(tn.reshape(c_prev, (1, -1)), tn.transpose(head))
     anchor = tn.reshape(views[l], (1, -1))
     log_pos = tn.reshape(_unit_cos(anchor, pred), ())
     log_negs = [
@@ -162,6 +167,126 @@ def constant_model(
         t.data[...] = 0
     params.encoder[-1][1].data[:, 0] = a
     params.context.out_bias.data[...] = b
-    for w in params.heads:
-        w.data[...] = np.eye(dim_z, dim_c)
+    params.heads.data[...] = np.eye(dim_z, dim_c)
     return params
+
+
+# ---------------------------------------------------------------------------
+# the losses and scores composed horizon by horizon, one tape record per op
+# and horizon, on per-horizon head tensors: the reference that the stacked
+# forms in ``lnt`` must match bit for bit
+
+
+def per_horizon_heads(params: ModelParams) -> ModelParams:
+    """A copy of ``params`` that shares every tensor but holds its head
+    stacks as lists of per-horizon leaves, fresh copies of the blocks."""
+    def split(stack):
+        if stack is None:
+            return None
+        return [Tensor(w.copy(), requires_grad=True) for w in stack.data]
+
+    return replace(params, heads=split(params.heads), ddcl_heads=split(params.ddcl_heads))
+
+
+def stacked_grad(heads: list[Tensor]) -> np.ndarray:
+    """The per-horizon heads' gradients as one (K, dim_z, dim_c) stack."""
+    return np.stack([w.grad for w in heads])
+
+
+def predict_rows(params: ModelParams, c_rows: Tensor, k: int, ddcl: bool = False) -> Tensor:
+    heads = params.heads_for_ddcl() if ddcl else params.heads
+    return tn.matmul(c_rows, tn.transpose(heads[k - 1]))
+
+
+def _shifted(seq: Tensor, start: int, stop: int) -> Tensor:
+    part = tn.slice_axis(seq, start, stop, axis=1)
+    return tn.reshape(part, (-1,) + part.shape[2:])
+
+
+def cpc_loss_per_horizon(params, z, c, rng, *, N):
+    batch, t_z, dim_z = z.shape
+    n_pos = batch * t_z
+    z_cols = tn.transpose(tn.reshape(z, (n_pos, dim_z)))
+    acc = None
+    total = 0
+    for k in range(1, params.config.K + 1):
+        pos_idx = (np.arange(batch)[:, None] * t_z + np.arange(k, t_z)[None, :]).ravel()
+        pred = predict_rows(params, _shifted(c, 0, t_z - k), k)
+        pos_logit = tn.sum_last(tn.mul(pred, _shifted(z, k, t_z)))
+        neg_idx = ls.sample_negatives(rng, len(pos_idx), n_pos, pos_idx, N - 1)
+        neg_logit = tn.gather_last(tn.matmul(pred, z_cols), neg_idx)
+        logits = tn.concat([pos_logit, neg_logit], axis=1)
+        k_sum = tn.sum_all(tn.sub(tn.logsumexp_last(logits), pos_logit))
+        acc = k_sum if acc is None else tn.add(acc, k_sum)
+        total += len(pos_idx)
+    return tn.scale(acc, 1.0 / total)
+
+
+def ddcl_terms_per_horizon(params, units, den, c_prev, k):
+    rows, n_views = den.shape
+    lead, dim_z = units.shape[:-2], units.shape[-1]
+    pred = tn.unit_rows(predict_rows(params, c_prev, k, ddcl=True))
+    cos = tn.matmul(units, tn.reshape(pred, lead + (dim_z, 1)))
+    cos = tn.reshape(cos, (rows, n_views))
+    return tn.sub(tn.log(tn.add(tn.exp(cos), den)), cos)
+
+
+def ddcl_loss_per_horizon(params, z, c):
+    batch, t_z, dim_z = z.shape
+    units, den = ls.view_gram(params, tn.reshape(z, (batch * t_z, dim_z)))
+    n_views = units.shape[1]
+    units = tn.reshape(units, (batch, t_z, n_views, dim_z))
+    den = tn.reshape(den, (batch, t_z, n_views))
+    acc = None
+    count = 0
+    for k in range(1, params.config.K + 1):
+        if t_z - k < 1:
+            continue
+        terms = ddcl_terms_per_horizon(
+            params, tn.slice_axis(units, k, t_z, axis=1), _shifted(den, k, t_z),
+            _shifted(c, 0, t_z - k), k,
+        )
+        term_sum = tn.sum_all(terms)
+        acc = term_sum if acc is None else tn.add(acc, term_sum)
+        count += terms.size
+    return tn.scale(acc, 1.0 / count)
+
+
+def unified_loss_per_horizon(params, x, rng, *, lam, cpc_weight, N):
+    z = mdl.encode(params, x)
+    c = mdl.contextualize(params, z)
+    cpc = cpc_loss_per_horizon(params, z, c, rng, N=N)
+    ddcl = ddcl_loss_per_horizon(params, z, c)
+    total = tn.add(tn.scale(cpc, cpc_weight), tn.scale(ddcl, lam))
+    return total, cpc, ddcl
+
+
+def score_ddcl_per_horizon(params, x, normalized=True):
+    cfg = params.config
+    padded, m_total = sc._padded(params, sc._check_series(params, x))
+    total = np.zeros(cfg.latent_len(padded.shape[1]), dtype=np.float64)
+    for step, z, ctx in sc._iter_chunks(params, padded, m_total):
+        m = z.shape[0]
+        units, den = ls.view_gram(params, z)
+        for k in range(1, min(cfg.K, step + m - 1) + 1):
+            lo = max(step, k)
+            terms = ddcl_terms_per_horizon(
+                params, tn.slice_axis(units, lo - step, m), tn.slice_axis(den, lo - step, m),
+                Tensor(ctx[lo - k : step + m - k]), k,
+            )
+            total[lo : step + m] += terms.data.sum(axis=1, dtype=np.float64)
+    return sc._finish(total[:m_total], cfg.L, cfg, x.shape[1], normalized)
+
+
+def score_cpc_approx_per_horizon(params, x):
+    cfg = params.config
+    padded, m_total = sc._padded(params, sc._check_series(params, x))
+    total = np.zeros(cfg.latent_len(padded.shape[1]), dtype=np.float64)
+    for step, z, ctx in sc._iter_chunks(params, padded, m_total):
+        m = z.shape[0]
+        for k in range(1, min(cfg.K, step + m - 1) + 1):
+            lo = max(step, k)
+            pred = predict_rows(params, Tensor(ctx[lo - k : step + m - k]), k)
+            logit = tn.sum_last(tn.mul(tn.slice_axis(z, lo - step, m), pred))
+            total[lo : step + m] -= logit.data[:, 0]
+    return sc._finish(total[:m_total], 1, cfg, x.shape[1], True)

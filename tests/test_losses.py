@@ -2,10 +2,22 @@
 constant-model invariance, and a finite-difference wiring check."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from helpers import constant_model, ddcl_term, fd_grad_inplace, rel_err, tiny_params
+from helpers import (
+    constant_model,
+    cpc_loss_per_horizon,
+    ddcl_loss_per_horizon,
+    ddcl_term,
+    fd_grad_inplace,
+    per_horizon_heads,
+    rel_err,
+    stacked_grad,
+    tiny_params,
+    unified_loss_per_horizon,
+)
 
 from lnt import losses as ls
 from lnt import model as mdl
@@ -53,7 +65,7 @@ def test_cpc_matches_naive_oracle():
         c = rng.normal(size=(2, 5, 4))
         loss = ls.cpc_loss(params, Tensor(z), Tensor(c), np.random.default_rng(42), N=4).item()
 
-        heads = [w.data for w in params.heads]
+        heads = params.heads.data
         z_flat = z.reshape(10, 8)
         rng2 = np.random.default_rng(42)
         terms = []
@@ -76,7 +88,7 @@ def test_cpc_monotone_in_positive_logit():
     rng = np.random.default_rng(6)
     z0 = rng.normal(size=8).astype(np.float32)
     c_arr = rng.normal(size=(1, 2, 4)).astype(np.float32)
-    pred = params.heads[0].data @ c_arr[0, 0]
+    pred = params.heads.data[0] @ c_arr[0, 0]
     losses = []
     for alpha in (0.0, 0.5, 2.0):
         z = np.stack([z0, z0 + alpha * pred.astype(np.float32)])[None]
@@ -117,10 +129,9 @@ def test_cpc_deterministic_given_seed():
 
 
 def eye_params(dim=6, K=2, L=4):
-    """Square dims with identity heads so predict_rows(c,k) == c."""
+    """Square dims with identity heads, so every head predicts c itself."""
     params = tiny_params(dim_z=dim, dim_c=dim, K=K, L=L)
-    for w in params.heads:
-        w.data[:] = np.eye(dim, dtype=w.data.dtype)
+    params.heads.data[:] = np.eye(dim, dtype=params.heads.data.dtype)
     return params
 
 
@@ -326,10 +337,60 @@ def test_unified_loss_gradient_wiring():
         with tn.Tape():
             tn.backward(run())
         named = params.named_parameters()
-        for name in ("encoder.layer1.weight", "context.w_x", "heads.W1",
+        for name in ("encoder.layer1.weight", "context.w_x", "heads",
                      "bank.layer0.weight", "context.out_bias"):
             p = named[name]
             ana = p.grad
             assert ana is not None, name
             num = fd_grad_inplace(lambda: run().item(), p.data)
             assert rel_err(ana, num) <= 1e-4, name
+
+
+# ---------------------------------------------------------------------------
+# the k-major stacks against the horizon-by-horizon composition
+
+
+def _grads(params) -> dict[str, np.ndarray]:
+    """Every parameter's gradient, head lists stacked as one tensor."""
+    return {
+        name: stacked_grad(t) if isinstance(t, list) else t.grad
+        for name, t in params.named_parameters().items()
+    }
+
+
+@pytest.mark.parametrize("bits", [32, 64])
+@pytest.mark.parametrize("separate", [True, False])
+@pytest.mark.parametrize("K", [1, 4])
+def test_stacked_losses_match_per_horizon_reference_bitwise(bits, separate, K):
+    """The losses over all horizons at once give the bytes of one record
+    per op and horizon on per-horizon heads: the loss, every parameter
+    gradient, and z.grad and c.grad when z and c are leaves."""
+    rng = np.random.default_rng(K)
+    with tn.precision_mode(bits):
+        params = mdl.init_params(replace(mdl.small_config(), K=K, separate_ddcl_heads=separate),
+                                 seed=K)
+        reference = per_horizon_heads(params)
+        x = Tensor(rng.normal(size=(3, 3, 720)))
+        z = Tensor(mdl.encode(params, x).data, requires_grad=True)
+        c = Tensor(mdl.contextualize(params, z).data, requires_grad=True)
+        runs = {}
+        for name, model, unified, cpc, ddcl in [
+            ("stacked", params, ls.unified_loss, ls.cpc_loss, ls.ddcl_loss),
+            ("per horizon", reference, unified_loss_per_horizon, cpc_loss_per_horizon,
+             ddcl_loss_per_horizon),
+        ]:
+            out = []
+            with tn.Tape():
+                losses = unified(model, x, np.random.default_rng(5), lam=0.3, cpc_weight=0.7, N=8)
+                tn.backward(losses[0])
+            out += [t.data for t in losses] + list(_grads(model).values())
+            for loss_fn in (lambda: cpc(model, z, c, np.random.default_rng(6), N=8),
+                            lambda: ddcl(model, z, c)):
+                with tn.Tape():
+                    loss = loss_fn()
+                    tn.backward(loss)
+                out += [loss.data, z.grad, c.grad] + list(_grads(model).values())
+            runs[name] = out
+    assert len(runs["stacked"]) == len(runs["per horizon"])
+    for i, (got, want) in enumerate(zip(runs["stacked"], runs["per horizon"])):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), i

@@ -230,36 +230,42 @@ def test_contextualize_state_carry():
 def test_predict_identity_zero_and_oracle():
     cfg = mdl.ModelConfig(in_channels=1, dim_z=6, dim_c=6, K=2, bank_width=4)
     params = mdl.init_params(cfg, seed=14)
-    c = np.random.default_rng(15).normal(size=(1, 6)).astype(np.float32)
-    params.heads[0].data[:] = np.eye(6, dtype=np.float32)
-    np.testing.assert_array_equal(mdl.predict_rows(params, Tensor(c), 1).data, c)
-    params.heads[1].data[:] = 0.0
-    np.testing.assert_array_equal(mdl.predict_rows(params, Tensor(c), 2).data, np.zeros((1, 6)))
+    c = np.random.default_rng(15).normal(size=(1, 1, 6)).astype(np.float32)
+    params.heads.data[0] = np.eye(6, dtype=np.float32)
+    params.heads.data[1] = 0.0
+    pred = mdl.predict(params, Tensor(c), [(0, 1), (0, 1)]).data
+    np.testing.assert_array_equal(pred, np.concatenate([c[0], np.zeros((1, 6))]))
     w = np.random.default_rng(16).normal(size=(6, 6)).astype(np.float32)
-    params.heads[0].data[:] = w
+    params.heads.data[0] = w
     np.testing.assert_allclose(
-        mdl.predict_rows(params, Tensor(c), 1).data[0], w @ c[0], rtol=1e-6
+        mdl.predict(params, Tensor(c), [(0, 1)]).data[0], w @ c[0, 0], rtol=1e-6
     )
 
 
 def test_predict_k_out_of_range():
     params = mdl.init_params(small(), seed=17)
-    c = Tensor(np.zeros((1, 32)))
-    with pytest.raises(ValueError):
-        mdl.predict_rows(params, c, 0)
-    with pytest.raises(ValueError):
-        mdl.predict_rows(params, c, 5)
+    c = Tensor(np.zeros((1, 1, 32)))
+    with pytest.raises(ValueError, match="expected 1..4 horizon spans, got 0"):
+        mdl.predict(params, c, [])
+    with pytest.raises(ValueError, match="expected 1..4 horizon spans, got 5"):
+        mdl.predict(params, c, [(0, 1)] * 5)
 
 
 def test_predict_rows_matches_vector():
+    """Horizon k's block of a k-major stack holds W_k c_t for each t of its
+    span, the values of predicting each context row alone."""
     params = mdl.init_params(small(), seed=18)
-    rows = np.random.default_rng(19).normal(size=(7, 32)).astype(np.float32)
-    batch = mdl.predict_rows(params, Tensor(rows), 3)
-    for i in range(7):
-        np.testing.assert_allclose(
-            batch.data[i], mdl.predict_rows(params, Tensor(rows[i : i + 1]), 3).data[0],
-            rtol=1e-5, atol=1e-6,
-        )
+    rows = np.random.default_rng(19).normal(size=(2, 7, 32)).astype(np.float32)
+    spans = [(0, 7), (1, 6), (3, 7)]
+    batch = mdl.predict(params, Tensor(rows), spans).data
+    assert batch.shape == (2 * (7 + 5 + 4), 128)
+    i = 0
+    for k, (start, stop) in enumerate(spans, start=1):
+        for b in range(2):
+            for t in range(start, stop):
+                one = mdl.predict(params, Tensor(rows[b : b + 1, t : t + 1]), [(0, 1)] * k)
+                np.testing.assert_allclose(batch[i], one.data[-1], rtol=1e-5, atol=1e-6)
+                i += 1
 
 
 def test_transform_zero_gives_zero():
@@ -677,7 +683,7 @@ def test_checkpoint_rejects_bad_name_and_rank_naming_the_file(small_checkpoint, 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_checkpoint_non_finite_tensor_is_named_on_save_and_load(tmp_path, value):
     params = mdl.init_params(small(), seed=59)
-    params.heads[1].data[2, 3] = value
+    params.heads.data[1, 2, 3] = value
     path = tmp_path / "bad.lntc"
     with pytest.raises(ValueError, match=f"tensor 'heads.W2' holds non-finite values; "
                                          f"not saving {path}"):

@@ -3,6 +3,7 @@ constant-model degeneracy, and naive oracles for both score methods."""
 
 import csv
 import re
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import constant_model, ddcl_term, tiny_params
+from helpers import (
+    constant_model,
+    ddcl_term,
+    per_horizon_heads,
+    score_cpc_approx_per_horizon,
+    score_ddcl_per_horizon,
+    tiny_params,
+)
 from lnt import checkpoint as ckpt
 from lnt import data as dt
 from lnt import model as mdl
@@ -197,11 +205,11 @@ def _overflow(part):
     overflows there and nowhere before."""
     params = tiny_params(seed=30, separate_ddcl_heads=True)
     weight = {
-        "encoder": params.encoder[-1][0], "bank": params.bank[-1],
-        "context": params.context.w_x, "ddcl head": params.ddcl_heads[0],
-        "cpc head": params.heads[0],
+        "encoder": params.encoder[-1][0].data, "bank": params.bank[-1].data,
+        "context": params.context.w_x.data, "ddcl head": params.ddcl_heads.data[0],
+        "cpc head": params.heads.data[0],
     }[part]
-    weight.data[...] = 3e38
+    weight[...] = 3e38
     if part.endswith("head"):
         # contexts whose entries sum to at least 4, so that W_k c overflows
         params.context.out_bias.data[...] = 2.0
@@ -285,7 +293,7 @@ def test_score_cpc_approx_matches_naive():
     expected = np.zeros(m)
     for t in range(m):
         logits = [
-            -(z[t] @ (params.heads[k - 1].data @ c[t - k]))
+            -(z[t] @ (params.heads.data[k - 1] @ c[t - k]))
             for k in range(1, cfg.K + 1)
             if t - k >= 0
         ]
@@ -316,6 +324,29 @@ def test_score_ddcl_matches_term_loop():
         expected[t] = np.mean(terms) if terms else np.nan
     expected[0] = expected[1]
     np.testing.assert_allclose(series.latent_scores, expected, rtol=1e-5, atol=2e-6)
+
+
+@pytest.mark.parametrize("bits", [32, 64])
+@pytest.mark.parametrize("separate", [True, False])
+@pytest.mark.parametrize("K", [1, 4])
+def test_stacked_scores_match_per_horizon_reference_bitwise(bits, separate, K):
+    """Both scores over all horizons at once give the bytes of scoring
+    horizon by horizon, on whole chunks and with a one-step last chunk."""
+    cfg = replace(mdl.small_config(), K=K, separate_ddcl_heads=separate)
+    with tn.precision_mode(bits):
+        params = mdl.init_params(cfg, seed=K)
+        reference = per_horizon_heads(params)
+        for m in (2 * sc.CHUNK_STEPS, 2 * sc.CHUNK_STEPS + 1):
+            frames = (m - 1) * cfg.downsample + cfg.receptive_field
+            x = synth_normal(3, frames, seed=m).values.astype(tn.dtype())
+            for got, want in [
+                (sc.score_ddcl(params, x), score_ddcl_per_horizon(reference, x)),
+                (sc.score_ddcl(params, x, normalized=False),
+                 score_ddcl_per_horizon(reference, x, normalized=False)),
+                (sc.score_cpc_approx(params, x), score_cpc_approx_per_horizon(reference, x)),
+            ]:
+                assert got.latent_scores.tobytes() == want.latent_scores.tobytes()
+                assert got.scores.tobytes() == want.scores.tobytes()
 
 
 def test_score_ddcl_unnormalized_sum():

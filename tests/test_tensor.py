@@ -1018,3 +1018,163 @@ def test_nonfinite_op_output_rejected():
         tn.log(Tensor([-1.0]))
     with pytest.raises(FloatingPointError):
         tn.exp(Tensor([1000.0]))  # overflows float32
+
+
+# ---------------------------------------------------------------------------
+# k-major stacks, and the VJPs that skip padded BLAS work: each must give
+# the bits of the separate records or the BLAS products it replaces
+
+
+def _signed_zeros(rng, shape, dtype=np.float32):
+    """Normal values with about a third of them +0.0 or -0.0."""
+    values = rng.normal(size=shape).astype(dtype)
+    pick = rng.integers(0, 6, size=shape)
+    values[pick == 0] = 0.0
+    values[pick == 1] = -0.0
+    return values
+
+
+def test_backward_region_list_matches_separate_slice_records():
+    """A VJP that returns a list of overlapping regions for one parent
+    (``stack_spans``) leaves the bytes, -0.0 included, that one slice and
+    reshape record per span leave."""
+    rng = np.random.default_rng(70)
+    x = rng.normal(size=(3, 7, 2)).astype(np.float32)
+    spans = [(1, 7), (2, 7), (0, 5), (6, 7)]
+    weights = [_signed_zeros(rng, (3 * (hi - lo), 2)) for lo, hi in spans]
+    weights[0][:] = -0.0  # the first region is assigned, not added
+
+    with Tape():
+        stacked = Tensor(x, requires_grad=True)
+        rows = tn.stack_spans(stacked, spans)
+        backward(tn.sum_all(tn.mul(rows, Tensor(np.concatenate(weights)))))
+    with Tape():
+        separate = Tensor(x, requires_grad=True)
+        total = None
+        for (lo, hi), w in zip(spans, weights):
+            part = tn.reshape(tn.slice_axis(separate, lo, hi, axis=1), (-1, 2))
+            term = tn.sum_all(tn.mul(part, Tensor(w)))
+            total = term if total is None else tn.add(total, term)
+        backward(total)
+    np.testing.assert_array_equal(rows.data, np.concatenate(
+        [x[:, lo:hi].reshape(-1, 2) for lo, hi in spans]))
+    assert stacked.grad.tobytes() == separate.grad.tobytes()
+    assert np.signbit(stacked.grad[:, 1:2]).any()
+
+
+def test_stack_ops_reject_bad_spans_and_blocks():
+    x = Tensor(np.zeros((2, 5, 3)))
+    with pytest.raises(ValueError, match=r"time span \[3, 6\) outside a sequence of 5 steps"):
+        tn.stack_spans(x, [(0, 5), (3, 6)])
+    with pytest.raises(ValueError, match="no time spans"):
+        tn.stack_spans(x, [])
+    with pytest.raises(ValueError, match=r"blocks of \[4, 4\] rows do not tile 10 rows"):
+        tn.sum_blocks(Tensor(np.zeros((10, 2))), [4, 4])
+    with pytest.raises(ValueError, match="3 blocks but a stack of 2 matrices"):
+        tn.block_matmul(Tensor(np.zeros((6, 3))), Tensor(np.zeros((2, 3, 4))), [2, 2, 2])
+
+
+@pytest.mark.parametrize("bits", [32, 64])
+def test_block_ops_match_per_block_records_bitwise(bits):
+    """``block_matmul`` (shared and stacked right operand), ``span_matvec``
+    and ``sum_blocks`` give the values and gradients of one matmul, slice
+    and sum record per block, bit for bit."""
+    rng = np.random.default_rng(71)
+    batch, steps, m, j = 2, 6, 4, 5
+    spans = [(1, 6), (2, 6), (3, 6)]
+    sizes = [batch * (hi - lo) for lo, hi in spans]
+    with tn.precision_mode(bits):
+        arrays = [rng.normal(size=s) for s in
+                  [(sum(sizes), j), (j, 7), (3, 7, j), (batch, steps, m, j)]]
+
+        def leaves():
+            return [Tensor(a, requires_grad=True) for a in arrays]
+
+        with Tape():
+            a, shared, stack, x = leaves()
+            out = tn.add(tn.sum_blocks(tn.block_matmul(a, shared, sizes), sizes),
+                         tn.sum_blocks(tn.block_matmul(a, tn.transpose(stack, (0, 2, 1)), sizes),
+                                       sizes))
+            out = tn.add(out, tn.sum_blocks(tn.span_matvec(x, a, spans), sizes))
+            backward(out)
+        with Tape():
+            a2, shared2, stack2, x2 = leaves()
+            total, start = None, 0
+            for i, ((lo, hi), n) in enumerate(zip(spans, sizes)):
+                rows = tn.slice_axis(a2, start, start + n)
+                start += n
+                head = tn.reshape(tn.slice_axis(stack2, i, i + 1), (7, j))
+                terms = [
+                    tn.sum_all(tn.matmul(rows, shared2)),
+                    tn.sum_all(tn.matmul(rows, tn.transpose(head))),
+                ]
+                cols = tn.reshape(rows, (batch, hi - lo, j, 1))
+                terms.append(tn.sum_all(tn.matmul(tn.slice_axis(x2, lo, hi, axis=1), cols)))
+                total = terms if total is None else [tn.add(t, u) for t, u in zip(total, terms)]
+            want = tn.add(tn.add(total[0], total[1]), total[2])
+            backward(want)
+    assert out.data.tobytes() == want.data.tobytes()
+    for got, want in zip((a, shared, stack, x), (a2, shared2, stack2, x2)):
+        assert got.grad.tobytes() == np.ascontiguousarray(want.grad).tobytes()
+
+
+@pytest.mark.parametrize("batch, t, c_in, c_out, f, relu", [
+    (3, 12, 4, 6, 3, False),    # T a multiple of F
+    (2, 14, 4, 6, 3, True),     # two tail frames with no gradient
+    (1, 13, 5, 7, 4, True),     # B = 1: the relu gradient matrix is F-ordered
+    (1, 240, 128, 128, 3, True),  # a `small` layer at B = 1
+    (4, 80, 128, 128, 4, True),
+    (2, 21, 128, 128, 2, False),
+])
+def test_conv_tiled_dx_matches_tap_loop_bitwise(batch, t, c_in, c_out, f, relu):
+    """With stride == F the taps tile the input, and dx is one product
+    against the tap-major filter matrix; its bytes, -0.0 included, are
+    those of the tap loop that adds each tap's product into zeros."""
+    rng = np.random.default_rng(72)
+    x = rng.normal(size=(batch, t, c_in)).astype(np.float32)
+    w = rng.normal(size=(c_out, c_in, f)).astype(np.float32)
+    t_out = (t - f) // f + 1
+    upstream = _signed_zeros(rng, (batch, t_out, c_out))
+    upstream[0, 0] = -0.0  # a gradient row of -0.0 only
+    with Tape():
+        xt = Tensor(x, requires_grad=True)
+        y = tn.conv1d_strided(xt, Tensor(w, requires_grad=True), f, relu=relu)
+        backward(tn.sum_all(tn.mul(y, Tensor(upstream))))
+
+    g = upstream * (y.data > 0) if relu else upstream
+    gmat = g.reshape(batch * t_out, c_out)
+    if batch == 1 and relu:
+        gmat = np.asfortranarray(gmat)
+    dpatches = (gmat @ w.reshape(c_out, c_in * f)).reshape(batch, t_out, c_in, f)
+    dx = np.zeros((batch, t, c_in), dtype=np.float32)
+    for tap in range(f):
+        dx[:, tap : tap + f * (t_out - 1) + 1 : f] += dpatches[..., tap]
+    assert xt.grad.tobytes() == dx.tobytes()
+    assert not xt.grad[:, t_out * f :].any()
+
+
+@pytest.mark.parametrize("rows", [12, 64, 128])
+@pytest.mark.parametrize("bits", [32, 64])
+def test_matmul_outer_product_vjp_matches_blas_bitwise(rows, bits):
+    """A matmul VJP whose contracted length is 1 is an elementwise product
+    plus 0, with the bytes BLAS gives, +0.0 for a product of -0.0 too:
+    da of a (..., L, D) @ (..., D, 1) product and db of a (1, J) @ (J, K)
+    one, with factors that include +-0."""
+    dtype = tn._DTYPES[bits]
+    rng = np.random.default_rng(73)
+    cols = 128
+    a = _signed_zeros(rng, (3, rows, cols), dtype)
+    v = _signed_zeros(rng, (3, cols, 1), dtype)
+    g = _signed_zeros(rng, (3, rows, 1), dtype)
+    u = _signed_zeros(rng, (1, rows), dtype)
+    h = _signed_zeros(rng, (1, cols), dtype)
+    with tn.precision_mode(bits):
+        with Tape():
+            at = Tensor(a, requires_grad=True)
+            backward(tn.sum_all(tn.mul(tn.matmul(at, Tensor(v)), Tensor(g))))
+        with Tape():
+            bt = Tensor(u.T @ h, requires_grad=True)
+            backward(tn.sum_all(tn.mul(tn.matmul(Tensor(u), bt), Tensor(h))))
+    assert at.grad.tobytes() == (g @ v.swapaxes(-1, -2)).tobytes()
+    assert bt.grad.tobytes() == (u.T @ h).tobytes()
+    assert (np.signbit(g) & (g == 0)).any() and not np.signbit(at.grad[at.grad == 0]).any()
