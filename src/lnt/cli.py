@@ -226,6 +226,16 @@ def _norm_from_extra(extra: dict) -> NormStats:
         raise ValueError(f"checkpoint lacks normalization stats ({missing})") from None
 
 
+def _check_outputs(args, *flags: str) -> None:
+    """Fail before any work when the directory of an output flag's path is
+    missing, so a run never stops at its first write."""
+    for flag in flags:
+        path = getattr(args, flag.replace("-", "_"))
+        folder = path and os.path.dirname(path)
+        if folder and not os.path.isdir(folder):
+            raise ValueError(f"--{flag}: directory {folder!r} does not exist")
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -263,6 +273,7 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     started = time.perf_counter()
+    _check_outputs(args, "out", "report")
     base, file_over = resolve_config(args.config)
     train_cfg, stride = _train_config(args, file_over)
     series = load_csv(args.data)
@@ -311,6 +322,7 @@ def _load_scoring_inputs(args):
 
 def cmd_score(args) -> int:
     started = time.perf_counter()
+    _check_outputs(args, "out")
     params, _, std = _load_scoring_inputs(args)
     x = np.asarray(std.values, dtype=tn.dtype())
     if args.method == "ddcl":
@@ -332,6 +344,7 @@ def cmd_score(args) -> int:
 
 def cmd_eval(args) -> int:
     started = time.perf_counter()
+    _check_outputs(args, "out")
     scores, labels = load_scores_csv(args.scores)
     if labels is None:
         raise ValueError(f"{args.scores} has no label column; cannot evaluate")
@@ -358,6 +371,7 @@ def cmd_eval(args) -> int:
 
 def cmd_viz_decode(args) -> int:
     started = time.perf_counter()
+    _check_outputs(args, "out", "save-model")
     params, extra, std = _load_scoring_inputs(args)
     config = params.config
     windows = window(std.values, config.sub_seq, config.sub_seq)

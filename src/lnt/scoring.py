@@ -107,8 +107,9 @@ def _at(stage: str, lo: int, hi: int) -> str:
     return f"{stage} at latent steps {lo}..{hi - 1}"
 
 
-def _iter_chunks(params: ModelParams, x: np.ndarray, real_steps: int | None = None):
-    """Yield (step, z, ctx) per chunk of up to ``CHUNK_STEPS`` latent steps.
+def _iter_chunks(params: ModelParams, x: np.ndarray, real_steps: int):
+    """Yield (step, z, ctx) per chunk of ``CHUNK_STEPS`` latent steps of
+    ``x``, a series padded by :func:`_padded`.
 
     ``z`` is the chunk's (m, dim_z) latent Tensor, starting at latent step
     ``step``; ``ctx`` is the (M, dim_c) context buffer of the whole series,
@@ -120,11 +121,10 @@ def _iter_chunks(params: ModelParams, x: np.ndarray, real_steps: int | None = No
     r = cfg.downsample
     lookahead = cfg.receptive_field - r
     m_total = cfg.latent_len(x.shape[1])
-    real_steps = real_steps or m_total
     ctx = np.empty((m_total, cfg.dim_c), dtype=tn.dtype())
     state = None
     for step in range(0, m_total, CHUNK_STEPS):
-        end = min(step + CHUNK_STEPS, m_total)
+        end = step + CHUNK_STEPS
         real_end = min(end, real_steps)
         with tn.stage(_at("input", step, real_end)):
             chunk = Tensor(x[None, :, step * r : end * r + lookahead])
@@ -146,6 +146,14 @@ def _horizons(cfg: mdl.ModelConfig, step: int, m: int, ctx: np.ndarray):
     past = min(cfg.K, step)
     anchors, contexts = ls.horizons(m, cfg.K, past)
     return anchors, contexts, Tensor(ctx[None, step - past : step + m - 1])
+
+
+def _by_horizon(step: int, anchors) -> list[tuple[slice, slice]]:
+    """Per horizon, its anchors' steps in the series and their rows in the
+    chunk's k-major stack (as ``tensor.stack_spans`` lays them out)."""
+    ends = np.cumsum(tn.span_rows(1, anchors)).tolist()
+    return [(slice(step + first, step + stop), slice(end - (stop - first), end))
+            for (first, stop), end in zip(anchors, ends)]
 
 
 def _finish(latent: np.ndarray, per_k: int, cfg: mdl.ModelConfig, raw_len: int,
@@ -183,10 +191,8 @@ def score_ddcl(params: ModelParams, x: np.ndarray, normalized: bool = True) -> S
                 tn.reshape(den, (1, m, cfg.L)), c, anchors, contexts,
             )
             tn.check_stage(terms)
-        end = 0
-        for first, _ in anchors:
-            begin, end = end, end + m - first
-            total[step + first : step + m] += terms.data[begin:end].sum(axis=1, dtype=np.float64)
+        for steps, rows in _by_horizon(step, anchors):
+            total[steps] += terms.data[rows].sum(axis=1, dtype=np.float64)
 
     return _finish(total[:m_total], cfg.L, cfg, x.shape[1], normalized)
 
@@ -210,10 +216,8 @@ def score_cpc_approx(params: ModelParams, x: np.ndarray) -> ScoreSeries:
             z_rows = tn.stack_spans(tn.reshape(z, (1, m, cfg.dim_z)), anchors)
             logit = tn.sum_last(tn.mul(z_rows, pred))
             tn.check_stage(logit)
-        end = 0
-        for first, _ in anchors:
-            begin, end = end, end + m - first
-            total[step + first : step + m] -= logit.data[begin:end, 0]
+        for steps, rows in _by_horizon(step, anchors):
+            total[steps] -= logit.data[rows, 0]
 
     return _finish(total[:m_total], 1, cfg, x.shape[1], True)
 

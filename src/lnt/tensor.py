@@ -13,9 +13,8 @@ Conventions
 * Any op producing NaN/Inf raises ``FloatingPointError``: each op checks
   its output, except in a tape-free forward run under :func:`stage`,
   which checks each stage's output once instead.
-* A tape and the tensors built on it belong to one thread.  Detached
-  tensors (and anything computed with no tape active) are plain data and
-  may be shared freely.
+* A tape and the tensors built on it belong to one thread.  Tensors
+  computed with no tape active are plain data and may be shared freely.
 * A tape serves one :func:`backward`, which consumes its records.
 """
 
@@ -100,14 +99,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        out = Tensor.__new__(Tensor)
-        out.data = self.data
-        out.grad = None
-        out.requires_grad = False
-        out._tape = None
-        return out
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -203,9 +194,9 @@ def stage(name: str):
 
     Ops run in this block with no tape active skip their output check;
     the caller checks the stage's outputs with :func:`check_stage`.  Ops
-    that can map a non-finite input to a finite output (sigmoid, exp,
-    clamp_min and logsumexp on their input, div on its denominator) still
-    check it, and relu checks its input for -inf, the one value it hides,
+    that can map a non-finite input to a finite output (sigmoid, exp and
+    logsumexp) still check it, relu checks its input for -inf, the one
+    value it hides, and unit_rows checks its squared norms in every mode,
     so no overflow is lost before the stage's outputs are checked.  A conv
     with relu folded in checks its pre-activation for -inf in every mode,
     and ``gru`` checks its pre-activations as it always does.
@@ -379,22 +370,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    sa, bd = a.shape, b.data
-    _check_input(bd, "div denominator")
-    with np.errstate(all="ignore"):
-        out = a.data / bd
-
-    def vjp(g):
-        # -(g*out/b) has the bits of (-g)*out/b, and negating after the
-        # broadcast sum gives those of the sum, with one temporary fewer
-        db = g * out
-        db /= bd
-        return (_unbroadcast(g / bd, sa), -_unbroadcast(db, bd.shape))
-
-    return _make(out, (a, b), vjp, "div")
-
-
 def scale(a: Tensor, factor: float) -> Tensor:
     factor = float(factor)
     return _make(a.data * factor, (a,), lambda g: (g * factor,), "scale")
@@ -446,20 +421,6 @@ def log(a: Tensor) -> Tensor:
     with np.errstate(all="ignore"):
         out = np.log(ad)
     return _make(out, (a,), lambda g: (g / ad,), "log")
-
-
-def sqrt(a: Tensor) -> Tensor:
-    with np.errstate(all="ignore"):
-        out = np.sqrt(a.data)
-    return _make(out, (a,), lambda g: (g / (2.0 * out),), "sqrt")
-
-
-def clamp_min(a: Tensor, floor: float) -> Tensor:
-    floor = float(floor)
-    _check_input(a.data, "clamp_min input")
-    out = np.maximum(a.data, floor)
-    mask = a.data > floor if _recording(a) else None
-    return _make(out, (a,), lambda g: (g * mask,), "clamp_min")
 
 
 # ---------------------------------------------------------------------------
@@ -544,13 +505,6 @@ def block_matmul(a: Tensor, b: Tensor, sizes: Sequence[int]) -> Tensor:
     return _make(out, (a, b), vjp, "block_matmul")
 
 
-def sum_all(a: Tensor) -> Tensor:
-    shape = a.shape
-    return _make(
-        a.data.sum(), (a,), lambda g: (np.broadcast_to(g, shape).copy(),), "sum_all"
-    )
-
-
 def mean_all(a: Tensor) -> Tensor:
     shape, n = a.shape, a.size
     return _make(
@@ -573,19 +527,41 @@ def sum_last(a: Tensor, keepdims: bool = True) -> Tensor:
     return _make(out, (a,), vjp, "sum_last")
 
 
-def logsumexp_last(a: Tensor, keepdims: bool = True) -> Tensor:
+def logsumexp_last(a: Tensor) -> Tensor:
     ad = a.data
     _check_input(ad, "logsumexp input")
-    m = a.data.max(axis=-1, keepdims=True)
-    out_k = m + np.log(np.sum(np.exp(a.data - m), axis=-1, keepdims=True))
-    out = out_k if keepdims else np.squeeze(out_k, axis=-1)
+    m = ad.max(axis=-1, keepdims=True)
+    out = m + np.log(np.sum(np.exp(ad - m), axis=-1, keepdims=True))
+    return _make(out, (a,), lambda g: (g * np.exp(ad - out),), "logsumexp_last")
+
+
+def unit_rows(a: Tensor) -> Tensor:
+    """Rows scaled to unit norm, the norm clamped below at NORM_EPS (zero
+    rows map to zero, never NaN).
+
+    One record with the bits of the composed mul, sum_last, clamp_min,
+    sqrt and div records: the forward runs their numpy calls in order, and
+    the VJP returns ``a``'s terms in the order their reverse sweep added
+    them, div's first.  An overflowed norm would divide to 0, so the
+    squared norms are checked in every mode.
+    """
+    ad = a.data
+    with np.errstate(over="ignore"):
+        sq = (ad * ad).sum(axis=-1, keepdims=True)
+    _check_finite(sq, "unit_rows")
+    floor = float(NORM_EPS**2)
+    n = np.sqrt(np.maximum(sq, floor))
+    out = ad / n
+    mask = sq > floor if _recording(a) else None
 
     def vjp(g):
-        if not keepdims:
-            g = np.expand_dims(g, -1)
-        return (g * np.exp(ad - out_k),)
+        dn = g * out
+        dn /= n
+        dn = -dn.sum(axis=-1, keepdims=True)
+        t = dn / (2.0 * n) * mask * ad
+        return ([g / n, t, t],)
 
-    return _make(out, (a,), vjp, "logsumexp_last")
+    return _make(out, (a,), vjp, "unit_rows")
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
@@ -897,9 +873,11 @@ def conv1d_strided(x: Tensor, w: Tensor, stride: int, bias: Tensor | None = None
         patches[..., tap] = x.data[:, tap : tap + last + 1 : stride]
     pmat = patches.reshape(batch * t_out, c_in * f)
     wd, wmat = w.data, w.data.reshape(c_out, c_in * f)
-    y = (pmat @ wmat.T).reshape(batch, t_out, c_out)
-    if bias is not None:
-        y += bias.data.reshape(c_out)
+    # an overflow raises in the finite checks, not as a numpy warning
+    with np.errstate(all="ignore"):
+        y = (pmat @ wmat.T).reshape(batch, t_out, c_out)
+        if bias is not None:
+            y += bias.data.reshape(c_out)
     mask = None
     if relu:
         _check_relu_input(y, "conv1d pre-activation")
@@ -925,17 +903,17 @@ def conv1d_strided(x: Tensor, w: Tensor, stride: int, bias: Tensor | None = None
         dx = None
         if need_dx and stride == f:
             # the taps tile the input, so one product against the tap-major
-            # filter matrix lays dx out in time order; the tap loop added
-            # each value to 0, which turns a -0.0 into +0.0, and so does += 0
+            # filter matrix lays dx out in time order.  The tap loop added
+            # each value to 0, which turns a -0.0 into +0.0; sgemm returns
+            # no -0.0 (an all -0.0 operand gives +0.0), so no pass is needed
             tiled = t_out * f
             dtiles = gmat @ wd.transpose(0, 2, 1).reshape(c_out, f * c_in)
             dtiles = dtiles.reshape(batch, tiled, c_in)
             if tiled == t:
                 dx = dtiles
-                dx += 0
             else:  # the frames past the last step get no gradient
                 dx = np.zeros((batch, t, c_in), dtype=_dtype)
-                np.add(dtiles, 0, out=dx[:, :tiled])
+                dx[:, :tiled] = dtiles
         elif need_dx:
             dpatches = (gmat @ wmat).reshape(batch, t_out, c_in, f)
             dx = np.zeros((batch, t, c_in), dtype=_dtype)
@@ -989,17 +967,3 @@ def conv1d_transpose(x: Tensor, w: Tensor, stride: int) -> Tensor:
         return (dx, dw)
 
     return _make(y, (x, w), vjp, "conv1d_transpose")
-
-
-# ---------------------------------------------------------------------------
-# composites used across the model
-
-
-def norms_last(a: Tensor) -> Tensor:
-    """Row euclidean norms (keepdims), clamped below at NORM_EPS."""
-    return sqrt(clamp_min(sum_last(mul(a, a)), NORM_EPS**2))
-
-
-def unit_rows(a: Tensor) -> Tensor:
-    """Rows scaled to unit norm (zero rows map near zero, never NaN)."""
-    return div(a, norms_last(a))

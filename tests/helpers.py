@@ -1,9 +1,10 @@
 """Shared test utilities: the tiny desk model, the constant model, in-place
 finite differences over model parameters, and the oracles that ``lnt``
-itself does not use: the tanh op (the composed GRU step), the per-anchor
-contrastive softmax, the DDCL term of a single step and view, the
-channel-major encoder, and the losses and scores composed horizon by
-horizon from per-horizon head tensors."""
+itself does not use: the sum_all and tanh ops, the div, sqrt and clamp_min
+ops of the composed ``unit_rows``, the per-anchor contrastive softmax, the
+DDCL term of a single step and view, the channel-major encoder, and the
+losses and scores composed horizon by horizon from per-horizon head
+tensors."""
 
 from dataclasses import replace
 from typing import Sequence
@@ -62,6 +63,45 @@ def tanh(a: Tensor) -> Tensor:
     return tn._make(out, (a,), lambda g: (g * (1.0 - out * out),), "tanh")
 
 
+def sum_all(a: Tensor) -> Tensor:
+    shape = a.shape
+    return tn._make(
+        a.data.sum(), (a,), lambda g: (np.broadcast_to(g, shape).copy(),), "sum_all"
+    )
+
+
+def div(a: Tensor, b: Tensor) -> Tensor:
+    sa, bd = a.shape, b.data
+    with np.errstate(all="ignore"):
+        out = a.data / bd
+
+    def vjp(g):
+        db = g * out
+        db /= bd
+        return (tn._unbroadcast(g / bd, sa), -tn._unbroadcast(db, bd.shape))
+
+    return tn._make(out, (a, b), vjp, "div")
+
+
+def sqrt(a: Tensor) -> Tensor:
+    with np.errstate(all="ignore"):
+        out = np.sqrt(a.data)
+    return tn._make(out, (a,), lambda g: (g / (2.0 * out),), "sqrt")
+
+
+def clamp_min(a: Tensor, floor: float) -> Tensor:
+    floor = float(floor)
+    out = np.maximum(a.data, floor)
+    mask = a.data > floor
+    return tn._make(out, (a,), lambda g: (g * mask,), "clamp_min")
+
+
+def unit_rows_composed(a: Tensor) -> Tensor:
+    """``tn.unit_rows`` as five records: the bitwise oracle of the fused op."""
+    norms = sqrt(clamp_min(tn.sum_last(tn.mul(a, a)), tn.NORM_EPS**2))
+    return div(a, norms)
+
+
 def log_softmax_contrast(log_pos: Tensor, log_negs: Sequence[Tensor]) -> Tensor:
     """-log(pos / (pos + sum(negs))) from log-similarities, via log-sum-exp.
 
@@ -71,7 +111,7 @@ def log_softmax_contrast(log_pos: Tensor, log_negs: Sequence[Tensor]) -> Tensor:
     if not log_negs:
         raise ValueError("log_softmax_contrast needs at least one negative")
     cols = [tn.reshape(log_pos, (1,))] + [tn.reshape(t, (1,)) for t in log_negs]
-    lse = tn.logsumexp_last(tn.concat(cols, axis=0), keepdims=False)
+    lse = tn.reshape(tn.logsumexp_last(tn.concat(cols, axis=0)), ())
     return tn.sub(lse, tn.reshape(log_pos, ()))
 
 
@@ -216,7 +256,7 @@ def cpc_loss_per_horizon(params, z, c, rng, *, N):
         neg_idx = ls.sample_negatives(rng, len(pos_idx), n_pos, pos_idx, N - 1)
         neg_logit = tn.gather_last(tn.matmul(pred, z_cols), neg_idx)
         logits = tn.concat([pos_logit, neg_logit], axis=1)
-        k_sum = tn.sum_all(tn.sub(tn.logsumexp_last(logits), pos_logit))
+        k_sum = sum_all(tn.sub(tn.logsumexp_last(logits), pos_logit))
         acc = k_sum if acc is None else tn.add(acc, k_sum)
         total += len(pos_idx)
     return tn.scale(acc, 1.0 / total)
@@ -246,7 +286,7 @@ def ddcl_loss_per_horizon(params, z, c):
             params, tn.slice_axis(units, k, t_z, axis=1), _shifted(den, k, t_z),
             _shifted(c, 0, t_z - k), k,
         )
-        term_sum = tn.sum_all(terms)
+        term_sum = sum_all(terms)
         acc = term_sum if acc is None else tn.add(acc, term_sum)
         count += terms.size
     return tn.scale(acc, 1.0 / count)

@@ -7,6 +7,7 @@ import os
 import platform
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ import lnt
 import lnt.cli
 from lnt import model as mdl
 from lnt import tensor as tn
-from lnt.checkpoint import load_model
+from lnt.checkpoint import load_model, save_model
 from lnt.cli import main, parse_config_file, resolve_config
 from lnt.data import load_csv
 from lnt.scoring import load_scores_csv
@@ -468,6 +469,47 @@ def test_console_script_help(tmp_path):
     )
     assert out.returncode == 0, out.stderr
     assert "synth" in out.stdout and "viz-decode" in out.stdout
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("train", "--out"), ("train", "--report"), ("score", "--out"), ("eval", "--out"),
+    ("viz-decode", "--out"), ("viz-decode", "--save-model"),
+])
+def test_output_in_missing_directory_fails_before_any_work(workspace, tmp_path, capsys,
+                                                           command, flag):
+    """Every output path's directory is checked before the command reads
+    its inputs: the error names the flag and no file is written (training
+    used to run, and to leave a checkpoint when only the report failed)."""
+    data = workspace["data"]
+    outputs = {"--out": str(tmp_path / "out"), flag: str(tmp_path / "nodir" / "file")}
+    inputs = {
+        "train": ["--data", str(data / "train.csv"), "--config", str(workspace["cfg"]),
+                  "--epochs", "1"],
+        "score": ["--model", str(workspace["model"]), "--data", str(data / "test.csv")],
+        "eval": ["--scores", str(workspace["scores"])],
+        "viz-decode": ["--model", str(workspace["model"]), "--data", str(data / "test.csv"),
+                       "--decoder-epochs", "1"],
+    }[command]
+    argv = [command, *inputs, *(arg for pair in outputs.items() for arg in pair)]
+    assert main(argv) == 1
+    nodir = str(tmp_path / "nodir")
+    assert f"error: {flag}: directory {nodir!r} does not exist" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_score_overflow_reports_only_lnt_error(workspace, tmp_path, capsys):
+    """Finite weights whose first conv product overflows: numpy used to warn
+    `overflow encountered in matmul` ahead of lnt's error."""
+    params, extra = load_model(workspace["model"])
+    params.encoder[0][0].data[...] = 3e38
+    model = tmp_path / "overflow.lntc"
+    save_model(model, params, extra=extra)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["score", "--model", str(model), "--data",
+                     str(workspace["data"] / "test.csv"), "--out", str(tmp_path / "s.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite values in ") and err.count("\n") == 1, err
 
 
 def test_missing_input_file_is_reported(tmp_path, capsys):

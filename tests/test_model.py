@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import constant_model, encode_channel_major, fd_grad_inplace, rel_err
+from helpers import constant_model, encode_channel_major, fd_grad_inplace, rel_err, sum_all
 from lnt import checkpoint as ckpt
 from lnt import model as mdl
 from lnt import tensor as tn
@@ -198,7 +198,7 @@ def test_contextualize_grad_fd_with_carried_state():
             c1, carried = mdl.contextualize_with_state(params, Tensor(z[:, :2]), Tensor(start))
             c2, _ = mdl.contextualize_with_state(params, Tensor(z[:, 2:]), carried)
             c = tn.concat([c1, c2], axis=1)
-            return tn.sum_all(tn.mul(c, c))
+            return sum_all(tn.mul(c, c))
 
         with tn.Tape():
             tn.backward(run())
@@ -351,7 +351,7 @@ def test_encode_keeps_the_bits_of_the_channel_major_encoder(batch):
     for encode in (mdl.encode, encode_channel_major):
         with tn.Tape():
             z = encode(params, Tensor(x))
-            tn.backward(tn.sum_all(tn.mul(z, Tensor(weights))))
+            tn.backward(sum_all(tn.mul(z, Tensor(weights))))
         runs.append([z.data] + [t.grad for w, b in params.encoder for t in (w, b)])
         for w, b in params.encoder:
             w.grad = b.grad = None

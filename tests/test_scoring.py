@@ -139,11 +139,9 @@ def test_score_chunk_invariance(maker, monkeypatch):
 def test_default_chunk_is_chunk_steps_latent_steps():
     params = tiny_params(seed=5)
     r = params.config.downsample
-    x = np.zeros((2, (2 * sc.CHUNK_STEPS + 7) * r))
-    chunks = [(step, z.shape[0]) for step, z, _ in sc._iter_chunks(params, x)]
-    last = params.config.latent_len(x.shape[1]) - 2 * sc.CHUNK_STEPS
-    assert chunks == [(0, sc.CHUNK_STEPS), (sc.CHUNK_STEPS, sc.CHUNK_STEPS),
-                      (2 * sc.CHUNK_STEPS, last)]
+    padded, m_total = sc._padded(params, np.zeros((2, (2 * sc.CHUNK_STEPS + 7) * r)))
+    chunks = [(step, z.shape[0]) for step, z, _ in sc._iter_chunks(params, padded, m_total)]
+    assert chunks == [(i * sc.CHUNK_STEPS, sc.CHUNK_STEPS) for i in range(3)]
 
 
 @pytest.mark.parametrize("bits", [32, 64])
@@ -160,7 +158,7 @@ def test_chunks_match_whole_series_encode_and_contextualize_bitwise(bits, m):
         z_whole = mdl.encode(params, Tensor(x[None]))
         c_whole = mdl.contextualize(params, z_whole).data[0]
         padded, m_total = sc._padded(params, x)
-        chunks = [(z.data.copy(), ctx) for _, z, ctx in sc._iter_chunks(params, padded)]
+        chunks = [(z.data.copy(), ctx) for _, z, ctx in sc._iter_chunks(params, padded, m_total)]
     assert z_whole.shape[1] == m == m_total
     assert len(chunks) == -(-m // sc.CHUNK_STEPS)
     assert all(z.shape[0] == sc.CHUNK_STEPS for z, _ in chunks)
