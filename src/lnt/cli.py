@@ -227,13 +227,15 @@ def _norm_from_extra(extra: dict) -> NormStats:
 
 
 def _check_outputs(args, *flags: str) -> None:
-    """Fail before any work when the directory of an output flag's path is
-    missing, so a run never stops at its first write."""
+    """Fail before any work when an output flag's path is a directory or
+    its directory is missing, so a run never stops at its first write."""
     for flag in flags:
         path = getattr(args, flag.replace("-", "_"))
         folder = path and os.path.dirname(path)
         if folder and not os.path.isdir(folder):
             raise ValueError(f"--{flag}: directory {folder!r} does not exist")
+        if path and os.path.isdir(path):
+            raise ValueError(f"--{flag}: {path!r} is a directory")
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +324,8 @@ def _load_scoring_inputs(args):
 
 def cmd_score(args) -> int:
     started = time.perf_counter()
+    if args.unnormalized and args.method != "ddcl":
+        raise ValueError(f"--unnormalized applies to --method ddcl, not {args.method}")
     _check_outputs(args, "out")
     params, _, std = _load_scoring_inputs(args)
     x = np.asarray(std.values, dtype=tn.dtype())

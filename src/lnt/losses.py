@@ -59,6 +59,15 @@ def sample_negatives(
     return draw + (draw >= pos_idx[:, None])
 
 
+def positive_logits(params: ModelParams, z: Tensor, c: Tensor, anchors,
+                    contexts) -> tuple[Tensor, Tensor]:
+    """Predictions W_k c_{t-k} and positive logits z_t . W_k c_{t-k} of the
+    (B,T,dim_z) latents ``z``: k-major (S,dim_z) and (S,1) stacks of anchor
+    rows, as in :func:`ddcl_terms`.  Training and scoring share this kernel."""
+    pred = mdl.predict(params, c, contexts)
+    return pred, tn.sum_last(tn.mul(pred, tn.stack_spans(z, anchors)))
+
+
 def cpc_loss(
     params: ModelParams, z: Tensor, c: Tensor, rng: np.random.Generator, *, N: int,
 ) -> Tensor:
@@ -77,8 +86,7 @@ def cpc_loss(
     anchors, contexts = horizons(t_z, K)
     sizes = tn.span_rows(batch, anchors)
 
-    pred = mdl.predict(params, c, contexts)
-    pos_logit = tn.sum_last(tn.mul(pred, tn.stack_spans(z, anchors)))
+    pred, pos_logit = positive_logits(params, z, c, anchors, contexts)
     negatives = []
     for first, _ in anchors:  # an anchor row's positive is its own latent row
         pos_idx = (np.arange(batch)[:, None] * t_z + np.arange(first, t_z)[None, :]).ravel()
@@ -108,12 +116,13 @@ def ddcl_terms(
 ) -> Tensor:
     """DDCL terms of every horizon, a k-major (S,L) stack of anchor rows.
 
-    ``units`` (B,T,L,D) and ``den`` (B,T,L) are :func:`view_gram`'s
-    outputs for a batch of T-step sequences, ``c`` (B,T_c,dim_c) their
-    contexts, and ``anchors``/``contexts`` the spans of :func:`horizons`.
-    Term (r,l) is log(h(view_l, pred) + S[r,l]) - log h(view_l, pred).
-    Training and scoring share this kernel.
+    ``units`` (R,L,D) and ``den`` (R,L) are :func:`view_gram`'s outputs for
+    the (b, t)-ordered latent rows of a batch of T-step sequences, ``c``
+    (B,T_c,dim_c) their contexts, and ``anchors``/``contexts`` the spans of
+    :func:`horizons`.  Term (r,l) is log(h(view_l, pred) + S[r,l]) -
+    log h(view_l, pred).  Training and scoring share this kernel.
     """
+    units, den = (tn.reshape(t, (c.shape[0], -1) + t.shape[1:]) for t in (units, den))
     pred = tn.unit_rows(mdl.predict(params, c, contexts, ddcl=True))
     cos = tn.span_matvec(units, pred, anchors)
     # h values live in [1/e, e]; the direct form is safe here
@@ -127,12 +136,8 @@ def ddcl_loss(params: ModelParams, z: Tensor, c: Tensor) -> Tensor:
         raise ValueError("DDCL needs at least two latent steps (no valid (t,k) pair)")
 
     units, den = view_gram(params, tn.reshape(z, (batch * t_z, dim_z)))
-    n_views = units.shape[1]
     anchors, contexts = horizons(t_z, params.config.K)
-    terms = ddcl_terms(
-        params, tn.reshape(units, (batch, t_z, n_views, dim_z)),
-        tn.reshape(den, (batch, t_z, n_views)), c, anchors, contexts,
-    )
+    terms = ddcl_terms(params, units, den, c, anchors, contexts)
     total = tn.sum_blocks(terms, tn.span_rows(batch, anchors))
     return tn.scale(total, 1.0 / terms.size)
 

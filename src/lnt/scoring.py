@@ -2,9 +2,11 @@
 
 ``score_ddcl`` evaluates the DDCL terms of every latent step (no negative
 sampling involved, so scoring is fully deterministic) and ``score_cpc_approx``
-is the negated positive-logit baseline.  Latent-rate scores are broadcast
-back to the raw rate: each latent step covers its r raw frames and trailing
-remainder frames inherit the last score.
+is the negated positive-logit baseline.  Both run one walk over the
+series, and each computes its terms with the kernel its training loss
+uses, ``losses.ddcl_terms`` or ``losses.positive_logits``.  Latent-rate
+scores are broadcast back to the raw rate: each latent step covers its r
+raw frames and trailing remainder frames inherit the last score.
 
 Long series are walked in chunks of ``CHUNK_STEPS`` latent steps, aligned
 to the downsample factor, with the recurrent state carried across
@@ -103,8 +105,8 @@ def _padded(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, int]:
     return out, m_total
 
 
-def _at(stage: str, lo: int, hi: int) -> str:
-    return f"{stage} at latent steps {lo}..{hi - 1}"
+def _stage(name: str, lo: int, hi: int):
+    return tn.stage(f"{name} at latent steps {lo}..{hi - 1}")
 
 
 def _iter_chunks(params: ModelParams, x: np.ndarray, real_steps: int):
@@ -126,43 +128,46 @@ def _iter_chunks(params: ModelParams, x: np.ndarray, real_steps: int):
     for step in range(0, m_total, CHUNK_STEPS):
         end = step + CHUNK_STEPS
         real_end = min(end, real_steps)
-        with tn.stage(_at("input", step, real_end)):
+        with _stage("input", step, real_end):
             chunk = Tensor(x[None, :, step * r : end * r + lookahead])
-        with tn.stage(_at("latents", step, real_end)):
+        with _stage("latents", step, real_end):
             z = mdl.encode(params, chunk)
             tn.check_stage(z)
-        with tn.stage(_at("contexts", step, real_end)):
+        with _stage("contexts", step, real_end):
             c, state = mdl.contextualize_with_state(params, z, state)
             tn.check_stage(c)
         ctx[step:end] = c.data[0]
         yield step, tn.reshape(z, z.shape[1:]), ctx
 
 
-def _horizons(cfg: mdl.ModelConfig, step: int, m: int, ctx: np.ndarray):
-    """(anchors, contexts, c) of the chunk of ``m`` steps from ``step``:
-    the spans of ``losses.horizons`` and the (1, T_c, dim_c) ``ctx`` rows
-    they index, which start past = min(K, step) steps before the chunk.
-    Horizon k's anchors are chunk steps [first, m)."""
-    past = min(cfg.K, step)
-    anchors, contexts = ls.horizons(m, cfg.K, past)
-    return anchors, contexts, Tensor(ctx[None, step - past : step + m - 1])
+def _walk(params: ModelParams, x: np.ndarray, kernel, normalized: bool) -> ScoreSeries:
+    """The walk both methods share.  Per chunk of :func:`_iter_chunks`, it
+    takes the spans of ``losses.horizons`` and the (1, T_c, dim_c) context
+    rows they index, from past = min(K, step) steps before the chunk, and
+    ``kernel(z, c, anchors, contexts, lo, hi)`` returns the k-major (S, n)
+    stack of the terms of the chunk's steps lo..hi - 1 of ``x``.  Each
+    horizon's row sums are added into the score in float64.  A normalized
+    score divides step t's sum by its n * min(t, K) terms; step 0 has no
+    c_{t-k} and copies step 1."""
+    x = _check_series(params, x)
+    cfg = params.config
+    padded, m_total = _padded(params, x)
+    total = np.zeros(cfg.latent_len(padded.shape[1]), dtype=np.float64)
+    for step, z, ctx in _iter_chunks(params, padded, m_total):
+        m = z.shape[0]
+        past = min(cfg.K, step)
+        anchors, contexts = ls.horizons(m, cfg.K, past)
+        c = Tensor(ctx[None, step - past : step + m - 1])
+        terms = kernel(z, c, anchors, contexts, step, min(step + m, m_total))
+        blocks = np.split(terms, np.cumsum(tn.span_rows(1, anchors))[:-1])
+        for (first, stop), block in zip(anchors, blocks):
+            total[step + first : step + stop] += block.sum(axis=1, dtype=np.float64)
 
-
-def _by_horizon(step: int, anchors) -> list[tuple[slice, slice]]:
-    """Per horizon, its anchors' steps in the series and their rows in the
-    chunk's k-major stack (as ``tensor.stack_spans`` lays them out)."""
-    ends = np.cumsum(tn.span_rows(1, anchors)).tolist()
-    return [(slice(step + first, step + stop), slice(end - (stop - first), end))
-            for (first, stop), end in zip(anchors, ends)]
-
-
-def _finish(latent: np.ndarray, per_k: int, cfg: mdl.ModelConfig, raw_len: int,
-            normalized: bool) -> ScoreSeries:
+    latent = total[:m_total]
     if normalized:
-        # step t >= 1 has per_k terms for each of its min(t, K) horizons
-        latent[1:] /= per_k * np.minimum(np.arange(1, latent.size), cfg.K)
-    latent[0] = latent[1]  # step 0 has no c_{t-k}; it copies step 1
-    return ScoreSeries(broadcast_scores(latent, cfg.downsample, raw_len), latent)
+        latent[1:] /= terms.shape[1] * np.minimum(np.arange(1, m_total), cfg.K)
+    latent[0] = latent[1]
+    return ScoreSeries(broadcast_scores(latent, cfg.downsample, x.shape[1]), latent)
 
 
 def score_ddcl(params: ModelParams, x: np.ndarray, normalized: bool = True) -> ScoreSeries:
@@ -170,31 +175,17 @@ def score_ddcl(params: ModelParams, x: np.ndarray, normalized: bool = True) -> S
 
     latent score(t) = sum over valid horizons k and all L transformations
     of the DDCL term, divided by the valid-term count unless
-    ``normalized=False`` requests the raw sum.  Each horizon's terms are
-    summed per step in float64 and added into the score horizon after
-    horizon.
+    ``normalized=False`` requests the raw sum.
     """
-    x = _check_series(params, x)
-    cfg = params.config
-    padded, m_total = _padded(params, x)
-    total = np.zeros(cfg.latent_len(padded.shape[1]), dtype=np.float64)
-
-    for step, z, ctx in _iter_chunks(params, padded, m_total):
-        m = z.shape[0]
-        real_end = min(step + m, m_total)
-        anchors, contexts, c = _horizons(cfg, step, m, ctx)
-        with tn.stage(_at("bank", step, real_end)):
+    def kernel(z, c, anchors, contexts, lo, hi):
+        with _stage("bank", lo, hi):
             units, den = ls.view_gram(params, z)
-        with tn.stage(_at("ddcl terms", step + anchors[0][0], real_end)):
-            terms = ls.ddcl_terms(
-                params, tn.reshape(units, (1, m, cfg.L, cfg.dim_z)),
-                tn.reshape(den, (1, m, cfg.L)), c, anchors, contexts,
-            )
+        with _stage("ddcl terms", lo + anchors[0][0], hi):
+            terms = ls.ddcl_terms(params, units, den, c, anchors, contexts)
             tn.check_stage(terms)
-        for steps, rows in _by_horizon(step, anchors):
-            total[steps] += terms.data[rows].sum(axis=1, dtype=np.float64)
+        return terms.data
 
-    return _finish(total[:m_total], cfg.L, cfg, x.shape[1], normalized)
+    return _walk(params, x, kernel, normalized)
 
 
 def score_cpc_approx(params: ModelParams, x: np.ndarray) -> ScoreSeries:
@@ -203,23 +194,14 @@ def score_cpc_approx(params: ModelParams, x: np.ndarray) -> ScoreSeries:
     A sampling-free stand-in for the contrastive objective: poorly
     predicted steps score high.
     """
-    x = _check_series(params, x)
-    cfg = params.config
-    padded, m_total = _padded(params, x)
-    total = np.zeros(cfg.latent_len(padded.shape[1]), dtype=np.float64)
+    def kernel(z, c, anchors, contexts, lo, hi):
+        with _stage("cpc logits", lo + anchors[0][0], hi):
+            _, logits = ls.positive_logits(
+                params, tn.reshape(z, (1,) + z.shape), c, anchors, contexts)
+            tn.check_stage(logits)
+        return -logits.data
 
-    for step, z, ctx in _iter_chunks(params, padded, m_total):
-        m = z.shape[0]
-        anchors, contexts, c = _horizons(cfg, step, m, ctx)
-        with tn.stage(_at("cpc logits", step + anchors[0][0], min(step + m, m_total))):
-            pred = mdl.predict(params, c, contexts)
-            z_rows = tn.stack_spans(tn.reshape(z, (1, m, cfg.dim_z)), anchors)
-            logit = tn.sum_last(tn.mul(z_rows, pred))
-            tn.check_stage(logit)
-        for steps, rows in _by_horizon(step, anchors):
-            total[steps] -= logit.data[rows, 0]
-
-    return _finish(total[:m_total], 1, cfg, x.shape[1], True)
+    return _walk(params, x, kernel, True)
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,13 @@ topologically sorted and :func:`backward` is a single reverse sweep.
 Conventions
 -----------
 * Storage and compute are 32-bit by default; :func:`set_precision` switches
-  to 64-bit for gradient verification runs.
+  the calling thread to 64-bit for gradient verification runs.
 * Any op producing NaN/Inf raises ``FloatingPointError``: each op checks
   its output, except in a tape-free forward run under :func:`stage`,
   which checks each stage's output once instead.
-* A tape and the tensors built on it belong to one thread.  Tensors
-  computed with no tape active are plain data and may be shared freely.
+* Precision, a tape and the tensors built on it belong to one thread.
+  Tensors computed with no tape active are plain data and may be shared
+  freely.
 * A tape serves one :func:`backward`, which consumes its records.
 """
 
@@ -28,32 +29,30 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 _DTYPES = {32: np.float32, 64: np.float64}
-_dtype = np.float32
 
 # norm of a vector is clamped below at this value before any division
 NORM_EPS = 1e-12
 
 
 def set_precision(bits: int) -> None:
-    """Switch global precision: 32 (default) or 64 (verification runs)."""
-    global _dtype
+    """Switch this thread's precision: 32 (default) or 64 (verification runs)."""
     if bits not in _DTYPES:
         raise ValueError(f"precision must be 32 or 64, got {bits}")
-    _dtype = _DTYPES[bits]
+    _state.dtype = _DTYPES[bits]
 
 
 def precision() -> int:
-    return 32 if _dtype is np.float32 else 64
+    return 32 if _state.dtype is np.float32 else 64
 
 
 def dtype():
-    """The numpy float type for the current precision."""
-    return _dtype
+    """The numpy float type for this thread's precision."""
+    return _state.dtype
 
 
 @contextlib.contextmanager
 def precision_mode(bits: int):
-    """Temporarily switch precision.  Do not switch in the middle of a graph."""
+    """Temporarily switch this thread's precision; never mid-graph."""
     previous = precision()
     set_precision(bits)
     try:
@@ -78,7 +77,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_tape", "_node")
 
     def __init__(self, values, requires_grad: bool = False):
-        arr = np.asarray(values, dtype=_dtype)
+        arr = np.asarray(values, dtype=_state.dtype)
         _check_finite(arr, "tensor")
         self.data = arr
         self.grad: np.ndarray | None = None
@@ -177,6 +176,7 @@ class Tape:
 
 class _State(threading.local):
     def __init__(self):
+        self.dtype = np.float32  # set by `set_precision`
         self.active: Tape | None = None
         self.stage: str | None = None  # set by `stage`
 
@@ -200,13 +200,16 @@ def stage(name: str):
     so no overflow is lost before the stage's outputs are checked.  A conv
     with relu folded in checks its pre-activation for -inf in every mode,
     and ``gru`` checks its pre-activations as it always does.
-    Every finiteness error raised in the block names ``name``.
+    Every finiteness error raised in the block names ``name``, and numpy's
+    floating-point warnings are off there, since these checks report
+    every non-finite value.
     """
     if _state.active is not None:
         raise RuntimeError("per-stage checks are for tape-free forwards")
     previous, _state.stage = _state.stage, name
     try:
-        yield
+        with np.errstate(all="ignore"):
+            yield
     finally:
         _state.stage = previous
 
@@ -242,7 +245,7 @@ def _recording(*tensors: Tensor) -> bool:
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], vjp, name: str) -> Tensor:
-    data = np.asarray(data, dtype=_dtype)
+    data = np.asarray(data, dtype=_state.dtype)
     tape = _state.active
     if tape is not None or _state.stage is None:
         _check_finite(data, name)
@@ -284,7 +287,7 @@ def backward(loss: Tensor) -> None:
     tape._spent = True
 
     records = tape._records
-    grads: dict[int, np.ndarray] = {loss._node: np.ones((), dtype=_dtype)}
+    grads: dict[int, np.ndarray] = {loss._node: np.ones((), dtype=_state.dtype)}
     owned: set[int] = set()
     while records:
         node, parents, shapes, vjp, _ = records.pop()
@@ -298,7 +301,7 @@ def backward(loss: Tensor) -> None:
                 buf = grads.get(pnode)
                 if type(pg) is _Region:
                     if buf is None:
-                        buf = grads[pnode] = np.zeros(shape, dtype=_dtype)
+                        buf = grads[pnode] = np.zeros(shape, dtype=_state.dtype)
                         buf[pg.index] = pg.grad
                     else:
                         if pnode not in owned:
@@ -484,14 +487,15 @@ def block_matmul(a: Tensor, b: Tensor, sizes: Sequence[int]) -> Tensor:
     blocks = _blocks(sizes, a.shape[0])
     ad, bd = a.data, b.data
     mats = list(bd) if stacked else [bd] * len(blocks)
-    out = np.empty((a.shape[0], b.shape[-1]), dtype=_dtype)
+    out = np.empty((a.shape[0], b.shape[-1]), dtype=_state.dtype)
     for rows, mat in zip(blocks, mats):
         np.matmul(ad[rows], mat, out=out[rows])
 
     def vjp(g):
-        da = np.empty(ad.shape, dtype=_dtype)
+        da = np.empty(ad.shape, dtype=_state.dtype)
         if stacked:
-            db = (np.empty if len(blocks) == bd.shape[0] else np.zeros)(bd.shape, dtype=_dtype)
+            fill = np.empty if len(blocks) == bd.shape[0] else np.zeros
+            db = fill(bd.shape, dtype=_state.dtype)
         else:
             db = []
         for i, (rows, mat) in enumerate(zip(blocks, mats)):
@@ -629,7 +633,7 @@ def stack_spans(x: Tensor, spans: Sequence[tuple[int, int]]) -> Tensor:
     added them."""
     batch, rest = x.shape[0], x.shape[2:]
     blocks = _span_blocks(spans, batch, x.shape[1])
-    out = np.empty((blocks[-1].stop,) + rest, dtype=_dtype)
+    out = np.empty((blocks[-1].stop,) + rest, dtype=_state.dtype)
     for (start, stop), rows in zip(spans, blocks):
         out[rows].reshape((batch, stop - start) + rest)[...] = x.data[:, start:stop]
 
@@ -662,13 +666,13 @@ def span_matvec(x: Tensor, v: Tensor, spans: Sequence[tuple[int, int]]) -> Tenso
     if blocks[-1].stop != v.shape[0]:
         raise ValueError(f"spans of {blocks[-1].stop} rows but {v.shape[0]} rows to multiply")
     xd, vd = x.data, v.data
-    out = np.empty((v.shape[0], m), dtype=_dtype)
+    out = np.empty((v.shape[0], m), dtype=_state.dtype)
     for (start, stop), rows in zip(spans, blocks):
         cols = vd[rows].reshape(batch, stop - start, j, 1)
         out[rows] = np.matmul(xd[:, start:stop], cols).reshape(-1, m)
 
     def vjp(g):
-        dv = np.empty(vd.shape, dtype=_dtype)
+        dv = np.empty(vd.shape, dtype=_state.dtype)
         regions = []
         for (start, stop), rows in zip(spans, blocks):
             n = stop - start
@@ -690,7 +694,7 @@ def sum_blocks(a: Tensor, sizes: Sequence[int]) -> Tensor:
         part = a.data[rows].sum()
         total = part if total is None else total + part
     shape = a.shape
-    return _make(total, (a,), lambda g: (np.full(shape, g, dtype=_dtype),), "sum_blocks")
+    return _make(total, (a,), lambda g: (np.full(shape, g, dtype=_state.dtype),), "sum_blocks")
 
 
 def gather_last(a: Tensor, idx: np.ndarray) -> Tensor:
@@ -710,7 +714,7 @@ def gather_last(a: Tensor, idx: np.ndarray) -> Tensor:
 
     def vjp(g):
         da = np.bincount(flat, weights=g.ravel(), minlength=size)
-        return (da.reshape(shape).astype(_dtype, copy=False),)
+        return (da.reshape(shape).astype(_state.dtype, copy=False),)
 
     return _make(out, (a,), vjp, "gather_last")
 
@@ -756,12 +760,12 @@ def gru(x: Tensor, h0: Tensor, u_ru: Tensor, u_n: Tensor, b_ru: Tensor, b_n: Ten
     xd, urd, und, brd, bnd = x.data, u_ru.data, u_n.data, b_ru.data, b_n.data
     # one buffer of every step's pre-activations, each step's (B, 2H) and
     # (B, H) blocks contiguous, as the composed step's fresh arrays were
-    pre = np.empty(steps * batch * 3 * hidden, dtype=_dtype)
+    pre = np.empty(steps * batch * 3 * hidden, dtype=_state.dtype)
     a_ru_all = pre[: steps * batch * two].reshape(steps, batch, two)
     a_n_all = pre[steps * batch * two :].reshape(steps, batch, hidden)
-    out = np.empty((batch, steps, hidden), dtype=_dtype)
+    out = np.empty((batch, steps, hidden), dtype=_state.dtype)
     h = h0.data
-    one = _dtype(1)
+    one = _state.dtype(1)
     saved = [] if _recording(x, h0, u_ru, u_n, b_ru, b_n) else None
     with np.errstate(all="ignore"):
         for t in range(steps):
@@ -786,7 +790,7 @@ def gru(x: Tensor, h0: Tensor, u_ru: Tensor, u_n: Tensor, b_ru: Tensor, b_n: Ten
         # region assigned and the other added (0 + v), and summed each
         # weight's terms from the last step back; doing the same keeps
         # every bit, down to the sign of a zero
-        dx = np.zeros((batch, steps, 3 * hidden), dtype=_dtype)
+        dx = np.zeros((batch, steps, 3 * hidden), dtype=_state.dtype)
         du_ru = du_n = db_ru = db_n = None
         dh = None  # gradient of step t's state from step t + 1
         for t in range(steps - 1, -1, -1):
@@ -803,7 +807,7 @@ def gru(x: Tensor, h0: Tensor, u_ru: Tensor, u_n: Tensor, b_ru: Tensor, b_n: Ten
             da_n = d_n * (1.0 - n * n)
             d_rh = da_n @ und.T
             d_r = d_rh * h_prev
-            dru = np.zeros((batch, two), dtype=_dtype)
+            dru = np.zeros((batch, two), dtype=_state.dtype)
             dru[:, hidden:] = du
             dru[:, :hidden] += d_r
             da_ru = dru * ru * (1.0 - ru)
@@ -867,7 +871,7 @@ def conv1d_strided(x: Tensor, w: Tensor, stride: int, bias: Tensor | None = None
     # numpy copies each with inner loops over channels, where a copy of
     # one (B, t_out, C_in, F) window view runs inner loops over the F taps
     # and took 1.5-5x as long
-    patches = np.empty((batch, t_out, c_in, f), dtype=_dtype)
+    patches = np.empty((batch, t_out, c_in, f), dtype=_state.dtype)
     last = stride * (t_out - 1)
     for tap in range(f):
         patches[..., tap] = x.data[:, tap : tap + last + 1 : stride]
@@ -912,11 +916,11 @@ def conv1d_strided(x: Tensor, w: Tensor, stride: int, bias: Tensor | None = None
             if tiled == t:
                 dx = dtiles
             else:  # the frames past the last step get no gradient
-                dx = np.zeros((batch, t, c_in), dtype=_dtype)
+                dx = np.zeros((batch, t, c_in), dtype=_state.dtype)
                 dx[:, :tiled] = dtiles
         elif need_dx:
             dpatches = (gmat @ wmat).reshape(batch, t_out, c_in, f)
-            dx = np.zeros((batch, t, c_in), dtype=_dtype)
+            dx = np.zeros((batch, t, c_in), dtype=_state.dtype)
             # taps within one offset never overlap (stride apart)
             for tap in range(f):
                 dx[:, tap : tap + last + 1 : stride] += dpatches[..., tap]
@@ -952,13 +956,13 @@ def conv1d_transpose(x: Tensor, w: Tensor, stride: int) -> Tensor:
     xmat = x.data.transpose(0, 2, 1).reshape(batch * t, c_in)
     wshape, wmat = w.shape, w.data.reshape(c_in, c_out * f)
     contrib = (xmat @ wmat).reshape(batch, t, c_out, f).transpose(0, 2, 3, 1)
-    y = np.zeros((batch, c_out, t_out), dtype=_dtype)
+    y = np.zeros((batch, c_out, t_out), dtype=_state.dtype)
     last = stride * (t - 1)
     for tap in range(f):
         y[:, :, tap : tap + last + 1 : stride] += contrib[:, :, tap, :]
 
     def vjp(g):
-        dcontrib = np.empty((batch, c_out, f, t), dtype=_dtype)
+        dcontrib = np.empty((batch, c_out, f, t), dtype=_state.dtype)
         for tap in range(f):
             dcontrib[:, :, tap, :] = g[:, :, tap : tap + last + 1 : stride]
         dmat = dcontrib.transpose(0, 3, 1, 2).reshape(batch * t, c_out * f)

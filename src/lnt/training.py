@@ -154,7 +154,8 @@ def _epochs(windows, make_loss, adam: Adam, rng: np.random.Generator,
     yields each epoch's index, mean step values and wall seconds.
 
     ``make_loss(data)`` gets the windows as one array and returns the loss
-    function of a mini-batch, given its rows' indices.
+    function of a mini-batch, given its rows' indices.  The last mini-batch's
+    loss is checked again with the final weights after the last epoch.
     """
     data = np.asarray(windows, dtype=tn.dtype())
     if data.ndim != 3 or not len(data):
@@ -176,6 +177,9 @@ def _epochs(windows, make_loss, adam: Adam, rng: np.random.Generator,
             sums += np.array(values)
             steps += 1
         yield epoch, sums / steps, time.perf_counter() - started
+    if epochs:
+        with tn.stage("the last mini-batch's loss with the final weights"):
+            tn.check_stage(*batch_loss(idx))
 
 
 def fit(

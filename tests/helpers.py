@@ -301,6 +301,15 @@ def unified_loss_per_horizon(params, x, rng, *, lam, cpc_weight, N):
     return total, cpc, ddcl
 
 
+def _finish(latent, per_k, cfg, raw_len, normalized):
+    """The score normalisation, kept apart from ``scoring``'s own copy so
+    that the oracles below do not share the code they check."""
+    if normalized:
+        latent[1:] /= per_k * np.minimum(np.arange(1, latent.size), cfg.K)
+    latent[0] = latent[1]
+    return sc.ScoreSeries(sc.broadcast_scores(latent, cfg.downsample, raw_len), latent)
+
+
 def score_ddcl_per_horizon(params, x, normalized=True):
     cfg = params.config
     padded, m_total = sc._padded(params, sc._check_series(params, x))
@@ -315,7 +324,7 @@ def score_ddcl_per_horizon(params, x, normalized=True):
                 Tensor(ctx[lo - k : step + m - k]), k,
             )
             total[lo : step + m] += terms.data.sum(axis=1, dtype=np.float64)
-    return sc._finish(total[:m_total], cfg.L, cfg, x.shape[1], normalized)
+    return _finish(total[:m_total], cfg.L, cfg, x.shape[1], normalized)
 
 
 def score_cpc_approx_per_horizon(params, x):
@@ -329,4 +338,4 @@ def score_cpc_approx_per_horizon(params, x):
             pred = predict_rows(params, Tensor(ctx[lo - k : step + m - k]), k)
             logit = tn.sum_last(tn.mul(tn.slice_axis(z, lo - step, m), pred))
             total[lo : step + m] -= logit.data[:, 0]
-    return sc._finish(total[:m_total], 1, cfg, x.shape[1], True)
+    return _finish(total[:m_total], 1, cfg, x.shape[1], True)

@@ -185,6 +185,25 @@ def test_train_flag_overrides_config_file(workspace, tmp_path):
     assert len(lines) == 2  # flag wins over the file's epochs = 2
 
 
+def test_train_fails_when_final_weights_cannot_score(workspace, tmp_path, capsys):
+    """One step at lr 1e30 leaves finite weights near 1e30 that overflow
+    in any forward pass.  Training used to exit 0 and write a checkpoint
+    that score then rejected; the final weights' check fails it instead,
+    with nothing written."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([
+            "train", "--data", str(workspace["data"] / "train.csv"),
+            "--out", str(tmp_path / "m.lntc"), "--config", str(workspace["cfg"]),
+            "--epochs", "1", "--window-stride", "720", "--lr", "1e30",
+        ]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("epoch 0: ") and len(err) == 2, err
+    assert err[1].startswith("error: non-finite values in ")
+    assert err[1].endswith("(the last mini-batch's loss with the final weights)")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--lr", "nan"), ("--lr", "inf"), ("--clip-norm", "nan"), ("--cpc-weight", "-1"),
 ])
@@ -281,6 +300,19 @@ def test_score_cpc_approx_method(workspace, tmp_path):
     assert np.isfinite(scores).all()
     manifest = json.loads((str(out) + ".manifest.json") and open(str(out) + ".manifest.json").read())
     assert manifest["config"]["method"] == "cpc-approx"
+
+
+def test_score_rejects_unnormalized_cpc_approx(workspace, tmp_path, capsys):
+    """cpc-approx has no unnormalized form: the flag used to be ignored
+    while the manifest recorded it."""
+    assert main([
+        "score", "--model", str(workspace["model"]),
+        "--data", str(workspace["data"] / "test.csv"),
+        "--out", str(tmp_path / "cpc.csv"), "--method", "cpc-approx", "--unnormalized",
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: --unnormalized applies to --method ddcl, not cpc-approx\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_eval_writes_csv_and_text(workspace, tmp_path, capsys):
@@ -471,17 +503,27 @@ def test_console_script_help(tmp_path):
     assert "synth" in out.stdout and "viz-decode" in out.stdout
 
 
-@pytest.mark.parametrize("command, flag", [
+_OUTPUT_FLAGS = [
     ("train", "--out"), ("train", "--report"), ("score", "--out"), ("eval", "--out"),
     ("viz-decode", "--out"), ("viz-decode", "--save-model"),
+]
+
+
+@pytest.mark.parametrize("command, flag, is_dir", [
+    pytest.param(command, flag, is_dir, id=f"{command}-{flag}" + ("-is-dir" if is_dir else ""))
+    for is_dir in (False, True) for command, flag in _OUTPUT_FLAGS
 ])
 def test_output_in_missing_directory_fails_before_any_work(workspace, tmp_path, capsys,
-                                                           command, flag):
-    """Every output path's directory is checked before the command reads
-    its inputs: the error names the flag and no file is written (training
-    used to run, and to leave a checkpoint when only the report failed)."""
+                                                           command, flag, is_dir):
+    """Every output path is checked before the command reads its inputs,
+    for a missing directory and for a path that is itself a directory:
+    the error names the flag and no file is written (training used to
+    run, and to leave a checkpoint when only the report failed)."""
     data = workspace["data"]
-    outputs = {"--out": str(tmp_path / "out"), flag: str(tmp_path / "nodir" / "file")}
+    target = tmp_path / "dir" if is_dir else tmp_path / "nodir" / "file"
+    if is_dir:
+        target.mkdir()
+    outputs = {"--out": str(tmp_path / "out"), flag: str(target)}
     inputs = {
         "train": ["--data", str(data / "train.csv"), "--config", str(workspace["cfg"]),
                   "--epochs", "1"],
@@ -492,9 +534,10 @@ def test_output_in_missing_directory_fails_before_any_work(workspace, tmp_path, 
     }[command]
     argv = [command, *inputs, *(arg for pair in outputs.items() for arg in pair)]
     assert main(argv) == 1
-    nodir = str(tmp_path / "nodir")
-    assert f"error: {flag}: directory {nodir!r} does not exist" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
+    expected = (f"{flag}: {str(target)!r} is a directory" if is_dir
+                else f"{flag}: directory {str(target.parent)!r} does not exist")
+    assert f"error: {expected}" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.rglob("*")] == (["dir"] if is_dir else [])
 
 
 def test_score_overflow_reports_only_lnt_error(workspace, tmp_path, capsys):

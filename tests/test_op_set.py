@@ -1,10 +1,13 @@
-"""The tape op set is exactly what the model needs.
+"""The tape op set is exactly what the model needs, and no private helper
+outlives its callers.
 
 Every public function of ``lnt.tensor`` that records through ``_make`` is
 an op; each must be called by another ``src/lnt`` module, through the
 ``tensor`` module alias (``tn.<name>``) or a name imported from it.  An op
 that only tests or ``tensor.py`` itself call belongs in ``tests/helpers.py``.
-The sources are parsed, not imported.
+Likewise a top-level ``_``-prefixed function must be referenced in
+``src/lnt`` outside its own definition.  The sources are parsed, not
+imported.
 """
 
 import ast
@@ -48,3 +51,22 @@ def test_every_recording_op_has_a_caller_in_src():
     ))
     unused = sorted(ops - used)
     assert not unused, f"lnt.tensor ops with no caller in src/lnt: {unused}"
+
+
+def _names(node: ast.AST) -> set[str]:
+    """Every name and attribute ``node`` reads."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_every_private_helper_has_a_caller_in_src():
+    helpers, used = set(), set()
+    for path in SRC.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+                helpers.add(node.name)
+                used |= _names(node) - {node.name}
+            else:
+                used |= _names(node)
+    unused = sorted(helpers - used)
+    assert not unused, f"private functions with no caller in src/lnt: {unused}"

@@ -1033,6 +1033,33 @@ def test_bad_precision_rejected():
         tn.set_precision(16)
 
 
+def test_precision_is_per_thread():
+    """Two threads at precisions 32 and 64, both set before either builds
+    a tensor and neither reset before both are done: each records and
+    backpropagates at its own precision, and the main thread's stays at
+    the default."""
+    barrier = threading.Barrier(2)
+    seen = {}
+
+    def worker(bits):
+        with tn.precision_mode(bits):
+            barrier.wait()
+            x = Tensor(np.arange(1.0, 4.0), requires_grad=True)
+            with Tape():
+                loss = tn.mean_all(tn.sigmoid(tn.mul(x, x)))
+                backward(loss)
+            seen[bits] = (tn.dtype(), loss.data.dtype, x.data.dtype, x.grad.dtype)
+            barrier.wait()
+
+    threads = [threading.Thread(target=worker, args=(bits,)) for bits in (32, 64)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert seen == {32: (np.float32,) * 4, 64: (np.float64,) * 4}
+    assert tn.precision() == 32
+
+
 def test_nonfinite_input_rejected():
     with pytest.raises(FloatingPointError):
         Tensor([1.0, np.inf])
