@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import struct
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -88,12 +89,9 @@ def load_arrays(path) -> dict[str, np.ndarray]:
 # ---------------------------------------------------------------------------
 # model round-trip
 
-_CONFIG_SCALARS = (
-    "in_channels", "dim_z", "dim_c", "K", "L",
-    "bank_layers", "bank_width", "conv_bias", "separate_ddcl_heads", "sub_seq",
-)
-_CONFIG_FLAGS = ("conv_bias", "separate_ddcl_heads")
-_CONFIG_SIZES = ("in_channels", "dim_z", "dim_c", "K", "L", "bank_layers", "bank_width", "filters")
+# every ModelConfig field is a ``config.<name>`` entry, of rank 1 for a
+# tuple and 0 otherwise; all but these size tensors or count them
+_CONFIG_UNSIZED = ("sub_seq", "strides")
 
 
 def _checkpoint_tensors(params: ModelParams) -> dict[str, np.ndarray]:
@@ -127,9 +125,7 @@ def model_to_arrays(params: ModelParams) -> dict[str, np.ndarray]:
     """Parameter and config arrays by checkpoint name; a config entry that
     float32 cannot hold exactly is an error, not a silent rounding."""
     out = _checkpoint_tensors(params)
-    cfg = params.config
-    for name in (*_CONFIG_SCALARS, "filters", "strides"):
-        value = getattr(cfg, name)
+    for name, value in asdict(params.config).items():
         with np.errstate(over="ignore"):
             out[f"config.{name}"] = stored = np.asarray(value, dtype=np.float32)
         if stored.tolist() != (list(value) if isinstance(value, tuple) else value):
@@ -152,7 +148,7 @@ def _config_ints(arrays: dict[str, np.ndarray], name: str, rank: int, limit: int
         if not (math.isfinite(v) and v >= 0 and v == int(v)):
             raise ValueError(f"checkpoint config entry {key!r} holds {v!r}, not an integer >= 0")
     size = int(max([len(values), *values]))
-    if name in _CONFIG_SIZES and size > limit:
+    if name not in _CONFIG_UNSIZED and size > limit:
         raise ValueError(f"checkpoint config entry {key!r} asks for size {size}, more than "
                          f"the file's largest tensor dimension or tensor count ({limit})")
     return [int(v) for v in values]
@@ -170,14 +166,14 @@ def model_from_arrays(arrays: dict[str, np.ndarray]) -> tuple[ModelParams, dict[
     # exceed the number of tensors
     stored = [a for n, a in arrays.items() if not n.startswith("config.")]
     limit = max([len(stored), *(d for a in stored for d in a.shape)])
-    kwargs = {name: _config_ints(arrays, name, 0, limit)[0] for name in _CONFIG_SCALARS}
-    for name in _CONFIG_FLAGS:
-        if kwargs[name] > 1:
-            raise ValueError(f"checkpoint config entry 'config.{name}' must be 0 or 1, "
-                             f"got {kwargs[name]}")
-        kwargs[name] = bool(kwargs[name])
-    kwargs["filters"] = tuple(_config_ints(arrays, "filters", 1, limit))
-    kwargs["strides"] = tuple(_config_ints(arrays, "strides", 1, limit))
+    kwargs = {}
+    for f in fields(ModelConfig):
+        is_tuple = isinstance(f.default, tuple)
+        values = _config_ints(arrays, f.name, int(is_tuple), limit)
+        if isinstance(f.default, bool) and values[0] > 1:
+            raise ValueError(f"checkpoint config entry 'config.{f.name}' must be 0 or 1, "
+                             f"got {values[0]}")
+        kwargs[f.name] = tuple(values) if is_tuple else type(f.default)(values[0])
     cfg = ModelConfig(**kwargs)
 
     # a freshly initialised model gives every tensor's name and shape; the
@@ -185,7 +181,7 @@ def model_from_arrays(arrays: dict[str, np.ndarray]) -> tuple[ModelParams, dict[
     params = init_params(cfg, seed=0)
     if "decoder.layer0.weight" in arrays:
         init_decoder(params, seed=0)
-    used = {f"config.{n}" for n in _CONFIG_SCALARS} | {"config.filters", "config.strides"}
+    used = {f"config.{name}" for name in kwargs}
     for name, target in _checkpoint_tensors(params).items():
         if name not in arrays:
             raise ValueError(f"checkpoint lacks tensor {name!r}")

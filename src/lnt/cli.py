@@ -1,15 +1,19 @@
 """Command-line interface: synth, train, score, eval, viz-decode.
 
 LNT_THREADS caps BLAS threading; it must take effect before numpy loads,
-which is why the environment block sits above every other import.  The
-heap policy beside it keeps glibc from trimming a train step's freed
-working set and faulting it back in on the next step.
+which is why the environment block sits above every other import.  A
+value that is not a whole number >= 1 is not applied, and every command
+then fails naming it.  The heap policy beside it keeps glibc from
+trimming a train step's freed working set and faulting it back in on the
+next step.
 """
 
 import ctypes
 import os
 
-_threads = os.environ.get("LNT_THREADS")
+_requested = os.environ.get("LNT_THREADS")
+_valid = _requested and _requested.isascii() and _requested.isdigit() and int(_requested) > 0
+_threads = _requested if _valid else None  # the cap applied
 if _threads:
     for _var in (
         "OMP_NUM_THREADS",
@@ -81,52 +85,34 @@ def _parse_ints(raw: str) -> tuple[int, ...]:
     return tuple(int(part) for part in raw.split(","))
 
 
-_MODEL_KEYS = {
-    "dim_z": int,
-    "dim_c": int,
-    "K": int,
-    "L": int,
-    "bank_layers": int,
-    "bank_width": int,
-    "conv_bias": _parse_bool,
-    "separate_ddcl_heads": _parse_bool,
-    "sub_seq": int,
-    "filters": _parse_ints,
-    "strides": _parse_ints,
-}
+# Config-file keys and train flags come from the config dataclasses, each
+# parsed by the type of its field's default.  in_channels comes from the
+# data and seed from --seed; window_stride sets the training windows.
+_PARSERS = {int: int, float: float, bool: _parse_bool, tuple: _parse_ints}
+_MODEL_KEYS = {f.name: _PARSERS[type(f.default)]
+               for f in dataclasses.fields(ModelConfig) if f.name != "in_channels"}
+_TRAIN_KEYS = {**{f.name: _PARSERS[type(f.default)]
+                  for f in dataclasses.fields(TrainConfig) if f.name != "seed"},
+               "window_stride": int}
 
-_TRAIN_KEYS = {
-    "lr": float,
-    "batch_size": int,
-    "epochs": int,
-    "lam": float,
-    "cpc_weight": float,
-    "negatives": int,
-    "clip_norm": float,
-    "window_stride": int,
-}
-
-_TRAIN_HELP = {
-    "lam": f"DDCL weight lambda in the unified loss (default {TrainConfig.lam:g})",
-    "cpc_weight": "CPC weight in the unified loss; 0 trains the DDCL alone "
-                  f"(default {TrainConfig.cpc_weight:g})",
-    "negatives": "CPC contrast size N: each positive against N-1 negatives "
-                 f"(default {TrainConfig.negatives})",
-}
+_TRAIN_HELP = {f.name: f"{f.metadata['help']} (default {f.default:g})"
+               for f in dataclasses.fields(TrainConfig) if "help" in f.metadata}
 
 
 def parse_config_file(path) -> dict[str, str]:
-    """key = value lines; # starts a comment."""
+    """key = value lines; # starts a comment; a key may appear once."""
     entries: dict[str, str] = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            key, eq, value = line.partition("=")
+            key, eq, value = (part.strip() for part in line.partition("="))
             if not eq:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
-            entries[key.strip()] = value.strip()
+            if key in entries:
+                raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
+            entries[key] = value
     return entries
 
 
@@ -138,17 +124,22 @@ def resolve_config(spec: str | None) -> tuple[ModelConfig, dict]:
     if not os.path.exists(spec):
         return builtin_config(spec), {}
     entries = parse_config_file(spec)
-    base = builtin_config(entries.pop("base", "small"))
     model_over: dict = {}
     train_over: dict = {}
-    for key, raw in entries.items():
-        if key in _MODEL_KEYS:
-            model_over[key] = _MODEL_KEYS[key](raw)
-        elif key in _TRAIN_KEYS:
-            train_over[key] = _TRAIN_KEYS[key](raw)
-        else:
-            raise ValueError(f"unknown config key {key!r}")
-    return dataclasses.replace(base, **model_over), train_over
+    try:
+        base = builtin_config(entries.pop("base", "small"))
+        for key, raw in entries.items():
+            over = model_over if key in _MODEL_KEYS else train_over
+            parse = _MODEL_KEYS.get(key) or _TRAIN_KEYS.get(key)
+            if parse is None:
+                raise ValueError(f"unknown config key {key!r}")
+            try:
+                over[key] = parse(raw)
+            except ValueError as err:
+                raise ValueError(f"{key} = {raw}: {err}") from None
+        return dataclasses.replace(base, **model_over), train_over
+    except ValueError as err:
+        raise ValueError(f"{spec}: {err}") from None
 
 
 def _train_config(args, file_over: dict) -> tuple[TrainConfig, int | None]:
@@ -159,6 +150,8 @@ def _train_config(args, file_over: dict) -> tuple[TrainConfig, int | None]:
         if flag is not None:
             merged[key] = flag
     stride = merged.pop("window_stride", None)
+    if stride is not None and stride < 1:
+        raise ValueError(f"window_stride must be >= 1, got {stride}")
     return TrainConfig(seed=args.seed, **merged), stride
 
 
@@ -479,6 +472,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     tn.set_precision(args.precision)
     try:
+        if _requested and not _threads:
+            raise ValueError(f"LNT_THREADS must be a whole number >= 1, got {_requested!r}")
         return args.func(args)
     except (ValueError, OSError, FloatingPointError) as err:
         print(f"error: {err}", file=sys.stderr)

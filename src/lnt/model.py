@@ -15,7 +15,7 @@ transforms stacked); only ``checkpoint`` splits them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -52,11 +52,11 @@ class ModelConfig:
     def __post_init__(self):
         if len(self.filters) != len(self.strides):
             raise ValueError("filters and strides must have equal length")
-        if min(self.filters) < 1 or min(self.strides) < 1:
-            raise ValueError("filters and strides must be positive")
-        for name in ("in_channels", "dim_z", "dim_c", "K", "bank_layers", "bank_width"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        if min(self.filters + self.strides, default=0) < 1:
+            raise ValueError("filters and strides must be non-empty and positive")
+        for f in fields(self):
+            if type(f.default) is int and getattr(self, f.name) < 1:
+                raise ValueError(f"{f.name} must be >= 1, got {getattr(self, f.name)}")
         if self.L < 2:
             raise ValueError("L must be >= 2 (the DDCL denominator needs m != l)")
 
@@ -118,13 +118,10 @@ def audio_config(channels: int = 1) -> ModelConfig:
 _BUILTIN_CONFIGS = {"small": small_config, "audio": audio_config}
 
 
-def builtin_config(name: str, channels: int | None = None) -> ModelConfig:
+def builtin_config(name: str) -> ModelConfig:
     if name not in _BUILTIN_CONFIGS:
         raise ValueError(f"unknown config '{name}' (choose from {sorted(_BUILTIN_CONFIGS)})")
-    cfg = _BUILTIN_CONFIGS[name]()
-    if channels is not None:
-        cfg = replace(cfg, in_channels=channels)
-    return cfg
+    return _BUILTIN_CONFIGS[name]()
 
 
 class GruParams(NamedTuple):

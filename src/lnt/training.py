@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,25 +20,23 @@ from .tensor import Tape, Tensor, backward
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimiser and loss settings.  ``lam`` weighs the DDCL and
-    ``cpc_weight`` the CPC term of the unified loss (zero gives the
-    DDCL-only regime of manifold collapse); ``negatives`` is the CPC
-    contrast size N, one positive and N - 1 negatives."""
+    """Optimiser and loss settings; a field's ``help`` is its ``lnt train``
+    flag's help.  A zero ``cpc_weight`` gives the DDCL-only regime of
+    manifold collapse."""
 
     lr: float = 2e-4
     batch_size: int = 32
     epochs: int = 20
-    lam: float = 1e-3
-    cpc_weight: float = 1.0
-    negatives: int = 16
+    lam: float = field(default=1e-3, metadata={"help": "DDCL weight lambda in the unified loss"})
+    cpc_weight: float = field(default=1.0, metadata={
+        "help": "CPC weight in the unified loss; 0 trains the DDCL alone"})
+    negatives: int = field(default=16, metadata={
+        "help": "CPC contrast size N: each positive against N-1 negatives"})
     clip_norm: float = 5.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("lr", "clip_norm", "eps"):
+        for name in ("lr", "clip_norm"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
@@ -52,8 +50,6 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("betas must be in [0,1)")
 
 
 @dataclass
@@ -67,29 +63,34 @@ class EpochStats:
 
 
 class Adam:
-    """Standard Adam (no weight decay) over a fixed named parameter set."""
+    """Adam (Kingma & Ba, 2015; no weight decay) over a fixed named
+    parameter set, at the paper's moment decays and epsilon."""
 
-    def __init__(self, params: dict[str, Tensor], cfg: TrainConfig):
-        self.cfg = cfg
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: dict[str, Tensor], lr: float):
+        if not (math.isfinite(lr) and lr > 0):
+            raise ValueError(f"lr must be finite and positive, got {lr}")
+        self.lr = lr
         self.params = params
         self.m = {n: np.zeros_like(t.data) for n, t in params.items()}
         self.v = {n: np.zeros_like(t.data) for n, t in params.items()}
         self.t = 0
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
-        cfg = self.cfg
+        b1, b2 = self.BETA1, self.BETA2
         self.t += 1
-        c1 = 1.0 - cfg.beta1 ** self.t
-        c2 = 1.0 - cfg.beta2 ** self.t
+        c1 = 1.0 - b1 ** self.t
+        c2 = 1.0 - b2 ** self.t
         for name, tensor in self.params.items():
             g = grads[name]
             m = self.m[name]
             v = self.v[name]
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * g * g
-            tensor.data -= (cfg.lr / c1) * m / (np.sqrt(v / c2) + cfg.eps)
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            tensor.data -= (self.lr / c1) * m / (np.sqrt(v / c2) + self.EPS)
 
 
 def global_norm(grads: dict[str, np.ndarray]) -> float:
@@ -189,7 +190,7 @@ def fit(
     on_epoch=None,
 ) -> list[EpochStats]:
     """Train in place over shuffled mini-batches of fixed-length windows."""
-    adam = Adam(trainable_parameters(params), cfg)
+    adam = Adam(trainable_parameters(params), cfg.lr)
     rng = np.random.default_rng(cfg.seed)
 
     def make_loss(data):
@@ -241,7 +242,7 @@ def fit_decoder(
         n: t for n, t in params.named_parameters().items()
         if n.startswith("decoder.")
     }
-    adam = Adam(decoder, TrainConfig(lr=lr, epochs=epochs, seed=seed))
+    adam = Adam(decoder, lr)
 
     def make_loss(data):
         latents = np.concatenate(

@@ -1,5 +1,6 @@
 import csv
 import ctypes
+import dataclasses
 import hashlib
 import io
 import json
@@ -18,10 +19,11 @@ import lnt
 import lnt.cli
 from lnt import model as mdl
 from lnt import tensor as tn
-from lnt.checkpoint import load_model, save_model
-from lnt.cli import main, parse_config_file, resolve_config
+from lnt.checkpoint import load_model, model_from_arrays, model_to_arrays, save_model
+from lnt.cli import build_parser, main, parse_config_file, resolve_config
 from lnt.data import load_csv
 from lnt.scoring import load_scores_csv
+from lnt.training import TrainConfig
 
 TINY_CONFIG = """\
 # desk-scale test model
@@ -174,6 +176,30 @@ def test_manifest_environment_reports_thread_cap(threads):
     assert json.loads(out.stdout)["lnt_threads"] == threads
 
 
+@pytest.mark.parametrize("threads", ["abc", "0", "-1"])
+def test_invalid_thread_cap_is_not_applied_and_fails(tmp_path, threads):
+    """An LNT_THREADS that is not a whole number >= 1 used to be exported
+    to the BLAS variables and recorded as the cap; now it is not applied,
+    and a command exits 1 naming it before it writes anything."""
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_THREADS")}
+    env["LNT_THREADS"] = threads
+    out = subprocess.run(
+        [sys.executable, "-c", "import json, os, lnt.cli; print(json.dumps("
+         "[os.environ.get('OPENBLAS_NUM_THREADS'), lnt.cli.environment()['lnt_threads']]))"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert json.loads(out.stdout) == [None, None]
+    data = tmp_path / "data"
+    run = subprocess.run(
+        [sys.executable, "-m", "lnt.cli", "synth", "--out-dir", str(data),
+         "--train-length", "500", "--test-length", "500"],
+        env=env, capture_output=True, text=True,
+    )
+    assert run.returncode == 1
+    assert run.stderr == f"error: LNT_THREADS must be a whole number >= 1, got {threads!r}\n"
+    assert not data.exists()
+
+
 def test_train_flag_overrides_config_file(workspace, tmp_path):
     out = tmp_path / "m.lntc"
     assert main([
@@ -222,10 +248,13 @@ def test_train_rejects_bad_float_flag_and_writes_nothing(workspace, tmp_path, ca
 
 @pytest.mark.parametrize("flag, value, field", [
     ("--cpc-weight", "-1", "cpc_weight"), ("--lam", "nan", "lam"), ("--negatives", "1", "negatives"),
+    ("--window-stride", "0", "window_stride"),
 ])
 def test_train_rejects_bad_loss_flag_before_reading_data(tmp_path, capsys, flag, value, field):
-    """The loss flags are checked with the other training flags, before
-    any CSV is opened: the error names the flag, not the missing file."""
+    """The loss flags and the window stride are checked with the other
+    training flags, before any CSV is opened: the error names the flag,
+    not the missing file (a stride of 0 used to fail at windowing as
+    `length and stride must be >= 1`)."""
     missing = tmp_path / "no_such.csv"
     out = tmp_path / "m.lntc"
     assert main(["train", "--data", str(missing), "--out", str(out), flag, value]) == 1
@@ -250,6 +279,71 @@ def test_config_rejects_unknown_key(tmp_path):
     path.write_text("not_a_field = 3\n")
     with pytest.raises(ValueError, match="not_a_field"):
         resolve_config(str(path))
+
+
+# Every config-file key, with a value that differs from the `small` base
+# and from TrainConfig's defaults, as written and as parsed.
+SCHEMA_VALUES = {
+    "dim_z": ("6", 6), "dim_c": ("5", 5), "filters": ("3, 2", (3, 2)),
+    "strides": ("2,2", (2, 2)), "K": ("3", 3), "L": ("4", 4), "bank_layers": ("3", 3),
+    "bank_width": ("7", 7), "conv_bias": ("false", False),
+    "separate_ddcl_heads": ("0", False), "sub_seq": ("40", 40),
+    "lr": ("3e-3", 3e-3), "batch_size": ("8", 8), "epochs": ("3", 3), "lam": ("0.5", 0.5),
+    "cpc_weight": ("0.25", 0.25), "negatives": ("4", 4), "clip_norm": ("2.5", 2.5),
+    "window_stride": ("24", 24),
+}
+
+
+def test_config_keys_are_the_config_dataclass_fields(tmp_path):
+    """The config-file keys and train flags are the ModelConfig fields but
+    in_channels and the TrainConfig fields but seed, plus window_stride;
+    each value reaches its config, and a model key survives a checkpoint."""
+    model_keys = {f.name for f in dataclasses.fields(mdl.ModelConfig)} - {"in_channels"}
+    train_keys = {f.name for f in dataclasses.fields(TrainConfig)} - {"seed"} | {"window_stride"}
+    assert set(lnt.cli._MODEL_KEYS) == model_keys and set(lnt.cli._TRAIN_KEYS) == train_keys
+    assert model_keys | train_keys == set(SCHEMA_VALUES) and len(SCHEMA_VALUES) == 19
+
+    path = tmp_path / "all.cfg"
+    path.write_text("".join(f"{key} = {raw}\n" for key, (raw, _) in SCHEMA_VALUES.items()))
+    config, file_over = resolve_config(str(path))
+    base = mdl.small_config()
+    for key in model_keys:
+        assert getattr(config, key) == SCHEMA_VALUES[key][1] != getattr(base, key), key
+    params = mdl.init_params(dataclasses.replace(config, in_channels=2), seed=0)
+    loaded, _ = model_from_arrays(model_to_arrays(params))
+    assert loaded.config == params.config
+
+    train_args = ["train", "--data", "d.csv", "--out", "m.lntc"]
+    flags = [arg for key in train_keys
+             for arg in (f"--{key.replace('_', '-')}", SCHEMA_VALUES[key][0])]
+    for args, over in [(train_args + ["--config", str(path)], file_over),
+                       (train_args + flags, {})]:
+        train_cfg, stride = lnt.cli._train_config(build_parser().parse_args(args), over)
+        assert stride == SCHEMA_VALUES["window_stride"][1]
+        for key in train_keys - {"window_stride"}:
+            assert getattr(train_cfg, key) == SCHEMA_VALUES[key][1] != getattr(TrainConfig, key)
+
+
+@pytest.mark.parametrize("lines, expect", [
+    pytest.param("dim_z = abc\n", "dim_z = abc: invalid literal for int()", id="int"),
+    pytest.param("conv_bias = maybe\n", "conv_bias = maybe: expected a boolean", id="bool"),
+    pytest.param("K = 4\nK = 2\n", ":2: repeated key 'K'", id="repeated"),
+    pytest.param("sub_seq = -720\n", "sub_seq must be >= 1, got -720", id="sub_seq"),
+])
+def test_config_file_errors_name_file_and_key(workspace, tmp_path, capsys, lines, expect):
+    """A bad value used to fail as a bare `invalid literal for int()`, a
+    repeated key to keep its last value, and sub_seq = -720 to fail only at
+    windowing; each now fails naming the file and the key."""
+    path = tmp_path / "bad.cfg"
+    path.write_text(lines)
+    out = tmp_path / "m.lntc"
+    assert main([
+        "train", "--data", str(workspace["data"] / "train.csv"),
+        "--out", str(out), "--config", str(path), "--epochs", "1",
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}") and expect in err, err
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_config_builtin_names():

@@ -43,8 +43,12 @@ def test_config_validation():
         mdl.ModelConfig(K=0)
     with pytest.raises(ValueError):
         mdl.ModelConfig(L=1)
+    with pytest.raises(ValueError, match="sub_seq must be >= 1, got 0"):
+        mdl.ModelConfig(sub_seq=0)
     with pytest.raises(ValueError):
         mdl.ModelConfig(filters=(3, 3), strides=(3,))
+    with pytest.raises(ValueError, match="filters and strides must be non-empty"):
+        mdl.ModelConfig(filters=(), strides=())  # failed as a bare min() of an empty sequence
     with pytest.raises(ValueError):
         mdl.builtin_config("huge")
 

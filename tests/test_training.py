@@ -43,15 +43,17 @@ def make_windows(n, cfg, seed=0):
 
 def test_adam_first_step_is_lr_sized():
     p = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
-    cfg = TrainConfig(lr=1e-2)
-    adam = Adam({"p": p}, cfg)
+    adam = Adam({"p": p}, 1e-2)
     adam.step({"p": np.array([1.0, 1.0, -1.0], dtype=np.float32)})
     assert_allclose(p.data, [-1e-2, -1e-2, 1e-2], rtol=1e-5)
+    for lr in (0.0, np.nan):
+        with pytest.raises(ValueError, match="lr must be finite and positive"):
+            Adam({"p": p}, lr)
 
 
 def test_adam_constant_grad_walks_at_lr():
     p = Tensor(np.zeros(1, dtype=np.float32), requires_grad=True)
-    adam = Adam({"p": p}, TrainConfig(lr=1e-3))
+    adam = Adam({"p": p}, 1e-3)
     for _ in range(100):
         adam.step({"p": np.ones(1, dtype=np.float32)})
     assert_allclose(p.data, [-0.1], rtol=1e-4)
@@ -63,17 +65,15 @@ def test_adam_matches_reference_updates():
     ref = p.data.astype(np.float64).copy()
     m = np.zeros_like(ref)
     v = np.zeros_like(ref)
-    cfg = TrainConfig(lr=2e-4)
-    adam = Adam({"p": p}, cfg)
+    lr, beta1, beta2, eps = 2e-4, 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
+    adam = Adam({"p": p}, lr)
     for t in range(1, 6):
         g = rng.normal(size=(4, 3)).astype(np.float32)
         adam.step({"p": g})
         g64 = g.astype(np.float64)
-        m = cfg.beta1 * m + (1 - cfg.beta1) * g64
-        v = cfg.beta2 * v + (1 - cfg.beta2) * g64 * g64
-        ref -= cfg.lr * (m / (1 - cfg.beta1**t)) / (
-            np.sqrt(v / (1 - cfg.beta2**t)) + cfg.eps
-        )
+        m = beta1 * m + (1 - beta1) * g64
+        v = beta2 * v + (1 - beta2) * g64 * g64
+        ref -= lr * (m / (1 - beta1**t)) / (np.sqrt(v / (1 - beta2**t)) + eps)
     assert_allclose(p.data, ref, rtol=1e-5, atol=1e-7)
 
 
@@ -101,11 +101,9 @@ def test_train_config_validation():
     with pytest.raises(ValueError, match="epochs must be >= 0, got -3"):
         TrainConfig(epochs=-3)
     with pytest.raises(ValueError):
-        TrainConfig(beta1=1.0)
-    with pytest.raises(ValueError):
         TrainConfig(clip_norm=0.0)
     # nan passed every `<= 0` check: lr = nan trained a model of NaNs
-    for field in ("lr", "clip_norm", "eps"):
+    for field in ("lr", "clip_norm"):
         for value in (np.nan, np.inf):
             with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
                 TrainConfig(**{field: value})
@@ -172,7 +170,7 @@ def test_train_step_reduces_loss_on_fixed_batch():
     cfg = tiny_config()
     params = init_params(cfg, seed=3)
     batch = np.asarray(make_windows(4, cfg), dtype=tn.dtype())
-    adam = Adam(trainable_parameters(params), TrainConfig(lr=3e-3))
+    adam = Adam(trainable_parameters(params), 3e-3)
     rng = np.random.default_rng(0)
     first = None
     last = None
@@ -268,7 +266,7 @@ _FAULTS_SCRIPT = textwrap.dedent("""
     params = init_params(cfg, seed=0)
     rng = np.random.default_rng(0)
     batch = rng.normal(size=(32, cfg.in_channels, cfg.sub_seq)).astype(tn.dtype())
-    adam = Adam(trainable_parameters(params), TrainConfig())
+    adam = Adam(trainable_parameters(params), TrainConfig().lr)
     faults = []
     for _ in range(7):
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
