@@ -137,22 +137,30 @@ def resolve_config(spec: str | None) -> tuple[ModelConfig, dict]:
                 over[key] = parse(raw)
             except ValueError as err:
                 raise ValueError(f"{key} = {raw}: {err}") from None
+        _train_settings(train_over)  # the file's own values, named with the file
         return dataclasses.replace(base, **model_over), train_over
     except ValueError as err:
         raise ValueError(f"{spec}: {err}") from None
 
 
+def _train_settings(values: dict) -> tuple[TrainConfig, int | None]:
+    """The TrainConfig and window stride of ``_TRAIN_KEYS`` values (and a
+    seed); a rejected value raises naming its key."""
+    values = dict(values)
+    stride = values.pop("window_stride", None)
+    if stride is not None and stride < 1:
+        raise ValueError(f"window_stride must be >= 1, got {stride}")
+    return TrainConfig(**values), stride
+
+
 def _train_config(args, file_over: dict) -> tuple[TrainConfig, int | None]:
     """defaults < config file < explicit flags."""
-    merged = dict(file_over)
+    merged = dict(file_over, seed=args.seed)
     for key in _TRAIN_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = flag
-    stride = merged.pop("window_stride", None)
-    if stride is not None and stride < 1:
-        raise ValueError(f"window_stride must be >= 1, got {stride}")
-    return TrainConfig(seed=args.seed, **merged), stride
+    return _train_settings(merged)
 
 
 def sha256_file(path) -> str:
@@ -277,6 +285,7 @@ def cmd_train(args) -> int:
     config = dataclasses.replace(base, in_channels=std.channels)
     stride = stride if stride is not None else max(config.sub_seq // 2, 1)
     windows = window(np.asarray(std.values, dtype=tn.dtype()), config.sub_seq, stride)
+    del series, std  # only the array the windows view stays alive
     params = init_params(config, seed=args.seed)
 
     def echo(entry):

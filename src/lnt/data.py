@@ -411,8 +411,9 @@ def inject_sine_anomalies(series: LabeledSeries, spec: InjectionSpec) -> Labeled
 
 
 def window(values, length: int, stride: int) -> np.ndarray:
-    """(n, C, length) copy of the windows every ``stride`` frames; the final
-    partial window is dropped."""
+    """(n, C, length) read-only view of the windows every ``stride`` frames
+    of ``values``; the final partial window is dropped.  Indexing it with
+    an index array copies just the rows it picks."""
     if isinstance(values, LabeledSeries):
         values = values.values
     values = np.asarray(values)
@@ -421,4 +422,5 @@ def window(values, length: int, stride: int) -> np.ndarray:
         raise ValueError(f"window length {length} exceeds series length {t_total}")
     if length < 1 or stride < 1:
         raise ValueError("length and stride must be >= 1")
-    return np.stack([values[:, s : s + length] for s in range(0, t_total - length + 1, stride)])
+    views = np.lib.stride_tricks.sliding_window_view(values, length, axis=-1)
+    return views[:, ::stride].swapaxes(0, 1)

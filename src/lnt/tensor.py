@@ -10,9 +10,15 @@ Conventions
 -----------
 * Storage and compute are 32-bit by default; :func:`set_precision` switches
   the calling thread to 64-bit for gradient verification runs.
-* Any op producing NaN/Inf raises ``FloatingPointError``: each op checks
-  its output, except in a tape-free forward run under :func:`stage`,
-  which checks each stage's output once instead.
+* Any op producing NaN/Inf raises ``FloatingPointError``.  With no tape
+  and no :func:`stage` active each op checks its output.  Under a stage
+  the caller checks each stage's outputs once; under a tape the caller
+  checks the loss and every gradient (``training.train_step``), and on a
+  failure replays the forward with no tape to name the op.  In every
+  mode the ops that can map a non-finite input to a finite output check
+  that input: sigmoid, exp and logsumexp, relu and a conv with relu
+  folded in (for -inf), and unit_rows (its squared norms); so does
+  ``gru`` (its pre-activations).
 * Precision, a tape and the tensors built on it belong to one thread.
   Tensors computed with no tape active are plain data and may be shared
   freely.
@@ -192,14 +198,10 @@ def active_tape() -> Tape | None:
 def stage(name: str):
     """Check a tape-free forward once per stage instead of once per op.
 
-    Ops run in this block with no tape active skip their output check;
-    the caller checks the stage's outputs with :func:`check_stage`.  Ops
-    that can map a non-finite input to a finite output (sigmoid, exp and
-    logsumexp) still check it, relu checks its input for -inf, the one
-    value it hides, and unit_rows checks its squared norms in every mode,
-    so no overflow is lost before the stage's outputs are checked.  A conv
-    with relu folded in checks its pre-activation for -inf in every mode,
-    and ``gru`` checks its pre-activations as it always does.
+    Ops run in this block skip their output check; the caller checks the
+    stage's outputs with :func:`check_stage`.  The input checks of the ops
+    that can hide an overflow (see the module conventions) still run, so
+    no overflow is lost before the stage's outputs are checked.
     Every finiteness error raised in the block names ``name``, and numpy's
     floating-point warnings are off there, since these checks report
     every non-finite value.
@@ -222,15 +224,9 @@ def check_stage(*tensors: Tensor) -> None:
             raise FloatingPointError(f"non-finite values in {_state.stage}")
 
 
-def _check_input(arr: np.ndarray, what: str) -> None:
-    """The input check of an op that can hide an overflow (see `stage`)."""
-    if _state.stage is not None and _state.active is None:
-        _check_finite(arr, what)
-
-
 def _check_relu_input(arr: np.ndarray, what: str) -> None:
     """relu maps -inf to 0, so its input is checked for -inf; NaN and +inf
-    pass through to the output's check (or the stage's)."""
+    pass through to the output's check (or the stage's, or the loss's)."""
     if arr.size and arr.min() == -np.inf:
         _check_finite(arr, what)
 
@@ -247,7 +243,7 @@ def _recording(*tensors: Tensor) -> bool:
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], vjp, name: str) -> Tensor:
     data = np.asarray(data, dtype=_state.dtype)
     tape = _state.active
-    if tape is not None or _state.stage is None:
+    if tape is None and _state.stage is None:
         _check_finite(data, name)
     out = Tensor.__new__(Tensor)
     out.data = data
@@ -271,7 +267,9 @@ def backward(loss: Tensor) -> None:
     these, which are added in list order as separate records' would be;
     it never writes into ``g``.  A first contribution is kept as given and
     is owned by the sweep when it is a fresh array (not ``g``, not a
-    view).  A later one is added into an owned buffer in place, or else
+    view), or when a record of one parent passes on ``g``, or a view of
+    it, and the sweep owned ``g``: no other record can read ``g`` then.
+    A later contribution is added into an owned buffer in place, or else
     into a new buffer that the sweep then owns.  A region is added into
     its slice of the buffer.
     """
@@ -294,6 +292,10 @@ def backward(loss: Tensor) -> None:
         g = grads.pop(node, None)
         if g is None:
             continue
+        # the memory of g, when the one parent may take it over
+        handed = None
+        if node in owned and len(parents) == 1:
+            handed = g if g.base is None else g.base
         for pnode, shape, contribution in zip(parents, shapes, vjp(g)):
             if pnode is None or contribution is None:
                 continue
@@ -310,7 +312,9 @@ def backward(loss: Tensor) -> None:
                     owned.add(pnode)
                 elif buf is None:
                     grads[pnode] = pg
-                    if type(pg) is np.ndarray and pg.base is None and pg is not g:
+                    if type(pg) is np.ndarray and (
+                            pg.base is None and pg is not g
+                            or handed is not None and (pg is g or pg.base is handed)):
                         owned.add(pnode)
                 elif pnode in owned:
                     np.add(buf, pg, out=buf)
@@ -396,14 +400,13 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    _check_input(a.data, "sigmoid input")
+    _check_finite(a.data, "sigmoid input")
     out = _sigmoid(a.data)
     return _make(out, (a,), lambda g: (g * out * (1.0 - out),), "sigmoid")
 
 
 def relu(a: Tensor) -> Tensor:
-    if _state.stage is not None and _state.active is None:
-        _check_relu_input(a.data, "relu input")
+    _check_relu_input(a.data, "relu input")
     out = np.maximum(a.data, 0.0)
     # C order: the input may be a transposed view (the bank's hidden
     # layer) while its gradient arrives C-ordered, and g * mask across
@@ -413,7 +416,7 @@ def relu(a: Tensor) -> Tensor:
 
 
 def exp(a: Tensor) -> Tensor:
-    _check_input(a.data, "exp input")
+    _check_finite(a.data, "exp input")
     with np.errstate(all="ignore"):
         out = np.exp(a.data)
     return _make(out, (a,), lambda g: (g * out,), "exp")
@@ -533,7 +536,7 @@ def sum_last(a: Tensor, keepdims: bool = True) -> Tensor:
 
 def logsumexp_last(a: Tensor) -> Tensor:
     ad = a.data
-    _check_input(ad, "logsumexp input")
+    _check_finite(ad, "logsumexp input")
     m = ad.max(axis=-1, keepdims=True)
     out = m + np.log(np.sum(np.exp(ad - m), axis=-1, keepdims=True))
     return _make(out, (a,), lambda g: (g * np.exp(ad - out),), "logsumexp_last")
@@ -655,8 +658,10 @@ def span_matvec(x: Tensor, v: Tensor, spans: Sequence[tuple[int, int]]) -> Tenso
     Each row is one matrix-vector product, as a matmul of the span's slice
     of ``x`` with its rows of ``v`` as (..., J, 1) columns computes it, so
     the bits are those of such per-span records.  The slices are views, so
-    ``x`` is not copied per span; its gradient is one region per span,
-    added last span first.
+    ``x`` is not copied per span.  Its gradient is one dense array: each
+    span's outer products are added into zeros in place, last span first,
+    the bits of per-span regions of ``a * b + 0`` added in that order, as
+    no sum started from +0.0 is ever -0.0.
     """
     if x.ndim != 4 or v.ndim != 2 or v.shape[1] != x.shape[3]:
         raise ValueError(f"span_matvec expects (B, T, M, J) matrices and (S, J) rows, "
@@ -672,15 +677,14 @@ def span_matvec(x: Tensor, v: Tensor, spans: Sequence[tuple[int, int]]) -> Tenso
         out[rows] = np.matmul(xd[:, start:stop], cols).reshape(-1, m)
 
     def vjp(g):
+        dx = np.zeros(xd.shape, dtype=_state.dtype)
         dv = np.empty(vd.shape, dtype=_state.dtype)
-        regions = []
-        for (start, stop), rows in zip(spans, blocks):
+        for (start, stop), rows in zip(spans[::-1], blocks[::-1]):
             n = stop - start
             gk = g[rows].reshape(batch, n, m, 1)
-            regions.insert(0, _Region((slice(None), slice(start, stop)),
-                                      _product(gk, vd[rows].reshape(batch, n, 1, j))))
+            dx[:, start:stop] += gk * vd[rows].reshape(batch, n, 1, j)
             dv[rows] = np.matmul(xd[:, start:stop].swapaxes(-1, -2), gk).reshape(-1, j)
-        return (regions, dv)
+        return (dx, dv)
 
     return _make(out, (x, v), vjp, "span_matvec")
 

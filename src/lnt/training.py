@@ -127,13 +127,17 @@ def train_step(adam: Adam, loss_fn, clip_norm: float) -> tuple[float, ...]:
     """One Adam step on the parameters ``adam`` holds.
 
     ``loss_fn()`` runs on a fresh tape and returns scalar tensors, the
-    first of which is backpropagated.  Every parameter must get a finite
-    gradient; the gradients are clipped to global norm ``clip_norm``
-    (``math.inf`` for none).  Returns the outputs' values and the pre-clip
-    norm.
+    first of which is backpropagated.  Its ops check only the inputs that
+    can hide an overflow, so every output value must be finite, and every
+    parameter must get a finite gradient; the gradients are clipped to
+    global norm ``clip_norm`` (``math.inf`` for none).  Returns the
+    outputs' values and the pre-clip norm.
     """
     with Tape():
         outputs = loss_fn()
+        values = tuple(t.item() for t in outputs)
+        if not all(map(math.isfinite, values)):
+            raise FloatingPointError(f"non-finite loss values {values}")
         backward(outputs[0])
     grads = {}
     for name, tensor in adam.params.items():
@@ -146,7 +150,7 @@ def train_step(adam: Adam, loss_fn, clip_norm: float) -> tuple[float, ...]:
         tensor.grad = None
     norm = clip_grads_(grads, clip_norm)
     adam.step(grads)
-    return tuple(t.item() for t in outputs) + (norm,)
+    return values + (norm,)
 
 
 def _epochs(windows, make_loss, adam: Adam, rng: np.random.Generator,
@@ -155,8 +159,12 @@ def _epochs(windows, make_loss, adam: Adam, rng: np.random.Generator,
     yields each epoch's index, mean step values and wall seconds.
 
     ``make_loss(data)`` gets the windows as one array and returns the loss
-    function of a mini-batch, given its rows' indices.  The last mini-batch's
-    loss is checked again with the final weights after the last epoch.
+    function of a mini-batch, given its rows' indices.  A failed step is
+    replayed from the rng state it started with, tape-free and checked op
+    by op, so that the error names the op that first made a non-finite
+    value; a failure only the gradients show keeps its own message.  The
+    last mini-batch's loss is checked again with the final weights after
+    the last epoch.
     """
     data = np.asarray(windows, dtype=tn.dtype())
     if data.ndim != 3 or not len(data):
@@ -169,9 +177,15 @@ def _epochs(windows, make_loss, adam: Adam, rng: np.random.Generator,
         steps = 0
         for lo in range(0, len(data), batch_size):
             idx = order[lo : lo + batch_size]
+            state = rng.bit_generator.state
             try:
                 values = train_step(adam, lambda: batch_loss(idx), clip_norm)
             except FloatingPointError as err:
+                rng.bit_generator.state = state
+                try:
+                    batch_loss(idx)
+                except FloatingPointError as named:
+                    err = named
                 raise FloatingPointError(
                     f"aborting at epoch {epoch} step {steps}: {err}"
                 ) from err

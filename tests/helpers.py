@@ -1,7 +1,8 @@
 """Shared test utilities: the tiny desk model, the constant model, in-place
 finite differences over model parameters, and the oracles that ``lnt``
 itself does not use: the sum_all and tanh ops, the div, sqrt and clamp_min
-ops of the composed ``unit_rows``, the per-anchor contrastive softmax, the
+ops of the composed ``unit_rows``, ``span_matvec`` with a gradient region
+per span, the per-anchor contrastive softmax, the
 DDCL term of a single step and view, the channel-major encoder, and the
 losses and scores composed horizon by horizon from per-horizon head
 tensors."""
@@ -100,6 +101,32 @@ def unit_rows_composed(a: Tensor) -> Tensor:
     """``tn.unit_rows`` as five records: the bitwise oracle of the fused op."""
     norms = sqrt(clamp_min(tn.sum_last(tn.mul(a, a)), tn.NORM_EPS**2))
     return div(a, norms)
+
+
+def span_matvec_regions(x: Tensor, v: Tensor, spans) -> Tensor:
+    """``tn.span_matvec`` with ``x``'s gradient as one region of ``a * b + 0``
+    outer products per span, listed last span first: the bitwise oracle
+    of the op's dense gradient."""
+    batch, _, m, j = x.shape
+    blocks = tn._span_blocks(spans, batch, x.shape[1])
+    xd, vd = x.data, v.data
+    out = np.empty((v.shape[0], m), dtype=tn.dtype())
+    for (start, stop), rows in zip(spans, blocks):
+        cols = vd[rows].reshape(batch, stop - start, j, 1)
+        out[rows] = np.matmul(xd[:, start:stop], cols).reshape(-1, m)
+
+    def vjp(g):
+        dv = np.empty(vd.shape, dtype=tn.dtype())
+        regions = []
+        for (start, stop), rows in zip(spans, blocks):
+            n = stop - start
+            gk = g[rows].reshape(batch, n, m, 1)
+            regions.insert(0, tn._Region((slice(None), slice(start, stop)),
+                                         tn._product(gk, vd[rows].reshape(batch, n, 1, j))))
+            dv[rows] = np.matmul(xd[:, start:stop].swapaxes(-1, -2), gk).reshape(-1, j)
+        return (regions, dv)
+
+    return tn._make(out, (x, v), vjp, "span_matvec")
 
 
 def log_softmax_contrast(log_pos: Tensor, log_negs: Sequence[Tensor]) -> Tensor:

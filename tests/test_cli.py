@@ -329,11 +329,15 @@ def test_config_keys_are_the_config_dataclass_fields(tmp_path):
     pytest.param("conv_bias = maybe\n", "conv_bias = maybe: expected a boolean", id="bool"),
     pytest.param("K = 4\nK = 2\n", ":2: repeated key 'K'", id="repeated"),
     pytest.param("sub_seq = -720\n", "sub_seq must be >= 1, got -720", id="sub_seq"),
+    pytest.param("lr = -1\n", "lr must be finite and positive, got -1.0", id="lr"),
+    pytest.param("window_stride = 0\n", "window_stride must be >= 1, got 0", id="window_stride"),
 ])
 def test_config_file_errors_name_file_and_key(workspace, tmp_path, capsys, lines, expect):
     """A bad value used to fail as a bare `invalid literal for int()`, a
-    repeated key to keep its last value, and sub_seq = -720 to fail only at
-    windowing; each now fails naming the file and the key."""
+    repeated key to keep its last value, sub_seq = -720 to fail only at
+    windowing, and a training value TrainConfig or the stride check
+    rejects with the text of the flag's error; each now fails naming the
+    file and the key."""
     path = tmp_path / "bad.cfg"
     path.write_text(lines)
     out = tmp_path / "m.lntc"

@@ -495,11 +495,18 @@ def test_window_overlapping():
     assert len(wins) == 5
 
 
-def test_window_accepts_series_and_copies():
+def test_window_accepts_series_and_is_read_only():
+    """The windows are a view of the series that cannot write to it, and
+    an index array copies just the windows it picks."""
     series = synth_normal(2, 100, seed=0)
-    wins = window(series, 50, 50)
-    wins[0][:] = 0.0
+    wins = window(series, 50, 25)
+    assert np.shares_memory(wins, series.values) and not wins.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        wins[0][:] = 0.0
     assert series.values[:, :50].any()
+    picked = wins[[2, 0]]
+    assert picked.flags.writeable and not np.shares_memory(picked, series.values)
+    assert_array_equal(picked, np.stack([series.values[:, 50:], series.values[:, :50]]))
 
 
 def test_window_rejects_bad_args():

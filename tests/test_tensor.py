@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import log_softmax_contrast, sum_all, tanh, unit_rows_composed
+from helpers import (log_softmax_contrast, span_matvec_regions, sum_all, tanh,
+                     unit_rows_composed)
 from lnt import model as mdl
 from lnt import tensor as tn
 from lnt.tensor import Tape, Tensor, active_tape, backward
@@ -896,6 +897,53 @@ def test_backward_shared_gradient_is_not_accumulated_in_place():
     np.testing.assert_array_equal(a.grad, w + c)
 
 
+def test_backward_hands_gradient_buffers_on_without_aliasing():
+    """A one-parent VJP that passes on the sweep's own g, or a view of it
+    (transpose, reshape), hands that buffer to its parent, and the next
+    contribution is added into it in place; the gradients keep the bits
+    of fresh sums.  Only a buffer handed on that way is written: what a
+    VJP captured, and the g that ``add`` hands to two parents, stay as
+    they were."""
+    rng = np.random.default_rng(13)
+    c2, c3, c4, c7, c8 = (rng.normal(size=s).astype(np.float32)
+                          for s in [(2, 6), (12,), (3, 4), (3, 4), (3, 4)])
+    consts = [c2, c3, c4, c7, c8]
+    kept = [c.copy() for c in consts]
+    seen = []
+
+    def spy(record):
+        def vjp(g):
+            out = record.vjp(g)
+            seen.append((record.name, len(record.parents), g, g.copy(), out))
+            return out
+        return record._replace(vjp=vjp)
+
+    with Tape() as tape:
+        x, y, z = (Tensor(rng.normal(size=(3, 4)), requires_grad=True) for _ in range(3))
+        # x: reached first through transpose and reshape, then through a reshape
+        f = tn.mul(tn.reshape(x, (12,)), Tensor(c3))
+        d = tn.mul(tn.reshape(tn.transpose(x), (2, 6)), Tensor(c2))
+        # y and z: add hands one g to both, then each gets another term
+        u, w = tn.mul(y, Tensor(c7)), tn.mul(z, Tensor(c8))
+        q = tn.mul(tn.add(y, z), Tensor(c4))
+        loss = sum_all(d)
+        for t in (f, u, w, q):
+            loss = tn.add(loss, sum_all(t))
+        tape._records[:] = [spy(r) for r in tape._records]
+        backward(loss)
+
+    assert x.grad.tobytes() == (c2.reshape(4, 3).T + c3.reshape(3, 4)).tobytes()
+    assert y.grad.tobytes() == (c4 + c7).tobytes()
+    assert z.grad.tobytes() == (c4 + c8).tobytes()
+    handed = [out[0] for name, _, g, _, out in seen if name == "mul" and g.shape == (2, 6)]
+    assert x.grad.base is handed[0]  # d's gradient buffer, transposed and added into
+    for name, parents, g, before, _ in seen:
+        if parents > 1:
+            assert g.tobytes() == before.tobytes(), name
+    for c, k in zip(consts, kept):
+        assert c.tobytes() == k.tobytes()
+
+
 @pytest.mark.parametrize("dense_first", [True, False])
 def test_backward_overlapping_regions_and_dense_contribution(dense_first):
     """Two overlapping slice_axis regions plus a dense term, all to one parent."""
@@ -1195,6 +1243,36 @@ def test_block_ops_match_per_block_records_bitwise(bits):
     assert out.data.tobytes() == want.data.tobytes()
     for got, want in zip((a, shared, stack, x), (a2, shared2, stack2, x2)):
         assert got.grad.tobytes() == np.ascontiguousarray(want.grad).tobytes()
+
+
+@pytest.mark.parametrize("K", [1, 4, 12])
+@pytest.mark.parametrize("bits", [32, 64])
+def test_span_matvec_dense_dx_matches_region_list_bitwise(K, bits):
+    """``span_matvec``'s dense gradient, each span's outer products added
+    into zeros, has the bytes of one ``a * b + 0`` region per span added
+    last span first, -0.0 products included, at 1, 4 and 12 horizons
+    (the spans of ``losses.horizons``); the matrices' input gets one more,
+    later contribution, as the units do in the DDCL."""
+    dtype = tn._DTYPES[bits]
+    rng = np.random.default_rng(74 + K)
+    batch, steps, m, j = 3, K + 4, 4, 6
+    spans = [(k, steps) for k in range(1, K + 1)]
+    x = _signed_zeros(rng, (batch, steps, m, j), dtype)
+    v = _signed_zeros(rng, (sum(tn.span_rows(batch, spans)), j), dtype)
+    up = _signed_zeros(rng, (v.shape[0], m), dtype)
+    other = _signed_zeros(rng, x.shape, dtype)
+    grads = []
+    with tn.precision_mode(bits):
+        for op in (tn.span_matvec, span_matvec_regions):
+            with Tape():
+                xt, vt = Tensor(x, requires_grad=True), Tensor(v, requires_grad=True)
+                later = sum_all(tn.mul(xt, Tensor(other)))  # recorded first, reached last
+                out = op(xt, vt, spans)
+                backward(tn.add(later, sum_all(tn.mul(out, Tensor(up)))))
+            grads.append((out.data.tobytes(), xt.grad.tobytes(), vt.grad.tobytes()))
+    assert grads[0] == grads[1]
+    products = up[: batch * (steps - K), :, None] * v[: batch * (steps - K), None, :]
+    assert (np.signbit(products) & (products == 0)).any()
 
 
 @pytest.mark.parametrize("batch, t, c_in, c_out, f, relu", [

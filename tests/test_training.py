@@ -12,8 +12,10 @@ import pytest
 from helpers import tiny_config
 from numpy.testing import assert_allclose, assert_array_equal
 
+from lnt import losses
 from lnt import model as mdl
 from lnt import tensor as tn
+from lnt import training
 from lnt.data import synth_normal, window
 from lnt.losses import unified_loss
 from lnt.model import init_decoder, init_params, small_config
@@ -348,6 +350,62 @@ def test_fit_aborts_on_non_finite_with_context():
     params.encoder[0][0].data[:] = 1e30
     with pytest.raises(FloatingPointError, match="epoch 0"):
         fit(params, make_windows(2, cfg), TrainConfig(epochs=1))
+
+
+@pytest.mark.parametrize("part, op", [("encoder", "unit_rows"), ("bank", "matmul")])
+def test_fit_failure_names_the_op(part, op):
+    """Under a tape only the loss, the gradients and the inputs that can
+    hide an overflow are checked; a failed step is replayed op by op, so
+    the error names the op that overflowed, as per-op checks did."""
+    cfg = tiny_config()
+    params = init_params(cfg, seed=0)
+    if part == "encoder":
+        params.encoder[0][0].data[:] = 1e30
+    else:
+        for w in params.bank:
+            w.data[:] = 1e20
+    with np.errstate(all="ignore"), pytest.raises(
+            FloatingPointError, match=rf"^aborting at epoch 0 step 0: non-finite values in {op}$"):
+        fit(params, make_windows(2, cfg), TrainConfig(epochs=1))
+
+
+def test_fit_failure_in_gradients_only_names_the_parameter(monkeypatch):
+    """A NaN that only the backward makes has no op to replay to: the
+    error names the first parameter whose gradient is not finite."""
+    cfg = tiny_config()
+    params = init_params(cfg, seed=0)
+    loss = training.unified_loss
+
+    def loss_with_nan_gradient(*a, **kw):
+        total, cpc, ddcl = loss(*a, **kw)
+        nan_grad = tn._make(np.zeros(()), (total,), lambda g: (np.full(g.shape, np.nan),),
+                            "nan_grad")
+        return tn.add(total, nan_grad), cpc, ddcl
+
+    monkeypatch.setattr(training, "unified_loss", loss_with_nan_gradient)
+    first = next(iter(trainable_parameters(params)))
+    with pytest.raises(FloatingPointError, match=rf"^aborting at epoch 0 step 0: "
+                                                 rf"non-finite gradient in {first}$"):
+        fit(params, make_windows(2, cfg), TrainConfig(epochs=1))
+
+
+def test_fit_failure_in_loss_with_finite_gradients_is_caught(monkeypatch):
+    """A NaN CPC term weighted 0 makes the loss NaN while every gradient
+    stays finite: the loss check catches it, and the replay, drawing the
+    failed step's negatives again, names the op that made it."""
+    cfg = tiny_config()
+    params = init_params(cfg, seed=0)
+    draws = []
+
+    def nan_cpc(params, z, c, rng, *, N):
+        draws.append(rng.integers(1 << 30))
+        return tn._make(np.array(np.nan), (z,), lambda g: (np.zeros(z.shape),), "nan_cpc")
+
+    monkeypatch.setattr(losses, "cpc_loss", nan_cpc)
+    with pytest.raises(FloatingPointError, match=r"^aborting at epoch 0 step 0: "
+                                                 r"non-finite values in nan_cpc$"):
+        fit(params, make_windows(2, cfg), TrainConfig(epochs=1, cpc_weight=0.0))
+    assert len(draws) == 2 and draws[0] == draws[1]
 
 
 def test_fit_rejects_bad_window_stack():

@@ -9,7 +9,9 @@ Writes a synthetic series and trains the `small` model on it through
 B=32, one BLAS thread), timing every call of ``training.train_step``.
 Prints one JSON line with the median wall time and the median minor page
 faults (``getrusage``) of the last epoch's steps, and the ``tracemalloc``
-live size after one B=32 forward pass and its peak through the backward.
+live size after one B=32 forward pass and its peak through the backward,
+with that step's tape records and finiteness checks (``_check_finite``
+calls, from building the batch tensor to the end of the backward).
 
 The measured process imports ``lnt.cli``, so it runs under the heap
 policy that import sets (glibc ``mallopt``: no trimming below 256 MiB
@@ -85,15 +87,22 @@ def main(argv=None) -> int:
     series = data.synth_normal(cfg.in_channels, 32 * cfg.sub_seq, seed=0)
     batch = np.asarray(data.window(series.values, cfg.sub_seq, cfg.sub_seq), dtype=tn.dtype())
     params = init_params(cfg, seed=0)
+    check, checks = tn._check_finite, []
+    tn._check_finite = lambda *a: (checks.append(a[1]), check(*a))
     tracemalloc.start()
-    with tn.Tape():
-        defaults = training.TrainConfig()
-        total = unified_loss(params, tn.Tensor(batch), np.random.default_rng(0), lam=defaults.lam,
-                             cpc_weight=defaults.cpc_weight, N=defaults.negatives)[0]
-        live, _ = tracemalloc.get_traced_memory()
-        tn.backward(total)
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
+    try:
+        with tn.Tape() as tape:
+            defaults = training.TrainConfig()
+            total = unified_loss(params, tn.Tensor(batch), np.random.default_rng(0),
+                                 lam=defaults.lam, cpc_weight=defaults.cpc_weight,
+                                 N=defaults.negatives)[0]
+            live, _ = tracemalloc.get_traced_memory()
+            records = len(tape)
+            tn.backward(total)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        tn._check_finite = check
 
     print(json.dumps({
         "steps_measured": len(last),
@@ -101,6 +110,8 @@ def main(argv=None) -> int:
         "minor_faults_per_step": statistics.median(f for _, f in last),
         "live_after_forward_mb": live / 2**20,
         "peak_forward_backward_mb": peak / 2**20,
+        "records_per_step": records,
+        "finite_checks_per_step": len(checks),
     }))
     return 0
 
