@@ -245,6 +245,13 @@ def _check_outputs(args, *flags: str) -> None:
 
 def cmd_synth(args) -> int:
     started = time.perf_counter()
+    for flag, length in (("train-length", args.train_length), ("test-length", args.test_length)):
+        if length < 1:
+            raise ValueError(f"--{flag} must be >= 1, got {length}")
+    if not 0.0 <= args.anomaly_fraction < 1.0:
+        raise ValueError(f"--anomaly-fraction must be in [0, 1), got {args.anomaly_fraction}")
+    if not 0.0 <= args.amplitude < np.inf:
+        raise ValueError(f"--amplitude must be finite and >= 0, got {args.amplitude}")
     seeds = np.random.default_rng(args.seed).integers(0, 2**31 - 1, size=3)
     train = synth_normal(args.channels, args.train_length, seed=int(seeds[0]))
     test = synth_normal(args.channels, args.test_length, seed=int(seeds[1]))

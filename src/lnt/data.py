@@ -9,7 +9,6 @@ injection is seed-deterministic.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -41,7 +40,7 @@ class LabeledSeries:
             self.labels = np.asarray(self.labels, dtype=np.int64)
             if self.labels.shape != (self.values.shape[1],):
                 raise ValueError("labels must be one value per timestep")
-            if not np.isin(self.labels, (0, 1)).all():
+            if not ((self.labels == 0) | (self.labels == 1)).all():
                 raise ValueError("labels must be 0 or 1")
 
     @property
@@ -116,8 +115,11 @@ def write_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
             block = [c[start : start + _BLOCK_ROWS] for c in columns]
             text = _format_runs(block, fmts)
             if text is None:
-                cells = zip(*(c.tolist() for c in block))
-                text = line * len(block[0]) % tuple(itertools.chain.from_iterable(cells))
+                # row-major cells as Python objects, the ones tolist() gives
+                cells = np.empty((len(block[0]), len(block)), dtype=object)
+                for j, c in enumerate(block):
+                    cells[:, j] = c
+                text = line * len(cells) % tuple(cells.ravel().tolist())
             fh.write(text)
 
 
@@ -311,17 +313,23 @@ def synth_normal(channels: int, length: int, seed: int) -> LabeledSeries:
     if length < 1:
         raise ValueError("length must be >= 1")
     rng = np.random.default_rng(seed)
-    t = np.arange(length, dtype=np.float64)
-    values = np.empty((channels, length))
+    two_pi_t = 2.0 * np.pi * np.arange(length, dtype=np.float64)
+    values = np.zeros((channels, length))
+    term = np.empty(length)
     for ch in range(channels):
         n = int(rng.integers(2, 5))
         periods = rng.uniform(1024.0, 8192.0, size=n)
         amps = rng.uniform(0.5, 1.0, size=n)
         phases = rng.uniform(0.0, 2.0 * np.pi, size=n)
-        wave = np.zeros(length)
+        wave = values[ch]
         for p, a, ph in zip(periods, amps, phases):
-            wave += a * np.sin(2.0 * np.pi * t / p + ph)
-        values[ch] = wave + rng.normal(0.0, 0.05, size=length)
+            # a * sin(2πt / p + ph), one operation at a time in one buffer
+            np.divide(two_pi_t, p, out=term)
+            term += ph
+            np.sin(term, out=term)
+            term *= a
+            wave += term
+        wave += rng.normal(0.0, 0.05, size=length)
     return LabeledSeries(values, np.zeros(length, dtype=np.int64))
 
 
@@ -346,8 +354,8 @@ class InjectionSpec:
             raise ValueError("bad frequency range")
         if not 0 < self.len_low <= self.len_high:
             raise ValueError("bad length range")
-        if self.amplitude < 0:
-            raise ValueError("amplitude must be >= 0")
+        if not 0.0 <= self.amplitude < math.inf:
+            raise ValueError(f"amplitude must be finite and >= 0, got {self.amplitude}")
 
 
 def inject_sine_anomalies(series: LabeledSeries, spec: InjectionSpec) -> LabeledSeries:

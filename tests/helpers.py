@@ -3,15 +3,16 @@ finite differences over model parameters, and the oracles that ``lnt``
 itself does not use: the sum_all and tanh ops, the div, sqrt and clamp_min
 ops of the composed ``unit_rows``, ``span_matvec`` with a gradient region
 per span, the per-anchor contrastive softmax, the
-DDCL term of a single step and view, the channel-major encoder, and the
+DDCL term of a single step and view, the channel-major encoder, the
 losses and scores composed horizon by horizon from per-horizon head
-tensors."""
+tensors, and the synthetic background built one temporary per operation."""
 
 from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
 
+from lnt import data
 from lnt import losses as ls
 from lnt import model as mdl
 from lnt import scoring as sc
@@ -366,3 +367,21 @@ def score_cpc_approx_per_horizon(params, x):
             logit = tn.sum_last(tn.mul(tn.slice_axis(z, lo - step, m), pred))
             total[lo : step + m] -= logit.data[:, 0]
     return _finish(total[:m_total], 1, cfg, x.shape[1], True)
+
+
+def synth_normal_temporaries(channels: int, length: int, seed: int) -> data.LabeledSeries:
+    """``data.synth_normal`` with 2πt recomputed per sinusoid and a fresh
+    array per operation: the bitwise oracle of its one-buffer loop."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(length, dtype=np.float64)
+    values = np.empty((channels, length))
+    for ch in range(channels):
+        n = int(rng.integers(2, 5))
+        periods = rng.uniform(1024.0, 8192.0, size=n)
+        amps = rng.uniform(0.5, 1.0, size=n)
+        phases = rng.uniform(0.0, 2.0 * np.pi, size=n)
+        wave = np.zeros(length)
+        for p, a, ph in zip(periods, amps, phases):
+            wave += a * np.sin(2.0 * np.pi * t / p + ph)
+        values[ch] = wave + rng.normal(0.0, 0.05, size=length)
+    return data.LabeledSeries(values, np.zeros(length, dtype=np.int64))

@@ -121,6 +121,26 @@ def test_synth_rejects_zero_channels(tmp_path, capsys):
     assert not fresh.exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--anomaly-fraction", "-0.1"], "--anomaly-fraction must be in [0, 1), got -0.1"),
+    (["--anomaly-fraction", "nan"], "--anomaly-fraction must be in [0, 1), got nan"),
+    (["--anomaly-fraction", "1"], "--anomaly-fraction must be in [0, 1), got 1.0"),
+    (["--amplitude", "nan"], "--amplitude must be finite and >= 0, got nan"),
+    (["--amplitude", "inf"], "--amplitude must be finite and >= 0, got inf"),
+    (["--amplitude", "-3", "--anomaly-fraction", "0"],
+     "--amplitude must be finite and >= 0, got -3.0"),
+    (["--train-length", "0"], "--train-length must be >= 1, got 0"),
+    (["--test-length", "-5"], "--test-length must be >= 1, got -5"),
+], ids=["fraction-negative", "fraction-nan", "fraction-one", "amplitude-nan",
+        "amplitude-inf", "amplitude-negative-clean", "train-length-zero", "test-length-negative"])
+def test_synth_rejects_bad_flags_before_writing(tmp_path, capsys, flags, message):
+    out_dir = tmp_path / "data"
+    assert main(["synth", "--out-dir", str(out_dir), "--channels", "1",
+                 "--train-length", "600", "--test-length", "6000", *flags]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 # ---------------------------------------------------------------------------
 # train
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from helpers import synth_normal_temporaries
 from lnt import data
 from lnt.data import (
     InjectionSpec,
@@ -211,6 +212,59 @@ def test_csv_bytes_match_per_row_writer_property(tmp_path_factory, case):
     assert (path / "got.csv").read_bytes() == (path / "want.csv").read_bytes()
 
 
+def _per_cell_csv_writer(path, header, columns):
+    """write_csv's rows cell by cell through csv.writer: %.9g for floats,
+    str() of the Python int, bool or str otherwise."""
+    def cell(v, kind):
+        if kind == "f":
+            return f"{float(v):.9g}"
+        return str(bool(v) if kind == "b" else v if kind == "U" else int(v))
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for t in range(len(columns[0])):
+            writer.writerow([cell(c[t], c.dtype.kind) for c in columns])
+
+
+_COLUMN_KINDS = {
+    "float64": (np.float64, st.floats()),
+    "float32": (np.float32, st.floats(width=32)),
+    "int64": (np.int64, st.one_of(st.integers(-2**63, 2**63 - 1),
+                                  st.sampled_from([0, 1, -1, 2**62, -2**62]))),
+    "uint8": (np.uint8, st.integers(0, 255)),
+    "bool": (np.bool_, st.booleans()),
+    # a lone empty cell would need quoting, which write_csv does not do
+    "str": (np.str_, st.text(alphabet="abcxyz019 ._-", min_size=1, max_size=6)),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.data())
+def test_csv_bytes_match_per_row_writer_mixed_columns(tmp_path_factory, case):
+    """write_csv writes the per-row bytes for the column kinds viz-decode
+    writes (str, int64 out to +-2**62, float32) and for bool and uint8,
+    mixed with float64, in rows that repeat in runs or not, at any block
+    size."""
+    kinds = case.draw(st.lists(st.sampled_from(sorted(_COLUMN_KINDS)), min_size=1,
+                               max_size=4), label="kinds")
+    rows = case.draw(st.lists(st.tuples(*(_COLUMN_KINDS[k][1] for k in kinds)),
+                              min_size=1, max_size=12), label="rows")
+    repeats = case.draw(st.lists(st.integers(1, 6), min_size=len(rows), max_size=len(rows)),
+                        label="repeats")
+    columns = [np.repeat(np.array([row[j] for row in rows], dtype=_COLUMN_KINDS[k][0]), repeats)
+               for j, k in enumerate(kinds)]
+    if case.draw(st.booleans(), label="index column"):
+        columns.insert(0, np.arange(len(columns[0])) + case.draw(st.integers(-5, 5)))
+    header = [f"c{j}" for j in range(len(columns))]
+    block = case.draw(st.integers(1, 40), label="block rows")
+    path = tmp_path_factory.mktemp("mixed")
+    with mock.patch.object(data, "_BLOCK_ROWS", block):
+        data.write_csv(path / "got.csv", header, columns)
+    _per_cell_csv_writer(path / "want.csv", header, columns)
+    assert (path / "got.csv").read_bytes() == (path / "want.csv").read_bytes()
+
+
 _CLEAN_CELLS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map("{:.9g}".format),
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
@@ -371,6 +425,17 @@ def test_synth_shape_and_labels():
     assert not s.labels.any()
 
 
+@pytest.mark.parametrize("seed", [0, 7, 2**31 - 2])
+@pytest.mark.parametrize("length", [1, 2, 1023, 50_001])
+def test_synth_matches_per_operation_temporaries_bitwise(length, seed):
+    for channels in range(1, 5):
+        got = synth_normal(channels, length, seed)
+        want = synth_normal_temporaries(channels, length, seed)
+        assert got.values.dtype == want.values.dtype == np.float64
+        assert got.values.tobytes() == want.values.tobytes()
+        assert_array_equal(got.labels, want.labels)
+
+
 @pytest.mark.parametrize("channels", [0, -2])
 def test_synth_rejects_nonpositive_channels(channels):
     with pytest.raises(ValueError, match=f"channels must be >= 1, got {channels}"):
@@ -469,8 +534,9 @@ def test_injection_spec_validation():
         InjectionSpec(freq_low=50.0, freq_high=20.0)
     with pytest.raises(ValueError):
         InjectionSpec(len_low=0)
-    with pytest.raises(ValueError):
-        InjectionSpec(amplitude=-0.1)
+    for amplitude in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="amplitude must be finite and >= 0"):
+            InjectionSpec(amplitude=amplitude)
 
 
 def test_injection_respects_custom_fraction():
