@@ -15,7 +15,7 @@ losses     CPC loss, DDCL, unified training objective
 scoring    deterministic per-timestep anomaly scores
 training   joint optimisation and decoder fitting
 data       CSV ingestion, normalisation, synthetic series, anomaly injection
-metrics    ROC-AUC, best-F1 threshold search, confusion counts
+metrics    ROC-AUC, best-F1 threshold search
 cli        `lnt` command line: synth / train / score / eval / viz-decode
 """
 

@@ -490,6 +490,8 @@ def main(argv=None) -> int:
     try:
         if _requested and not _threads:
             raise ValueError(f"LNT_THREADS must be a whole number >= 1, got {_requested!r}")
+        if args.seed < 0:
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except (ValueError, OSError, FloatingPointError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -134,10 +134,11 @@ def _format_runs(block: list[np.ndarray], fmts: list[str]) -> str | None:
     left as ``%d``, and one ``%`` over the whole block fills the counter in.
     """
     rows = len(block[0])
-    if rows < 2 or any(c.dtype.kind not in "biuf" for c in block):
+    if rows < 2 or len(block) < 2 or any(c.dtype.kind not in "biuf" for c in block):
         return None
+    # the ends as Python ints: in the column's dtype a wrapping column passes
     counter = next((i for i, c in enumerate(block) if c.dtype.kind in "iu"
-                    and c[-1] - c[0] == rows - 1 and (np.diff(c) == 1).all()), None)
+                    and int(c[-1]) - int(c[0]) == rows - 1 and (np.diff(c) == 1).all()), None)
     same = np.ones(rows - 1, dtype=bool)
     for i, c in enumerate(block):
         if i != counter:

@@ -63,17 +63,6 @@ def roc_auc(scores, labels) -> float:
     return _auc(scores, pos, np.argsort(scores, kind="stable"))
 
 
-def confusion(scores, labels, threshold: float) -> tuple[int, int, int, int]:
-    """(tp, fp, fn, tn) with scores >= threshold flagged anomalous."""
-    scores, pos = _validate(scores, labels)
-    pred = scores >= threshold
-    tp = int((pred & pos).sum())
-    fp = int((pred & ~pos).sum())
-    fn = int((~pred & pos).sum())
-    tn = int((~pred & ~pos).sum())
-    return tp, fp, fn, tn
-
-
 def best_f1(scores, labels) -> EvalResult:
     """Exhaustive sweep over every distinct score as threshold.
 

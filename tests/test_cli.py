@@ -220,6 +220,26 @@ def test_invalid_thread_cap_is_not_applied_and_fails(tmp_path, threads):
     assert not data.exists()
 
 
+@pytest.mark.parametrize("command", ["synth", "train", "score", "eval", "viz-decode"])
+def test_negative_seed_fails_naming_the_flag_and_writes_nothing(workspace, tmp_path, capsys,
+                                                                command):
+    """`--seed -1` used to exit 1 with numpy's bare `expected non-negative
+    integer` (synth, train, viz-decode) or exit 0 (score, eval)."""
+    data, out = workspace["data"], str(tmp_path / "out")
+    args = {
+        "synth": ["--out-dir", out],
+        "train": ["--data", str(data / "train.csv"), "--out", out],
+        "score": ["--model", str(workspace["model"]), "--data", str(data / "test.csv"),
+                  "--out", out],
+        "eval": ["--scores", str(workspace["scores"]), "--out", out],
+        "viz-decode": ["--model", str(workspace["model"]), "--data", str(data / "test.csv"),
+                       "--out", out],
+    }[command]
+    assert main([command, *args, "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_train_flag_overrides_config_file(workspace, tmp_path):
     out = tmp_path / "m.lntc"
     assert main([

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -239,25 +239,31 @@ _COLUMN_KINDS = {
 }
 
 
+@st.composite
+def _mixed_columns(draw):
+    kinds = draw(st.lists(st.sampled_from(sorted(_COLUMN_KINDS)), min_size=1, max_size=4))
+    rows = draw(st.lists(st.tuples(*(_COLUMN_KINDS[k][1] for k in kinds)),
+                         min_size=1, max_size=12))
+    repeats = draw(st.lists(st.integers(1, 6), min_size=len(rows), max_size=len(rows)))
+    columns = [np.repeat(np.array([row[j] for row in rows], dtype=_COLUMN_KINDS[k][0]), repeats)
+               for j, k in enumerate(kinds)]
+    if draw(st.booleans()):  # an index column
+        columns.insert(0, np.arange(len(columns[0])) + draw(st.integers(-5, 5)))
+    return columns
+
+
 @settings(max_examples=200, deadline=None)
-@given(case=st.data())
-def test_csv_bytes_match_per_row_writer_mixed_columns(tmp_path_factory, case):
+@given(columns=_mixed_columns(), block=st.integers(1, 40))
+# integer columns that count up by one per row only modulo their dtype
+@example(columns=[np.r_[250:256, 0:4].astype(np.uint8), np.zeros(10)], block=40)
+@example(columns=[np.array([2**63 - 1, -2**63]), np.zeros(2)], block=40)
+@example(columns=[np.arange(3)], block=40)  # a counter alone
+def test_csv_bytes_match_per_row_writer_mixed_columns(tmp_path_factory, columns, block):
     """write_csv writes the per-row bytes for the column kinds viz-decode
     writes (str, int64 out to +-2**62, float32) and for bool and uint8,
     mixed with float64, in rows that repeat in runs or not, at any block
     size."""
-    kinds = case.draw(st.lists(st.sampled_from(sorted(_COLUMN_KINDS)), min_size=1,
-                               max_size=4), label="kinds")
-    rows = case.draw(st.lists(st.tuples(*(_COLUMN_KINDS[k][1] for k in kinds)),
-                              min_size=1, max_size=12), label="rows")
-    repeats = case.draw(st.lists(st.integers(1, 6), min_size=len(rows), max_size=len(rows)),
-                        label="repeats")
-    columns = [np.repeat(np.array([row[j] for row in rows], dtype=_COLUMN_KINDS[k][0]), repeats)
-               for j, k in enumerate(kinds)]
-    if case.draw(st.booleans(), label="index column"):
-        columns.insert(0, np.arange(len(columns[0])) + case.draw(st.integers(-5, 5)))
     header = [f"c{j}" for j in range(len(columns))]
-    block = case.draw(st.integers(1, 40), label="block rows")
     path = tmp_path_factory.mktemp("mixed")
     with mock.patch.object(data, "_BLOCK_ROWS", block):
         data.write_csv(path / "got.csv", header, columns)

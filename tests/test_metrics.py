@@ -4,7 +4,6 @@ import pytest
 from lnt.metrics import (
     EvalResult,
     best_f1,
-    confusion,
     result_csv,
     result_text,
     roc_auc,
@@ -145,18 +144,6 @@ def test_best_f1_matches_exhaustive_oracle():
         assert result.best_f1 == best[0]
         assert result.best_threshold == best[1]
         assert (result.tp, result.fp, result.fn) == best[2:]
-
-
-def test_confusion_counts():
-    tp, fp, fn, tn = confusion([0.9, 0.8, 0.1, 0.2], [1, 1, 0, 0], 0.5)
-    assert (tp, fp, fn, tn) == (2, 0, 0, 2)
-    tp, fp, fn, tn = confusion([0.9, 0.8, 0.1, 0.2], [1, 1, 0, 0], 0.2)
-    assert (tp, fp, fn, tn) == (2, 1, 0, 1)
-
-
-def test_confusion_threshold_inclusive():
-    tp, fp, fn, tn = confusion([0.5, 0.4], [1, 0], 0.5)
-    assert (tp, fp) == (1, 0)
 
 
 def test_evaluate_combines_auc_and_f1():
