@@ -492,6 +492,8 @@ def main(argv=None) -> int:
             raise ValueError(f"LNT_THREADS must be a whole number >= 1, got {_requested!r}")
         if args.seed < 0:
             raise ValueError(f"--seed must be >= 0, got {args.seed}")
+        if args.config is not None and args.command != "train":
+            raise ValueError(f"--config applies to train only, not {args.command}")
         return args.func(args)
     except (ValueError, OSError, FloatingPointError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -104,7 +104,9 @@ def view_gram(params: ModelParams, z_rows: Tensor) -> tuple[Tensor, Tensor]:
     between views; its exp row-sums with the diagonal masked out give
     S[r,l] = sum_{m != l} h(view_l, view_m), shape (R,L).
     """
-    units = tn.unit_rows(mdl.transform(params, z_rows))
+    # mdl.transform's views in one record that keeps masks and latents
+    units = tn.unit_rows(mdl.view_masks(params, z_rows),
+                         scale=tn.reshape(z_rows, (z_rows.shape[0], 1, -1)))
     n_views = units.shape[1]
     gram = tn.matmul(units, tn.transpose(units, (0, 2, 1)))
     off_diag = Tensor(1.0 - np.eye(n_views))

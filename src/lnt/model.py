@@ -328,18 +328,21 @@ def transform(params: ModelParams, z: Tensor) -> Tensor:
 
     view_l = sigmoid(MLP_l(z)) * z — a multiplicative mask, so every view
     is elementwise strictly smaller in magnitude wherever z is nonzero.
-    Bank layer j holds all L transforms' weights, (L,out,in): the first
-    layer is one matmul of z against them all, each later one a stacked
-    ``matmul`` over the L transforms.
     """
+    return tn.mul(view_masks(params, z), tn.reshape(z, (z.shape[0], 1, -1)))
+
+
+def view_masks(params: ModelParams, z: Tensor) -> Tensor:
+    """The (R,L,dim_z) masks of :func:`transform`.  Bank layer j holds all L
+    transforms' weights, (L,out,in): the first layer is one matmul of z
+    against them all, each later one a stacked ``matmul``."""
     rows, dim_z = z.shape
     first = params.bank[0]
     h = tn.matmul(z, tn.transpose(tn.reshape(first, (-1, dim_z))))
     h = tn.transpose(tn.reshape(h, (rows, first.shape[0], -1)), (1, 0, 2))  # (L,R,out)
     for w in params.bank[1:]:
         h = tn.matmul(tn.relu(h), tn.transpose(w, (0, 2, 1)))
-    mask = tn.sigmoid(tn.transpose(h, (1, 0, 2)))
-    return tn.mul(mask, tn.reshape(z, (rows, 1, dim_z)))
+    return tn.sigmoid(tn.transpose(h, (1, 0, 2)))
 
 
 def decode(params: ModelParams, z: Tensor) -> Tensor:

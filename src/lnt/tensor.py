@@ -30,7 +30,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import threading
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -114,7 +114,7 @@ class _Record(NamedTuple):
     node: int
     parents: tuple[int | None, ...]  # node per parent, None if untracked
     shapes: tuple[tuple[int, ...], ...]
-    vjp: Callable[[np.ndarray], tuple]
+    vjp: Callable[[np.ndarray], Iterable]  # per-parent terms, returned or yielded
     name: str  # the op's name, as its finiteness errors give it
 
 
@@ -265,13 +265,14 @@ def backward(loss: Tensor) -> None:
     Each node keeps one gradient buffer.  A VJP returns, per parent, None,
     an array of the parent's shape, a :class:`_Region`, or a list of
     these, which are added in list order as separate records' would be;
-    it never writes into ``g``.  A first contribution is kept as given and
-    is owned by the sweep when it is a fresh array (not ``g``, not a
-    view), or when a record of one parent passes on ``g``, or a view of
-    it, and the sweep owned ``g``: no other record can read ``g`` then.
-    A later contribution is added into an owned buffer in place, or else
-    into a new buffer that the sweep then owns.  A region is added into
-    its slice of the buffer.
+    it never writes into ``g``.  It may yield them in parent order
+    instead; each is added, and dropped, before the next is computed.  A
+    first contribution is kept as given and is owned by the sweep when it
+    is a fresh array (not ``g``, not a view), or when a record of one
+    parent passes on ``g``, or a view of it, and the sweep owned ``g``:
+    no other record can read ``g`` then.  A later contribution is added
+    into an owned buffer in place, or else into a new buffer that the
+    sweep then owns.  A region is added into its slice of the buffer.
     """
     tape = _state.active
     if tape is None:
@@ -296,35 +297,42 @@ def backward(loss: Tensor) -> None:
         handed = None
         if node in owned and len(parents) == 1:
             handed = g if g.base is None else g.base
-        for pnode, shape, contribution in zip(parents, shapes, vjp(g)):
-            if pnode is None or contribution is None:
-                continue
-            for pg in contribution if type(contribution) is list else (contribution,):
-                buf = grads.get(pnode)
-                if type(pg) is _Region:
-                    if buf is None:
-                        buf = grads[pnode] = np.zeros(shape, dtype=_state.dtype)
-                        buf[pg.index] = pg.grad
-                    else:
-                        if pnode not in owned:
-                            buf = grads[pnode] = np.array(buf)
-                        buf[pg.index] += pg.grad
-                    owned.add(pnode)
-                elif buf is None:
-                    grads[pnode] = pg
-                    if type(pg) is np.ndarray and (
-                            pg.base is None and pg is not g
-                            or handed is not None and (pg is g or pg.base is handed)):
-                        owned.add(pnode)
-                elif pnode in owned:
-                    np.add(buf, pg, out=buf)
-                else:
-                    # asarray: numpy returns a scalar, not an array, for a 0-d sum
-                    grads[pnode] = np.asarray(buf + pg)
-                    owned.add(pnode)
+        results = iter(vjp(g))  # not zipped: zip's reused tuple holds the last item
+        for pnode, shape in zip(parents, shapes):
+            _add(grads, owned, pnode, shape, next(results), g, handed)
+        del results
     for node, leaf in tape._leaves.values():
         if node in grads:
             leaf.grad = grads[node]
+
+
+def _add(grads: dict, owned: set, pnode, shape, contribution, g, handed) -> None:
+    """Add one parent's contribution into its buffer, as :func:`backward` says."""
+    if pnode is None or contribution is None:
+        return
+    for pg in contribution if type(contribution) is list else (contribution,):
+        buf = grads.get(pnode)
+        if type(pg) is _Region:
+            if buf is None:
+                buf = grads[pnode] = np.zeros(shape, dtype=_state.dtype)
+                buf[pg.index] = pg.grad
+            else:
+                if pnode not in owned:
+                    buf = grads[pnode] = np.array(buf)
+                buf[pg.index] += pg.grad
+            owned.add(pnode)
+        elif buf is None:
+            grads[pnode] = pg
+            if type(pg) is np.ndarray and (
+                    pg.base is None and pg is not g
+                    or handed is not None and (pg is g or pg.base is handed)):
+                owned.add(pnode)
+        elif pnode in owned:
+            np.add(buf, pg, out=buf)
+        else:
+            # asarray: numpy returns a scalar, not an array, for a 0-d sum
+            grads[pnode] = np.asarray(buf + pg)
+            owned.add(pnode)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -442,11 +450,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
     ad, bd = a.data, b.data
-    return _make(
-        ad @ bd, (a, b),
-        lambda g: (_product(g, bd.swapaxes(-1, -2)), _product(ad.swapaxes(-1, -2), g)),
-        "matmul",
-    )
+
+    def vjp(g):  # yields: the sweep then holds one of the bank Gram's (R, L, D) terms
+        yield _product(g, bd.swapaxes(-1, -2))
+        yield _product(ad.swapaxes(-1, -2), g)
+
+    return _make(ad @ bd, (a, b), vjp, "matmul")
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -542,33 +551,47 @@ def logsumexp_last(a: Tensor) -> Tensor:
     return _make(out, (a,), lambda g: (g * np.exp(ad - out),), "logsumexp_last")
 
 
-def unit_rows(a: Tensor) -> Tensor:
-    """Rows scaled to unit norm, the norm clamped below at NORM_EPS (zero
-    rows map to zero, never NaN).
+def unit_rows(a: Tensor, scale: Tensor | None = None) -> Tensor:
+    """Rows of ``a``, or of ``a * scale`` (broadcast to ``a``'s shape),
+    scaled to unit norm, the norm clamped below at NORM_EPS (zero rows map
+    to zero, never NaN).
 
     One record with the bits of the composed mul, sum_last, clamp_min,
-    sqrt and div records: the forward runs their numpy calls in order, and
-    the VJP returns ``a``'s terms in the order their reverse sweep added
-    them, div's first.  An overflowed norm would divide to 0, so the
-    squared norms are checked in every mode.
+    sqrt and div records, after a mul of ``a`` and ``scale`` if given: the
+    forward runs their numpy calls in order, and the VJP returns the terms
+    in the order their reverse sweep added them.  It keeps ``a`` and
+    ``scale``, not their product, which the VJP recomputes.  An overflowed norm would
+    divide to 0, so the squared norms are checked in every mode.
     """
-    ad = a.data
+    md, sd = a.data, None if scale is None else scale.data
+    ad = md if sd is None else md * sd
     with np.errstate(over="ignore"):
         sq = (ad * ad).sum(axis=-1, keepdims=True)
     _check_finite(sq, "unit_rows")
     floor = float(NORM_EPS**2)
     n = np.sqrt(np.maximum(sq, floor))
     out = ad / n
-    mask = sq > floor if _recording(a) else None
+    parents = (a,) if scale is None else (a, scale)
+    mask = sq > floor if _recording(*parents) else None
 
     def vjp(g):
+        nonlocal out
         dn = g * out
+        out = None  # read once: the output may be freed before the terms exist
         dn /= n
         dn = -dn.sum(axis=-1, keepdims=True)
-        t = dn / (2.0 * n) * mask * ad
-        return ([g / n, t, t],)
+        t = dn / (2.0 * n) * mask * (md if sd is None else md * sd)  # the product recomputed
+        gv = g / n
+        if sd is None:
+            yield [gv, t, t]
+            return
+        gv += t
+        gv += t
+        ds = _unbroadcast(np.multiply(gv, md, out=t), sd.shape)  # then a's is formed in gv
+        yield np.multiply(gv, sd, out=gv)
+        yield ds
 
-    return _make(out, (a,), vjp, "unit_rows")
+    return _make(out, parents, vjp, "unit_rows")
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:

@@ -1,7 +1,8 @@
 """Shared test utilities: the tiny desk model, the constant model, in-place
 finite differences over model parameters, and the oracles that ``lnt``
 itself does not use: the sum_all and tanh ops, the div, sqrt and clamp_min
-ops of the composed ``unit_rows``, ``span_matvec`` with a gradient region
+ops of the composed ``unit_rows``, the bank's mul and ``unit_rows``
+records, ``span_matvec`` with a gradient region
 per span, the per-anchor contrastive softmax, the
 DDCL term of a single step and view, the channel-major encoder, the
 losses and scores composed horizon by horizon from per-horizon head
@@ -102,6 +103,12 @@ def unit_rows_composed(a: Tensor) -> Tensor:
     """``tn.unit_rows`` as five records: the bitwise oracle of the fused op."""
     norms = sqrt(clamp_min(tn.sum_last(tn.mul(a, a)), tn.NORM_EPS**2))
     return div(a, norms)
+
+
+def unit_rows_of_product(a: Tensor, scale: Tensor) -> Tensor:
+    """``tn.unit_rows(a, scale=scale)`` as a mul record and a unit_rows
+    record, as the bank ran it: the bitwise oracle of the fused record."""
+    return tn.unit_rows(tn.mul(a, scale))
 
 
 def span_matvec_regions(x: Tensor, v: Tensor, spans) -> Tensor:

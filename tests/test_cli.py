@@ -678,6 +678,27 @@ def test_output_in_missing_directory_fails_before_any_work(workspace, tmp_path, 
     assert [p.name for p in tmp_path.rglob("*")] == (["dir"] if is_dir else [])
 
 
+@pytest.mark.parametrize("command", ["synth", "score", "eval", "viz-decode"])
+def test_config_is_rejected_where_it_is_not_read(workspace, tmp_path, capsys, command):
+    """Only train reads --config: synth takes its flags, score and
+    viz-decode the checkpoint's settings, eval none.  Each used to run
+    and ignore it, even a file that does not exist; now each fails naming
+    the flag before it reads or writes anything."""
+    data, model = workspace["data"], str(workspace["model"])
+    inputs = {
+        "synth": ["--out-dir", str(tmp_path / "synth")],
+        "score": ["--model", model, "--data", str(data / "test.csv"),
+                  "--out", str(tmp_path / "s.csv")],
+        "eval": ["--scores", str(workspace["scores"]), "--out", str(tmp_path / "e.csv")],
+        "viz-decode": ["--model", model, "--data", str(data / "test.csv"),
+                       "--out", str(tmp_path / "v.csv"), "--decoder-epochs", "1"],
+    }[command]
+    missing = str(tmp_path / "nonexistent_file.cfg")
+    assert main([command, *inputs, "--config", missing, "--seed", "7"]) == 1
+    assert capsys.readouterr().err == f"error: --config applies to train only, not {command}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_score_overflow_reports_only_lnt_error(workspace, tmp_path, capsys):
     """Finite weights whose first conv product overflows: numpy used to warn
     `overflow encountered in matmul` ahead of lnt's error."""

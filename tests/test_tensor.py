@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (log_softmax_contrast, span_matvec_regions, sum_all, tanh,
-                     unit_rows_composed)
+                     unit_rows_composed, unit_rows_of_product)
 from lnt import model as mdl
 from lnt import tensor as tn
 from lnt.tensor import Tape, Tensor, active_tape, backward
@@ -758,6 +758,42 @@ def test_unit_rows_matches_composed_bitwise(bits, shape):
     assert np.signbit(fused.reshape(-1, shape[-1])[1]).all()
 
 
+@pytest.mark.parametrize("later", [False, True])
+@pytest.mark.parametrize("bits", [32, 64])
+def test_unit_rows_of_product_matches_mul_record_bitwise(bits, later):
+    """The bank's one record, unit_rows(mask, scale=z), gives the values
+    and both gradients, -0.0 included, of the mul and unit_rows records it
+    replaces: with zero and sub-NORM_EPS rows of z (the norm floor), -0.0
+    mask entries, and, with ``later``, mask and z gradient buffers that
+    already hold a term when its VJP runs."""
+    dtype = tn._DTYPES[bits]
+    rng = np.random.default_rng(75)
+    rows, views, width = 6, 4, 8
+    mask, w, u = (_signed_zeros(rng, (rows, views, width), dtype) for _ in range(3))
+    z = _unit_rows_input(rng, (rows, width), dtype)
+    v = _signed_zeros(rng, (rows, 1, width), dtype)
+
+    def run(unit_rows):
+        with Tape():
+            mask_leaf, z_leaf = Tensor(mask, requires_grad=True), Tensor(z, requires_grad=True)
+            m = tn.scale(mask_leaf, 1.0)
+            z3 = tn.reshape(z_leaf, (rows, 1, width))
+            out = unit_rows(m, z3)
+            loss = sum_all(tn.mul(out, Tensor(w)))
+            if later:
+                loss = tn.add(loss, tn.add(sum_all(tn.mul(m, Tensor(u))),
+                                           sum_all(tn.mul(z3, Tensor(v)))))
+            backward(loss)
+        return out.data, mask_leaf.grad, z_leaf.grad
+
+    with tn.precision_mode(bits):
+        fused = run(lambda a, s: tn.unit_rows(a, scale=s))
+        composed = run(unit_rows_of_product)
+    for f, c in zip(fused, composed):
+        assert f.tobytes() == c.tobytes()
+    assert not fused[0][:2].any()  # zero rows of z give zero views
+
+
 def test_unit_rows_grad_fd():
     rng = np.random.default_rng(7)
     arrays = {"x": rng.uniform(-1.0, 1.0, size=(3, 4, 5))}
@@ -978,6 +1014,51 @@ def test_unread_intermediates_are_freed_before_backward():
         assert [ref() for ref in refs] == [None, None]
         backward(loss)
     np.testing.assert_array_equal(x.grad, [0.0, 0.0, 0.0, 2.0])
+
+
+def test_backward_drops_each_contribution_once_added():
+    """The sweep keeps no term it has added into a buffer: an added term
+    is dead when the next record's VJP starts, and a VJP that yields its
+    terms has the first added and dropped before it computes the second.
+    A loop variable held the last term, and zip's reused result tuple the
+    previous one, alive through the next VJP."""
+    refs, seen = {}, {}
+
+    def term(name):
+        arr = np.ones(3, dtype=tn.dtype())
+        refs[name] = weakref.ref(arr)
+        return arr
+
+    def note(when):
+        seen[when] = {name for name, ref in refs.items() if ref() is not None}
+
+    def op(parents, names, shape=(3,)):
+        def vjp(g):
+            note(names[0])
+            return tuple(term(name) for name in names)
+        return tn._make(np.zeros(shape), parents, vjp, "op")
+
+    def yielding(u, v):
+        def vjp(g):
+            note("y->u")
+            yield term("y->u")  # u already has a buffer: added
+            note("y->v")
+            yield term("y->v")  # v's first term: kept as its buffer
+        return tn._make(np.zeros(3), (u, v), vjp, "yielding")
+
+    with Tape():
+        w = Tensor(np.zeros(3), requires_grad=True)
+        u = op((w,), ["u->w"])
+        v = op((u,), ["v->u"])
+        y = yielding(u, v)
+        k = op((u,), ["k->u"])
+        backward(op((y, k), ["loss->y", "loss->k"], shape=()))
+    assert seen["y->u"] == {"k->u", "loss->y"}
+    assert seen["y->v"] == {"k->u", "loss->y"}  # y->u was added into k->u
+    assert seen["v->u"] == {"k->u", "y->v"}
+    assert seen["u->w"] == {"k->u"}  # v->u was added into k->u too
+    np.testing.assert_array_equal(w.grad, np.ones(3))
+    assert refs["k->u"]() is None  # u's buffer died with u's record
 
 
 def test_second_backward_on_spent_tape_rejected():

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -23,9 +25,10 @@ def test_step_probe_reports_one_package():
         "steps", "step_ms_median", "minor_faults_per_step", "outside_ops_ms_median",
         "records_per_step", "finite_checks_per_step", "live_after_forward_mb",
         "peak_forward_backward_mb", "ops"}
-    assert report["records_per_step"] == 62
+    assert report["records_per_step"] == 61
     assert report["finite_checks_per_step"] == 10
-    assert sum(op["records"] for op in report["ops"].values()) == 62
+    assert sum(op["records"] for op in report["ops"].values()) == 61
+    assert report["peak_forward_backward_mb"] <= 19.5
     assert all(set(op) == {"records", "forward_ms", "vjp_ms"} for op in report["ops"].values())
     assert 0 < report["live_after_forward_mb"] < report["peak_forward_backward_mb"]
 
@@ -33,6 +36,11 @@ def test_step_probe_reports_one_package():
 def test_step_probe_pairs_a_package_with_itself():
     report = _probe("--against", str(ROOT / "src"), "--steps", "2")
     assert set(report) == {"pairs", "old_step_ms_median", "new_step_ms_median", "ratio_median",
-                           "ratio_q1", "ratio_q3", "same_loss_values"}
+                           "ratio_q1", "ratio_q3", "same_loss_values", "old_records_per_step",
+                           "old_peak_forward_backward_mb", "new_records_per_step",
+                           "new_peak_forward_backward_mb"}
     assert report["pairs"] == 2
     assert report["same_loss_values"] is True
+    assert report["old_records_per_step"] == report["new_records_per_step"] == 61
+    assert report["old_peak_forward_backward_mb"] == pytest.approx(
+        report["new_peak_forward_backward_mb"], rel=1e-3)

@@ -18,6 +18,7 @@ one forward and backward under ``tracemalloc`` (live MB after the
 forward, peak MB, records, ``_check_finite`` calls).  ``--against``: N
 alternating step pairs, nothing wrapped; in one process the median ratio
 new / old resolves a change of a few percent that benchmark runs do not.
+It ends with each package's records and peak MB of one traced step.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ def _probe(step, loss, windows, tn, batches, steps: int) -> dict:
 
         def timed_vjp(g):
             started = clock()
-            out = vjp(g)
+            out = tuple(vjp(g))  # a VJP that yields computes as it is consumed
             spent[name][1] += clock() - started
             return out
 
@@ -115,7 +116,18 @@ def _probe(step, loss, windows, tn, batches, steps: int) -> dict:
     finally:
         tn._make = make
 
-    batch = windows[next(batches)]
+    ops = {name: {"records": spent[name][2], "forward_ms": _ms([f for f, _ in pairs]),
+                  "vjp_ms": _ms([v for _, v in pairs])}
+           for name, pairs in per_op.items()}
+    ops = sorted(ops.items(), key=lambda kv: -kv[1]["forward_ms"] - kv[1]["vjp_ms"])
+    return {"steps": steps, "step_ms_median": _ms([s for s, _ in plain]),
+            "minor_faults_per_step": statistics.median(f for _, f in plain),
+            "outside_ops_ms_median": _ms(outside),
+            **_memory(loss, windows[next(batches)], tn), "ops": dict(ops)}
+
+
+def _memory(loss, batch, tn) -> dict:
+    """One forward and backward of ``batch`` under ``tracemalloc``."""
     check, checks = tn._check_finite, []
     tn._check_finite = lambda *a: (checks.append(a[1]), check(*a))
     tracemalloc.start()
@@ -129,32 +141,29 @@ def _probe(step, loss, windows, tn, batches, steps: int) -> dict:
     finally:
         tracemalloc.stop()
         tn._check_finite = check
-
-    ops = {name: {"records": spent[name][2], "forward_ms": _ms([f for f, _ in pairs]),
-                  "vjp_ms": _ms([v for _, v in pairs])}
-           for name, pairs in per_op.items()}
-    ops = sorted(ops.items(), key=lambda kv: -kv[1]["forward_ms"] - kv[1]["vjp_ms"])
-    return {"steps": steps, "step_ms_median": _ms([s for s, _ in plain]),
-            "minor_faults_per_step": statistics.median(f for _, f in plain),
-            "outside_ops_ms_median": _ms(outside), "records_per_step": recorded,
-            "finite_checks_per_step": len(checks), "live_after_forward_mb": live / 2**20,
-            "peak_forward_backward_mb": peak / 2**20, "ops": dict(ops)}
+    return {"records_per_step": recorded, "finite_checks_per_step": len(checks),
+            "live_after_forward_mb": live / 2**20, "peak_forward_backward_mb": peak / 2**20}
 
 
 def _pair(old, new, batches, pairs: int) -> dict:
     times, same = {"old": [], "new": []}, True
     for i in range(WARMUP + pairs):
         idx, values = next(batches), {}
-        for label, step in (("old", old), ("new", new))[:: 1 if i % 2 == 0 else -1]:
+        for label, (step, *_) in (("old", old), ("new", new))[:: 1 if i % 2 == 0 else -1]:
             seconds, values[label] = step(idx)
             if i >= WARMUP:
                 times[label].append(seconds)
         same = same and values["old"] == values["new"]
     ratios = [n / o for n, o in zip(times["new"], times["old"])]
     q1, _, q3 = statistics.quantiles(ratios, n=4)
+    batch = next(batches)
+    memory = {label: _memory(loss, windows[batch], tn)
+              for label, (_, loss, windows, tn) in (("old", old), ("new", new))}
     return {"pairs": pairs, "old_step_ms_median": _ms(times["old"]),
             "new_step_ms_median": _ms(times["new"]), "ratio_median": statistics.median(ratios),
-            "ratio_q1": q1, "ratio_q3": q3, "same_loss_values": same}
+            "ratio_q1": q1, "ratio_q3": q3, "same_loss_values": same,
+            **{f"{label}_{key}": memory[label][key] for label in memory
+               for key in ("records_per_step", "peak_forward_backward_mb")}}
 
 
 def main(argv=None) -> int:
@@ -191,7 +200,7 @@ def main(argv=None) -> int:
         if args.against is None:
             report = _probe(*sides["lnt_new"], batches, args.steps)
         else:
-            report = _pair(sides["lnt_old"][0], sides["lnt_new"][0], batches, args.steps)
+            report = _pair(sides["lnt_old"], sides["lnt_new"], batches, args.steps)
     print(json.dumps(report))
     return 0
 
