@@ -54,6 +54,7 @@ from . import model as mdl
 from . import tensor as tn
 from .checkpoint import load_model, save_model
 from .data import (
+    TONE_FRAMES,
     InjectionSpec,
     LabeledSeries,
     NormStats,
@@ -191,11 +192,12 @@ def environment() -> dict:
 
 def write_manifest(output, args, started, *, config=None, inputs=None,
                    outputs=None, checkpoint=None) -> None:
+    """``<output>.manifest.json``; it records ``seed`` and ``precision``
+    for the commands that take them."""
     manifest = {
         "command": args.command,
         "environment": environment(),
-        "seed": args.seed,
-        "precision": args.precision,
+        **{key: value for key, value in vars(args).items() if key in ("seed", "precision")},
         "config": config or {},
         "inputs": inputs or {},
         "outputs": outputs or {},
@@ -252,6 +254,9 @@ def cmd_synth(args) -> int:
         raise ValueError(f"--anomaly-fraction must be in [0, 1), got {args.anomaly_fraction}")
     if not 0.0 <= args.amplitude < np.inf:
         raise ValueError(f"--amplitude must be finite and >= 0, got {args.amplitude}")
+    if args.anomaly_fraction > 0 and args.test_length <= TONE_FRAMES[1]:
+        raise ValueError(f"--test-length must exceed the longest tone, {TONE_FRAMES[1]} frames, "
+                         f"while --anomaly-fraction > 0; got {args.test_length}")
     seeds = np.random.default_rng(args.seed).integers(0, 2**31 - 1, size=3)
     train = synth_normal(args.channels, args.train_length, seed=int(seeds[0]))
     test = synth_normal(args.channels, args.test_length, seed=int(seeds[1]))
@@ -363,12 +368,8 @@ def cmd_eval(args) -> int:
         raise ValueError(f"{args.scores} has no label column; cannot evaluate")
     n_pos = int(labels.sum())
     if n_pos in (0, labels.size):
-        print(
-            f"diagnostic: all {labels.size} points are labeled "
-            f"{'anomalous' if n_pos else 'normal'}; metrics need both classes",
-            file=sys.stderr,
-        )
-        return 1
+        raise ValueError(f"all {labels.size} points are labeled "
+                         f"{'anomalous' if n_pos else 'normal'}; metrics need both classes")
     result = best_f1(scores, labels)
     with open(args.out, "w") as fh:
         fh.write(result_csv(result))
@@ -384,14 +385,16 @@ def cmd_eval(args) -> int:
 
 def cmd_viz_decode(args) -> int:
     started = time.perf_counter()
+    if args.decoder_epochs < 0:
+        raise ValueError(f"--decoder-epochs must be >= 0, got {args.decoder_epochs}")
+    if not 0.0 < args.decoder_lr < np.inf:
+        raise ValueError(f"--decoder-lr must be finite and positive, got {args.decoder_lr}")
     _check_outputs(args, "out", "save-model")
     params, extra, std = _load_scoring_inputs(args)
     config = params.config
     windows = window(std.values, config.sub_seq, config.sub_seq)
     if args.window < 0 or args.window >= len(windows):
         raise ValueError(f"window index {args.window} out of range 0..{len(windows)-1}")
-    if args.decoder_epochs < 0:
-        raise ValueError(f"epochs must be >= 0, got {args.decoder_epochs}")
     if params.decoder is None:
         init_decoder(params, seed=args.seed)
         fit_decoder(
@@ -425,31 +428,39 @@ def cmd_viz_decode(args) -> int:
 # parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="master RNG seed")
-    common.add_argument("--config", default=None,
-                        help="builtin config name (small, audio) or key=value file")
-    common.add_argument("--precision", type=int, choices=(32, 64), default=32)
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # main reports it as it reports every rejected call
+        raise ValueError(message)
 
-    parser = argparse.ArgumentParser(
+
+def build_parser() -> argparse.ArgumentParser:
+    # each command takes the flags it reads
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0, help="master RNG seed")
+    precision = argparse.ArgumentParser(add_help=False)
+    precision.add_argument("--precision", type=int, choices=(32, 64), default=32)
+
+    parser = _Parser(
         prog="lnt",
         description="Local neural transformations: contrastive anomaly "
                     "detection for multivariate time series.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", parents=[common],
-                       help="generate a synthetic train/test pair")
+    p = sub.add_parser("synth", parents=[seed], help="generate a synthetic train/test pair")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--channels", type=int, default=3)
     p.add_argument("--train-length", type=int, default=50_000)
-    p.add_argument("--test-length", type=int, default=20_000)
+    p.add_argument("--test-length", type=int, default=20_000,
+                   help=f"must exceed {TONE_FRAMES[1]} frames, the longest tone, "
+                        f"while --anomaly-fraction > 0")
     p.add_argument("--anomaly-fraction", type=float, default=0.10)
     p.add_argument("--amplitude", type=float, default=0.5)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("train", parents=[common], help="train a model")
+    p = sub.add_parser("train", parents=[seed, precision], help="train a model")
+    p.add_argument("--config", default=None,
+                   help="builtin config name (small, audio) or key=value file")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="checkpoint path to write")
     p.add_argument("--report", default=None, help="epoch report CSV path")
@@ -458,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help=_TRAIN_HELP.get(key))
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("score", parents=[common], help="score a series")
+    p = sub.add_parser("score", parents=[precision], help="score a series")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
@@ -466,12 +477,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unnormalized", action="store_true")
     p.set_defaults(func=cmd_score)
 
-    p = sub.add_parser("eval", parents=[common], help="metrics from scored CSV")
+    p = sub.add_parser("eval", help="metrics from scored CSV")
     p.add_argument("--scores", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("viz-decode", parents=[common],
+    p = sub.add_parser("viz-decode", parents=[seed, precision],
                        help="decode latents and transformed views to CSV")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
@@ -485,15 +496,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    tn.set_precision(args.precision)
     try:
+        args = build_parser().parse_args(argv)
         if _requested and not _threads:
             raise ValueError(f"LNT_THREADS must be a whole number >= 1, got {_requested!r}")
-        if args.seed < 0:
+        if "seed" in args and args.seed < 0:
             raise ValueError(f"--seed must be >= 0, got {args.seed}")
-        if args.config is not None and args.command != "train":
-            raise ValueError(f"--config applies to train only, not {args.command}")
+        if "precision" in args:
+            tn.set_precision(args.precision)
         return args.func(args)
     except (ValueError, OSError, FloatingPointError) as err:
         print(f"error: {err}", file=sys.stderr)

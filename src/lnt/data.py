@@ -1,9 +1,9 @@
 """Series ingestion, normalization, synthetic generation, and sine-tone
 anomaly injection.
 
-Frequencies are quoted in Hz-equivalents: cycles per ``rate`` frames, with
-the audio-like nominal rate of 16000 as default.  All generation and
-injection is seed-deterministic.
+Frequencies are quoted in Hz-equivalents: cycles per ``RATE`` frames, the
+audio-like nominal rate of 16000.  All generation and injection is
+seed-deterministic.
 """
 
 from __future__ import annotations
@@ -17,6 +17,9 @@ import numpy as np
 
 CONSTANT_STD = 1e-12  # channels at or below this are dropped
 COUNT_BLOCK = 1 << 20  # bytes per read when counting a file's lines
+RATE = 16000.0  # frames per second of the Hz-equivalent
+TONE_HZ = (20.0, 120.0)  # an injected tone's frequency band, Hz-equivalent
+TONE_FRAMES = (512, 4096)  # an injected tone's length band, frames
 
 
 @dataclass
@@ -26,7 +29,6 @@ class LabeledSeries:
     values: np.ndarray
     labels: np.ndarray | None = None
     channel_names: list[str] = field(default_factory=list)
-    rate: float = 16000.0
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -85,7 +87,7 @@ def standardize(series: LabeledSeries, stats: NormStats) -> LabeledSeries:
     keep = stats.keep
     values = (series.values[keep] - stats.mean[keep, None]) / stats.std[keep, None]
     names = [n for n, k in zip(series.channel_names, keep) if k]
-    return LabeledSeries(values, series.labels, names, series.rate)
+    return LabeledSeries(values, series.labels, names)
 
 
 # ---------------------------------------------------------------------------
@@ -336,14 +338,10 @@ def synth_normal(channels: int, length: int, seed: int) -> LabeledSeries:
 
 @dataclass(frozen=True)
 class InjectionSpec:
-    """Sine-tone anomaly protocol: frequency band (Hz-equivalent), length
-    band in frames, target labeled fraction, amplitude as a multiple of the
-    per-channel standard deviation."""
+    """Sine-tone anomaly protocol: target labeled fraction, amplitude as a
+    multiple of the per-channel standard deviation.  The tones' bands are
+    ``TONE_HZ`` and ``TONE_FRAMES``."""
 
-    freq_low: float = 20.0
-    freq_high: float = 120.0
-    len_low: int = 512
-    len_high: int = 4096
     fraction: float = 0.10
     amplitude: float = 0.5
     seed: int = 0
@@ -351,10 +349,6 @@ class InjectionSpec:
     def __post_init__(self):
         if not 0.0 < self.fraction < 1.0:
             raise ValueError("fraction must be in (0,1)")
-        if not 0 < self.freq_low <= self.freq_high:
-            raise ValueError("bad frequency range")
-        if not 0 < self.len_low <= self.len_high:
-            raise ValueError("bad length range")
         if not 0.0 <= self.amplitude < math.inf:
             raise ValueError(f"amplitude must be finite and >= 0, got {self.amplitude}")
 
@@ -367,9 +361,10 @@ def inject_sine_anomalies(series: LabeledSeries, spec: InjectionSpec) -> Labeled
     The achieved fraction must land within 2 percentage points of target.
     """
     t_total = series.length
-    if t_total <= spec.len_high:
+    len_low, len_high = TONE_FRAMES
+    if t_total <= len_high:
         raise ValueError(
-            f"series of {t_total} frames is too short for anomalies up to {spec.len_high}"
+            f"series of {t_total} frames is too short for anomalies up to {len_high}"
         )
     rng = np.random.default_rng(spec.seed)
     values = series.values.copy()
@@ -383,16 +378,16 @@ def inject_sine_anomalies(series: LabeledSeries, spec: InjectionSpec) -> Labeled
     placed = int(labels.sum())
     while True:
         remaining = target - placed
-        if remaining < spec.len_low:
+        if remaining < len_low:
             # one more minimum-length tone overshoots; skipping undershoots —
             # pick whichever lands closer to the target
-            if remaining <= spec.len_low / 2:
+            if remaining <= len_low / 2:
                 break
-            length = spec.len_low
-        elif remaining <= spec.len_high:
+            length = len_low
+        elif remaining <= len_high:
             length = int(round(remaining))  # final tone lands on the target
         else:
-            length = int(rng.integers(spec.len_low, spec.len_high + 1))
+            length = int(rng.integers(len_low, len_high + 1))
         for _ in range(10_000):
             start = int(rng.integers(0, t_total - length + 1))
             # one clean guard frame on each side so separate tones never
@@ -401,11 +396,9 @@ def inject_sine_anomalies(series: LabeledSeries, spec: InjectionSpec) -> Labeled
                 break
         else:
             raise ValueError("cannot fit the requested anomalous fraction")
-        freq = rng.uniform(spec.freq_low, spec.freq_high)
+        freq = rng.uniform(*TONE_HZ)
         phase = rng.uniform(0.0, 2.0 * np.pi)
-        tone = np.sin(
-            2.0 * np.pi * freq * np.arange(length) / series.rate + phase
-        )
+        tone = np.sin(2.0 * np.pi * freq * np.arange(length) / RATE + phase)
         values[:, start : start + length] += spec.amplitude * stds[:, None] * tone
         labels[start : start + length] = 1
         placed += length
@@ -416,15 +409,13 @@ def inject_sine_anomalies(series: LabeledSeries, spec: InjectionSpec) -> Labeled
             f"achieved anomalous fraction {achieved:.4f} misses target "
             f"{spec.fraction:.4f} by more than 2 points"
         )
-    return LabeledSeries(values, labels, list(series.channel_names), series.rate)
+    return LabeledSeries(values, labels, list(series.channel_names))
 
 
 def window(values, length: int, stride: int) -> np.ndarray:
     """(n, C, length) read-only view of the windows every ``stride`` frames
     of ``values``; the final partial window is dropped.  Indexing it with
     an index array copies just the rows it picks."""
-    if isinstance(values, LabeledSeries):
-        values = values.values
     values = np.asarray(values)
     t_total = values.shape[-1]
     if length > t_total:

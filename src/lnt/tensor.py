@@ -452,21 +452,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
 
     def vjp(g):  # yields: the sweep then holds one of the bank Gram's (R, L, D) terms
-        yield _product(g, bd.swapaxes(-1, -2))
-        yield _product(ad.swapaxes(-1, -2), g)
+        yield g @ bd.swapaxes(-1, -2)
+        yield ad.swapaxes(-1, -2) @ g
 
     return _make(ad @ bd, (a, b), vjp, "matmul")
-
-
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b``, with a contracted length of 1 taken as the outer product
-    ``a * b``: BLAS spends a call per matrix on it.  BLAS adds the product
-    to 0, so 0 is added to it too, and a -0.0 product gives +0.0 as there."""
-    if a.shape[-1] != 1:
-        return a @ b
-    out = a * b
-    out += 0
-    return out
 
 
 def _blocks(sizes: Sequence[int], rows: int) -> list[slice]:
@@ -511,11 +500,11 @@ def block_matmul(a: Tensor, b: Tensor, sizes: Sequence[int]) -> Tensor:
         else:
             db = []
         for i, (rows, mat) in enumerate(zip(blocks, mats)):
-            da[rows] = _product(g[rows], mat.T)
+            da[rows] = g[rows] @ mat.T
             if stacked:
-                db[i] = _product(ad[rows].T, g[rows])
+                db[i] = ad[rows].T @ g[rows]
             else:
-                db.insert(0, _product(ad[rows].T, g[rows]))
+                db.insert(0, ad[rows].T @ g[rows])
         return (da, db)
 
     return _make(out, (a, b), vjp, "block_matmul")
@@ -683,7 +672,7 @@ def span_matvec(x: Tensor, v: Tensor, spans: Sequence[tuple[int, int]]) -> Tenso
     the bits are those of such per-span records.  The slices are views, so
     ``x`` is not copied per span.  Its gradient is one dense array: each
     span's outer products are added into zeros in place, last span first,
-    the bits of per-span regions of ``a * b + 0`` added in that order, as
+    the bits of per-span regions of ``a @ b`` added in that order, as
     no sum started from +0.0 is ever -0.0.
     """
     if x.ndim != 4 or v.ndim != 2 or v.shape[1] != x.shape[3]:

@@ -112,7 +112,7 @@ def unit_rows_of_product(a: Tensor, scale: Tensor) -> Tensor:
 
 
 def span_matvec_regions(x: Tensor, v: Tensor, spans) -> Tensor:
-    """``tn.span_matvec`` with ``x``'s gradient as one region of ``a * b + 0``
+    """``tn.span_matvec`` with ``x``'s gradient as one region of ``a @ b``
     outer products per span, listed last span first: the bitwise oracle
     of the op's dense gradient."""
     batch, _, m, j = x.shape
@@ -130,7 +130,7 @@ def span_matvec_regions(x: Tensor, v: Tensor, spans) -> Tensor:
             n = stop - start
             gk = g[rows].reshape(batch, n, m, 1)
             regions.insert(0, tn._Region((slice(None), slice(start, stop)),
-                                         tn._product(gk, vd[rows].reshape(batch, n, 1, j))))
+                                         gk @ vd[rows].reshape(batch, n, 1, j)))
             dv[rows] = np.matmul(xd[:, start:stop].swapaxes(-1, -2), gk).reshape(-1, j)
         return (regions, dv)
 

@@ -69,7 +69,7 @@ def workspace(tmp_path_factory):
     scores = root / "scores.csv"
     assert main([
         "score", "--model", str(model), "--data", str(data / "test.csv"),
-        "--out", str(scores), "--seed", "3",
+        "--out", str(scores),
     ]) == 0
     return {"root": root, "cfg": cfg, "data": data, "model": model, "scores": scores}
 
@@ -141,6 +141,22 @@ def test_synth_rejects_bad_flags_before_writing(tmp_path, capsys, flags, message
     assert not out_dir.exists()
 
 
+def test_synth_rejects_a_test_split_no_longer_than_the_longest_tone(tmp_path, capsys):
+    """A test split of at most 4,096 frames, the longest tone, used to fail
+    in the injector as `series of 4000 frames is too short for anomalies
+    up to 4096`, naming no flag; a clean split may still be that short."""
+    out_dir = tmp_path / "data"
+    argv = ["synth", "--out-dir", str(out_dir), "--channels", "1", "--train-length", "600"]
+    for length in ("4000", "4096"):
+        assert main([*argv, "--test-length", length]) == 1
+        assert capsys.readouterr().err == (
+            "error: --test-length must exceed the longest tone, 4096 frames, "
+            f"while --anomaly-fraction > 0; got {length}\n")
+        assert not out_dir.exists()
+    assert main([*argv, "--test-length", "4000", "--anomaly-fraction", "0"]) == 0
+    assert main([*argv, "--test-length", "4097", "--anomaly-fraction", "0.2"]) == 0
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -184,6 +200,21 @@ def test_manifests_record_environment(workspace):
         assert env["lnt_threads"] == (lnt.cli._threads or None)
 
 
+def test_manifests_record_only_the_flags_their_command_takes(workspace, tmp_path):
+    """seed and precision are recorded where the command reads them: eval
+    used to record both, and score a seed it never read."""
+    evaluated = tmp_path / "e.csv"
+    assert main(["eval", "--scores", str(workspace["scores"]), "--out", str(evaluated)]) == 0
+    recorded = {}
+    for output in (workspace["data"] / "test.csv", workspace["model"], workspace["scores"],
+                   evaluated):
+        manifest = json.loads(open(f"{output}.manifest.json").read())
+        recorded[manifest["command"]] = {key: manifest[key] for key in ("seed", "precision")
+                                         if key in manifest}
+    assert recorded == {"synth": {"seed": 3}, "train": {"seed": 3, "precision": 32},
+                        "score": {"precision": 32}, "eval": {}}
+
+
 @pytest.mark.parametrize("threads", ["1", None])
 def test_manifest_environment_reports_thread_cap(threads):
     env = {k: v for k, v in os.environ.items() if k != "LNT_THREADS"}
@@ -220,18 +251,15 @@ def test_invalid_thread_cap_is_not_applied_and_fails(tmp_path, threads):
     assert not data.exists()
 
 
-@pytest.mark.parametrize("command", ["synth", "train", "score", "eval", "viz-decode"])
+@pytest.mark.parametrize("command", ["synth", "train", "viz-decode"])
 def test_negative_seed_fails_naming_the_flag_and_writes_nothing(workspace, tmp_path, capsys,
                                                                 command):
     """`--seed -1` used to exit 1 with numpy's bare `expected non-negative
-    integer` (synth, train, viz-decode) or exit 0 (score, eval)."""
+    integer`.  score and eval take no --seed."""
     data, out = workspace["data"], str(tmp_path / "out")
     args = {
         "synth": ["--out-dir", out],
         "train": ["--data", str(data / "train.csv"), "--out", out],
-        "score": ["--model", str(workspace["model"]), "--data", str(data / "test.csv"),
-                  "--out", out],
-        "eval": ["--scores", str(workspace["scores"]), "--out", out],
         "viz-decode": ["--model", str(workspace["model"]), "--data", str(data / "test.csv"),
                        "--out", out],
     }[command]
@@ -422,7 +450,7 @@ def test_score_rerun_is_byte_identical(workspace, tmp_path):
     assert main([
         "score", "--model", str(workspace["model"]),
         "--data", str(workspace["data"] / "test.csv"),
-        "--out", str(out), "--seed", "3",
+        "--out", str(out),
     ]) == 0
     assert out.read_bytes() == workspace["scores"].read_bytes()
 
@@ -465,6 +493,8 @@ def test_eval_writes_csv_and_text(workspace, tmp_path, capsys):
 
 
 def test_eval_single_class_diagnostic(tmp_path, capsys):
+    """One class fails as every rejected call does (it used to print a
+    `diagnostic:` line)."""
     path = tmp_path / "flat.csv"
     path.write_text(
         "index,score,label\n" +
@@ -472,7 +502,8 @@ def test_eval_single_class_diagnostic(tmp_path, capsys):
     )
     code = main(["eval", "--scores", str(path), "--out", str(tmp_path / "e.csv")])
     assert code == 1
-    assert "both classes" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: all 10 points are labeled normal; metrics need both classes\n")
     assert not (tmp_path / "e.csv").exists()
 
 
@@ -567,7 +598,7 @@ def test_viz_decode_rejects_negative_decoder_epochs(workspace, tmp_path, capsys)
         "--data", str(workspace["data"] / "test.csv"),
         "--out", str(out), "--decoder-epochs", "-3", "--save-model", str(saved),
     ]) == 1
-    assert "error: epochs must be >= 0, got -3" in capsys.readouterr().err
+    assert "error: --decoder-epochs must be >= 0, got -3" in capsys.readouterr().err
     assert not out.exists() and not saved.exists()
 
     # a checkpoint that already has a decoder trains none, and must still
@@ -585,8 +616,21 @@ def test_viz_decode_rejects_negative_decoder_epochs(workspace, tmp_path, capsys)
         "--data", str(workspace["data"] / "test.csv"),
         "--out", str(again), "--decoder-epochs", "-3",
     ]) == 1
-    assert "error: epochs must be >= 0, got -3" in capsys.readouterr().err
+    assert "error: --decoder-epochs must be >= 0, got -3" in capsys.readouterr().err
     assert not again.exists() and not (tmp_path / "again.csv.manifest.json").exists()
+
+
+@pytest.mark.parametrize("lr", ["nan", "0", "inf"])
+def test_viz_decode_rejects_bad_decoder_lr_before_reading(tmp_path, capsys, lr):
+    """`--decoder-lr nan` used to fail as `lr must be finite and positive`,
+    naming no flag, and only after the model and data were read."""
+    out = tmp_path / "recon.csv"
+    assert main(["viz-decode", "--model", str(tmp_path / "none.lntc"),
+                 "--data", str(tmp_path / "none.csv"), "--out", str(out),
+                 "--decoder-lr", lr]) == 1
+    assert capsys.readouterr().err == (
+        f"error: --decoder-lr must be finite and positive, got {float(lr)}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -678,25 +722,63 @@ def test_output_in_missing_directory_fails_before_any_work(workspace, tmp_path, 
     assert [p.name for p in tmp_path.rglob("*")] == (["dir"] if is_dir else [])
 
 
-@pytest.mark.parametrize("command", ["synth", "score", "eval", "viz-decode"])
-def test_config_is_rejected_where_it_is_not_read(workspace, tmp_path, capsys, command):
-    """Only train reads --config: synth takes its flags, score and
-    viz-decode the checkpoint's settings, eval none.  Each used to run
-    and ignore it, even a file that does not exist; now each fails naming
-    the flag before it reads or writes anything."""
-    data, model = workspace["data"], str(workspace["model"])
-    inputs = {
-        "synth": ["--out-dir", str(tmp_path / "synth")],
-        "score": ["--model", model, "--data", str(data / "test.csv"),
-                  "--out", str(tmp_path / "s.csv")],
-        "eval": ["--scores", str(workspace["scores"]), "--out", str(tmp_path / "e.csv")],
-        "viz-decode": ["--model", model, "--data", str(data / "test.csv"),
-                       "--out", str(tmp_path / "v.csv"), "--decoder-epochs", "1"],
-    }[command]
-    missing = str(tmp_path / "nonexistent_file.cfg")
-    assert main([command, *inputs, "--config", missing, "--seed", "7"]) == 1
-    assert capsys.readouterr().err == f"error: --config applies to train only, not {command}\n"
+# id: (subcommand, flags set on a valid call, None dropping one, error fragment)
+_REJECTED_CALLS = {
+    "unknown-flag": ("score", {"--bogus": "1"}, "unrecognized arguments: --bogus 1"),
+    "config-on-synth": ("synth", {"--config": "small"}, "unrecognized arguments: --config small"),
+    "config-on-score": ("score", {"--config": "small"}, "unrecognized arguments: --config small"),
+    "config-on-eval": ("eval", {"--config": "small"}, "unrecognized arguments: --config small"),
+    "config-on-viz-decode": ("viz-decode", {"--config": "small"},
+                             "unrecognized arguments: --config small"),
+    "seed-on-score": ("score", {"--seed": "-1"}, "unrecognized arguments: --seed -1"),
+    "seed-on-eval": ("eval", {"--seed": "3"}, "unrecognized arguments: --seed 3"),
+    "precision-on-synth": ("synth", {"--precision": "64"},
+                           "unrecognized arguments: --precision 64"),
+    "missing-out": ("score", {"--out": None}, "the following arguments are required: --out"),
+    "missing-scores": ("eval", {"--scores": None},
+                       "the following arguments are required: --scores"),
+    "bad-precision": ("train", {"--precision": "16"}, "argument --precision: invalid choice: 16"),
+    "bad-window": ("viz-decode", {"--window": "first"},
+                   "argument --window: invalid int value: 'first'"),
+    "unknown-command": ("frobnicate", {}, "argument command: invalid choice: 'frobnicate'"),
+    "negative-seed": ("train", {"--seed": "-1"}, "--seed must be >= 0, got -1"),
+}
+
+
+@pytest.mark.parametrize("command, change, fragment", list(_REJECTED_CALLS.values()),
+                         ids=list(_REJECTED_CALLS))
+def test_rejected_call_exits_1_with_one_error_line(workspace, tmp_path, capsys,
+                                                   command, change, fragment):
+    """Every rejected call exits 1 with one `error:` line naming its bad
+    input, and writes nothing.  A usage error (an unknown flag, a flag of
+    another subcommand, a missing required flag, a bad choice or type)
+    used to print the usage text and exit 2; --config on score, eval,
+    synth and viz-decode used to fail through a check of its own."""
+    data, model, out = workspace["data"], str(workspace["model"]), str(tmp_path / "out")
+    valid = {
+        "synth": {"--out-dir": out},
+        "train": {"--data": str(data / "train.csv"), "--out": out,
+                  "--config": str(workspace["cfg"]), "--epochs": "1"},
+        "score": {"--model": model, "--data": str(data / "test.csv"), "--out": out},
+        "eval": {"--scores": str(workspace["scores"]), "--out": out},
+        "viz-decode": {"--model": model, "--data": str(data / "test.csv"), "--out": out,
+                       "--decoder-epochs": "1"},
+    }.get(command, {})
+    flags = {**valid, **change}
+    argv = [command, *(arg for flag, value in flags.items() if value is not None
+                       for arg in (flag, value))]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and fragment in err[0], err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_subcommand_help_exits_0(capsys):
+    """Usage errors raise, but --help still prints and exits 0."""
+    with pytest.raises(SystemExit) as exited:
+        main(["score", "--help"])
+    assert exited.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: lnt score")
 
 
 def test_score_overflow_reports_only_lnt_error(workspace, tmp_path, capsys):

@@ -1330,7 +1330,7 @@ def test_block_ops_match_per_block_records_bitwise(bits):
 @pytest.mark.parametrize("bits", [32, 64])
 def test_span_matvec_dense_dx_matches_region_list_bitwise(K, bits):
     """``span_matvec``'s dense gradient, each span's outer products added
-    into zeros, has the bytes of one ``a * b + 0`` region per span added
+    into zeros, has the bytes of one ``a @ b`` region per span added
     last span first, -0.0 products included, at 1, 4 and 12 horizons
     (the spans of ``losses.horizons``); the matrices' input gets one more,
     later contribution, as the units do in the DDCL."""
@@ -1394,10 +1394,10 @@ def test_conv_tiled_dx_matches_tap_loop_bitwise(batch, t, c_in, c_out, f, relu):
 @pytest.mark.parametrize("rows", [12, 64, 128])
 @pytest.mark.parametrize("bits", [32, 64])
 def test_matmul_outer_product_vjp_matches_blas_bitwise(rows, bits):
-    """A matmul VJP whose contracted length is 1 is an elementwise product
-    plus 0, with the bytes BLAS gives, +0.0 for a product of -0.0 too:
-    da of a (..., L, D) @ (..., D, 1) product and db of a (1, J) @ (J, K)
-    one, with factors that include +-0."""
+    """A matmul VJP whose contracted length is 1 has the bytes of BLAS's
+    outer product, which gives +0.0 for a product of -0.0: da of a
+    (..., L, D) @ (..., D, 1) product and db of a (1, J) @ (J, K) one,
+    with factors that include +-0."""
     dtype = tn._DTYPES[bits]
     rng = np.random.default_rng(73)
     cols = 128
