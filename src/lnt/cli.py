@@ -266,7 +266,11 @@ def cmd_synth(args) -> int:
             amplitude=args.amplitude,
             seed=int(seeds[2]),
         )
-        test = inject_sine_anomalies(test, spec)
+        try:
+            test = inject_sine_anomalies(test, spec)
+        except ValueError as err:
+            raise ValueError(f"--anomaly-fraction {args.anomaly_fraction} cannot be met on "
+                             f"--test-length {args.test_length}: {err}") from None
     os.makedirs(args.out_dir, exist_ok=True)
     train_path = os.path.join(args.out_dir, "train.csv")
     test_path = os.path.join(args.out_dir, "test.csv")

@@ -30,6 +30,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import threading
+import types
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -38,6 +39,9 @@ _DTYPES = {32: np.float32, 64: np.float64}
 
 # norm of a vector is clamped below at this value before any division
 NORM_EPS = 1e-12
+
+# elements per block where a VJP forms a large term a block at a time
+_BLOCK = 1 << 15
 
 
 def set_precision(bits: int) -> None:
@@ -263,9 +267,10 @@ def backward(loss: Tensor) -> None:
     so a second ``backward`` on the same tape is an error.
 
     Each node keeps one gradient buffer.  A VJP returns, per parent, None,
-    an array of the parent's shape, a :class:`_Region`, or a list of
-    these, which are added in list order as separate records' would be;
-    it never writes into ``g``.  It may yield them in parent order
+    an array of the parent's shape, a :class:`_Region`, or a list or a
+    generator of these, which are added in order as separate records'
+    would be (a generator's one at a time, each dropped once added); it
+    never writes into ``g``.  It may yield them in parent order
     instead; each is added, and dropped, before the next is computed.  A
     first contribution is kept as given and is owned by the sweep when it
     is a fresh array (not ``g``, not a view), or when a record of one
@@ -310,7 +315,8 @@ def _add(grads: dict, owned: set, pnode, shape, contribution, g, handed) -> None
     """Add one parent's contribution into its buffer, as :func:`backward` says."""
     if pnode is None or contribution is None:
         return
-    for pg in contribution if type(contribution) is list else (contribution,):
+    several = type(contribution) in (list, types.GeneratorType)
+    for pg in contribution if several else (contribution,):
         buf = grads.get(pnode)
         if type(pg) is _Region:
             if buf is None:
@@ -333,6 +339,16 @@ def _add(grads: dict, owned: set, pnode, shape, contribution, g, handed) -> None
             # asarray: numpy returns a scalar, not an array, for a 0-d sum
             grads[pnode] = np.asarray(buf + pg)
             owned.add(pnode)
+
+
+def _row_blocks(shape: tuple[int, ...]) -> list:
+    """Index blocks of the leading axis of ``shape``, each of at most
+    ``_BLOCK`` elements or one row; one block, ``...``, when there is no
+    axis before the last."""
+    if len(shape) < 2:
+        return [...]
+    rows, per = shape[0], max(1, _BLOCK // max(1, int(np.prod(shape[1:]))))
+    return [slice(lo, min(lo + per, rows)) for lo in range(0, rows, per)]
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -410,17 +426,22 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 def sigmoid(a: Tensor) -> Tensor:
     _check_finite(a.data, "sigmoid input")
     out = _sigmoid(a.data)
-    return _make(out, (a,), lambda g: (g * out * (1.0 - out),), "sigmoid")
+
+    def vjp(g):
+        d = g * out
+        d *= 1.0 - out  # in place: the bank's (R, L, D) term is one buffer
+        return (d,)
+
+    return _make(out, (a,), vjp, "sigmoid")
 
 
 def relu(a: Tensor) -> Tensor:
     _check_relu_input(a.data, "relu input")
     out = np.maximum(a.data, 0.0)
-    # C order: the input may be a transposed view (the bank's hidden
-    # layer) while its gradient arrives C-ordered, and g * mask across
-    # two layouts ran 9x slower than within one
-    mask = np.greater(out, 0, order="C") if _recording(a) else None
-    return _make(out, (a,), lambda g: (g * mask,), "relu")
+    # packed bits in C order: the input may be a transposed view (the
+    # bank's hidden layer) while its gradient arrives C-ordered
+    mask = np.packbits(out > 0) if _recording(a) else None
+    return _make(out, (a,), lambda g: (_masked(g, mask),), "relu")
 
 
 def exp(a: Tensor) -> Tensor:
@@ -569,11 +590,19 @@ def unit_rows(a: Tensor, scale: Tensor | None = None) -> Tensor:
         out = None  # read once: the output may be freed before the terms exist
         dn /= n
         dn = -dn.sum(axis=-1, keepdims=True)
-        t = dn / (2.0 * n) * mask * (md if sd is None else md * sd)  # the product recomputed
-        gv = g / n
+        f = dn / (2.0 * n) * mask
         if sd is None:
-            yield [gv, t, t]
+            def terms():  # g / n, then f * md twice, made a block of rows at a time
+                yield g / n
+                for rows in _row_blocks(md.shape):
+                    t = _Region((rows,), f[rows] * md[rows])
+                    yield t
+                    yield t
+
+            yield terms()
             return
+        t = f * (md * sd)  # the product recomputed
+        gv = g / n
         gv += t
         gv += t
         ds = _unbroadcast(np.multiply(gv, md, out=t), sd.shape)  # then a's is formed in gv
@@ -673,7 +702,9 @@ def span_matvec(x: Tensor, v: Tensor, spans: Sequence[tuple[int, int]]) -> Tenso
     ``x`` is not copied per span.  Its gradient is one dense array: each
     span's outer products are added into zeros in place, last span first,
     the bits of per-span regions of ``a @ b`` added in that order, as
-    no sum started from +0.0 is ever -0.0.
+    no sum started from +0.0 is ever -0.0.  The outer products are formed
+    a block of samples at a time in one reused buffer, and ``v``'s rows are
+    written into its gradient, so the VJP's only temporary is one block.
     """
     if x.ndim != 4 or v.ndim != 2 or v.shape[1] != x.shape[3]:
         raise ValueError(f"span_matvec expects (B, T, M, J) matrices and (S, J) rows, "
@@ -691,11 +722,16 @@ def span_matvec(x: Tensor, v: Tensor, spans: Sequence[tuple[int, int]]) -> Tenso
     def vjp(g):
         dx = np.zeros(xd.shape, dtype=_state.dtype)
         dv = np.empty(vd.shape, dtype=_state.dtype)
+        longest = max(stop - start for start, stop in spans)
+        buf = np.empty(max(_BLOCK, longest * m * j), dtype=_state.dtype)
         for (start, stop), rows in zip(spans[::-1], blocks[::-1]):
             n = stop - start
             gk = g[rows].reshape(batch, n, m, 1)
-            dx[:, start:stop] += gk * vd[rows].reshape(batch, n, 1, j)
-            dv[rows] = np.matmul(xd[:, start:stop].swapaxes(-1, -2), gk).reshape(-1, j)
+            vk = vd[rows].reshape(batch, n, 1, j)
+            for b in _row_blocks((batch, n, m, j)):
+                part = dx[b, start:stop]
+                part += np.multiply(gk[b], vk[b], out=buf[: part.size].reshape(part.shape))
+            np.matmul(xd[:, start:stop].swapaxes(-1, -2), gk, out=dv[rows].reshape(batch, n, j, 1))
         return (dx, dv)
 
     return _make(out, (x, v), vjp, "span_matvec")
@@ -856,6 +892,25 @@ def _conv_out_len(t: int, f: int, stride: int) -> int:
     return (t - f) // stride + 1
 
 
+def _masked(g: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """``g * mask`` for the C-ordered bool ``mask`` of ``g``'s shape that
+    ``np.packbits`` packed into ``bits``."""
+    return g * np.unpackbits(bits, count=g.size).view(bool).reshape(g.shape)
+
+
+def _patch_matrix(xd: np.ndarray, f: int, stride: int, t_out: int) -> np.ndarray:
+    """The (B*t_out, C_in*F) patch matrix of a (B, T, C_in) input."""
+    # one strided time slice per tap fills the last axis: numpy copies each
+    # with inner loops over channels, where a copy of one (B, t_out, C_in,
+    # F) window view runs inner loops over the F taps and took 1.5-5x as long
+    batch, _, c_in = xd.shape
+    patches = np.empty((batch, t_out, c_in, f), dtype=_state.dtype)
+    last = stride * (t_out - 1)
+    for tap in range(f):
+        patches[..., tap] = xd[:, tap : tap + last + 1 : stride]
+    return patches.reshape(batch * t_out, c_in * f)
+
+
 def conv1d_strided(x: Tensor, w: Tensor, stride: int, bias: Tensor | None = None,
                    relu: bool = False) -> Tensor:
     """Valid cross-correlation along time, time-major: (B, T, C_in) in,
@@ -883,15 +938,8 @@ def conv1d_strided(x: Tensor, w: Tensor, stride: int, bias: Tensor | None = None
     t_out = _conv_out_len(t, f, stride)
 
     parents = (x, w) if bias is None else (x, w, bias)
-    # one strided time slice per tap fills the patch matrix's last axis:
-    # numpy copies each with inner loops over channels, where a copy of
-    # one (B, t_out, C_in, F) window view runs inner loops over the F taps
-    # and took 1.5-5x as long
-    patches = np.empty((batch, t_out, c_in, f), dtype=_state.dtype)
+    pmat = _patch_matrix(x.data, f, stride, t_out)
     last = stride * (t_out - 1)
-    for tap in range(f):
-        patches[..., tap] = x.data[:, tap : tap + last + 1 : stride]
-    pmat = patches.reshape(batch * t_out, c_in * f)
     wd, wmat = w.data, w.data.reshape(c_out, c_in * f)
     # an overflow raises in the finite checks, not as a numpy warning
     with np.errstate(all="ignore"):
@@ -902,21 +950,26 @@ def conv1d_strided(x: Tensor, w: Tensor, stride: int, bias: Tensor | None = None
     if relu:
         _check_relu_input(y, "conv1d pre-activation")
         np.maximum(y, 0.0, out=y)
-        mask = y > 0 if _recording(*parents) else None
+        # packed bits: the mask lives through the whole backward
+        mask = np.packbits(y > 0) if _recording(*parents) else None
 
-    # an untracked input (the data batch) gets no gradient, so skip its GEMM
+    # an untracked input (the data batch) gets no gradient, so skip its
+    # GEMM; its caller holds it through the step, so the VJP rebuilds the
+    # patch matrix from it rather than keeping a copy
     need_dx = _recording(x)
+    kept = pmat if need_dx else x.data
     has_bias = bias is not None  # a flag: a record holds no tensors
 
     def vjp(g):
         if mask is not None:
-            g = g * mask
-        gmat, pmat_dw = g.reshape(batch * t_out, c_out), pmat
+            g = _masked(g, mask)
+        gmat = g.reshape(batch * t_out, c_out)
+        pmat_dw = kept if need_dx else _patch_matrix(kept, f, stride, t_out)
         if batch == 1:
             # at B=1 the channel-major encoder's patch matrix, and a relu
             # layer's gradient matrix, were transposed views rather than
             # copies, and BLAS sums dw in another order for that layout
-            pmat_dw = np.asfortranarray(pmat)
+            pmat_dw = np.asfortranarray(pmat_dw)
             if relu:
                 gmat = np.asfortranarray(gmat)
         dw = (gmat.T @ pmat_dw).reshape(wd.shape)

@@ -137,6 +137,33 @@ def span_matvec_regions(x: Tensor, v: Tensor, spans) -> Tensor:
     return tn._make(out, (x, v), vjp, "span_matvec")
 
 
+def conv1d_relu_bool_mask(x: Tensor, w: Tensor, stride: int, bias: Tensor | None = None) -> Tensor:
+    """``tn.conv1d_strided(x, w, stride, bias, relu=True)`` with its relu
+    mask kept as a bool array and dx from the tap loop: the bitwise oracle
+    of the op's packed-bit mask."""
+    y = tn.conv1d_strided(Tensor(x.data), Tensor(w.data), stride,
+                          None if bias is None else Tensor(bias.data), relu=True)
+    xd, wd, mask = x.data, w.data, y.data > 0
+    batch, t_out, c_out = y.shape
+    c_in, f = wd.shape[1:]
+
+    def vjp(g):
+        g = g * mask
+        gmat, pmat = g.reshape(batch * t_out, c_out), tn._patch_matrix(xd, f, stride, t_out)
+        if batch == 1:  # the layouts the op takes at B=1
+            gmat, pmat = np.asfortranarray(gmat), np.asfortranarray(pmat)
+        dw = (gmat.T @ pmat).reshape(wd.shape)
+        dpatches = (gmat @ wd.reshape(c_out, c_in * f)).reshape(batch, t_out, c_in, f)
+        dx = np.zeros(xd.shape, dtype=tn.dtype())
+        for tap in range(f):
+            dx[:, tap : tap + stride * (t_out - 1) + 1 : stride] += dpatches[..., tap]
+        db = np.ascontiguousarray(g.sum(0).T).sum(1).reshape(c_out, 1)
+        return (dx, dw) if bias is None else (dx, dw, db)
+
+    parents = (x, w) if bias is None else (x, w, bias)
+    return tn._make(y.data, parents, vjp, "conv1d")
+
+
 def log_softmax_contrast(log_pos: Tensor, log_negs: Sequence[Tensor]) -> Tensor:
     """-log(pos / (pos + sum(negs))) from log-similarities, via log-sum-exp.
 

@@ -742,6 +742,12 @@ _REJECTED_CALLS = {
                    "argument --window: invalid int value: 'first'"),
     "unknown-command": ("frobnicate", {}, "argument command: invalid choice: 'frobnicate'"),
     "negative-seed": ("train", {"--seed": "-1"}, "--seed must be >= 0, got -1"),
+    "fraction-unmet": ("synth", {"--channels": "1", "--train-length": "600",
+                                 "--test-length": "4097", "--anomaly-fraction": "0.05"},
+                       "--anomaly-fraction 0.05 cannot be met on --test-length 4097"),
+    "fraction-overshot": ("synth", {"--channels": "1", "--train-length": "600",
+                                    "--test-length": "4200"},
+                          "--anomaly-fraction 0.1 cannot be met on --test-length 4200"),
 }
 
 
@@ -753,7 +759,9 @@ def test_rejected_call_exits_1_with_one_error_line(workspace, tmp_path, capsys,
     input, and writes nothing.  A usage error (an unknown flag, a flag of
     another subcommand, a missing required flag, a bad choice or type)
     used to print the usage text and exit 2; --config on score, eval,
-    synth and viz-decode used to fail through a check of its own."""
+    synth and viz-decode used to fail through a check of its own.  A
+    synth test split too short for its anomalous fraction used to fail
+    naming no flag."""
     data, model, out = workspace["data"], str(workspace["model"]), str(tmp_path / "out")
     valid = {
         "synth": {"--out-dir": out},

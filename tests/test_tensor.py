@@ -16,8 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (log_softmax_contrast, span_matvec_regions, sum_all, tanh,
-                     unit_rows_composed, unit_rows_of_product)
+from helpers import (conv1d_relu_bool_mask, log_softmax_contrast, span_matvec_regions, sum_all,
+                     tanh, unit_rows_composed, unit_rows_of_product)
 from lnt import model as mdl
 from lnt import tensor as tn
 from lnt.tensor import Tape, Tensor, active_tape, backward
@@ -1389,6 +1389,87 @@ def test_conv_tiled_dx_matches_tap_loop_bitwise(batch, t, c_in, c_out, f, relu):
         dx[:, tap : tap + f * (t_out - 1) + 1 : f] += dpatches[..., tap]
     assert xt.grad.tobytes() == dx.tobytes()
     assert not xt.grad[:, t_out * f :].any()
+
+
+@pytest.mark.parametrize("batch, t, c_in, c_out, f, stride, bias", [
+    (1, 13, 3, 5, 3, 3, True),      # B = 1; 20 mask bits, not whole bytes
+    (3, 17, 2, 7, 4, 2, False),     # F > stride: dx from the tap loop
+    (4, 80, 16, 16, 4, 4, True),    # stride == F: the tiled dx
+    (32, 720, 3, 128, 3, 3, True),  # the first `small` layer at B = 32
+])
+def test_conv_packed_relu_mask_matches_bool_mask_bitwise(batch, t, c_in, c_out, f, stride, bias):
+    """A conv's relu mask kept as packed bits gives the output and the x,
+    w and bias gradients, -0.0 included, of the bool mask it replaces
+    (``helpers.conv1d_relu_bool_mask``): with pre-activations exactly 0
+    (zero input windows into zero-bias channels) and negative upstream
+    gradients at masked entries, which the mask turns into -0.0."""
+    rng = np.random.default_rng(76)
+    x = rng.normal(size=(batch, t, c_in)).astype(np.float32)
+    x[:, : 2 * f] = 0.0
+    w = rng.normal(size=(c_out, c_in, f)).astype(np.float32)
+    b = rng.normal(size=(c_out, 1)).astype(np.float32)
+    b[::2] = 0.0
+    t_out = (t - f) // stride + 1
+    up = _signed_zeros(rng, (batch, t_out, c_out))
+    up[:, 0, ::2] = -1.5
+    runs = []
+    for op in (lambda *a: tn.conv1d_strided(*a, relu=True), conv1d_relu_bool_mask):
+        with Tape():
+            xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+            bt = Tensor(b, requires_grad=True) if bias else None
+            y = op(xt, wt, stride, bt)
+            backward(sum_all(tn.mul(y, Tensor(up))))
+        runs.append([y.data.tobytes(), xt.grad.tobytes(), wt.grad.tobytes()]
+                    + ([bt.grad.tobytes()] if bias else []))
+    assert runs[0] == runs[1]
+    assert not y.data[:, 0, ::2].any()  # zero windows into zero-bias channels
+
+
+def test_relu_packed_mask_matches_bool_mask_bitwise():
+    """relu's packed mask, of a transposed input as the bank's hidden layer
+    has, gives the gradient of a C-ordered bool mask, -0.0 included."""
+    rng = np.random.default_rng(77)
+    x = _signed_zeros(rng, (5, 7, 3)).transpose(1, 0, 2)
+    up = _signed_zeros(rng, x.shape)
+    with Tape():
+        xt = Tensor(x, requires_grad=True)
+        backward(sum_all(tn.mul(tn.relu(xt), Tensor(up))))
+    assert xt.grad.tobytes() == (up * np.greater(x, 0, order="C")).tobytes()
+    assert (np.signbit(xt.grad) & (xt.grad == 0) & (x <= 0)).any()
+
+
+def test_span_matvec_vjp_allocates_under_two_blocks_beyond_its_outputs():
+    """At the `small` DDCL shapes (B = 32, 10 steps, L = 12, D = 128, K = 4)
+    span_matvec's VJP allocates its two gradients and, beyond them, one
+    reused block of outer products and numpy's working buffer for one multiply:
+    under two blocks (1.8 MB when a span's products were one temporary)."""
+    rng = np.random.default_rng(78)
+    batch, steps, m, j = 32, 10, 12, 128
+    spans = [(0, steps - k) for k in range(1, 5)]
+    x = Tensor(rng.normal(size=(batch, steps, m, j)), requires_grad=True)
+    v = Tensor(rng.normal(size=(sum(tn.span_rows(batch, spans)), j)), requires_grad=True)
+    with Tape() as tape:
+        out = tn.span_matvec(x, v, spans)
+        vjp = tape._records[-1].vjp
+    g = rng.normal(size=out.shape).astype(np.float32)
+    tracemalloc.start()
+    try:
+        dx, dv = vjp(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = 4 * max(tn._BLOCK, (steps - 1) * m * j)
+    assert peak - dx.nbytes - dv.nbytes < 2 * block, peak / 2**20
+
+
+def test_blocked_vjps_match_oracles_bitwise(monkeypatch):
+    """With blocks of a few rows, span_matvec's outer products and the
+    unscaled unit_rows' second term, formed a block at a time, keep the
+    bytes of their oracles."""
+    monkeypatch.setattr(tn, "_BLOCK", 16)
+    test_span_matvec_dense_dx_matches_region_list_bitwise(4, 32)
+    for shape in ((5, 4, 8), (7, 6)):
+        test_unit_rows_matches_composed_bitwise(32, shape)
 
 
 @pytest.mark.parametrize("rows", [12, 64, 128])

@@ -15,10 +15,12 @@ with ``tensor._make`` wrapped from here (per op: records, median forward
 ms, from the previous record or the step's start to its own, and VJP ms;
 the ms outside the ops: checks, ``backward``'s sums, clipping and Adam);
 one forward and backward under ``tracemalloc`` (live MB after the
-forward, peak MB, records, ``_check_finite`` calls).  ``--against``: N
-alternating step pairs, nothing wrapped; in one process the median ratio
-new / old resolves a change of a few percent that benchmark runs do not.
-It ends with each package's records and peak MB of one traced step.
+forward, peak MB and the op forward or VJP that holds it, records,
+``_check_finite`` calls).  ``--against``: N alternating step pairs,
+nothing wrapped; in one process the median ratio new / old resolves a
+change of a few percent that benchmark runs do not.
+It ends with each package's records, peak MB and peak record of one
+traced step.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+import types
 from collections import defaultdict
 
 STRIDE, BATCH, FRAMES, WARMUP = 72, 32, 50_000, 5
@@ -92,7 +95,9 @@ def _probe(step, loss, windows, tn, batches, steps: int) -> dict:
 
         def timed_vjp(g):
             started = clock()
-            out = tuple(vjp(g))  # a VJP that yields computes as it is consumed
+            # a VJP that yields, or returns a generator of terms, computes
+            # as it is consumed
+            out = tuple(list(t) if isinstance(t, types.GeneratorType) else t for t in vjp(g))
             spent[name][1] += clock() - started
             return out
 
@@ -127,9 +132,29 @@ def _probe(step, loss, windows, tn, batches, steps: int) -> dict:
 
 
 def _memory(loss, batch, tn) -> dict:
-    """One forward and backward of ``batch`` under ``tracemalloc``."""
-    check, checks = tn._check_finite, []
+    """One forward and backward of ``batch`` under ``tracemalloc``, its
+    peak read per span: an op's forward runs from the previous record to
+    its own, its VJP from its start to the next VJP's, the sweep's adds
+    included.  ``peak_record`` names the span that holds the peak."""
+    check, checks, make = tn._check_finite, [], tn._make
+    peaks, span = {}, ["backward"]  # highest traced bytes per span; the VJP span open now
+
+    def close(label):
+        peaks[label] = max(peaks.get(label, 0), tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+
+    def traced_make(arr, parents, vjp, name):
+        close(f"{name} forward")
+
+        def traced_vjp(g):
+            close(span[0])
+            span[0] = f"{name} VJP"
+            return vjp(g)
+
+        return make(arr, parents, traced_vjp, name)
+
     tn._check_finite = lambda *a: (checks.append(a[1]), check(*a))
+    tn._make = traced_make
     tracemalloc.start()
     try:
         with tn.Tape() as tape:
@@ -137,12 +162,14 @@ def _memory(loss, batch, tn) -> dict:
             live, _ = tracemalloc.get_traced_memory()
             recorded = len(tape)
             tn.backward(total)
-        _, peak = tracemalloc.get_traced_memory()
+        close(span[0])
     finally:
         tracemalloc.stop()
-        tn._check_finite = check
+        tn._check_finite, tn._make = check, make
+    peak_record = max(peaks, key=peaks.get)
     return {"records_per_step": recorded, "finite_checks_per_step": len(checks),
-            "live_after_forward_mb": live / 2**20, "peak_forward_backward_mb": peak / 2**20}
+            "live_after_forward_mb": live / 2**20,
+            "peak_forward_backward_mb": peaks[peak_record] / 2**20, "peak_record": peak_record}
 
 
 def _pair(old, new, batches, pairs: int) -> dict:
@@ -163,7 +190,7 @@ def _pair(old, new, batches, pairs: int) -> dict:
             "new_step_ms_median": _ms(times["new"]), "ratio_median": statistics.median(ratios),
             "ratio_q1": q1, "ratio_q3": q3, "same_loss_values": same,
             **{f"{label}_{key}": memory[label][key] for label in memory
-               for key in ("records_per_step", "peak_forward_backward_mb")}}
+               for key in ("records_per_step", "peak_forward_backward_mb", "peak_record")}}
 
 
 def main(argv=None) -> int:
