@@ -148,6 +148,9 @@ class Tape:
         self._serial = next(_serials)
         self._nodes = 0
         self._leaves: dict[int, tuple[int, Tensor]] = {}  # id(leaf) -> (node, leaf)
+        # node -> a call that recomputes its output, bit for bit, from
+        # arrays the step holds anyway (a conv of the data batch)
+        self._rebuilds: dict[int, Callable[[], np.ndarray]] = {}
         self._spent = False
 
     def __len__(self) -> int:
@@ -911,6 +914,19 @@ def _patch_matrix(xd: np.ndarray, f: int, stride: int, t_out: int) -> np.ndarray
     return patches.reshape(batch * t_out, c_in * f)
 
 
+def _affine(xd: np.ndarray, wmat: np.ndarray, bd: np.ndarray | None, f: int, stride: int,
+            t_out: int) -> tuple[np.ndarray, np.ndarray]:
+    """The patch matrix of ``xd`` and its product with the (C_out, C_in*F)
+    filter matrix, (B, t_out, C_out), plus the bias if given."""
+    pmat = _patch_matrix(xd, f, stride, t_out)
+    # an overflow raises in the finite checks, not as a numpy warning
+    with np.errstate(all="ignore"):
+        y = (pmat @ wmat.T).reshape(xd.shape[0], t_out, wmat.shape[0])
+        if bd is not None:
+            y += bd.reshape(-1)
+    return pmat, y
+
+
 def conv1d_strided(x: Tensor, w: Tensor, stride: int, bias: Tensor | None = None,
                    relu: bool = False) -> Tensor:
     """Valid cross-correlation along time, time-major: (B, T, C_in) in,
@@ -922,6 +938,14 @@ def conv1d_strided(x: Tensor, w: Tensor, stride: int, bias: Tensor | None = None
     the (B*t_out, C_in*F) patch matrix, whose row for step t holds
     x[b, t*stride + tap, c] at column c*F + tap, with the (C_out, C_in*F)
     filter matrix.
+
+    With stride == F the taps tile the input, whose tap-major view is the
+    patch matrix with its columns in tap*C_in + c order: dw is formed from
+    that view, with the bits of the patch-matrix product, so the record
+    keeps the input, not a patch copy.  A conv of the data batch (an
+    untracked input, which its caller holds through the step) leaves the
+    tape a rule to recompute its output, and the conv after it keeps that
+    rule instead of the output.
     """
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
@@ -938,14 +962,9 @@ def conv1d_strided(x: Tensor, w: Tensor, stride: int, bias: Tensor | None = None
     t_out = _conv_out_len(t, f, stride)
 
     parents = (x, w) if bias is None else (x, w, bias)
-    pmat = _patch_matrix(x.data, f, stride, t_out)
-    last = stride * (t_out - 1)
-    wd, wmat = w.data, w.data.reshape(c_out, c_in * f)
-    # an overflow raises in the finite checks, not as a numpy warning
-    with np.errstate(all="ignore"):
-        y = (pmat @ wmat.T).reshape(batch, t_out, c_out)
-        if bias is not None:
-            y += bias.data.reshape(c_out)
+    xd, wd, bd = x.data, w.data, None if bias is None else bias.data
+    wmat = wd.reshape(c_out, c_in * f)
+    pmat, y = _affine(xd, wmat, bd, f, stride, t_out)
     mask = None
     if relu:
         _check_relu_input(y, "conv1d pre-activation")
@@ -954,32 +973,45 @@ def conv1d_strided(x: Tensor, w: Tensor, stride: int, bias: Tensor | None = None
         mask = np.packbits(y > 0) if _recording(*parents) else None
 
     # an untracked input (the data batch) gets no gradient, so skip its
-    # GEMM; its caller holds it through the step, so the VJP rebuilds the
-    # patch matrix from it rather than keeping a copy
-    need_dx = _recording(x)
-    kept = pmat if need_dx else x.data
+    # GEMM.  dw comes from the input itself when stride == F (or from the
+    # rule that rebuilds it), else from the patch matrix, which the VJP
+    # rebuilds from an untracked input, since its caller holds that input
+    tape, need_dx = _state.active, _recording(x)
+    rebuild = None
+    if stride == f and need_dx and x._tape == tape._serial:
+        rebuild = tape._rebuilds.get(x._node)
+    kept = None if rebuild else pmat if need_dx and stride != f else xd
+    last, tiled = stride * (t_out - 1), t_out * f
     has_bias = bias is not None  # a flag: a record holds no tensors
 
     def vjp(g):
         if mask is not None:
             g = _masked(g, mask)
         gmat = g.reshape(batch * t_out, c_out)
-        pmat_dw = kept if need_dx else _patch_matrix(kept, f, stride, t_out)
+        if stride == f:
+            cols = (kept if rebuild is None else rebuild())[:, :tiled]
+            cols = cols.reshape(batch * t_out, f * c_in)
+        else:
+            cols = kept if need_dx else _patch_matrix(kept, f, stride, t_out)
         if batch == 1:
             # at B=1 the channel-major encoder's patch matrix, and a relu
             # layer's gradient matrix, were transposed views rather than
             # copies, and BLAS sums dw in another order for that layout
-            pmat_dw = np.asfortranarray(pmat_dw)
+            cols = np.asfortranarray(cols)
             if relu:
                 gmat = np.asfortranarray(gmat)
-        dw = (gmat.T @ pmat_dw).reshape(wd.shape)
+        dw = gmat.T @ cols
+        del cols  # a rebuilt input goes before dx is formed
+        if stride == f:  # columns tap*C_in + c back to c*F + tap
+            dw = dw.reshape(c_out, f, c_in).transpose(0, 2, 1).copy()
+        else:
+            dw = dw.reshape(wd.shape)
         dx = None
         if need_dx and stride == f:
             # the taps tile the input, so one product against the tap-major
             # filter matrix lays dx out in time order.  The tap loop added
             # each value to 0, which turns a -0.0 into +0.0; sgemm returns
             # no -0.0 (an all -0.0 operand gives +0.0), so no pass is needed
-            tiled = t_out * f
             dtiles = gmat @ wd.transpose(0, 2, 1).reshape(c_out, f * c_in)
             dtiles = dtiles.reshape(batch, tiled, c_in)
             if tiled == t:
@@ -1003,7 +1035,14 @@ def conv1d_strided(x: Tensor, w: Tensor, stride: int, bias: Tensor | None = None
         db = np.ascontiguousarray(s.T).sum(1) if relu else s.sum(0)
         return (dx, dw, db.reshape(c_out, 1))
 
-    return _make(y, parents, vjp, "conv1d")
+    out = _make(y, parents, vjp, "conv1d")
+    if not need_dx and out._tape is not None:
+        def again():  # the forward's numpy calls, so the same bits
+            y = _affine(xd, wmat, bd, f, stride, t_out)[1]
+            return np.maximum(y, 0.0, out=y) if relu else y
+
+        tape._rebuilds[out._node] = again
+    return out
 
 
 def conv1d_transpose(x: Tensor, w: Tensor, stride: int) -> Tensor:

@@ -3,8 +3,8 @@ finite differences over model parameters, and the oracles that ``lnt``
 itself does not use: the sum_all and tanh ops, the div, sqrt and clamp_min
 ops of the composed ``unit_rows``, the bank's mul and ``unit_rows``
 records, ``span_matvec`` with a gradient region
-per span, the per-anchor contrastive softmax, the
-DDCL term of a single step and view, the channel-major encoder, the
+per span, the conv filter gradient from the patch matrix, the per-anchor
+contrastive softmax, the DDCL term of a single step and view, the channel-major encoder, the
 losses and scores composed horizon by horizon from per-horizon head
 tensors, and the synthetic background built one temporary per operation."""
 
@@ -137,6 +137,20 @@ def span_matvec_regions(x: Tensor, v: Tensor, spans) -> Tensor:
     return tn._make(out, (x, v), vjp, "span_matvec")
 
 
+def conv1d_patch_dw(xd: np.ndarray, g: np.ndarray, f: int, stride: int, relu: bool) -> np.ndarray:
+    """``tn.conv1d_strided``'s filter gradient for the (B, t_out, C_out)
+    upstream gradient ``g`` (a relu layer's masked already) as one product
+    with the input's patch matrix, in the layouts the op takes at B=1: the
+    bitwise oracle of the dw it forms from the tap-major input."""
+    batch, t_out, c_out = g.shape
+    gmat, pmat = g.reshape(batch * t_out, c_out), tn._patch_matrix(xd, f, stride, t_out)
+    if batch == 1:
+        pmat = np.asfortranarray(pmat)
+        if relu:
+            gmat = np.asfortranarray(gmat)
+    return (gmat.T @ pmat).reshape(c_out, xd.shape[2], f)
+
+
 def conv1d_relu_bool_mask(x: Tensor, w: Tensor, stride: int, bias: Tensor | None = None) -> Tensor:
     """``tn.conv1d_strided(x, w, stride, bias, relu=True)`` with its relu
     mask kept as a bool array and dx from the tap loop: the bitwise oracle
@@ -149,10 +163,10 @@ def conv1d_relu_bool_mask(x: Tensor, w: Tensor, stride: int, bias: Tensor | None
 
     def vjp(g):
         g = g * mask
-        gmat, pmat = g.reshape(batch * t_out, c_out), tn._patch_matrix(xd, f, stride, t_out)
-        if batch == 1:  # the layouts the op takes at B=1
-            gmat, pmat = np.asfortranarray(gmat), np.asfortranarray(pmat)
-        dw = (gmat.T @ pmat).reshape(wd.shape)
+        gmat = g.reshape(batch * t_out, c_out)
+        if batch == 1:  # the layout the op takes at B=1
+            gmat = np.asfortranarray(gmat)
+        dw = conv1d_patch_dw(xd, g, f, stride, relu=True)
         dpatches = (gmat @ wd.reshape(c_out, c_in * f)).reshape(batch, t_out, c_in, f)
         dx = np.zeros(xd.shape, dtype=tn.dtype())
         for tap in range(f):

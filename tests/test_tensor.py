@@ -16,8 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (conv1d_relu_bool_mask, log_softmax_contrast, span_matvec_regions, sum_all,
-                     tanh, unit_rows_composed, unit_rows_of_product)
+from helpers import (conv1d_patch_dw, conv1d_relu_bool_mask, log_softmax_contrast,
+                     span_matvec_regions, sum_all, tanh, unit_rows_composed,
+                     unit_rows_of_product)
 from lnt import model as mdl
 from lnt import tensor as tn
 from lnt.tensor import Tape, Tensor, active_tape, backward
@@ -1389,6 +1390,33 @@ def test_conv_tiled_dx_matches_tap_loop_bitwise(batch, t, c_in, c_out, f, relu):
         dx[:, tap : tap + f * (t_out - 1) + 1 : f] += dpatches[..., tap]
     assert xt.grad.tobytes() == dx.tobytes()
     assert not xt.grad[:, t_out * f :].any()
+
+
+@pytest.mark.parametrize("f", [2, 3, 4])
+@pytest.mark.parametrize("batch", [1, 2, 32])
+@pytest.mark.parametrize("view", [False, True])
+@pytest.mark.parametrize("relu", [False, True])
+def test_conv_dw_from_tap_major_input_matches_patch_matrix_bitwise(f, batch, view, relu):
+    """With stride == F, dw is one product with the input's tap-major view,
+    whose columns are the patch matrix's in tap*C_in + c order, permuted
+    back to c*F + tap; its bytes are those of the patch-matrix product
+    (``helpers.conv1d_patch_dw``), at B = 1 (F-ordered operands) and
+    above, for a contiguous input and a transposed batch view, with a
+    frame past the last step."""
+    rng = np.random.default_rng(80)
+    c_in, c_out, t = 24, 16, 9 * f + 1
+    x = rng.normal(size=(batch, c_in, t) if view else (batch, t, c_in)).astype(np.float32)
+    if view:
+        x = x.transpose(0, 2, 1)
+    w = rng.normal(size=(c_out, c_in, f)).astype(np.float32)
+    up = _signed_zeros(rng, (batch, 9, c_out))
+    with Tape():
+        wt = Tensor(w, requires_grad=True)
+        y = tn.conv1d_strided(Tensor(x), wt, f, relu=relu)
+        backward(sum_all(tn.mul(y, Tensor(up))))
+    g = up * (y.data > 0) if relu else up
+    assert wt.grad.flags.c_contiguous
+    assert wt.grad.tobytes() == conv1d_patch_dw(x, g, f, f, relu).tobytes()
 
 
 @pytest.mark.parametrize("batch, t, c_in, c_out, f, stride, bias", [

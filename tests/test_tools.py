@@ -24,13 +24,17 @@ def test_step_probe_reports_one_package():
     assert set(report) == {
         "steps", "step_ms_median", "minor_faults_per_step", "outside_ops_ms_median",
         "records_per_step", "finite_checks_per_step", "live_after_forward_mb",
-        "peak_forward_backward_mb", "peak_record", "ops"}
+        "peak_forward_backward_mb", "peak_record", "peak_records", "ops"}
     assert report["records_per_step"] == 61
     assert report["finite_checks_per_step"] == 10
     assert sum(op["records"] for op in report["ops"].values()) == 61
-    assert report["peak_forward_backward_mb"] <= 16.1
+    assert report["peak_forward_backward_mb"] <= 12.5
     op, _, span = report["peak_record"].rpartition(" ")
     assert op in report["ops"] and span in ("forward", "VJP")
+    highest = list(report["peak_records"].items())
+    assert len(highest) == 3 and highest[0] == (report["peak_record"],
+                                                 report["peak_forward_backward_mb"])
+    assert [mb for _, mb in highest] == sorted((mb for _, mb in highest), reverse=True)
     assert all(set(op) == {"records", "forward_ms", "vjp_ms"} for op in report["ops"].values())
     assert 0 < report["live_after_forward_mb"] < report["peak_forward_backward_mb"]
 
@@ -38,13 +42,16 @@ def test_step_probe_reports_one_package():
 def test_step_probe_pairs_a_package_with_itself():
     report = _probe("--against", str(ROOT / "src"), "--steps", "2")
     assert set(report) == {"pairs", "old_step_ms_median", "new_step_ms_median", "ratio_median",
-                           "ratio_q1", "ratio_q3", "same_loss_values", "old_records_per_step",
-                           "old_peak_forward_backward_mb", "old_peak_record",
-                           "new_records_per_step", "new_peak_forward_backward_mb",
-                           "new_peak_record"}
+                           "ratio_q1", "ratio_q3", "aa_ratio_median", "same_loss_values",
+                           "old_records_per_step", "old_peak_forward_backward_mb",
+                           "old_peak_record", "old_peak_records", "new_records_per_step",
+                           "new_peak_forward_backward_mb", "new_peak_record",
+                           "new_peak_records"}
     assert report["pairs"] == 2
     assert report["same_loss_values"] is True
     assert report["old_records_per_step"] == report["new_records_per_step"] == 61
     assert report["old_peak_forward_backward_mb"] == pytest.approx(
         report["new_peak_forward_backward_mb"], rel=1e-3)
     assert report["old_peak_record"] == report["new_peak_record"]
+    assert list(report["old_peak_records"]) == list(report["new_peak_records"])
+    assert report["aa_ratio_median"] > 0

@@ -236,8 +236,9 @@ def test_tape_records_hold_no_tensors():
 
 
 def test_train_step_small_memory_budget():
-    """One `small` B=32 forward plus backward peaks under 16 MB of traced
-    allocations (15.35 MB now; 18.2 MB when conv relu masks were bool
+    """One `small` B=32 forward plus backward peaks under 12.5 MB of traced
+    allocations (11.61 MB now; 15.35 MB when the second conv kept its
+    3.75 MB patch matrix through the sweep; 18.2 MB when conv relu masks were bool
     arrays, span_matvec formed a whole span's outer products at once and
     the first conv kept a copy of the batch's patches; 22.3 MB when the
     sweep kept added terms alive and the bank kept its views; 55.4 MB when
@@ -256,7 +257,29 @@ def test_train_step_small_memory_budget():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20, peak / 2**20
+    assert peak < 12.5 * 2**20, peak / 2**20
+
+
+def test_rebuilt_conv_input_keeps_every_gradient_bit():
+    """In a `small` B=32 step the first conv, of the untracked data batch,
+    leaves the tape a rule to rebuild its output, and the second conv's
+    VJP rebuilds that input rather than keep it.  A tracked batch makes
+    the first conv's input tracked: no rule, and the second conv keeps
+    the array.  Every parameter gradient, the encoder's included, has
+    the same bits either way."""
+    cfg = small_config()
+    x = np.random.default_rng(1).normal(size=(32, cfg.in_channels, cfg.sub_seq))
+    grads, rebuilds = [], []
+    for tracked in (False, True):
+        params = init_params(cfg, seed=0)
+        with Tape() as tape:
+            total = unified_loss(params, Tensor(x, requires_grad=tracked),
+                                 np.random.default_rng(2), lam=1e-3, cpc_weight=1.0, N=16)[0]
+            rebuilds.append(len(tape._rebuilds))
+            backward(total)
+        grads.append({n: p.grad.tobytes() for n, p in trainable_parameters(params).items()})
+    assert rebuilds == [1, 0]
+    assert grads[0] == grads[1]
 
 
 _FAULTS_SCRIPT = textwrap.dedent("""

@@ -4,7 +4,8 @@
 
 SRC (default: this checkout's ``src``) and OLD_SRC each hold an ``lnt``
 package, copied to a temporary directory as ``lnt_new`` / ``lnt_old`` (it
-imports its own modules only relatively) and imported into this process
+imports its own modules only relatively; OLD_SRC once more as ``lnt_old2``)
+and imported into this process
 at one BLAS thread, under ``lnt.cli``'s heap policy.  Each trains `small`
 as train-small does: ``training.train_step`` on B=32 mini-batches of the
 read-only ``data.window`` view (stride 72) of a float32 synthetic series,
@@ -15,12 +16,15 @@ with ``tensor._make`` wrapped from here (per op: records, median forward
 ms, from the previous record or the step's start to its own, and VJP ms;
 the ms outside the ops: checks, ``backward``'s sums, clipping and Adam);
 one forward and backward under ``tracemalloc`` (live MB after the
-forward, peak MB and the op forward or VJP that holds it, records,
-``_check_finite`` calls).  ``--against``: N alternating step pairs,
-nothing wrapped; in one process the median ratio new / old resolves a
-change of a few percent that benchmark runs do not.
-It ends with each package's records, peak MB and peak record of one
-traced step.
+forward, peak MB and the op forward or VJP that holds it, the three
+highest op spans and their MB, records, ``_check_finite`` calls).
+``--against``: N step pairs, nothing wrapped; in one process the median
+ratio new / old resolves a change of a few percent that benchmark runs
+do not.  The second copy of the old package runs in the same rotation
+(each of the three first, second and third equally often), and its
+median ratio to the old, ``aa_ratio_median``, is the spread that two
+identical sources show, which a ratio must beat.  It ends with each
+package's records, peak MB and highest spans of one traced step.
 """
 
 from __future__ import annotations
@@ -135,7 +139,8 @@ def _memory(loss, batch, tn) -> dict:
     """One forward and backward of ``batch`` under ``tracemalloc``, its
     peak read per span: an op's forward runs from the previous record to
     its own, its VJP from its start to the next VJP's, the sweep's adds
-    included.  ``peak_record`` names the span that holds the peak."""
+    included.  ``peak_record`` names the span that holds the peak, and
+    ``peak_records`` gives the three highest spans with their MB."""
     check, checks, make = tn._check_finite, [], tn._make
     peaks, span = {}, ["backward"]  # highest traced bytes per span; the VJP span open now
 
@@ -166,31 +171,36 @@ def _memory(loss, batch, tn) -> dict:
     finally:
         tracemalloc.stop()
         tn._check_finite, tn._make = check, make
-    peak_record = max(peaks, key=peaks.get)
+    highest = sorted(peaks, key=peaks.get, reverse=True)[:3]
     return {"records_per_step": recorded, "finite_checks_per_step": len(checks),
             "live_after_forward_mb": live / 2**20,
-            "peak_forward_backward_mb": peaks[peak_record] / 2**20, "peak_record": peak_record}
+            "peak_forward_backward_mb": peaks[highest[0]] / 2**20, "peak_record": highest[0],
+            "peak_records": {label: peaks[label] / 2**20 for label in highest}}
 
 
-def _pair(old, new, batches, pairs: int) -> dict:
-    times, same = {"old": [], "new": []}, True
+def _pair(old, old2, new, batches, pairs: int) -> dict:
+    sides = {"old": old, "old2": old2, "new": new}
+    orders = list(itertools.permutations(sides))
+    times, same = {label: [] for label in sides}, True
     for i in range(WARMUP + pairs):
         idx, values = next(batches), {}
-        for label, (step, *_) in (("old", old), ("new", new))[:: 1 if i % 2 == 0 else -1]:
-            seconds, values[label] = step(idx)
+        for label in orders[i % len(orders)]:
+            seconds, values[label] = sides[label][0](idx)
             if i >= WARMUP:
                 times[label].append(seconds)
-        same = same and values["old"] == values["new"]
+        same = same and values["old"] == values["old2"] == values["new"]
     ratios = [n / o for n, o in zip(times["new"], times["old"])]
     q1, _, q3 = statistics.quantiles(ratios, n=4)
+    aa = statistics.median(a / o for a, o in zip(times["old2"], times["old"]))
     batch = next(batches)
     memory = {label: _memory(loss, windows[batch], tn)
               for label, (_, loss, windows, tn) in (("old", old), ("new", new))}
     return {"pairs": pairs, "old_step_ms_median": _ms(times["old"]),
             "new_step_ms_median": _ms(times["new"]), "ratio_median": statistics.median(ratios),
-            "ratio_q1": q1, "ratio_q3": q3, "same_loss_values": same,
+            "ratio_q1": q1, "ratio_q3": q3, "aa_ratio_median": aa, "same_loss_values": same,
             **{f"{label}_{key}": memory[label][key] for label in memory
-               for key in ("records_per_step", "peak_forward_backward_mb", "peak_record")}}
+               for key in ("records_per_step", "peak_forward_backward_mb", "peak_record",
+                           "peak_records")}}
 
 
 def main(argv=None) -> int:
@@ -202,10 +212,11 @@ def main(argv=None) -> int:
     parser.add_argument("--steps", type=int, default=40,
                         help="timed steps per pass, or step pairs (default 40)")
     args = parser.parse_args(argv)
-    sources = {name: src for name, src in (("lnt_new", args.src), ("lnt_old", args.against))
-               if src is not None}
-    if args.steps < len(sources):
-        parser.error(f"--steps must be >= {len(sources)}, got {args.steps}")
+    sources = {name: src for name, src in (("lnt_new", args.src), ("lnt_old", args.against),
+                                           ("lnt_old2", args.against)) if src is not None}
+    least = 1 if args.against is None else 2  # quartiles need two ratios
+    if args.steps < least:
+        parser.error(f"--steps must be >= {least}, got {args.steps}")
     for src in sources.values():
         if not os.path.isfile(os.path.join(src, "lnt", "__init__.py")):
             parser.error(f"{src} holds no lnt package")
@@ -227,7 +238,8 @@ def main(argv=None) -> int:
         if args.against is None:
             report = _probe(*sides["lnt_new"], batches, args.steps)
         else:
-            report = _pair(sides["lnt_old"], sides["lnt_new"], batches, args.steps)
+            report = _pair(sides["lnt_old"], sides["lnt_old2"], sides["lnt_new"], batches,
+                           args.steps)
     print(json.dumps(report))
     return 0
 
