@@ -30,7 +30,6 @@ from __future__ import annotations
 import contextlib
 import itertools
 import threading
-import types
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -40,7 +39,7 @@ _DTYPES = {32: np.float32, 64: np.float64}
 # norm of a vector is clamped below at this value before any division
 NORM_EPS = 1e-12
 
-# elements per block where a VJP forms a large term a block at a time
+# elements per block of span_matvec's outer products in its VJP
 _BLOCK = 1 << 15
 
 
@@ -270,12 +269,11 @@ def backward(loss: Tensor) -> None:
     so a second ``backward`` on the same tape is an error.
 
     Each node keeps one gradient buffer.  A VJP returns, per parent, None,
-    an array of the parent's shape, a :class:`_Region`, or a list or a
-    generator of these, which are added in order as separate records'
-    would be (a generator's one at a time, each dropped once added); it
-    never writes into ``g``.  It may yield them in parent order
-    instead; each is added, and dropped, before the next is computed.  A
-    first contribution is kept as given and is owned by the sweep when it
+    a term (an array of the parent's shape or a :class:`_Region`), or a
+    list of terms, added in order as separate records' would be; it never
+    writes into ``g``.  It may yield them in parent order instead; each is
+    added, and dropped, before the next is computed.  A first
+    contribution is kept as given and is owned by the sweep when it
     is a fresh array (not ``g``, not a view), or when a record of one
     parent passes on ``g``, or a view of it, and the sweep owned ``g``:
     no other record can read ``g`` then.  A later contribution is added
@@ -318,8 +316,7 @@ def _add(grads: dict, owned: set, pnode, shape, contribution, g, handed) -> None
     """Add one parent's contribution into its buffer, as :func:`backward` says."""
     if pnode is None or contribution is None:
         return
-    several = type(contribution) in (list, types.GeneratorType)
-    for pg in contribution if several else (contribution,):
+    for pg in contribution if type(contribution) is list else (contribution,):
         buf = grads.get(pnode)
         if type(pg) is _Region:
             if buf is None:
@@ -342,16 +339,6 @@ def _add(grads: dict, owned: set, pnode, shape, contribution, g, handed) -> None
             # asarray: numpy returns a scalar, not an array, for a 0-d sum
             grads[pnode] = np.asarray(buf + pg)
             owned.add(pnode)
-
-
-def _row_blocks(shape: tuple[int, ...]) -> list:
-    """Index blocks of the leading axis of ``shape``, each of at most
-    ``_BLOCK`` elements or one row; one block, ``...``, when there is no
-    axis before the last."""
-    if len(shape) < 2:
-        return [...]
-    rows, per = shape[0], max(1, _BLOCK // max(1, int(np.prod(shape[1:]))))
-    return [slice(lo, min(lo + per, rows)) for lo in range(0, rows, per)]
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -595,14 +582,8 @@ def unit_rows(a: Tensor, scale: Tensor | None = None) -> Tensor:
         dn = -dn.sum(axis=-1, keepdims=True)
         f = dn / (2.0 * n) * mask
         if sd is None:
-            def terms():  # g / n, then f * md twice, made a block of rows at a time
-                yield g / n
-                for rows in _row_blocks(md.shape):
-                    t = _Region((rows,), f[rows] * md[rows])
-                    yield t
-                    yield t
-
-            yield terms()
+            t = f * md
+            yield [g / n, t, t]
             return
         t = f * (md * sd)  # the product recomputed
         gv = g / n
@@ -731,7 +712,9 @@ def span_matvec(x: Tensor, v: Tensor, spans: Sequence[tuple[int, int]]) -> Tenso
             n = stop - start
             gk = g[rows].reshape(batch, n, m, 1)
             vk = vd[rows].reshape(batch, n, 1, j)
-            for b in _row_blocks((batch, n, m, j)):
+            per = max(1, _BLOCK // max(1, n * m * j))  # samples per block
+            for lo in range(0, batch, per):
+                b = slice(lo, lo + per)
                 part = dx[b, start:stop]
                 part += np.multiply(gk[b], vk[b], out=buf[: part.size].reshape(part.shape))
             np.matmul(xd[:, start:stop].swapaxes(-1, -2), gk, out=dv[rows].reshape(batch, n, j, 1))

@@ -732,12 +732,15 @@ def _unit_rows_input(rng, shape, dtype):
     return values.reshape(shape)
 
 
-@pytest.mark.parametrize("shape", [(5, 4, 8), (7, 6)])
+@pytest.mark.parametrize("shape, later", [
+    pytest.param(shape, later, id=f"shape{i}" + ("" if later else "-before"))
+    for later in (True, False) for i, shape in enumerate([(5, 4, 8), (7, 6)])])
 @pytest.mark.parametrize("bits", [32, 64])
-def test_unit_rows_matches_composed_bitwise(bits, shape):
+def test_unit_rows_matches_composed_bitwise(bits, shape, later):
     """The fused op's values and gradient, -0.0 included, are the bytes of
     the mul, sum_last, clamp_min, sqrt and div records it replaces, also
-    when its input has a second consumer recorded after it."""
+    when its input has a second consumer, recorded before it (its terms
+    reach an empty buffer) or, with ``later``, after it."""
     dtype = tn._DTYPES[bits]
     rng = np.random.default_rng(74)
     x = _unit_rows_input(rng, shape, dtype)
@@ -748,8 +751,11 @@ def test_unit_rows_matches_composed_bitwise(bits, shape):
         with Tape():
             leaf = Tensor(x, requires_grad=True)
             a = tn.scale(leaf, 1.0)
+            other = None if later else sum_all(tn.mul(a, Tensor(v)))
             out = unit_rows(a)
-            backward(tn.add(sum_all(tn.mul(out, Tensor(w))), sum_all(tn.mul(a, Tensor(v)))))
+            if later:
+                other = sum_all(tn.mul(a, Tensor(v)))
+            backward(tn.add(sum_all(tn.mul(out, Tensor(w))), other))
         return out.data, leaf.grad
 
     with tn.precision_mode(bits):
@@ -1491,13 +1497,10 @@ def test_span_matvec_vjp_allocates_under_two_blocks_beyond_its_outputs():
 
 
 def test_blocked_vjps_match_oracles_bitwise(monkeypatch):
-    """With blocks of a few rows, span_matvec's outer products and the
-    unscaled unit_rows' second term, formed a block at a time, keep the
-    bytes of their oracles."""
+    """With blocks of a few rows, span_matvec's outer products keep the
+    bytes of their oracle."""
     monkeypatch.setattr(tn, "_BLOCK", 16)
     test_span_matvec_dense_dx_matches_region_list_bitwise(4, 32)
-    for shape in ((5, 4, 8), (7, 6)):
-        test_unit_rows_matches_composed_bitwise(32, shape)
 
 
 @pytest.mark.parametrize("rows", [12, 64, 128])
