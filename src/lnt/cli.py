@@ -370,17 +370,13 @@ def cmd_eval(args) -> int:
     scores, labels = load_scores_csv(args.scores)
     if labels is None:
         raise ValueError(f"{args.scores} has no label column; cannot evaluate")
-    n_pos = int(labels.sum())
-    if n_pos in (0, labels.size):
-        raise ValueError(f"all {labels.size} points are labeled "
-                         f"{'anomalous' if n_pos else 'normal'}; metrics need both classes")
     result = best_f1(scores, labels)
     with open(args.out, "w") as fh:
         fh.write(result_csv(result))
     sys.stdout.write(result_text(result))
     write_manifest(
         args.out, args, started,
-        config={"points": int(labels.size), "positives": n_pos},
+        config={"points": int(labels.size), "positives": int(labels.sum())},
         inputs={"scores": args.scores},
         outputs={"eval": args.out},
     )

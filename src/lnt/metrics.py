@@ -36,7 +36,8 @@ def _validate(scores, labels):
         raise ValueError("labels must be 0 or 1")
     pos = labels == 1
     if not pos.any() or pos.all():
-        raise ValueError("both classes must be present")
+        raise ValueError(f"all {pos.size} points are labeled "
+                         f"{'anomalous' if pos.any() else 'normal'}; metrics need both classes")
     return scores, pos
 
 

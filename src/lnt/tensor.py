@@ -898,16 +898,16 @@ def _patch_matrix(xd: np.ndarray, f: int, stride: int, t_out: int) -> np.ndarray
 
 
 def _affine(xd: np.ndarray, wmat: np.ndarray, bd: np.ndarray | None, f: int, stride: int,
-            t_out: int) -> tuple[np.ndarray, np.ndarray]:
-    """The patch matrix of ``xd`` and its product with the (C_out, C_in*F)
-    filter matrix, (B, t_out, C_out), plus the bias if given."""
+            t_out: int) -> np.ndarray:
+    """The product of ``xd``'s patch matrix with the (C_out, C_in*F) filter
+    matrix, (B, t_out, C_out), plus the bias if given."""
     pmat = _patch_matrix(xd, f, stride, t_out)
     # an overflow raises in the finite checks, not as a numpy warning
     with np.errstate(all="ignore"):
         y = (pmat @ wmat.T).reshape(xd.shape[0], t_out, wmat.shape[0])
         if bd is not None:
             y += bd.reshape(-1)
-    return pmat, y
+    return y
 
 
 def conv1d_strided(x: Tensor, w: Tensor, stride: int, bias: Tensor | None = None,
@@ -922,13 +922,14 @@ def conv1d_strided(x: Tensor, w: Tensor, stride: int, bias: Tensor | None = None
     x[b, t*stride + tap, c] at column c*F + tap, with the (C_out, C_in*F)
     filter matrix.
 
-    With stride == F the taps tile the input, whose tap-major view is the
-    patch matrix with its columns in tap*C_in + c order: dw is formed from
-    that view, with the bits of the patch-matrix product, so the record
-    keeps the input, not a patch copy.  A conv of the data batch (an
-    untracked input, which its caller holds through the step) leaves the
-    tape a rule to recompute its output, and the conv after it keeps that
-    rule instead of the output.
+    The record keeps the input, never a patch matrix, and the VJP forms dw
+    from it: with stride == F the taps tile the input, whose tap-major view
+    is the patch matrix with its columns in tap*C_in + c order, so dw is
+    that view's product, with the bits of the patch-matrix product; at
+    other strides the VJP builds the patch matrix.  A conv of the data
+    batch (an untracked input, which its caller holds through the step)
+    leaves the tape a rule to recompute its output, and the conv after it
+    keeps that rule instead of the output.
     """
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
@@ -947,7 +948,7 @@ def conv1d_strided(x: Tensor, w: Tensor, stride: int, bias: Tensor | None = None
     parents = (x, w) if bias is None else (x, w, bias)
     xd, wd, bd = x.data, w.data, None if bias is None else bias.data
     wmat = wd.reshape(c_out, c_in * f)
-    pmat, y = _affine(xd, wmat, bd, f, stride, t_out)
+    y = _affine(xd, wmat, bd, f, stride, t_out)
     mask = None
     if relu:
         _check_relu_input(y, "conv1d pre-activation")
@@ -956,14 +957,14 @@ def conv1d_strided(x: Tensor, w: Tensor, stride: int, bias: Tensor | None = None
         mask = np.packbits(y > 0) if _recording(*parents) else None
 
     # an untracked input (the data batch) gets no gradient, so skip its
-    # GEMM.  dw comes from the input itself when stride == F (or from the
-    # rule that rebuilds it), else from the patch matrix, which the VJP
-    # rebuilds from an untracked input, since its caller holds that input
+    # GEMM.  dw comes from the input, which the record keeps, or from the
+    # rule that rebuilds it: its tap-major view when stride == F, else the
+    # patch matrix that the VJP builds from it
     tape, need_dx = _state.active, _recording(x)
     rebuild = None
-    if stride == f and need_dx and x._tape == tape._serial:
+    if need_dx and x._tape == tape._serial:
         rebuild = tape._rebuilds.get(x._node)
-    kept = None if rebuild else pmat if need_dx and stride != f else xd
+    kept = None if rebuild else xd
     last, tiled = stride * (t_out - 1), t_out * f
     has_bias = bias is not None  # a flag: a record holds no tensors
 
@@ -971,24 +972,13 @@ def conv1d_strided(x: Tensor, w: Tensor, stride: int, bias: Tensor | None = None
         if mask is not None:
             g = _masked(g, mask)
         gmat = g.reshape(batch * t_out, c_out)
-        if stride == f:
-            cols = (kept if rebuild is None else rebuild())[:, :tiled]
-            cols = cols.reshape(batch * t_out, f * c_in)
+        cols = kept if rebuild is None else rebuild()
+        if stride == f:  # dw's columns tap*C_in + c back to c*F + tap
+            cols = cols[:, :tiled].reshape(batch * t_out, f * c_in)
+            dw = (gmat.T @ cols).reshape(c_out, f, c_in).transpose(0, 2, 1).copy()
         else:
-            cols = kept if need_dx else _patch_matrix(kept, f, stride, t_out)
-        if batch == 1:
-            # at B=1 the channel-major encoder's patch matrix, and a relu
-            # layer's gradient matrix, were transposed views rather than
-            # copies, and BLAS sums dw in another order for that layout
-            cols = np.asfortranarray(cols)
-            if relu:
-                gmat = np.asfortranarray(gmat)
-        dw = gmat.T @ cols
+            dw = (gmat.T @ _patch_matrix(cols, f, stride, t_out)).reshape(wd.shape)
         del cols  # a rebuilt input goes before dx is formed
-        if stride == f:  # columns tap*C_in + c back to c*F + tap
-            dw = dw.reshape(c_out, f, c_in).transpose(0, 2, 1).copy()
-        else:
-            dw = dw.reshape(wd.shape)
         dx = None
         if need_dx and stride == f:
             # the taps tile the input, so one product against the tap-major
@@ -1021,7 +1011,7 @@ def conv1d_strided(x: Tensor, w: Tensor, stride: int, bias: Tensor | None = None
     out = _make(y, parents, vjp, "conv1d")
     if not need_dx and out._tape is not None:
         def again():  # the forward's numpy calls, so the same bits
-            y = _affine(xd, wmat, bd, f, stride, t_out)[1]
+            y = _affine(xd, wmat, bd, f, stride, t_out)
             return np.maximum(y, 0.0, out=y) if relu else y
 
         tape._rebuilds[out._node] = again

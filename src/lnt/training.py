@@ -94,13 +94,10 @@ class Adam:
 
 
 def global_norm(grads: dict[str, np.ndarray]) -> float:
-    """Euclidean norm of all gradients.  A head stack's squares are summed
-    head by head, so the norm keeps the bits it had when each head was a
-    parameter of its own."""
+    """Euclidean norm of all gradients, each gradient's squares summed whole."""
     total = 0.0
-    for name, g in grads.items():
-        for block in g if name in ("heads", "ddcl_heads") else (g,):
-            total += float(np.sum(np.asarray(block, dtype=np.float64) ** 2))
+    for g in grads.values():
+        total += float(np.sum(np.asarray(g, dtype=np.float64) ** 2))
     return float(np.sqrt(total))
 
 

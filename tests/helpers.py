@@ -137,17 +137,13 @@ def span_matvec_regions(x: Tensor, v: Tensor, spans) -> Tensor:
     return tn._make(out, (x, v), vjp, "span_matvec")
 
 
-def conv1d_patch_dw(xd: np.ndarray, g: np.ndarray, f: int, stride: int, relu: bool) -> np.ndarray:
+def conv1d_patch_dw(xd: np.ndarray, g: np.ndarray, f: int, stride: int) -> np.ndarray:
     """``tn.conv1d_strided``'s filter gradient for the (B, t_out, C_out)
     upstream gradient ``g`` (a relu layer's masked already) as one product
-    with the input's patch matrix, in the layouts the op takes at B=1: the
-    bitwise oracle of the dw it forms from the tap-major input."""
+    with the input's patch matrix: the bitwise oracle of the dw it forms
+    from the tap-major input."""
     batch, t_out, c_out = g.shape
     gmat, pmat = g.reshape(batch * t_out, c_out), tn._patch_matrix(xd, f, stride, t_out)
-    if batch == 1:
-        pmat = np.asfortranarray(pmat)
-        if relu:
-            gmat = np.asfortranarray(gmat)
     return (gmat.T @ pmat).reshape(c_out, xd.shape[2], f)
 
 
@@ -164,9 +160,7 @@ def conv1d_relu_bool_mask(x: Tensor, w: Tensor, stride: int, bias: Tensor | None
     def vjp(g):
         g = g * mask
         gmat = g.reshape(batch * t_out, c_out)
-        if batch == 1:  # the layout the op takes at B=1
-            gmat = np.asfortranarray(gmat)
-        dw = conv1d_patch_dw(xd, g, f, stride, relu=True)
+        dw = conv1d_patch_dw(xd, g, f, stride)
         dpatches = (gmat @ wd.reshape(c_out, c_in * f)).reshape(batch, t_out, c_in, f)
         dx = np.zeros(xd.shape, dtype=tn.dtype())
         for tap in range(f):

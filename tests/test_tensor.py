@@ -1366,7 +1366,7 @@ def test_span_matvec_dense_dx_matches_region_list_bitwise(K, bits):
 @pytest.mark.parametrize("batch, t, c_in, c_out, f, relu", [
     (3, 12, 4, 6, 3, False),    # T a multiple of F
     (2, 14, 4, 6, 3, True),     # two tail frames with no gradient
-    (1, 13, 5, 7, 4, True),     # B = 1: the relu gradient matrix is F-ordered
+    (1, 13, 5, 7, 4, True),     # B = 1
     (1, 240, 128, 128, 3, True),  # a `small` layer at B = 1
     (4, 80, 128, 128, 4, True),
     (2, 21, 128, 128, 2, False),
@@ -1388,8 +1388,6 @@ def test_conv_tiled_dx_matches_tap_loop_bitwise(batch, t, c_in, c_out, f, relu):
 
     g = upstream * (y.data > 0) if relu else upstream
     gmat = g.reshape(batch * t_out, c_out)
-    if batch == 1 and relu:
-        gmat = np.asfortranarray(gmat)
     dpatches = (gmat @ w.reshape(c_out, c_in * f)).reshape(batch, t_out, c_in, f)
     dx = np.zeros((batch, t, c_in), dtype=np.float32)
     for tap in range(f):
@@ -1406,9 +1404,8 @@ def test_conv_dw_from_tap_major_input_matches_patch_matrix_bitwise(f, batch, vie
     """With stride == F, dw is one product with the input's tap-major view,
     whose columns are the patch matrix's in tap*C_in + c order, permuted
     back to c*F + tap; its bytes are those of the patch-matrix product
-    (``helpers.conv1d_patch_dw``), at B = 1 (F-ordered operands) and
-    above, for a contiguous input and a transposed batch view, with a
-    frame past the last step."""
+    (``helpers.conv1d_patch_dw``), at B = 1 and above, for a contiguous
+    input and a transposed batch view, with a frame past the last step."""
     rng = np.random.default_rng(80)
     c_in, c_out, t = 24, 16, 9 * f + 1
     x = rng.normal(size=(batch, c_in, t) if view else (batch, t, c_in)).astype(np.float32)
@@ -1422,7 +1419,7 @@ def test_conv_dw_from_tap_major_input_matches_patch_matrix_bitwise(f, batch, vie
         backward(sum_all(tn.mul(y, Tensor(up))))
     g = up * (y.data > 0) if relu else up
     assert wt.grad.flags.c_contiguous
-    assert wt.grad.tobytes() == conv1d_patch_dw(x, g, f, f, relu).tobytes()
+    assert wt.grad.tobytes() == conv1d_patch_dw(x, g, f, f).tobytes()
 
 
 @pytest.mark.parametrize("batch, t, c_in, c_out, f, stride, bias", [
@@ -1457,6 +1454,27 @@ def test_conv_packed_relu_mask_matches_bool_mask_bitwise(batch, t, c_in, c_out, 
                     + ([bt.grad.tobytes()] if bias else []))
     assert runs[0] == runs[1]
     assert not y.data[:, 0, ::2].any()  # zero windows into zero-bias channels
+
+
+def test_strided_conv_keeps_its_input_not_a_patch_matrix():
+    """A conv with stride < F on a tracked input keeps that input for its
+    VJP, not its patch matrix (F / stride times the input's size): what
+    the forward leaves allocated beyond its output is under the patch
+    matrix's bytes."""
+    rng = np.random.default_rng(81)
+    batch, t, c_in, c_out, f, stride = 4, 402, 32, 32, 4, 2
+    x = Tensor(rng.normal(size=(batch, t, c_in)), requires_grad=True)
+    w = Tensor(rng.normal(size=(c_out, c_in, f)), requires_grad=True)
+    t_out = (t - f) // stride + 1
+    patches = 4 * batch * t_out * c_in * f
+    with Tape():
+        tracemalloc.start()
+        try:
+            y = tn.conv1d_strided(x, w, stride, relu=True)
+            kept = tracemalloc.get_traced_memory()[0] - y.data.nbytes
+        finally:
+            tracemalloc.stop()
+    assert kept < patches, (kept, patches)
 
 
 def test_relu_packed_mask_matches_bool_mask_bitwise():

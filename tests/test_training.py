@@ -263,23 +263,27 @@ def test_train_step_small_memory_budget():
 def test_rebuilt_conv_input_keeps_every_gradient_bit():
     """In a `small` B=32 step the first conv, of the untracked data batch,
     leaves the tape a rule to rebuild its output, and the second conv's
-    VJP rebuilds that input rather than keep it.  A tracked batch makes
-    the first conv's input tracked: no rule, and the second conv keeps
-    the array.  Every parameter gradient, the encoder's included, has
-    the same bits either way."""
-    cfg = small_config()
-    x = np.random.default_rng(1).normal(size=(32, cfg.in_channels, cfg.sub_seq))
-    grads, rebuilds = [], []
-    for tracked in (False, True):
-        params = init_params(cfg, seed=0)
-        with Tape() as tape:
-            total = unified_loss(params, Tensor(x, requires_grad=tracked),
-                                 np.random.default_rng(2), lam=1e-3, cpc_weight=1.0, N=16)[0]
-            rebuilds.append(len(tape._rebuilds))
-            backward(total)
-        grads.append({n: p.grad.tobytes() for n, p in trainable_parameters(params).items()})
-    assert rebuilds == [1, 0]
-    assert grads[0] == grads[1]
+    VJP rebuilds that input rather than keep it; so does a conv with
+    stride < F.  A tracked batch makes the first conv's input tracked: no
+    rule, and the second conv keeps the array.  Every parameter gradient,
+    the encoder's included, has the same bits either way."""
+    for cfg, batch, negatives in (
+        (small_config(), 32, 16),
+        (tiny_config(filters=(4, 4), strides=(2, 2)), 4, 4),  # every conv has stride < F
+    ):
+        x = np.random.default_rng(1).normal(size=(batch, cfg.in_channels, cfg.sub_seq))
+        grads, rebuilds = [], []
+        for tracked in (False, True):
+            params = init_params(cfg, seed=0)
+            with Tape() as tape:
+                total = unified_loss(params, Tensor(x, requires_grad=tracked),
+                                     np.random.default_rng(2), lam=1e-3, cpc_weight=1.0,
+                                     N=negatives)[0]
+                rebuilds.append(len(tape._rebuilds))
+                backward(total)
+            grads.append({n: p.grad.tobytes() for n, p in trainable_parameters(params).items()})
+        assert rebuilds == [1, 0]
+        assert grads[0] == grads[1]
 
 
 _FAULTS_SCRIPT = textwrap.dedent("""

@@ -3,8 +3,9 @@
     python3 tools/recipe_bytes.py OUT_DIR
 
 Runs ``lnt`` from the checkout this file lives in (its ``src``), one
-process per command: synth 20k/20k frames; train 2 epochs at float32 and
-1 epoch at ``--precision 64``, with reports; score ddcl,
+process per command: synth 20k/20k frames; train 2 epochs at float32,
+1 epoch at ``--precision 64``, with reports, and 1 epoch at
+``--batch-size 1``, so a one-window tape step is hashed too; score ddcl,
 ``--unnormalized``, cpc-approx and ``--precision 64`` on the test split and
 on a prefix of it whose last scoring chunk holds one latent step; score
 ddcl on a copy of the test split without its label column, so the score
@@ -89,8 +90,10 @@ def main(argv=None) -> int:
         "--epochs", "2", *TRAIN)
     lnt("train", "--data", path("data/train.csv"), "--out", path("model64.lntc"),
         "--epochs", "1", "--precision", "64", *TRAIN)
+    lnt("train", "--data", path("data/train.csv"), "--out", path("model-b1.lntc"),
+        "--epochs", "1", "--batch-size", "1", *TRAIN)
 
-    hashed = ["data/train.csv", "data/test.csv", "model.lntc", "model64.lntc"]
+    hashed = ["data/train.csv", "data/test.csv", "model.lntc", "model64.lntc", "model-b1.lntc"]
     variants = {
         "ddcl": ["--model", path("model.lntc")],
         "unnormalized": ["--model", path("model.lntc"), "--unnormalized"],
