@@ -328,10 +328,10 @@ def cmd_train(args) -> int:
 
 
 def _load_scoring_inputs(args):
-    params, extra = load_model(args.model)
-    stats = _norm_from_extra(extra)
+    # the series first: its parse is freed before the model's arrays are made
     series = load_csv(args.data)
-    std = standardize(series, stats)
+    params, extra = load_model(args.model)
+    std = standardize(series, _norm_from_extra(extra))
     if std.channels != params.config.in_channels:
         raise ValueError(
             f"model expects {params.config.in_channels} channels, "
@@ -346,12 +346,13 @@ def cmd_score(args) -> int:
         raise ValueError(f"--unnormalized applies to --method ddcl, not {args.method}")
     _check_outputs(args, "out")
     params, _, std = _load_scoring_inputs(args)
-    x = np.asarray(std.values, dtype=tn.dtype())
+    x, labels = np.asarray(std.values, dtype=tn.dtype()), std.labels
+    del std  # scoring holds the float32 copy alone
     if args.method == "ddcl":
         series = score_ddcl(params, x, normalized=not args.unnormalized)
     else:
         series = score_cpc_approx(params, x)
-    save_scores_csv(args.out, series, labels=std.labels)
+    save_scores_csv(args.out, series, labels=labels)
     write_manifest(
         args.out, args, started,
         config={"method": args.method, "normalized": not args.unnormalized,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 CONSTANT_STD = 1e-12  # channels at or below this are dropped
-COUNT_BLOCK = 1 << 20  # bytes per read when counting a file's lines
+COUNT_BLOCK = 1 << 18  # bytes per read when counting a file's lines
 RATE = 16000.0  # frames per second of the Hz-equivalent
 TONE_HZ = (20.0, 120.0)  # an injected tone's frequency band, Hz-equivalent
 TONE_FRAMES = (512, 4096)  # an injected tone's length band, frames
@@ -42,7 +42,7 @@ class LabeledSeries:
             self.labels = np.asarray(self.labels, dtype=np.int64)
             if self.labels.shape != (self.values.shape[1],):
                 raise ValueError("labels must be one value per timestep")
-            if not ((self.labels == 0) | (self.labels == 1)).all():
+            if self.labels.size and not 0 <= self.labels.min() <= self.labels.max() <= 1:
                 raise ValueError("labels must be 0 or 1")
 
     @property
@@ -79,15 +79,22 @@ def compute_stats(series: LabeledSeries) -> NormStats:
 
 
 def standardize(series: LabeledSeries, stats: NormStats) -> LabeledSeries:
-    """(x - mean)/std on kept channels; constant channels are removed."""
+    """(x - mean)/std on kept channels; constant channels are removed.
+
+    Works in place, so that a long series is never held twice: the kept
+    channels are standardized into the leading rows of ``series.values``,
+    whose view the result holds.  ``series`` is spent.
+    """
     if len(stats.mean) != series.channels:
         raise ValueError(
             f"stats cover {len(stats.mean)} channels, series has {series.channels}"
         )
-    keep = stats.keep
-    values = (series.values[keep] - stats.mean[keep, None]) / stats.std[keep, None]
-    names = [n for n, k in zip(series.channel_names, keep) if k]
-    return LabeledSeries(values, series.labels, names)
+    values, kept = series.values, np.flatnonzero(stats.keep)
+    for row, ch in enumerate(kept):
+        np.subtract(values[ch], stats.mean[ch], out=values[row])
+        values[row] /= stats.std[ch]
+    names = [series.channel_names[ch] for ch in kept]
+    return LabeledSeries(values[: len(kept)], series.labels, names)
 
 
 # ---------------------------------------------------------------------------
@@ -231,22 +238,21 @@ def _read_rows_fast(path, width: int, label_idx: int | None, rows: int):
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)  # "input contained no data"
+            # max_rows: one allocation of the counted rows, not a growing one
             table = np.loadtxt(path, dtype=dtype, delimiter=",", comments=None,
-                               skiprows=1, ndmin=1)
+                               skiprows=1, ndmin=1, max_rows=rows)
     except (ValueError, UserWarning):
         return None
     if table.shape != (rows,):
         return None
     values = np.stack([table[f"c{i}"] for i in range(width) if i != label_idx])
+    ones = None if label_idx is None else table[f"c{label_idx}"] == "1"
+    if ones is not None and not (ones | (table[f"c{label_idx}"] == "0")).all():
+        return None
+    del table  # the parse and the values set the peak; free it before anything else
     if not np.isfinite(values).all():
         return None
-    if label_idx is None:
-        return values, None
-    cells = table[f"c{label_idx}"]
-    ones = cells == "1"
-    if not (ones | (cells == "0")).all():
-        return None
-    return values, ones.astype(np.int64)
+    return values, None if ones is None else ones.astype(np.int64)
 
 
 def _read_rows_checked(path, header: list[str], label_idx: int | None):
@@ -367,12 +373,14 @@ def inject_sine_anomalies(series: LabeledSeries, spec: InjectionSpec) -> Labeled
             f"series of {t_total} frames is too short for anomalies up to {len_high}"
         )
     rng = np.random.default_rng(spec.seed)
+    # per row, before the copy: values.std(axis=1) makes a full-size
+    # temporary for the same bits
+    stds = np.array([row.std() for row in series.values])
     values = series.values.copy()
     labels = (
         series.labels.copy() if series.labels is not None
         else np.zeros(t_total, dtype=np.int64)
     )
-    stds = series.values.std(axis=1)
     target = spec.fraction * t_total
 
     placed = int(labels.sum())

@@ -32,7 +32,7 @@ def _validate(scores, labels):
         raise ValueError(f"{scores.size} scores vs {labels.size} labels")
     if not np.isfinite(scores).all():
         raise ValueError("scores must be finite")
-    if not np.isin(labels, (0, 1)).all():
+    if not ((labels == 0) | (labels == 1)).all():
         raise ValueError("labels must be 0 or 1")
     pos = labels == 1
     if not pos.any() or pos.all():
@@ -41,27 +41,34 @@ def _validate(scores, labels):
     return scores, pos
 
 
-def _auc(scores, pos, order) -> float:
-    """Mann-Whitney AUC from tie-averaged 1-based ranks, given the stable
-    ascending ``order`` of ``scores``."""
-    s = scores[order]
-    n = s.size
-    boundaries = np.flatnonzero(np.diff(s) != 0) + 1
-    starts = np.concatenate([[0], boundaries])
-    counts = np.diff(np.concatenate([starts, [n]]))
-    # ranks within a tie group average to (first + last)/2
-    avg = 0.5 * (starts + 1 + starts + counts)
-    ranks = np.empty(n)
-    ranks[order] = np.repeat(avg, counts)
-    n_pos = int(pos.sum())
-    u = ranks[pos].sum() - 0.5 * n_pos * (n_pos + 1)
+def _tie_groups(scores, pos):
+    """The distinct scores ascending, with each one's point and positive
+    counts.  The sort is stable, so a group of 0.0 and -0.0 takes the sign
+    of its first point."""
+    s = np.sort(scores, kind="stable")
+    starts = np.flatnonzero(np.concatenate([[True], s[1:] != s[:-1]]))
+    values = s[starts]
+    del s  # freed before the positives' two copies, full length when most points are
+    positive = np.sort(scores[pos])
+    positives = np.searchsorted(positive, values, "right") - np.searchsorted(positive, values)
+    return values, np.diff(np.append(starts, scores.size)), positives
+
+
+def _auc(counts, positives) -> float:
+    """Mann-Whitney AUC from tie-averaged 1-based ranks, given the tie
+    groups' point and positive counts in ascending score order.  A group's
+    ranks average to its first rank plus (count - 1) / 2, so twice the
+    positives' rank sum is a whole number, exact in integers."""
+    firsts = np.cumsum(counts) - counts + 1
+    n, n_pos = int(counts.sum()), int(positives.sum())
+    u = int(positives @ (2 * firsts + counts - 1)) / 2 - 0.5 * n_pos * (n_pos + 1)
     return float(u / (n_pos * (n - n_pos)))
 
 
 def roc_auc(scores, labels) -> float:
     """Mann-Whitney AUC from tie-averaged ranks."""
-    scores, pos = _validate(scores, labels)
-    return _auc(scores, pos, np.argsort(scores, kind="stable"))
+    _, counts, positives = _tie_groups(*_validate(scores, labels))
+    return _auc(counts, positives)
 
 
 def best_f1(scores, labels) -> EvalResult:
@@ -71,31 +78,23 @@ def best_f1(scores, labels) -> EvalResult:
     lowest threshold, i.e. the highest-recall operating point.
     """
     scores, pos = _validate(scores, labels)
-    n_pos = int(pos.sum())
-
-    ascending = np.argsort(scores, kind="stable")
-    order = ascending[::-1]
-    sorted_pos = pos[order].astype(np.int64)
-    cum_tp = np.cumsum(sorted_pos)
-    # last index of each distinct value in the descending sort = counts at
-    # threshold equal to that value (>= is inclusive)
-    s_desc = scores[order]
-    last = np.flatnonzero(np.diff(s_desc) != 0)
-    last = np.concatenate([last, [scores.size - 1]])
-    thresholds = s_desc[last]
-    tp = cum_tp[last]
-    pp = last + 1
-    fp = pp - tp
+    values, counts, positives = _tie_groups(scores, pos)
+    n_pos = int(positives.sum())
+    # thresholds descending; each counts the points at or above it (>= is
+    # inclusive)
+    thresholds = values[::-1]
+    tp = np.cumsum(positives[::-1])
+    fp = np.cumsum(counts[::-1]) - tp
     fn = n_pos - tp
     f1 = 2.0 * tp / (2.0 * tp + fp + fn)
 
     best = f1.max()
-    # thresholds come out descending, so the last hit is the lowest one
+    # the last hit is the lowest threshold
     idx = int(np.flatnonzero(f1 == best)[-1])
     tp_i, fp_i, fn_i = int(tp[idx]), int(fp[idx]), int(fn[idx])
     tn_i = scores.size - tp_i - fp_i - fn_i
     return EvalResult(
-        auc=_auc(scores, pos, ascending),
+        auc=_auc(counts, positives),
         best_f1=float(best),
         best_threshold=float(thresholds[idx]),
         precision=tp_i / (tp_i + fp_i),

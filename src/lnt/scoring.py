@@ -12,14 +12,15 @@ Long series are walked in chunks of ``CHUNK_STEPS`` latent steps, aligned
 to the downsample factor, with the recurrent state carried across
 boundaries and enough raw lookahead that every chunk's latent steps see
 their full receptive field.  Contexts go into one buffer for the whole
-series, so c_{t-k} is a row of it whichever chunk computed it.  The series
-is padded with zero frames to a whole number of chunks, and the padded
-steps' scores are dropped.  So every chunk's products have one shape, and
-a step's bits cannot depend on where the series ends: BLAS computes a
-one-row product with gemv and a product of a few rows with small-matrix
-kernels, and both round differently from the full chunk's gemm.  Every
-prefix of a series scores the bits of the same steps of the whole series,
-and repeated calls on identical inputs are bitwise-identical.
+series, so c_{t-k} is a row of it whichever chunk computed it.  The last
+chunk reads zero frames past the end of the series (a copy of that chunk
+alone), and its padded steps' scores are dropped.  So every chunk's
+products have one shape, and a step's bits cannot depend on where the
+series ends: BLAS computes a one-row product with gemv and a product of a
+few rows with small-matrix kernels, and both round differently from the
+full chunk's gemm.  Every prefix of a series scores the bits of the same
+steps of the whole series, and repeated calls on identical inputs are
+bitwise-identical.
 
 The forward records no tape and is checked for finiteness once per stage
 (``tensor.stage``): the input chunk, the latents, the bank, the contexts,
@@ -71,7 +72,7 @@ def broadcast_scores(latent_scores: np.ndarray, r: int, raw_len: int) -> np.ndar
         )
     out = np.empty(raw_len, dtype=latent_scores.dtype)
     covered = latent_scores.size * r
-    out[:covered] = np.repeat(latent_scores, r)
+    out[:covered].reshape(-1, r)[:] = latent_scores[:, None]
     out[covered:] = latent_scores[-1]
     return out
 
@@ -91,45 +92,34 @@ def _check_series(params: ModelParams, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _padded(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, int]:
-    """``x`` with zero frames appended until its latent steps fill whole
-    chunks, and the latent step count M of ``x`` itself."""
-    cfg = params.config
-    m_total = cfg.latent_len(x.shape[1])
-    steps = -(-m_total // CHUNK_STEPS) * CHUNK_STEPS
-    if steps == m_total:
-        return x, m_total
-    frames = (steps - 1) * cfg.downsample + cfg.receptive_field
-    out = np.zeros((x.shape[0], frames), dtype=x.dtype)
-    out[:, : x.shape[1]] = x
-    return out, m_total
-
-
 def _stage(name: str, lo: int, hi: int):
     return tn.stage(f"{name} at latent steps {lo}..{hi - 1}")
 
 
-def _iter_chunks(params: ModelParams, x: np.ndarray, real_steps: int):
+def _iter_chunks(params: ModelParams, x: np.ndarray):
     """Yield (step, z, ctx) per chunk of ``CHUNK_STEPS`` latent steps of
-    ``x``, a series padded by :func:`_padded`.
+    ``x``, the last one read with zero frames past the end of ``x``.
 
     ``z`` is the chunk's (m, dim_z) latent Tensor, starting at latent step
-    ``step``; ``ctx`` is the (M, dim_c) context buffer of the whole series,
-    filled through the chunk's last step, so c_{t-k} is ``ctx[t - k]``.
-    Errors name latent steps below ``real_steps``, the steps of ``x``
-    before padding.
+    ``step``; ``ctx`` is the (M, dim_c) context buffer of the whole chunked
+    series, filled through the chunk's last step, so c_{t-k} is
+    ``ctx[t - k]``.  Errors name latent steps of ``x``.
     """
     cfg = params.config
     r = cfg.downsample
-    lookahead = cfg.receptive_field - r
-    m_total = cfg.latent_len(x.shape[1])
+    frames = (CHUNK_STEPS - 1) * r + cfg.receptive_field  # a chunk's input
+    real_steps = cfg.latent_len(x.shape[1])
+    m_total = -(-real_steps // CHUNK_STEPS) * CHUNK_STEPS
     ctx = np.empty((m_total, cfg.dim_c), dtype=tn.dtype())
     state = None
     for step in range(0, m_total, CHUNK_STEPS):
         end = step + CHUNK_STEPS
         real_end = min(end, real_steps)
         with _stage("input", step, real_end):
-            chunk = Tensor(x[None, :, step * r : end * r + lookahead])
+            piece = x[:, step * r : step * r + frames]
+            if piece.shape[1] < frames:
+                piece = np.pad(piece, ((0, 0), (0, frames - piece.shape[1])))
+            chunk = Tensor(piece[None])
         with _stage("latents", step, real_end):
             z = mdl.encode(params, chunk)
             tn.check_stage(z)
@@ -151,9 +141,9 @@ def _walk(params: ModelParams, x: np.ndarray, kernel, normalized: bool) -> Score
     c_{t-k} and copies step 1."""
     x = _check_series(params, x)
     cfg = params.config
-    padded, m_total = _padded(params, x)
-    total = np.zeros(cfg.latent_len(padded.shape[1]), dtype=np.float64)
-    for step, z, ctx in _iter_chunks(params, padded, m_total):
+    m_total = cfg.latent_len(x.shape[1])
+    total = np.zeros(m_total + CHUNK_STEPS)  # through the last chunk's end
+    for step, z, ctx in _iter_chunks(params, x):
         m = z.shape[0]
         past = min(cfg.K, step)
         anchors, contexts = ls.horizons(m, cfg.K, past)
@@ -216,7 +206,7 @@ def save_scores_csv(path, series: ScoreSeries, labels: np.ndarray | None = None)
     columns = [np.arange(len(series.scores)), series.scores]
     if labels is not None:
         header.append("label")
-        columns.append(np.asarray(labels).astype(np.int64))
+        columns.append(np.asarray(labels, dtype=np.int64))
     write_csv(path, header, columns)
 
 

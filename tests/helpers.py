@@ -6,7 +6,8 @@ records, ``span_matvec`` with a gradient region
 per span, the conv filter gradient from the patch matrix, the per-anchor
 contrastive softmax, the DDCL term of a single step and view, the channel-major encoder, the
 losses and scores composed horizon by horizon from per-horizon head
-tensors, and the synthetic background built one temporary per operation."""
+tensors, the synthetic background built one temporary per operation, and
+ROC-AUC and best-F1 from per-point ranks and cumulative sums."""
 
 from dataclasses import replace
 from typing import Sequence
@@ -15,6 +16,7 @@ import numpy as np
 
 from lnt import data
 from lnt import losses as ls
+from lnt import metrics
 from lnt import model as mdl
 from lnt import scoring as sc
 from lnt import tensor as tn
@@ -382,9 +384,9 @@ def _finish(latent, per_k, cfg, raw_len, normalized):
 
 def score_ddcl_per_horizon(params, x, normalized=True):
     cfg = params.config
-    padded, m_total = sc._padded(params, sc._check_series(params, x))
-    total = np.zeros(cfg.latent_len(padded.shape[1]), dtype=np.float64)
-    for step, z, ctx in sc._iter_chunks(params, padded, m_total):
+    m_total = cfg.latent_len(x.shape[1])
+    total = np.zeros(m_total + sc.CHUNK_STEPS)
+    for step, z, ctx in sc._iter_chunks(params, sc._check_series(params, x)):
         m = z.shape[0]
         units, den = ls.view_gram(params, z)
         for k in range(1, min(cfg.K, step + m - 1) + 1):
@@ -399,9 +401,9 @@ def score_ddcl_per_horizon(params, x, normalized=True):
 
 def score_cpc_approx_per_horizon(params, x):
     cfg = params.config
-    padded, m_total = sc._padded(params, sc._check_series(params, x))
-    total = np.zeros(cfg.latent_len(padded.shape[1]), dtype=np.float64)
-    for step, z, ctx in sc._iter_chunks(params, padded, m_total):
+    m_total = cfg.latent_len(x.shape[1])
+    total = np.zeros(m_total + sc.CHUNK_STEPS)
+    for step, z, ctx in sc._iter_chunks(params, sc._check_series(params, x)):
         m = z.shape[0]
         for k in range(1, min(cfg.K, step + m - 1) + 1):
             lo = max(step, k)
@@ -427,3 +429,52 @@ def synth_normal_temporaries(channels: int, length: int, seed: int) -> data.Labe
             wave += a * np.sin(2.0 * np.pi * t / p + ph)
         values[ch] = wave + rng.normal(0.0, 0.05, size=length)
     return data.LabeledSeries(values, np.zeros(length, dtype=np.int64))
+
+
+def _auc_by_rank(scores, pos, order) -> float:
+    s = scores[order]
+    n = s.size
+    boundaries = np.flatnonzero(np.diff(s) != 0) + 1
+    starts = np.concatenate([[0], boundaries])
+    counts = np.diff(np.concatenate([starts, [n]]))
+    # ranks within a tie group average to (first + last)/2
+    avg = 0.5 * (starts + 1 + starts + counts)
+    ranks = np.empty(n)
+    ranks[order] = np.repeat(avg, counts)
+    n_pos = int(pos.sum())
+    u = ranks[pos].sum() - 0.5 * n_pos * (n_pos + 1)
+    return float(u / (n_pos * (n - n_pos)))
+
+
+def roc_auc_by_rank(scores, labels) -> float:
+    """``metrics.roc_auc`` from a rank per point: the bitwise oracle of
+    its sums over tie groups."""
+    scores, pos = metrics._validate(scores, labels)
+    return _auc_by_rank(scores, pos, np.argsort(scores, kind="stable"))
+
+
+def best_f1_by_rank(scores, labels) -> metrics.EvalResult:
+    """``metrics.best_f1`` from per-point cumulative counts in descending
+    score order: the bitwise oracle of its sums over tie groups."""
+    scores, pos = metrics._validate(scores, labels)
+    n_pos = int(pos.sum())
+    ascending = np.argsort(scores, kind="stable")
+    order = ascending[::-1]
+    cum_tp = np.cumsum(pos[order].astype(np.int64))
+    # last index of each distinct value in the descending sort = counts at
+    # threshold equal to that value (>= is inclusive)
+    s_desc = scores[order]
+    last = np.concatenate([np.flatnonzero(np.diff(s_desc) != 0), [scores.size - 1]])
+    tp = cum_tp[last]
+    fp = last + 1 - tp
+    fn = n_pos - tp
+    f1 = 2.0 * tp / (2.0 * tp + fp + fn)
+    best = f1.max()
+    idx = int(np.flatnonzero(f1 == best)[-1])
+    tp_i, fp_i, fn_i = int(tp[idx]), int(fp[idx]), int(fn[idx])
+    return metrics.EvalResult(
+        auc=_auc_by_rank(scores, pos, ascending), best_f1=float(best),
+        best_threshold=float(s_desc[last][idx]), precision=tp_i / (tp_i + fp_i),
+        recall=tp_i / n_pos, tp=tp_i, fp=fp_i, fn=fn_i,
+        tn=scores.size - tp_i - fp_i - fn_i,
+    )

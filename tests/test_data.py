@@ -1,5 +1,6 @@
 import csv
 import io
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -403,6 +404,32 @@ def test_standardize_uses_train_stats_not_its_own():
     out = standardize(shifted, stats)
     # the +10 shift must survive, proving no re-fit happened
     assert out.values.mean() > 5.0
+
+
+@pytest.mark.parametrize("keep_all", [True, False])
+def test_standardize_works_in_place(keep_all):
+    """standardize writes (x - mean) / std of the kept channels into the
+    leading rows of the input's own values and returns a view of them,
+    allocating no series-sized array."""
+    values = np.random.default_rng(5).normal(3.0, 2.0, size=(3, 60_000))
+    if not keep_all:
+        values[1] = 7.0
+    series = LabeledSeries(values, np.zeros(60_000, dtype=np.int64), ["a", "b", "c"])
+    before = series.values.copy()
+    stats = compute_stats(series)
+    tracemalloc.start()
+    try:
+        out = standardize(series, stats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    keep = stats.keep
+    expected = (before[keep] - stats.mean[keep, None]) / stats.std[keep, None]
+    assert out.values.tobytes() == expected.tobytes()
+    assert out.values.base is values and np.shares_memory(out.values, values[0])
+    assert out.channel_names == (["a", "b", "c"] if keep_all else ["a", "c"])
+    assert out.labels is series.labels
+    assert peak < 64 * 1024, peak
 
 
 def test_standardize_channel_count_mismatch():

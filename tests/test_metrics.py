@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from helpers import best_f1_by_rank, roc_auc_by_rank
 
 from lnt.metrics import (
     EvalResult,
@@ -8,6 +11,7 @@ from lnt.metrics import (
     result_text,
     roc_auc,
 )
+from lnt.scoring import broadcast_scores
 
 
 def pairwise_auc(scores, labels):
@@ -144,6 +148,46 @@ def test_best_f1_matches_exhaustive_oracle():
         assert result.best_f1 == best[0]
         assert result.best_threshold == best[1]
         assert (result.tp, result.fp, result.fn) == best[2:]
+
+
+def _heavy_ties(rng):
+    """200 draws of a few distinct values, a quarter of them 0.0, -0.0 and 1.5."""
+    for trial in range(200):
+        n = int(rng.integers(2, 400))
+        values = [-0.0, 0.0, 1.5] if trial % 4 == 0 else rng.normal(size=int(rng.integers(1, 12)))
+        labels = (rng.uniform(size=n) < rng.uniform(0.05, 0.95)).astype(np.int64)
+        if 0 < labels.sum() < n:
+            yield rng.choice(values, size=n), labels
+
+
+def _oracle_cases(name):
+    rng = np.random.default_rng(11)
+    if name == "heavy-ties":
+        return list(_heavy_ties(rng))
+    if name == "all-equal":
+        return [(np.full(50, 2.5), np.arange(50) % 3 == 0)]
+    if name == "single-positive":
+        return [(rng.normal(size=300), np.arange(300) == 17)]
+    if name == "negative":
+        return [(-np.abs(rng.normal(size=500)) - 3.0, rng.integers(0, 2, size=500))]
+    labels = np.zeros(50_000, dtype=np.int64)  # a 50k-row score CSV's runs
+    labels[10_000:14_000] = labels[30_000:31_000] = 1
+    return [(broadcast_scores(rng.normal(size=50_000 // 72), 72, 50_000), labels)]
+
+
+@pytest.mark.parametrize("name", ["heavy-ties", "all-equal", "single-positive", "negative",
+                                  "runs-50k"])
+def test_metrics_over_tie_groups_keep_every_bit(name):
+    """``best_f1`` and ``roc_auc`` sum over tie groups; every field has the
+    value, bits and type of the per-point rank and cumulative-count form."""
+    for scores, labels in _oracle_cases(name):
+        got, want = best_f1(scores, labels), best_f1_by_rank(scores, labels)
+        for field in dataclasses.fields(EvalResult):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            assert type(a) is type(b), (name, field.name)
+            assert np.array(a).tobytes() == np.array(b).tobytes(), (name, field.name, a, b)
+        auc = roc_auc(scores, labels)
+        assert type(auc) is float and auc == roc_auc_by_rank(scores, labels) == got.auc
 
 
 def test_evaluate_combines_auc_and_f1():

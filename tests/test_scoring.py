@@ -139,16 +139,16 @@ def test_score_chunk_invariance(maker, monkeypatch):
 def test_default_chunk_is_chunk_steps_latent_steps():
     params = tiny_params(seed=5)
     r = params.config.downsample
-    padded, m_total = sc._padded(params, np.zeros((2, (2 * sc.CHUNK_STEPS + 7) * r)))
-    chunks = [(step, z.shape[0]) for step, z, _ in sc._iter_chunks(params, padded, m_total)]
+    x = np.zeros((2, (2 * sc.CHUNK_STEPS + 7) * r))
+    chunks = [(step, z.shape[0]) for step, z, _ in sc._iter_chunks(params, x)]
     assert chunks == [(i * sc.CHUNK_STEPS, sc.CHUNK_STEPS) for i in range(3)]
 
 
 @pytest.mark.parametrize("bits", [32, 64])
 @pytest.mark.parametrize("m", [37, 100, 101, 201, 250])
 def test_chunks_match_whole_series_encode_and_contextualize_bitwise(bits, m):
-    """The chunks of the padded series (as scoring walks it) give the
-    latents, and fill the context buffer with, the bits of one
+    """The chunks scoring walks, the last one padded with zero frames,
+    give the latents, and fill the context buffer with, the bits of one
     whole-series encode and contextualize, for every real step."""
     cfg = mdl.small_config()
     with tn.precision_mode(bits):
@@ -157,9 +157,8 @@ def test_chunks_match_whole_series_encode_and_contextualize_bitwise(bits, m):
         x = raw.astype(tn.dtype())
         z_whole = mdl.encode(params, Tensor(x[None]))
         c_whole = mdl.contextualize(params, z_whole).data[0]
-        padded, m_total = sc._padded(params, x)
-        chunks = [(z.data.copy(), ctx) for _, z, ctx in sc._iter_chunks(params, padded, m_total)]
-    assert z_whole.shape[1] == m == m_total
+        chunks = [(z.data.copy(), ctx) for _, z, ctx in sc._iter_chunks(params, x)]
+    assert z_whole.shape[1] == m
     assert len(chunks) == -(-m // sc.CHUNK_STEPS)
     assert all(z.shape[0] == sc.CHUNK_STEPS for z, _ in chunks)
     np.testing.assert_array_equal(np.concatenate([z for z, _ in chunks])[:m], z_whole.data[0])

@@ -43,12 +43,12 @@ def test_step_probe_pairs_a_package_with_itself():
     report = _probe("--against", str(ROOT / "src"), "--steps", "2")
     assert set(report) == {"pairs", "old_step_ms_median", "new_step_ms_median", "ratio_median",
                            "ratio_q1", "ratio_q3", "aa_ratio_median", "same_loss_values",
-                           "old_records_per_step", "old_peak_forward_backward_mb",
+                           "same_grad_norm", "old_records_per_step", "old_peak_forward_backward_mb",
                            "old_peak_record", "old_peak_records", "new_records_per_step",
                            "new_peak_forward_backward_mb", "new_peak_record",
                            "new_peak_records"}
     assert report["pairs"] == 2
-    assert report["same_loss_values"] is True
+    assert report["same_loss_values"] is True and report["same_grad_norm"] is True
     assert report["old_records_per_step"] == report["new_records_per_step"] == 61
     assert report["old_peak_forward_backward_mb"] == pytest.approx(
         report["new_peak_forward_backward_mb"], rel=1e-3)

@@ -12,7 +12,7 @@ import pytest
 from helpers import tiny_config
 from numpy.testing import assert_allclose, assert_array_equal
 
-from lnt import losses
+from lnt import cli, losses
 from lnt import model as mdl
 from lnt import tensor as tn
 from lnt import training
@@ -258,6 +258,44 @@ def test_train_step_small_memory_budget():
     finally:
         tracemalloc.stop()
     assert peak < 12.5 * 2**20, peak / 2**20
+
+
+@pytest.fixture(scope="module")
+def command_peaks(tmp_path_factory):
+    """Traced peak, in MB (2**20 bytes), of whole `lnt synth`, `score` and
+    `eval` commands on a 3-channel series of 100k test frames (the model
+    from a 1-epoch train on 3k frames)."""
+    out = tmp_path_factory.mktemp("peaks")
+    commands = {
+        "synth": ["synth", "--out-dir", out, "--seed", 11, "--train-length", 3000,
+                  "--test-length", 100_000],
+        "train": ["train", "--data", out / "train.csv", "--out", out / "m.lntc", "--epochs", 1,
+                  "--window-stride", 720],
+        "score": ["score", "--model", out / "m.lntc", "--data", out / "test.csv",
+                  "--out", out / "scores.csv"],
+        "eval": ["eval", "--scores", out / "scores.csv", "--out", out / "eval.csv"],
+    }
+    peaks = {}
+    for name, argv in commands.items():
+        tracemalloc.start()
+        try:
+            assert cli.main([str(a) for a in argv]) == 0
+            peaks[name] = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+    return peaks
+
+
+@pytest.mark.parametrize("command,bound", [("synth", 7.45), ("score", 6.55), ("eval", 4.45)])
+def test_command_memory_budget(command_peaks, command, bound):
+    """At 100k test frames each command traces under a bound about 7 % over
+    its peak: synth 6.96 MB (9.11 MB when it held a full-size temporary for
+    the channel stds and three bool label checks), score 6.13 MB (9.49 MB
+    when the standardized float64 series was a second copy that lived
+    through scoring beside a padded float32 copy), eval 4.16 MB (7.88 MB
+    when the metrics built per-point rank, order and cumulative-count
+    arrays and the line count read 1 MiB blocks)."""
+    assert command_peaks[command] < bound, command_peaks
 
 
 def test_rebuilt_conv_input_keeps_every_gradient_bit():

@@ -23,8 +23,11 @@ ratio new / old resolves a change of a few percent that benchmark runs
 do not.  The second copy of the old package runs in the same rotation
 (each of the three first, second and third equally often), and its
 median ratio to the old, ``aa_ratio_median``, is the spread that two
-identical sources show, which a ratio must beat.  It ends with each
-package's records, peak MB and highest spans of one traced step.
+identical sources show, which a ratio must beat.  ``same_loss_values``
+and ``same_grad_norm`` say whether the three packages' steps returned
+equal loss values, and equal pre-clip gradient norms, at every pair.  It
+ends with each package's records, peak MB and highest spans of one
+traced step.
 """
 
 from __future__ import annotations
@@ -49,8 +52,9 @@ clock = time.perf_counter
 
 
 def _train_step(name: str):
-    """Package ``name``'s ``step(idx)`` -> (seconds, loss values), the loss
-    function ``loss(batch)`` of a gathered batch, the windows, and ``tn``."""
+    """Package ``name``'s ``step(idx)`` -> (seconds, loss values and the
+    pre-clip gradient norm), the loss function ``loss(batch)`` of a
+    gathered batch, the windows, and ``tn``."""
     import numpy as np
 
     data, losses, model, tn, training = (
@@ -178,14 +182,17 @@ def _memory(loss, batch, tn) -> dict:
 def _pair(old, old2, new, batches, pairs: int) -> dict:
     sides = {"old": old, "old2": old2, "new": new}
     orders = list(itertools.permutations(sides))
-    times, same = {label: [] for label in sides}, True
+    times, same_losses, same_norms = {label: [] for label in sides}, True, True
     for i in range(WARMUP + pairs):
         idx, values = next(batches), {}
         for label in orders[i % len(orders)]:
             seconds, values[label] = sides[label][0](idx)
             if i >= WARMUP:
                 times[label].append(seconds)
-        same = same and values["old"] == values["old2"] == values["new"]
+        # a step returns its loss values, then its pre-clip gradient norm
+        a, b, c = (values[label] for label in sides)
+        same_losses = same_losses and a[:-1] == b[:-1] == c[:-1]
+        same_norms = same_norms and a[-1] == b[-1] == c[-1]
     ratios = [n / o for n, o in zip(times["new"], times["old"])]
     q1, _, q3 = statistics.quantiles(ratios, n=4)
     aa = statistics.median(a / o for a, o in zip(times["old2"], times["old"]))
@@ -194,7 +201,8 @@ def _pair(old, old2, new, batches, pairs: int) -> dict:
               for label, (_, loss, windows, tn) in (("old", old), ("new", new))}
     return {"pairs": pairs, "old_step_ms_median": _ms(times["old"]),
             "new_step_ms_median": _ms(times["new"]), "ratio_median": statistics.median(ratios),
-            "ratio_q1": q1, "ratio_q3": q3, "aa_ratio_median": aa, "same_loss_values": same,
+            "ratio_q1": q1, "ratio_q3": q3, "aa_ratio_median": aa,
+            "same_loss_values": same_losses, "same_grad_norm": same_norms,
             **{f"{label}_{key}": memory[label][key] for label in memory
                for key in ("records_per_step", "peak_forward_backward_mb", "peak_record",
                            "peak_records")}}
