@@ -57,7 +57,7 @@ def load_arrays(path) -> dict[str, np.ndarray]:
         raise ValueError(f"not a checkpoint file (bad magic): {path}")
     version, count = struct.unpack("<II", chomp(8))
     if version != VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
+        raise ValueError(f"unsupported checkpoint version {version}: {path}")
     arrays: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", chomp(2))
@@ -206,9 +206,6 @@ def save_model(path, params: ModelParams, extra: dict[str, np.ndarray] | None = 
         unknown = sorted(k for k in extra if not k.startswith("norm."))
         if unknown:
             raise ValueError(f"extra arrays must be named norm.*, got {unknown}")
-        overlap = set(arrays) & set(extra)
-        if overlap:
-            raise ValueError(f"extra arrays collide with model tensors: {sorted(overlap)}")
         arrays.update(extra)
     for name, arr in arrays.items():
         if not np.isfinite(arr).all():
@@ -217,4 +214,9 @@ def save_model(path, params: ModelParams, extra: dict[str, np.ndarray] | None = 
 
 
 def load_model(path) -> tuple[ModelParams, dict[str, np.ndarray]]:
-    return model_from_arrays(load_arrays(path))
+    """``model_from_arrays`` of a file; every error names the file."""
+    arrays = load_arrays(path)
+    try:
+        return model_from_arrays(arrays)
+    except ValueError as err:
+        raise ValueError(f"{err}: {path}") from None

@@ -54,6 +54,7 @@ from . import model as mdl
 from . import tensor as tn
 from .checkpoint import load_model, save_model
 from .data import (
+    CONSTANT_STD,
     TONE_FRAMES,
     InjectionSpec,
     LabeledSeries,
@@ -218,15 +219,23 @@ def _norm_extra(stats: NormStats) -> dict:
     }
 
 
-def _norm_from_extra(extra: dict) -> NormStats:
+def _norm_from_extra(extra: dict, channels: int) -> NormStats:
+    """A checkpoint's stats: three (C,) arrays, keep 0 or 1, and
+    ``channels`` kept channels, each with a std above CONSTANT_STD."""
     try:
-        return NormStats(
-            mean=extra["norm.mean"],
-            std=extra["norm.std"],
-            keep=extra["norm.keep"] > 0.5,
-        )
+        mean, std, keep = (extra[f"norm.{name}"] for name in ("mean", "std", "keep"))
     except KeyError as missing:
         raise ValueError(f"checkpoint lacks normalization stats ({missing})") from None
+    if not mean.ndim == 1 or not mean.shape == std.shape == keep.shape:
+        raise ValueError(f"norm.mean, norm.std and norm.keep have shapes {mean.shape}, "
+                         f"{std.shape}, {keep.shape}; expected one (channels,) shape")
+    if not ((keep == 0) | (keep == 1)).all():
+        raise ValueError(f"norm.keep holds {keep.tolist()}, not only 0 and 1")
+    if not (std[keep == 1] > CONSTANT_STD).all():
+        raise ValueError(f"norm.std holds {std.tolist()}, a kept channel's <= {CONSTANT_STD}")
+    if keep.sum() != channels:
+        raise ValueError(f"norm.keep keeps {int(keep.sum())} channels, the model takes {channels}")
+    return NormStats(mean, std, keep == 1)
 
 
 def _check_outputs(args, *flags: str) -> None:
@@ -298,6 +307,8 @@ def cmd_train(args) -> int:
     series = load_csv(args.data)
     stats = compute_stats(series)
     std = standardize(series, stats)
+    if std.channels == 0:
+        raise ValueError(f"{args.data}: every channel is constant; nothing to train on")
     config = dataclasses.replace(base, in_channels=std.channels)
     stride = stride if stride is not None else max(config.sub_seq // 2, 1)
     windows = window(np.asarray(std.values, dtype=tn.dtype()), config.sub_seq, stride)
@@ -331,13 +342,11 @@ def _load_scoring_inputs(args):
     # the series first: its parse is freed before the model's arrays are made
     series = load_csv(args.data)
     params, extra = load_model(args.model)
-    std = standardize(series, _norm_from_extra(extra))
-    if std.channels != params.config.in_channels:
-        raise ValueError(
-            f"model expects {params.config.in_channels} channels, "
-            f"data has {std.channels} after normalization"
-        )
-    return params, extra, std
+    try:
+        stats = _norm_from_extra(extra, params.config.in_channels)
+    except ValueError as err:
+        raise ValueError(f"{args.model}: {err}") from None
+    return params, extra, standardize(series, stats)
 
 
 def cmd_score(args) -> int:

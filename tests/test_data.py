@@ -95,61 +95,27 @@ def test_csv_without_label_column(tmp_path):
     assert_allclose(series.values, [[1.0, 3.0], [2.0, 4.0]])
 
 
-def test_csv_rejects_nan_with_row_number(tmp_path):
+# id: (file text, the error that follows the file's name)
+_BAD_CSVS = {
+    "nan": ("x,label\n1.0,0\nNaN,0\n2.0,1\n", "row 3 has non-finite value 'NaN' in column 'x'"),
+    "non-numeric": ("x\n1.0\nhello\n", "row 3 has non-numeric value 'hello' in column 'x'"),
+    "ragged": ("x,y\n1.0,2.0\n3.0\n", "row 3 has 1 columns, expected 2"),
+    "bad-label": ("x,label\n1.0,2\n", "row 2 has bad label '2'"),
+    "empty": ("", "empty file"),
+    "header-only": ("a,b,label\n", "no data rows"),
+    "duplicate-label": ("a,label,label\n1.0,0,1\n", "duplicate column name 'label'"),
+    "duplicate-data": ("a,a,label\n1.0,0,1\n", "duplicate column name 'a'"),
+    "label-alone": ("label\n0\n1\n", "no data columns"),
+}
+
+
+@pytest.mark.parametrize("text, error", list(_BAD_CSVS.values()), ids=list(_BAD_CSVS))
+def test_load_csv_rejects_bad_file_naming_file_and_problem(tmp_path, text, error):
     path = tmp_path / "bad.csv"
-    path.write_text("x,label\n1.0,0\nNaN,0\n2.0,1\n")
-    with pytest.raises(ValueError, match="row 3"):
+    path.write_text(text)
+    with pytest.raises(ValueError) as err:
         load_csv(path)
-
-
-def test_csv_rejects_non_numeric(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("x\n1.0\nhello\n")
-    with pytest.raises(ValueError, match="row 3.*'hello'"):
-        load_csv(path)
-
-
-def test_csv_rejects_ragged_rows(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("x,y\n1.0,2.0\n3.0\n")
-    with pytest.raises(ValueError, match="row 3"):
-        load_csv(path)
-
-
-def test_csv_rejects_bad_label(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("x,label\n1.0,2\n")
-    with pytest.raises(ValueError, match="label"):
-        load_csv(path)
-
-
-def test_csv_rejects_empty_file(tmp_path):
-    path = tmp_path / "empty.csv"
-    path.write_text("")
-    with pytest.raises(ValueError, match="empty"):
-        load_csv(path)
-
-
-def test_csv_rejects_header_only_file(tmp_path):
-    path = tmp_path / "header.csv"
-    path.write_text("a,b,label\n")
-    with pytest.raises(ValueError, match="no data rows"):
-        load_csv(path)
-
-
-@pytest.mark.parametrize("header, name", [("a,label,label", "label"), ("a,a,label", "a")])
-def test_csv_rejects_duplicate_column_names(tmp_path, header, name):
-    path = tmp_path / "dup.csv"
-    path.write_text(header + "\n1.0,0,1\n")
-    with pytest.raises(ValueError, match=f"duplicate column name '{name}'"):
-        load_csv(path)
-
-
-def test_csv_rejects_label_column_alone(tmp_path):
-    path = tmp_path / "labels.csv"
-    path.write_text("label\n0\n1\n")
-    with pytest.raises(ValueError, match="no data columns"):
-        load_csv(path)
+    assert str(err.value) == f"{path}: {error}"
 
 
 def _per_row_csv_writer(path, series):

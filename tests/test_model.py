@@ -462,35 +462,11 @@ def test_checkpoint_arrays_roundtrip(tmp_path):
     path = tmp_path / "t.lnt"
     ckpt.save_arrays(path, arrays)
     loaded = ckpt.load_arrays(path)
-    assert set(loaded) == set(arrays)
+    assert path.read_bytes()[:4] == b"LNTC" and set(loaded) == set(arrays)
     for k in arrays:
         assert loaded[k].dtype == np.float32
         assert loaded[k].shape == arrays[k].shape
         np.testing.assert_array_equal(loaded[k], arrays[k])
-
-
-def test_checkpoint_magic_and_version(tmp_path):
-    path = tmp_path / "t.lnt"
-    ckpt.save_arrays(path, {"x": np.zeros(2, dtype=np.float32)})
-    assert path.read_bytes()[:4] == b"LNTC"
-    bad = tmp_path / "bad.lnt"
-    bad.write_bytes(b"NOPE" + path.read_bytes()[4:])
-    with pytest.raises(ValueError):
-        ckpt.load_arrays(bad)
-
-
-def test_checkpoint_truncation_detected(tmp_path):
-    path = tmp_path / "t.lnt"
-    ckpt.save_arrays(path, {"x": np.arange(10, dtype=np.float32)})
-    blob = path.read_bytes()
-    cut = tmp_path / "cut.lnt"
-    cut.write_bytes(blob[:-4])
-    with pytest.raises(ValueError):
-        ckpt.load_arrays(cut)
-    padded = tmp_path / "padded.lnt"
-    padded.write_bytes(blob + b"\x00\x00")
-    with pytest.raises(ValueError):
-        ckpt.load_arrays(padded)
 
 
 def test_checkpoint_bytes_deterministic(tmp_path):
@@ -515,71 +491,6 @@ def test_checkpoint_model_roundtrip_bitwise(tmp_path):
     assert list(orig) == list(rest)
     for name in orig:
         np.testing.assert_array_equal(orig[name].data, rest[name].data)
-
-
-def test_checkpoint_missing_tensor(tmp_path):
-    params = mdl.init_params(small(), seed=49)
-    arrays = ckpt.model_to_arrays(params)
-    del arrays["heads.W2"]
-    path = tmp_path / "broken.lnt"
-    ckpt.save_arrays(path, arrays)
-    with pytest.raises(ValueError):
-        ckpt.load_model(path)
-
-
-def test_checkpoint_wrong_shape_rejected(tmp_path):
-    params = mdl.init_params(small(), seed=51)
-    arrays = ckpt.model_to_arrays(params)
-    arrays["context.out_bias"] = arrays["context.out_bias"].reshape(1, -1)
-    path = tmp_path / "reshaped.lnt"
-    ckpt.save_arrays(path, arrays)
-    with pytest.raises(ValueError) as err:
-        ckpt.load_model(path)
-    message = str(err.value)
-    assert "context.out_bias" in message
-    assert f"({params.config.dim_c},)" in message
-    assert f"(1, {params.config.dim_c})" in message
-
-
-def test_checkpoint_wrong_bank_shape_rejected(tmp_path):
-    """A per-transform bank matrix of the wrong shape fails by its own name."""
-    params = mdl.init_params(small(), seed=55)
-    arrays = ckpt.model_to_arrays(params)
-    arrays["bank.T3.layer1.weight"] = arrays["bank.T3.layer1.weight"][:, :-1]
-    path = tmp_path / "narrow.lnt"
-    ckpt.save_arrays(path, arrays)
-    with pytest.raises(ValueError) as err:
-        ckpt.load_model(path)
-    message = str(err.value)
-    assert "bank.T3.layer1.weight" in message
-    assert "(128, 23)" in message and "(128, 24)" in message
-
-
-@pytest.mark.parametrize(
-    "entry,value,expect",
-    [
-        ("sub_seq", 720.9, "720.9"),
-        ("conv_bias", 0.5, "0.5"),
-        ("K", np.nan, "nan"),
-        ("dim_c", -4.0, "-4.0"),
-        ("L", np.inf, "inf"),
-        ("separate_ddcl_heads", 2.0, "0 or 1"),
-        ("conv_bias", -1.0, "-1.0"),
-        ("filters", np.array([3.0, 3.0, 4.5, 2.0]), "4.5"),
-        ("strides", np.array([3.0, np.nan, 4.0, 2.0]), "nan"),
-        ("dim_z", np.array([128.0]), "shape (1,)"),
-    ],
-)
-def test_checkpoint_config_entries_must_be_integers(tmp_path, entry, value, expect):
-    """A config entry that is not a non-negative integer (a flag: 0 or 1)
-    fails by name; it used to be truncated (720.9 -> 720, 0.5 -> False)."""
-    arrays = ckpt.model_to_arrays(mdl.init_params(small(), seed=52))
-    arrays[f"config.{entry}"] = np.asarray(value, dtype=np.float32)
-    path = tmp_path / "bad_config.lntc"
-    ckpt.save_arrays(path, arrays)
-    with pytest.raises(ValueError) as err:
-        ckpt.load_model(path)
-    assert f"config.{entry}" in str(err.value) and expect in str(err.value)
 
 
 @pytest.mark.parametrize("entry,value", [("dim_z", 65536), ("L", 2**20)])
@@ -654,36 +565,74 @@ def test_checkpoint_mutation_fails_or_round_trips(small_checkpoint, tmp_path_fac
     assert path.read_bytes() == mutated
 
 
-def test_checkpoint_rejects_names_out_of_order(small_checkpoint, tmp_path):
-    """One bit turns norm.keep into norm.oeep, after norm.mean: that file
-    used to load, and save_model wrote its names in another order."""
+def _keep_byte(offset, value):
+    """An edit that sets the byte ``offset`` past the name norm.keep."""
+    def edit(blob):
+        at = blob.index(b"norm.keep") + offset
+        return blob[:at] + bytes([value]) + blob[at + 1 :]
+    return edit
+
+
+_ENTRY = "checkpoint config entry 'config.{}' holds {}, not an integer >= 0: {{path}}"
+
+# id: (edit, the error).  An edit maps the saved `small` checkpoint's bytes to the
+# bad file's, or is a dict of arrays to set in it (None drops one); {path} stands for
+# the file and {keep} for the offset of the name norm.keep.
+_BAD_CHECKPOINTS = {
+    "bad-magic": (lambda blob: b"NOPE" + blob[4:], "not a checkpoint file (bad magic): {path}"),
+    "version-2": (lambda blob: blob[:4] + struct.pack("<I", 2) + blob[8:],
+                  "unsupported checkpoint version 2: {path}"),
+    "truncated": (lambda blob: blob[:-4], "truncated checkpoint: {path}"),
+    "trailing-bytes": (lambda blob: blob + b"\0\0", "trailing bytes in checkpoint: {path}"),
+    # one bit turns norm.keep into norm.oeep, after norm.mean: that file used to
+    # load, and save_model wrote its names in another order
+    "names-out-of-order": (_keep_byte(5, ord("o")),
+                           "checkpoint tensor 'norm.mean' follows 'norm.oeep': {path}"),
+    # these two used to fail with the codec's or numpy's message
+    "name-not-utf8": (_keep_byte(0, 0x80), "checkpoint tensor name at byte {keep} is not UTF-8: "
+                                           "{path}"),
+    "rank-255": (_keep_byte(9, 0xFF), "checkpoint tensor 'norm.keep' has rank 255, more than "
+                                      "numpy supports: {path}"),
+    "missing-tensor": ({"heads.W2": None}, "checkpoint lacks tensor 'heads.W2': {path}"),
+    "wrong-shape": ({"context.out_bias": np.zeros((1, 32))},
+                    "checkpoint tensor 'context.out_bias' has shape (1, 32), expected (32,): "
+                    "{path}"),
+    "wrong-bank-shape": ({"bank.T3.layer1.weight": np.zeros((128, 23))},
+                         "checkpoint tensor 'bank.T3.layer1.weight' has shape (128, 23), "
+                         "expected (128, 24): {path}"),
+    # a config entry that is not a non-negative integer (a flag: 0 or 1) used to be
+    # truncated (720.9 -> 720, 0.5 -> False)
+    **{f"config-{name}-{label}": ({f"config.{name}": np.asarray(value)}, error)
+       for name, label, value, error in [
+           ("sub_seq", "720.9", 720.9, _ENTRY.format("sub_seq", 720.9000244140625)),
+           ("conv_bias", "0.5", 0.5, _ENTRY.format("conv_bias", 0.5)),
+           ("conv_bias", "negative", -1.0, _ENTRY.format("conv_bias", -1.0)),
+           ("dim_c", "negative", -4.0, _ENTRY.format("dim_c", -4.0)),
+           ("filters", "4.5", [3.0, 3.0, 4.5, 2.0], _ENTRY.format("filters", 4.5)),
+           ("K", "nan", np.nan, "checkpoint tensor 'config.K' holds nan: {path}"),
+           ("L", "inf", np.inf, "checkpoint tensor 'config.L' holds inf: {path}"),
+           ("strides", "nan", [3.0, np.nan, 4.0, 2.0],
+            "checkpoint tensor 'config.strides' holds nan: {path}"),
+           ("separate_ddcl_heads", "2", 2.0, "checkpoint config entry "
+            "'config.separate_ddcl_heads' must be 0 or 1, got 2: {path}"),
+           ("dim_z", "rank-1", [128.0], "checkpoint config entry 'config.dim_z' has shape (1,): "
+            "{path}"),
+       ]},
+}
+
+
+@pytest.mark.parametrize("edit, error", list(_BAD_CHECKPOINTS.values()),
+                         ids=list(_BAD_CHECKPOINTS))
+def test_bad_checkpoint_fails_naming_file_and_tensor(small_checkpoint, tmp_path, edit, error):
     blob, _ = small_checkpoint
-    mutated = bytearray(blob)
-    mutated[blob.index(b"norm.keep") + len("norm.")] ^= 0x04  # 'k' -> 'o'
-    path = tmp_path / "unsorted.lntc"
-    path.write_bytes(bytes(mutated))
-    with pytest.raises(ValueError, match="'norm.mean' follows 'norm.oeep'"):
+    path = tmp_path / "bad.lntc"
+    path.write_bytes(edit(blob) if callable(edit) else blob)
+    if not callable(edit):
+        arrays = {**ckpt.load_arrays(path), **edit}
+        ckpt.save_arrays(path, {name: arr for name, arr in arrays.items() if arr is not None})
+    with pytest.raises(ValueError) as err:
         ckpt.load_model(path)
-
-
-def test_checkpoint_rejects_bad_name_and_rank_naming_the_file(small_checkpoint, tmp_path):
-    """A name that is not UTF-8 and a rank numpy cannot build used to fail
-    with the codec's or numpy's message, naming neither tensor nor file."""
-    blob, _ = small_checkpoint
-    at = blob.index(b"norm.keep")
-    bad_name = bytearray(blob)
-    bad_name[at] = 0x80
-    path = tmp_path / "name.lntc"
-    path.write_bytes(bytes(bad_name))
-    with pytest.raises(ValueError, match=f"name at byte {at} is not UTF-8: {path}"):
-        ckpt.load_arrays(path)
-    bad_rank = bytearray(blob)
-    bad_rank[at + len("norm.keep")] = 0xFF
-    path = tmp_path / "rank.lntc"
-    path.write_bytes(bytes(bad_rank))
-    with pytest.raises(ValueError, match=f"'norm.keep' has rank 255, more than numpy "
-                                         f"supports: {path}"):
-        ckpt.load_arrays(path)
+    assert str(err.value) == error.format(path=path, keep=blob.index(b"norm.keep"))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
