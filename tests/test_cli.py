@@ -241,6 +241,16 @@ def test_train_fails_when_final_weights_cannot_score(workspace, tmp_path, capsys
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("flag, value", [("--cpc-weight", "-1")])
+def test_train_rejects_bad_float_flag_and_writes_nothing(workspace, tmp_path, capsys, flag, value):
+    """With a readable data file too, a bad float flag leaves no checkpoint."""
+    out = tmp_path / "m.lntc"
+    assert main(["train", "--data", str(workspace["data"] / "train.csv"), "--out", str(out),
+                 "--config", str(workspace["cfg"]), "--epochs", "1", flag, value]) == 1
+    assert f"error: {flag[2:].replace('-', '_')} must be finite" in capsys.readouterr().err
+    assert not out.exists() and not Path(f"{out}.manifest.json").exists()
+
+
 def test_config_file_parsing(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text("dim_z = 16  # latent\n\nlr = 5e-4\nbase = small\n")
