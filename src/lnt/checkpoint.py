@@ -16,7 +16,7 @@ from dataclasses import asdict, fields
 
 import numpy as np
 
-from .model import ModelConfig, ModelParams, Tensor, init_decoder, init_params
+from .model import ModelConfig, ModelParams, Tensor, split_views, zero_params
 
 MAGIC = b"LNTC"
 VERSION = 1
@@ -94,37 +94,10 @@ def load_arrays(path) -> dict[str, np.ndarray]:
 _CONFIG_UNSIZED = ("sub_seq", "strides")
 
 
-def _checkpoint_tensors(params: ModelParams) -> dict[str, np.ndarray]:
-    """Parameter arrays by checkpoint name, as views into the model's
-    stacks, so writing them writes the model: the GRU stacks as per-gate
-    ``context.W_r`` ... ``context.b_n`` blocks, the (K,dim_z,dim_c) head
-    stacks as per-horizon ``heads.W{k}`` and ``ddcl_heads.W{k}`` matrices,
-    and bank layer j (L,out,in) as L per-transform
-    ``bank.T{l}.layer{j}.weight`` matrices."""
-    named = params.named_parameters()
-    heads = [n for n in ("heads", "ddcl_heads") if n in named]
-    out = {n: t.data for n, t in named.items()
-           if n not in heads and not n.startswith(("bank.", "context."))}
-    for name in heads:
-        for k, w in enumerate(named[name].data, start=1):
-            out[f"{name}.W{k}"] = w
-    w_x, u_ru, u_n, b_ru, b_n, out["context.out_bias"] = (t.data for t in params.context)
-    h = b_n.shape[0]
-    u, b = (u_ru[:, :h], u_ru[:, h:], u_n), (b_ru[:h], b_ru[h:], b_n)
-    for i, gate in enumerate("run"):
-        out[f"context.W_{gate}"] = w_x[:, i * h : (i + 1) * h].T
-        out[f"context.U_{gate}"] = u[i].T
-        out[f"context.b_{gate}"] = b[i]
-    for j, layer in enumerate(params.bank):
-        for l, w in enumerate(layer.data, start=1):
-            out[f"bank.T{l}.layer{j}.weight"] = w
-    return out
-
-
 def model_to_arrays(params: ModelParams) -> dict[str, np.ndarray]:
     """Parameter and config arrays by checkpoint name; a config entry that
     float32 cannot hold exactly is an error, not a silent rounding."""
-    out = _checkpoint_tensors(params)
+    out = split_views(params)
     for name, value in asdict(params.config).items():
         with np.errstate(over="ignore"):
             out[f"config.{name}"] = stored = np.asarray(value, dtype=np.float32)
@@ -161,7 +134,7 @@ def model_from_arrays(arrays: dict[str, np.ndarray]) -> tuple[ModelParams, dict[
     file's; a tensor the config does not call for, other than ``norm.*``,
     is an error.
     """
-    # init_params allocates at the sizes the config gives, so bound them by
+    # zero_params allocates at the sizes the config gives, so bound them by
     # the file first: a width is some tensor's dimension, and a count cannot
     # exceed the number of tensors
     stored = [a for n, a in arrays.items() if not n.startswith("config.")]
@@ -176,13 +149,11 @@ def model_from_arrays(arrays: dict[str, np.ndarray]) -> tuple[ModelParams, dict[
         kwargs[f.name] = tuple(values) if is_tuple else type(f.default)(values[0])
     cfg = ModelConfig(**kwargs)
 
-    # a freshly initialised model gives every tensor's name and shape; the
-    # checkpoint's values then replace its data
-    params = init_params(cfg, seed=0)
-    if "decoder.layer0.weight" in arrays:
-        init_decoder(params, seed=0)
+    # the config's zero stacks give every tensor's name and shape; the
+    # checkpoint's values then fill them
+    params = zero_params(cfg, decoder="decoder.layer0.weight" in arrays)
     used = {f"config.{name}" for name in kwargs}
-    for name, target in _checkpoint_tensors(params).items():
+    for name, target in split_views(params).items():
         if name not in arrays:
             raise ValueError(f"checkpoint lacks tensor {name!r}")
         found = arrays[name].shape

@@ -238,6 +238,12 @@ def _norm_from_extra(extra: dict, channels: int) -> NormStats:
     return NormStats(mean, std, keep == 1)
 
 
+def _check_frames(data, series: LabeledSeries, need: int, model: str, why: str) -> None:
+    if series.length < need:
+        raise ValueError(f"{data} has {series.length} frames; {model} needs at least {need} "
+                         f"({why})")
+
+
 def _check_outputs(args, *flags: str) -> None:
     """Fail before any work when an output flag's path is a directory or
     its directory is missing, so a run never stops at its first write."""
@@ -256,9 +262,9 @@ def _check_outputs(args, *flags: str) -> None:
 
 def cmd_synth(args) -> int:
     started = time.perf_counter()
-    for flag, length in (("train-length", args.train_length), ("test-length", args.test_length)):
-        if length < 1:
-            raise ValueError(f"--{flag} must be >= 1, got {length}")
+    for flag in ("channels", "train-length", "test-length"):
+        if (value := getattr(args, flag.replace("-", "_"))) < 1:
+            raise ValueError(f"--{flag} must be >= 1, got {value}")
     if not 0.0 <= args.anomaly_fraction < 1.0:
         raise ValueError(f"--anomaly-fraction must be in [0, 1), got {args.anomaly_fraction}")
     if not 0.0 <= args.amplitude < np.inf:
@@ -309,6 +315,8 @@ def cmd_train(args) -> int:
     std = standardize(series, stats)
     if std.channels == 0:
         raise ValueError(f"{args.data}: every channel is constant; nothing to train on")
+    _check_frames(args.data, std, base.sub_seq, f"the config {args.config or 'small'}",
+                  "one sub_seq window")
     config = dataclasses.replace(base, in_channels=std.channels)
     stride = stride if stride is not None else max(config.sub_seq // 2, 1)
     windows = window(np.asarray(std.values, dtype=tn.dtype()), config.sub_seq, stride)
@@ -339,6 +347,8 @@ def cmd_train(args) -> int:
 
 
 def _load_scoring_inputs(args):
+    """The model, its extra arrays, and ``--data`` standardized by its
+    stats, which must cover the series' channels."""
     # the series first: its parse is freed before the model's arrays are made
     series = load_csv(args.data)
     params, extra = load_model(args.model)
@@ -346,6 +356,9 @@ def _load_scoring_inputs(args):
         stats = _norm_from_extra(extra, params.config.in_channels)
     except ValueError as err:
         raise ValueError(f"{args.model}: {err}") from None
+    if series.channels != stats.keep.size:
+        raise ValueError(f"{args.data} has {series.channels} channels; the model {args.model} "
+                         f"needs {stats.keep.size}")
     return params, extra, standardize(series, stats)
 
 
@@ -355,6 +368,9 @@ def cmd_score(args) -> int:
         raise ValueError(f"--unnormalized applies to --method ddcl, not {args.method}")
     _check_outputs(args, "out")
     params, _, std = _load_scoring_inputs(args)
+    cfg = params.config
+    _check_frames(args.data, std, cfg.receptive_field + cfg.downsample,
+                  f"the model {args.model}", "two latent steps")
     x, labels = np.asarray(std.values, dtype=tn.dtype()), std.labels
     del std  # scoring holds the float32 copy alone
     if args.method == "ddcl":
@@ -399,12 +415,17 @@ def cmd_viz_decode(args) -> int:
         raise ValueError(f"--decoder-epochs must be >= 0, got {args.decoder_epochs}")
     if not 0.0 < args.decoder_lr < np.inf:
         raise ValueError(f"--decoder-lr must be finite and positive, got {args.decoder_lr}")
+    if args.window < 0:
+        raise ValueError(f"--window must be >= 0, got {args.window}")
     _check_outputs(args, "out", "save-model")
     params, extra, std = _load_scoring_inputs(args)
     config = params.config
+    _check_frames(args.data, std, config.sub_seq, f"the model {args.model}",
+                  "one sub_seq window")
     windows = window(std.values, config.sub_seq, config.sub_seq)
-    if args.window < 0 or args.window >= len(windows):
-        raise ValueError(f"window index {args.window} out of range 0..{len(windows)-1}")
+    if args.window >= len(windows):
+        raise ValueError(f"--window must be in 0..{len(windows) - 1} for {args.data}, "
+                         f"got {args.window}")
     if params.decoder is None:
         init_decoder(params, seed=args.seed)
         fit_decoder(

@@ -7,7 +7,7 @@ works from integer confusion counts so equal F1 values compare equal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -109,21 +109,21 @@ def best_f1(scores, labels) -> EvalResult:
 # ---------------------------------------------------------------------------
 # report formatting
 
-_FLOAT_FIELDS = ("auc", "best_f1", "best_threshold", "precision", "recall")
-_INT_FIELDS = ("tp", "fp", "fn", "tn")
+def _cells(result: EvalResult, float_format: str) -> list[tuple[str, str]]:
+    """(name, text) per ``EvalResult`` field: counts whole, floats in
+    ``float_format``."""
+    return [(f.name, str(v) if f.type == "int" else format(v, float_format))
+            for f in fields(result) for v in [getattr(result, f.name)]]
 
 
 def result_csv(result: EvalResult) -> str:
     """Header plus one data line; floats at %.9g."""
-    header = ",".join(_FLOAT_FIELDS + _INT_FIELDS)
-    values = [f"{getattr(result, f):.9g}" for f in _FLOAT_FIELDS]
-    values += [str(getattr(result, f)) for f in _INT_FIELDS]
-    return header + "\n" + ",".join(values) + "\n"
+    names, values = zip(*_cells(result, ".9g"))
+    return ",".join(names) + "\n" + ",".join(values) + "\n"
 
 
 def result_text(result: EvalResult) -> str:
     """Aligned key/value block for terminals."""
-    rows = [(f, f"{getattr(result, f):.6g}") for f in _FLOAT_FIELDS]
-    rows += [(f, str(getattr(result, f))) for f in _INT_FIELDS]
+    rows = _cells(result, ".6g")
     width = max(len(k) for k, _ in rows)
     return "".join(f"{k:<{width}}  {v}\n" for k, v in rows)

@@ -10,11 +10,13 @@ the bank take; the bank maps it to all L views at once, (R, L, dim_z).
 The K prediction horizons are one k-major stack of rows: block k holds
 the rows of horizon k (see ``tensor.stack_spans``).  Parameters are stored
 in the layout their forward reads (GRU gates, prediction heads and bank
-transforms stacked); only ``checkpoint`` splits them.
+transforms stacked); ``split_views`` gives the per-matrix view that a seed
+and a checkpoint read.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
@@ -178,70 +180,92 @@ class ModelParams:
         return self.ddcl_heads if self.ddcl_heads is not None else self.heads
 
 
-def _uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> Tensor:
-    bound = 1.0 / np.sqrt(fan_in)
-    return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
-
-
 def _zeros(shape) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=True)
+    return Tensor(np.zeros(shape, dtype=tn.dtype()), requires_grad=True)
+
+
+def _zero_decoder(config: ModelConfig) -> list[tuple[Tensor, Tensor]]:
+    """Transposed-conv layers mirroring the encoder: (C_in, C_out, F) weights."""
+    chans = [config.dim_z] * len(config.filters) + [config.in_channels]
+    return [(_zeros((chans[i], chans[i + 1], f)), _zeros((chans[i + 1], 1)))
+            for i, f in enumerate(config.filters[::-1])]
+
+
+def zero_params(config: ModelConfig, decoder: bool = False) -> ModelParams:
+    """A config's parameter stacks, all zeros; ``decoder`` adds one."""
+    z, h = config.dim_z, config.dim_c
+    c_in = [config.in_channels] + [z] * (len(config.filters) - 1)
+    widths = [z] + [config.bank_width] * (config.bank_layers - 1) + [z]
+    return ModelParams(
+        config=config,
+        encoder=[(_zeros((z, c, f)), _zeros((z, 1)) if config.conv_bias else None)
+                 for c, f in zip(c_in, config.filters)],
+        context=GruParams(w_x=_zeros((z, 3 * h)), u_ru=_zeros((h, 2 * h)), u_n=_zeros((h, h)),
+                          b_ru=_zeros(2 * h), b_n=_zeros(h), out_bias=_zeros(h)),
+        heads=_zeros((config.K, z, h)),
+        ddcl_heads=_zeros((config.K, z, h)) if config.separate_ddcl_heads else None,
+        bank=[_zeros((config.L, o, i)) for i, o in zip(widths, widths[1:])],
+        decoder=_zero_decoder(config) if decoder else None,
+    )
+
+
+def split_views(params: ModelParams) -> dict[str, np.ndarray]:
+    """Every parameter by checkpoint name, as a view into its stack (writing
+    one writes the model), in the order a seed draws the weights: encoder
+    layers; per-gate GRU blocks ``context.W_r``, ``U_r``, ``b_r`` ...
+    ``out_bias``; per-horizon ``heads.W{k}``, then ``ddcl_heads.W{k}``;
+    per-transform ``bank.T{l}.layer{j}.weight``, transform by transform;
+    then the decoder."""
+    out: dict[str, np.ndarray] = {}
+    for i, (w, b) in enumerate(params.encoder):
+        out[f"encoder.layer{i}.weight"] = w.data
+        if b is not None:
+            out[f"encoder.layer{i}.bias"] = b.data
+    w_x, u_ru, u_n, b_ru, b_n, out_bias = (t.data for t in params.context)
+    h = b_n.shape[0]
+    u, b = (u_ru[:, :h], u_ru[:, h:], u_n), (b_ru[:h], b_ru[h:], b_n)
+    for i, gate in enumerate("run"):
+        out[f"context.W_{gate}"] = w_x[:, i * h : (i + 1) * h].T
+        out[f"context.U_{gate}"] = u[i].T
+        out[f"context.b_{gate}"] = b[i]
+    out["context.out_bias"] = out_bias
+    for name in ("heads", "ddcl_heads"):
+        stack = getattr(params, name)
+        for k, w in enumerate(() if stack is None else stack.data, start=1):
+            out[f"{name}.W{k}"] = w
+    for l in range(params.config.L):
+        for j, layer in enumerate(params.bank):
+            out[f"bank.T{l + 1}.layer{j}.weight"] = layer.data[l]
+    for i, (w, b) in enumerate(params.decoder or ()):
+        out[f"decoder.layer{i}.weight"], out[f"decoder.layer{i}.bias"] = w.data, b.data
+    return out
+
+
+def _draw(rng: np.random.Generator, view: np.ndarray, fan_in: int) -> None:
+    bound = 1.0 / np.sqrt(fan_in)
+    view[...] = rng.uniform(-bound, bound, size=view.shape)
 
 
 def init_params(config: ModelConfig, seed: int) -> ModelParams:
-    """Fresh parameters: weights uniform in ±1/sqrt(fan_in), biases zero."""
+    """Fresh parameters: each weight of :func:`split_views`, in its order,
+    uniform in ±1/sqrt(fan_in), the fan_in its trailing dimensions'
+    product; biases zero."""
     rng = np.random.default_rng(seed)
-    params = ModelParams(config=config)
-
-    c_in = config.in_channels
-    for f in config.filters:
-        w = _uniform(rng, (config.dim_z, c_in, f), c_in * f)
-        b = _zeros((config.dim_z, 1)) if config.conv_bias else None
-        params.encoder.append((w, b))
-        c_in = config.dim_z
-
-    # drawn per gate (W_r, U_r, W_u, U_u, W_n, U_n) and then stacked, so a
-    # seed gives the weights it gave when each gate was a separate tensor
-    z, h = config.dim_z, config.dim_c
-    w_r, u_r, w_u, u_u, w_n, u_n = (_uniform(rng, s, s[1]).data for s in [(h, z), (h, h)] * 3)
-
-    def stack_t(*gates):
-        return Tensor(np.ascontiguousarray(np.concatenate(gates).T), requires_grad=True)
-
-    params.context = GruParams(
-        w_x=stack_t(w_r, w_u, w_n), u_ru=stack_t(u_r, u_u), u_n=stack_t(u_n),
-        b_ru=_zeros(2 * h), b_n=_zeros(h), out_bias=_zeros(h),
-    )
-
-    # drawn per horizon and then stacked, so a seed gives the weights it
-    # gave when each head was a separate tensor
-    def heads():
-        return Tensor(np.stack([_uniform(rng, (z, h), h).data for _ in range(config.K)]),
-                      requires_grad=True)
-
-    params.heads = heads()
-    if config.separate_ddcl_heads:
-        params.ddcl_heads = heads()
-
-    # drawn in (transform, layer) order and then stacked, so a seed gives the
-    # weights it gave when each transform was a separate MLP
-    widths = [z] + [config.bank_width] * (config.bank_layers - 1) + [z]
-    shapes = [(widths[j + 1], widths[j]) for j in range(config.bank_layers)]
-    draws = [[_uniform(rng, s, s[1]).data for s in shapes] for _ in range(config.L)]
-    params.bank = [Tensor(np.stack(layer), requires_grad=True) for layer in zip(*draws)]
+    params = zero_params(config)
+    for name, view in split_views(params).items():
+        if "bias" not in name and ".b_" not in name:
+            _draw(rng, view, math.prod(view.shape[1:]))
     return params
 
 
 def init_decoder(params: ModelParams, seed: int) -> None:
-    """Attach a fresh transposed-conv decoder mirroring the encoder."""
-    cfg = params.config
+    """Attach a fresh transposed-conv decoder mirroring the encoder: each
+    (C_in, C_out, F) weight uniform in ±1/sqrt(C_in*F), biases zero."""
     rng = np.random.default_rng(seed)
-    chans = [cfg.dim_z] * len(cfg.filters) + [cfg.in_channels]
-    layers = []
-    for i, (f, s) in enumerate(zip(cfg.filters[::-1], cfg.strides[::-1])):
-        c_in, c_out = chans[i], chans[i + 1]
-        w = _uniform(rng, (c_in, c_out, f), c_in * f)
-        layers.append((w, _zeros((c_out, 1))))
-    params.decoder = layers
+    params.decoder = _zero_decoder(params.config)
+    for w, _ in params.decoder:
+        c_in, _, f = w.shape
+        _draw(rng, w.data, c_in * f)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -221,17 +221,14 @@ def fit(
     return stats
 
 
-REPORT_HEADER = "epoch,cpc,ddcl,total,grad_norm,seconds"
-
-
 def save_report_csv(path, stats: list[EpochStats]) -> None:
+    """A column per ``EpochStats`` field, a row per epoch; floats at %.9g."""
+    columns = fields(EpochStats)
     with open(path, "w") as fh:
-        fh.write(REPORT_HEADER + "\n")
+        fh.write(",".join(f.name for f in columns) + "\n")
         for s in stats:
-            fh.write(
-                f"{s.epoch},{s.cpc:.9g},{s.ddcl:.9g},{s.total:.9g},"
-                f"{s.grad_norm:.9g},{s.seconds:.9g}\n"
-            )
+            fh.write(",".join(str(v) if f.type == "int" else f"{v:.9g}"
+                              for f in columns for v in [getattr(s, f.name)]) + "\n")
 
 
 def fit_decoder(

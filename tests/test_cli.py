@@ -564,6 +564,13 @@ def _model_with(**norm):
     return write
 
 
+def _series(frames, channels=2):
+    """A CSV of ``frames`` rows of ``channels`` varying channels."""
+    names = ",".join(f"c{ch}" for ch in range(channels))
+    return names + "\n" + "".join(",".join(str((t * (ch + 2)) % 7) for ch in range(channels)) + "\n"
+                                   for t in range(frames))
+
+
 _NORM_SHAPES = "norm.mean, norm.std and norm.keep have shapes {}; expected one (channels,) shape"
 
 # id: (subcommand, flags set on a valid call, the `error:` line).  A flag's value
@@ -594,9 +601,10 @@ _REJECTED_CALLS = {
     "missing-input-file": ("score", {"--model": "{in}/none.lntc", "--data": "{in}/none.csv"},
                            "[Errno 2] No such file or directory: '{in}/none.csv'"),
     # synth
-    "channels-zero": ("synth", {"--channels": "0"}, "channels must be >= 1, got 0"),
+    "channels-zero": ("synth", {"--channels": "0"}, "--channels must be >= 1, got 0"),
     "channels-zero-existing-out-dir": ("synth", {"--out-dir": "{out}", "--channels": "0"},
-                                       "channels must be >= 1, got 0"),
+                                       "--channels must be >= 1, got 0"),
+    "channels-negative": ("synth", {"--channels": "-2"}, "--channels must be >= 1, got -2"),
     **{f"test-length-{n}-tone": ("synth", {**_SMALL_SYNTH, "--test-length": n},
                                  "--test-length must exceed the longest tone, 4096 frames, "
                                  f"while --anomaly-fraction > 0; got {n}")
@@ -657,6 +665,9 @@ _REJECTED_CALLS = {
        ]},
     "all-channels-constant": ("train", {"--data": ("flat.csv", "a,b\n" + "1.5,-2\n" * 4)},
                               "{in}/flat.csv: every channel is constant; nothing to train on"),
+    "train-data-short": ("train", {"--config": "small", "--data": ("short.csv", _series(49))},
+                         "{in}/short.csv has 49 frames; the config small needs at least 720 "
+                         "(one sub_seq window)"),
     # score, eval, viz-decode
     "unnormalized-cpc-approx": ("score", {"--method": "cpc-approx", "--unnormalized": True},
                                 "--unnormalized applies to --method ddcl, not cpc-approx"),
@@ -674,6 +685,28 @@ _REJECTED_CALLS = {
             "norm.keep keeps 1 channels, the model takes 2"),
            ("missing", {"mean": None}, "checkpoint lacks normalization stats ('norm.mean')"),
        ]},
+    **{f"score-data-{case}": ("score", {"--model": ("m.lntc", _model_with()),
+                                         "--data": ("d.csv", _series(frames, channels))},
+                              f"{{in}}/d.csv has {error}")
+       for case, frames, channels, error in [
+           ("3-channels", 100, 3, "3 channels; the model {in}/m.lntc needs 2"),
+           ("under-receptive-field", 5, 2,
+            "5 frames; the model {in}/m.lntc needs at least 12 (two latent steps)"),
+           ("one-latent-step", 11, 2,
+            "11 frames; the model {in}/m.lntc needs at least 12 (two latent steps)"),
+       ]},
+    "viz-decode-data-short": ("viz-decode", {"--model": ("m.lntc", _model_with()),
+                                             "--data": ("d.csv", _series(47))},
+                              "{in}/d.csv has 47 frames; the model {in}/m.lntc needs at least 48 "
+                              "(one sub_seq window)"),
+    "viz-decode-data-3-channels": ("viz-decode", {"--model": ("m.lntc", _model_with()),
+                                                  "--data": ("d.csv", _series(100, 3))},
+                                   "{in}/d.csv has 3 channels; the model {in}/m.lntc needs 2"),
+    "window-negative": ("viz-decode", {"--model": "no_such.lntc", "--data": "no_such.csv",
+                                       "--window": "-1"}, "--window must be >= 0, got -1"),
+    "window-past-end": ("viz-decode", {"--model": ("m.lntc", _model_with()),
+                                       "--data": ("d.csv", _series(100)), "--window": "2"},
+                        "--window must be in 0..1 for {in}/d.csv, got 2"),
     "viz-decode-norm-std-zero": (
         "viz-decode", {"--model": ("m.lntc", _model_with(std=np.zeros(2)))},
         "{in}/m.lntc: norm.std holds [0.0, 0.0], a kept channel's <= 1e-12"),
@@ -708,8 +741,11 @@ def test_rejected_call_exits_1_with_one_error_line(workspace, tmp_path, capsys,
     or file; `--seed -1` with numpy's bare `expected non-negative integer`;
     `--window-stride 0` at windowing; `--lr nan` to exit 0 with a NaN
     checkpoint; a checkpoint's bad norm.* stats with an IndexError
-    traceback, numpy's divide warning, or not at all; and a CSV whose
-    every channel is constant as `in_channels must be >= 1, got 0`."""
+    traceback, numpy's divide warning, or not at all; a CSV whose every
+    channel is constant as `in_channels must be >= 1, got 0`; data too
+    short or with other channels than the model's as a window or stats
+    error naming neither file; and `--window -1` only after both files
+    were read."""
     where = {"in": tmp_path / "in", "out": tmp_path / "out"}
     for folder in where.values():
         folder.mkdir()

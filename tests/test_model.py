@@ -1,6 +1,7 @@
 """Architecture contracts: shapes, causality, mask bound, constant model,
 and bit-exact checkpoint round-trips."""
 
+import hashlib
 import math
 import struct
 import time
@@ -11,7 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import constant_model, encode_channel_major, fd_grad_inplace, rel_err, sum_all
+from helpers import (
+    constant_model,
+    encode_channel_major,
+    fd_grad_inplace,
+    rel_err,
+    sum_all,
+    tiny_config,
+)
 from lnt import checkpoint as ckpt
 from lnt import model as mdl
 from lnt import tensor as tn
@@ -439,6 +447,35 @@ def test_init_deterministic_and_scaled():
     w0 = na["encoder.layer0.weight"].data
     assert np.abs(w0).max() <= 1.0 / np.sqrt(3 * 3)
     np.testing.assert_array_equal(na["context.b_ru"].data, np.zeros(64))
+
+
+# sha256 over sorted names of "<name> <shape>" and the float32 bytes of
+# model_to_arrays(init_params(config, seed)), recorded before init_params drew
+# into the split views: a seed's weights, names and shapes stay what they were
+_SEED_DIGESTS = {
+    ("small", 0): "c3e16685a243047ed930037d5b22b57fb71ca320d5f40e5f3c3d4c10200bbb0c",
+    ("small", 7): "0dfa5ca5922a1c403d080b5a878dfdb50c4806d5343cd7bf7b5650f243bccfb6",
+    ("audio", 0): "ce6a8e36fab6a89472f3af3c7103eb3fa3943b7642e8fa247929ecfea5a41a99",
+    ("audio", 7): "ae9fd3ef4d6695de81096cb2c79bcdd8619a16269bcb5d4873e0740b651a2eec",
+    ("tiny", 0): "93598ad33c6e889b88d4fd8c4feb9d22196b6da0365f3a4d6b6cc77c3978eb11",
+    ("tiny", 7): "594c342a706f33510d9a0f6866df89322b7424be017509ef8f86a08779b6476a",
+}
+
+
+@pytest.mark.parametrize("name, seed", list(_SEED_DIGESTS),
+                         ids=[f"{n}-{s}" for n, s in _SEED_DIGESTS])
+def test_seed_draws_the_recorded_weights(name, seed):
+    config = {
+        "small": mdl.small_config(),
+        "audio": mdl.audio_config(),
+        "tiny": tiny_config(separate_ddcl_heads=False, conv_bias=False, bank_layers=3),
+    }[name]
+    arrays = ckpt.model_to_arrays(mdl.init_params(config, seed))
+    digest = hashlib.sha256()
+    for key in sorted(arrays):
+        digest.update(f"{key} {arrays[key].shape}".encode())
+        digest.update(np.ascontiguousarray(arrays[key], dtype="<f4").tobytes())
+    assert digest.hexdigest() == _SEED_DIGESTS[name, seed]
 
 
 def test_bank_is_bias_free():

@@ -1,14 +1,19 @@
-"""tools/step_probe.py against this checkout's src: it reaches into
-``tensor._make``, ``tensor._check_finite`` and ``training.train_step``,
-so a rename there fails here.  Each run is a subprocess, so the tool's
-``LNT_THREADS=1`` stays out of this process."""
+"""The tools against this checkout's src.  tools/step_probe.py reaches
+into ``tensor._make``, ``tensor._check_finite`` and
+``training.train_step``, so a rename there fails here; each run is a
+subprocess, so the tool's ``LNT_THREADS=1`` stays out of this process.
+tools/recipe_bytes.py's file helpers run on hand-written CSVs."""
 
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from lnt.model import small_config
+from lnt.scoring import CHUNK_STEPS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -55,3 +60,46 @@ def test_step_probe_pairs_a_package_with_itself():
     assert report["old_peak_record"] == report["new_peak_record"]
     assert list(report["old_peak_records"]) == list(report["new_peak_records"])
     assert report["aa_ratio_median"] > 0
+
+
+@pytest.fixture(scope="module")
+def recipe_bytes():
+    spec = importlib.util.spec_from_file_location("recipe_bytes",
+                                                  ROOT / "tools" / "recipe_bytes.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_recipe_report_without_seconds(recipe_bytes, tmp_path):
+    report = tmp_path / "r.csv"
+    report.write_text("epoch,cpc,seconds\n0,2.5,0.61\n1,2.25,0.58\n")
+    assert recipe_bytes.without_seconds(report) == b"epoch,cpc\n0,2.5\n1,2.25\n"
+    report.write_text("epoch,seconds,cpc\n0,0.61,2.5\n")
+    with pytest.raises(ValueError, match="last column is 'cpc', not 'seconds'"):
+        recipe_bytes.without_seconds(report)
+
+
+def test_recipe_csv_without_labels(recipe_bytes, tmp_path):
+    labeled, plain = tmp_path / "in.csv", tmp_path / "out.csv"
+    labeled.write_bytes(b"a,b,label\r\n1.5,-2,0\r\n3,4.25,1\r\n")
+    recipe_bytes.without_labels(labeled, plain)
+    assert plain.read_bytes() == b"a,b\r\n1.5,-2\r\n3,4.25\r\n"
+    with pytest.raises(ValueError, match="last column is not 'label'"):
+        recipe_bytes.without_labels(plain, tmp_path / "again.csv")
+
+
+@pytest.mark.parametrize("frames", [230 * 72 + 50, 201 * 72, 101 * 72 + 71, 300 * 72 + 71])
+def test_recipe_tail_prefix_leaves_one_step_in_the_last_chunk(recipe_bytes, tmp_path,
+                                                              monkeypatch, frames):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the helper puts src on it
+    cfg, source, tail = small_config(), tmp_path / "test.csv", tmp_path / "tail.csv"
+    lines = ["a\n"] + [f"{t}\n" for t in range(frames)]
+    source.write_text("".join(lines))
+    recipe_bytes.one_step_tail_prefix(source, tail)
+    kept = tail.read_text().splitlines(keepends=True)
+    assert kept == lines[: len(kept)]
+    steps = cfg.latent_len(len(kept) - 1)
+    assert steps % CHUNK_STEPS == 1
+    assert cfg.latent_len(frames) - steps < CHUNK_STEPS  # no later one-step cut exists
+    assert cfg.latent_len(len(kept) - 2) == steps - 1  # no frame past the last step
