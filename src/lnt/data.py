@@ -113,23 +113,198 @@ def write_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
     columns print as ``str`` and must need no CSV quoting.  Lines end in
     ``\\r\\n`` like ``csv.writer``'s, which writes the header.  Rows are
     formatted a block at a time, by :func:`_format_runs` where a block's
-    rows repeat.
+    rows repeat and as fixed-width byte cells otherwise (:func:`_cells`),
+    in which a NUL byte prints nothing.  So a str cell may not hold NUL:
+    a column with one is rejected, naming it, before the file is opened.
     """
     columns = [np.asarray(c) for c in columns]
+    for name, c in zip(header, columns):
+        if c.dtype.kind not in "biuf" and any("\0" in str(v) for v in c.tolist()):
+            raise ValueError(f"{path}: column {name!r} holds a NUL character")
     fmts = ["%.9g" if c.dtype.kind == "f" else "%s" for c in columns]
-    line = ",".join(fmts) + "\r\n"
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
+        fh.flush()
         for start in range(0, len(columns[0]), _BLOCK_ROWS):
             block = [c[start : start + _BLOCK_ROWS] for c in columns]
             text = _format_runs(block, fmts)
-            if text is None:
-                # row-major cells as Python objects, the ones tolist() gives
-                cells = np.empty((len(block[0]), len(block)), dtype=object)
-                for j, c in enumerate(block):
-                    cells[:, j] = c
-                text = line * len(cells) % tuple(cells.ravel().tolist())
-            fh.write(text)
+            if text is not None:
+                fh.buffer.write(text.encode(fh.encoding))
+                continue
+            cells = [_cells(c, fh.encoding) for c in block]
+            rows = np.empty((len(block[0]), sum(c.shape[1] + 1 for c in cells) + 1), np.uint8)
+            at = 0
+            for c in cells:
+                rows[:, at : at + c.shape[1]] = c
+                at += c.shape[1]
+                rows[:, at] = ord(",")
+                at += 1
+            rows[:, -2:] = np.frombuffer(b"\r\n", np.uint8)
+            fh.buffer.write(rows.tobytes().translate(None, b"\0"))
+
+
+def _cells(c: np.ndarray, encoding: str) -> np.ndarray:
+    """(rows, width) uint8 cells of one column, printed as ``write_csv``
+    prints them; NUL bytes pad each cell and print nothing."""
+    kind = c.dtype.kind
+    if kind == "f":
+        return _float_cells(c.astype(np.float64, copy=False))
+    if kind in "iu":
+        return _int_cells(c)
+    if kind == "b":
+        return _BOOL_CELLS[c.view(np.uint8)]
+    return _text_cells([str(v) for v in c.tolist()], encoding)
+
+
+def _text_cells(texts: list[str], encoding: str) -> np.ndarray:
+    """(len(texts), width) uint8 cells of Python-formatted text."""
+    packed = np.array([t.encode(encoding) for t in texts], dtype=bytes)
+    return packed.view(np.uint8).reshape(len(texts), -1)
+
+
+def _patched(cells: np.ndarray, rows: np.ndarray, texts: list[str]) -> np.ndarray:
+    """``cells`` with ``rows`` replaced by the ASCII cells ``texts``, widened
+    to fit them."""
+    if not len(rows):
+        return cells
+    text = _text_cells(texts, "ascii")
+    if text.shape[1] > cells.shape[1]:
+        cells = np.pad(cells, ((0, 0), (0, text.shape[1] - cells.shape[1])))
+    cells[rows] = 0
+    cells[rows, : text.shape[1]] = text
+    return cells
+
+
+_BOOL_CELLS = np.frombuffer(b"False" b"True\0", np.uint8).reshape(2, 5)
+
+# SWAR ("SIMD within a register"): a uint64 holds a value's decimal digits
+# in lanes, which one multiply and shift divide at once
+_U = np.uint64
+_ASCII_ZEROS = _U(0x3030303030303030)
+_BYTE_STEPS = _U(1) << np.arange(0, 64, 8, dtype=np.uint64)  # 1, 2**8, ..., 2**56
+
+
+def _swar8(r: np.ndarray) -> np.ndarray:
+    """The 8 decimal digits of each uint64 in ``r`` (all < 10**8),
+    zero-padded, one per byte of a uint64: the most significant in the
+    lowest byte, which comes first in little-endian memory."""
+    hi = r * _U(3518437209) >> _U(45)  # r // 10**4 for r < 2**32
+    v = hi | (r - hi * _U(10**4)) << _U(32)  # 4-digit halves in 32-bit lanes
+    q = v * _U(5243) >> _U(19) & _U(0x0000007F0000007F)  # each lane // 100
+    v = q | (v - q * _U(100)) << _U(16)  # 2-digit quarters in 16-bit lanes
+    q = v * _U(103) >> _U(10) & _U(0x000F000F000F000F)  # each lane // 10
+    return q | (v - q * _U(10)) << _U(8)
+
+
+def _ascii(words: np.ndarray) -> np.ndarray:
+    """(len(words), 8) uint8 ASCII digits of ``_swar8`` words."""
+    return (words + _ASCII_ZEROS).astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+
+
+_INT_DIGITS = 16  # |v| below 10**16 prints through two _swar8 words
+_POW10_INT = np.array([10**k for k in range(1, _INT_DIGITS)], dtype=np.uint64)
+
+
+def _int_cells(c: np.ndarray) -> np.ndarray:
+    """``str(int(v))`` cells; Python prints |v| >= 10**16."""
+    if c.dtype.kind == "u":
+        neg, mag = None, c.astype(np.uint64)
+    else:
+        c = c.astype(np.int64, copy=False)
+        # the two's complement magnitude, exact down to -2**63
+        neg, mag = c < 0, c.view(np.uint64)
+        mag = np.where(neg, -mag, mag)
+    big = mag >= _U(10**_INT_DIGITS)
+    if big.any():
+        mag = np.where(big, _U(0), mag)
+    width = np.searchsorted(_POW10_INT, mag, side="right") + 1
+    widest = width.max()
+    if widest <= 8:
+        digits = _ascii(_swar8(mag))
+    else:
+        hi = mag // _U(10**8)
+        digits = np.concatenate([_ascii(_swar8(hi)), _ascii(_swar8(mag - hi * _U(10**8)))],
+                                axis=1)
+    cells = digits[:, digits.shape[1] - widest :]
+    cells[np.arange(widest) < widest - width[:, None]] = 0  # leading zeros print nothing
+    if neg is not None and neg.any():
+        cells = np.concatenate([np.where(neg, ord("-"), 0).astype(np.uint8)[:, None], cells],
+                               axis=1)
+    rows = np.flatnonzero(big)
+    return _patched(cells, rows, [str(v) for v in c[rows].tolist()])
+
+
+# The %.9g kernel prints x as m * 10**(e - 8), with e = floor(log10|x|) and
+# m = rint(|x| * 10**(8 - e)) of 9 digits.  One exact power of ten
+# (|8 - e| <= 22) scales |x|, so the scaled value errs by at most 2**-23:
+# outside a band of _TIE_BAND around a half, m rounds as the exact product
+# does.  Python prints the cells the kernel cannot vouch for: zero,
+# non-finite values, e outside _FLOAT_E, cells inside the band, and m
+# outside [1e8, 1e9), where log10 missed by one next to a power of ten or
+# the rounding carried into a tenth digit.
+_FLOAT_E = (-14, 30)
+_TIE_BAND = 1e-6
+_SCALE = np.arange(-22, 23)  # 8 - e for e in _FLOAT_E
+_SCALE_MUL = 10.0 ** np.maximum(_SCALE, 0)  # exact powers of ten, or 1
+_SCALE_DIV = 10.0 ** np.maximum(-_SCALE, 0)
+_FLOAT_WIDTH = 15  # -0.000123456789, -1.23456789e+30
+# a cell's source: 16 constant bytes, then the digits after the first,
+# then the first; the layouts index its bytes
+_CONSTANTS = b"0123456789.e+-\0\0"
+_SOURCE_WORDS = np.frombuffer(_CONSTANTS, "<u8")
+
+
+def _float_layouts() -> np.ndarray:
+    """Per (e, digits kept, sign) key, a cell's bytes as indices into its
+    source.  Built from Python's own %.9g of a value whose digits name
+    their places."""
+    lo, hi = _FLOAT_E
+    digit_at = [24] + list(range(16, 24))  # the first digit is byte 24
+    table = np.full(((hi - lo + 1) * 9 * 2, _FLOAT_WIDTH), _CONSTANTS.index(b"\0"), np.intp)
+    for e in range(lo, hi + 1):
+        for kept in range(1, 10):
+            text = "%.9g" % float(f"{'123456789'[:kept]}e{e - kept + 1}")
+            mantissa = len(text.partition("e")[0])
+            for neg in (0, 1):
+                row = table[((e - lo) * 9 + kept - 1) * 2 + neg]
+                for i, ch in enumerate("-" * neg + text):
+                    if ch in "123456789" and i < mantissa + neg:
+                        row[i] = digit_at[int(ch) - 1]
+                    else:
+                        row[i] = _CONSTANTS.index(ch.encode())
+    return table
+
+
+_FLOAT_LAYOUTS = _float_layouts()
+
+
+def _float_cells(x: np.ndarray) -> np.ndarray:
+    """``'%.9g' % v`` cells of float64 ``x``."""
+    lo, hi = _FLOAT_E
+    ax = np.abs(x)
+    ok = np.isfinite(ax) & (ax > 0)
+    ax[~ok] = 1.0
+    e = np.floor(np.log10(ax)).astype(np.intp)
+    i = np.clip(8 - e - _SCALE[0], 0, len(_SCALE) - 1)  # 8 - e's place in _SCALE
+    scaled = ax * _SCALE_MUL[i] / _SCALE_DIV[i]  # one rounding: one factor is 1
+    m = np.rint(scaled)
+    ok &= (e >= lo) & (e <= hi) & (scaled >= 1e8) & (m < 1e9)
+    ok &= np.abs(scaled - np.floor(scaled) - 0.5) >= _TIE_BAND
+    m[~ok] = 1e8
+    lead = np.floor(m / 1e8)
+    rest = _swar8((m - lead * 1e8).astype(np.uint64))
+    source = np.empty((len(x), 4), "<u8")
+    source[:, :2] = _SOURCE_WORDS
+    source[:, 2] = rest + _ASCII_ZEROS
+    source[:, 3] = lead + ord("0")
+    # digits kept: the first, and the rest up to the last nonzero byte
+    kept = 1 + np.searchsorted(_BYTE_STEPS, rest, side="right")
+    key = ((np.where(ok, e, lo) - lo) * 9 + kept - 1) * 2 + (x < 0)
+    at = np.take(_FLOAT_LAYOUTS, key, axis=0)
+    at += np.arange(0, source.nbytes, source.itemsize * 4)[:, None]
+    cells = np.take(source.view(np.uint8).ravel(), at)
+    rows = np.flatnonzero(~ok)
+    return _patched(cells, rows, ["%.9g" % v for v in x[rows].tolist()])
 
 
 def _format_runs(block: list[np.ndarray], fmts: list[str]) -> str | None:

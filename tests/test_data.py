@@ -1,6 +1,7 @@
 import csv
 import io
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -198,7 +199,9 @@ _COLUMN_KINDS = {
     "float64": (np.float64, st.floats()),
     "float32": (np.float32, st.floats(width=32)),
     "int64": (np.int64, st.one_of(st.integers(-2**63, 2**63 - 1),
-                                  st.sampled_from([0, 1, -1, 2**62, -2**62]))),
+                                  st.sampled_from([0, 1, -1, 2**62, -2**62, -2**63]))),
+    "uint64": (np.uint64, st.one_of(st.integers(0, 2**64 - 1),
+                                    st.sampled_from([0, 10**16 - 1, 10**16, 2**63, 2**64 - 1]))),
     "uint8": (np.uint8, st.integers(0, 255)),
     "bool": (np.bool_, st.booleans()),
     # a lone empty cell would need quoting, which write_csv does not do
@@ -227,15 +230,71 @@ def _mixed_columns(draw):
 @example(columns=[np.arange(3)], block=40)  # a counter alone
 def test_csv_bytes_match_per_row_writer_mixed_columns(tmp_path_factory, columns, block):
     """write_csv writes the per-row bytes for the column kinds viz-decode
-    writes (str, int64 out to +-2**62, float32) and for bool and uint8,
-    mixed with float64, in rows that repeat in runs or not, at any block
-    size."""
+    writes (str, int64, float32) and for bool, uint8 and uint64, mixed
+    with float64, in rows that repeat in runs or not, at any block size;
+    the integers over their dtypes' whole ranges."""
     header = [f"c{j}" for j in range(len(columns))]
     path = tmp_path_factory.mktemp("mixed")
     with mock.patch.object(data, "_BLOCK_ROWS", block):
         data.write_csv(path / "got.csv", header, columns)
     _per_cell_csv_writer(path / "want.csv", header, columns)
     assert (path / "got.csv").read_bytes() == (path / "want.csv").read_bytes()
+
+
+def _both_signs(*values):
+    return np.array(values + tuple(-v for v in values))
+
+
+_EDGE_COLUMNS = {
+    # 1.001953125 * 10**n is exact in binary and ties at the 9th digit
+    "binary-ties": [_both_signs(*(513 / 512 * 10.0**n for n in range(16)))],
+    # within 1e-6 of a half once scaled; the last three scale to exactly a
+    # half, which rint would round the wrong way
+    "near-ties": [_both_signs(1.000000005, 56379.30045, 0.1485376315, 0.001438819395)],
+    "carries": [_both_signs(9.9999999995e-05, 99999999.95, 999999999.5, 9.99999999996e29)],
+    "layout-switch": [_both_signs(1e-05, 1e-04, 1e8, 1e9, 9.99999999e-5, 123456789.0)],
+    "3-digit-exponents": [_both_signs(1e100, 2.5e-150, 1.7976931348623157e308, 1e-300)],
+    "specials": [np.array([5e-324, -5e-324, 0.0, -0.0, np.nan, np.inf, -np.inf])],
+    "float32-max": [np.array([np.finfo(np.float32).max, -np.finfo(np.float32).tiny],
+                             dtype=np.float32)],
+    "ints": [np.array([-2**63, 2**63 - 1, -10**16, 10**16 - 1, -1, 0]),
+             np.array([2**64 - 1, 10**16, 10**16 - 1, 0, 1, 9], dtype=np.uint64)],
+}
+
+
+@pytest.mark.parametrize("columns", list(_EDGE_COLUMNS.values()), ids=list(_EDGE_COLUMNS))
+def test_csv_bytes_match_per_cell_writer_at_edge_cells(tmp_path, columns):
+    """Cells at the edges of write_csv's %.9g and int kernels: ties and
+    near-ties of the 9th digit, rounding that carries into a new digit or
+    a new layout, exponents beyond the kernel's range, zeros, non-finite
+    values and integers at their dtypes' ends.  Nothing warns."""
+    header = [f"c{j}" for j in range(len(columns))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        data.write_csv(tmp_path / "got.csv", header, columns)
+    _per_cell_csv_writer(tmp_path / "want.csv", header, columns)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_write_csv_rejects_a_str_cell_with_nul_naming_the_column(tmp_path):
+    path = tmp_path / "views.csv"
+    columns = [np.arange(3), np.array(["input", "re\0con", "view1"])]
+    with pytest.raises(ValueError) as err:
+        data.write_csv(path, ["t", "view"], columns)
+    assert str(err.value) == f"{path}: column 'view' holds a NUL character"
+    assert not path.exists()
+
+
+def test_save_csv_peak_memory_on_a_long_series(tmp_path):
+    """Blocks bound the writer's memory, whatever the series' length."""
+    series = inject_sine_anomalies(synth_normal(3, 200_000, seed=0), InjectionSpec(seed=0))
+    tracemalloc.start()
+    try:
+        save_csv(tmp_path / "long.csv", series)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 10**6, peak
 
 
 _CLEAN_CELLS = st.one_of(

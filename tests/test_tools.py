@@ -90,13 +90,13 @@ def test_recipe_csv_without_labels(recipe_bytes, tmp_path):
 
 
 @pytest.mark.parametrize("frames", [230 * 72 + 50, 201 * 72, 101 * 72 + 71, 300 * 72 + 71])
-def test_recipe_tail_prefix_leaves_one_step_in_the_last_chunk(recipe_bytes, tmp_path,
-                                                              monkeypatch, frames):
-    monkeypatch.setattr(sys, "path", list(sys.path))  # the helper puts src on it
+def test_recipe_tail_prefix_leaves_one_step_in_the_last_chunk(recipe_bytes, tmp_path, frames):
     cfg, source, tail = small_config(), tmp_path / "test.csv", tmp_path / "tail.csv"
     lines = ["a\n"] + [f"{t}\n" for t in range(frames)]
     source.write_text("".join(lines))
+    path = list(sys.path)
     recipe_bytes.one_step_tail_prefix(source, tail)
+    assert sys.path == path  # the helper imports lnt from src and leaves the path as it was
     kept = tail.read_text().splitlines(keepends=True)
     assert kept == lines[: len(kept)]
     steps = cfg.latent_len(len(kept) - 1)

@@ -49,9 +49,13 @@ def without_seconds(path: str) -> bytes:
 def one_step_tail_prefix(test_csv: str, out_csv: str) -> None:
     """The longest prefix of ``test_csv`` whose `small`-config latent steps
     leave one step in the last scoring chunk."""
+    path = list(sys.path)
     sys.path.insert(0, SRC)
-    from lnt.model import small_config
-    from lnt.scoring import CHUNK_STEPS
+    try:
+        from lnt.model import small_config
+        from lnt.scoring import CHUNK_STEPS
+    finally:
+        sys.path[:] = path
 
     cfg = small_config()
     with open(test_csv) as fh:
