@@ -396,7 +396,10 @@ def cmd_eval(args) -> int:
     scores, labels = load_scores_csv(args.scores)
     if labels is None:
         raise ValueError(f"{args.scores} has no label column; cannot evaluate")
-    result = best_f1(scores, labels)
+    try:
+        result = best_f1(scores, labels)
+    except ValueError as err:
+        raise ValueError(f"{args.scores}: {err}") from None
     with open(args.out, "w") as fh:
         fh.write(result_csv(result))
     sys.stdout.write(result_text(result))

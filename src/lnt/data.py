@@ -112,8 +112,7 @@ def write_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
     Float columns print as %.9g, so reruns are byte-identical; other
     columns print as ``str`` and must need no CSV quoting.  Lines end in
     ``\\r\\n`` like ``csv.writer``'s, which writes the header.  Rows are
-    formatted a block at a time, by :func:`_format_runs` where a block's
-    rows repeat and as fixed-width byte cells otherwise (:func:`_cells`),
+    written a block at a time, as fixed-width byte cells (:func:`_cells`)
     in which a NUL byte prints nothing.  So a str cell may not hold NUL:
     a column with one is rejected, naming it, before the file is opened.
     """
@@ -121,18 +120,12 @@ def write_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
     for name, c in zip(header, columns):
         if c.dtype.kind not in "biuf" and any("\0" in str(v) for v in c.tolist()):
             raise ValueError(f"{path}: column {name!r} holds a NUL character")
-    fmts = ["%.9g" if c.dtype.kind == "f" else "%s" for c in columns]
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
         fh.flush()
         for start in range(0, len(columns[0]), _BLOCK_ROWS):
-            block = [c[start : start + _BLOCK_ROWS] for c in columns]
-            text = _format_runs(block, fmts)
-            if text is not None:
-                fh.buffer.write(text.encode(fh.encoding))
-                continue
-            cells = [_cells(c, fh.encoding) for c in block]
-            rows = np.empty((len(block[0]), sum(c.shape[1] + 1 for c in cells) + 1), np.uint8)
+            cells = [_cells(c[start : start + _BLOCK_ROWS], fh.encoding) for c in columns]
+            rows = np.empty((len(cells[0]), sum(c.shape[1] + 1 for c in cells) + 1), np.uint8)
             at = 0
             for c in cells:
                 rows[:, at : at + c.shape[1]] = c
@@ -145,15 +138,18 @@ def write_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
 
 def _cells(c: np.ndarray, encoding: str) -> np.ndarray:
     """(rows, width) uint8 cells of one column, printed as ``write_csv``
-    prints them; NUL bytes pad each cell and print nothing."""
+    prints them; NUL bytes pad each cell and print nothing.  A numeric
+    column whose values repeat in runs is formatted once per run."""
     kind = c.dtype.kind
+    if kind not in "iuf":
+        return _text_cells([str(v) for v in c.tolist()], encoding)
+    bits = c.view(f"u{c.itemsize}")  # tells -0.0 from 0.0, and NaN payloads apart
+    heads = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+    if 2 * len(heads) <= len(c):  # runs average two rows or more
+        return np.repeat(_cells(c[heads], encoding), np.diff(heads, append=len(c)), axis=0)
     if kind == "f":
         return _float_cells(c.astype(np.float64, copy=False))
-    if kind in "iu":
-        return _int_cells(c)
-    if kind == "b":
-        return _BOOL_CELLS[c.view(np.uint8)]
-    return _text_cells([str(v) for v in c.tolist()], encoding)
+    return _int_cells(c)
 
 
 def _text_cells(texts: list[str], encoding: str) -> np.ndarray:
@@ -174,8 +170,6 @@ def _patched(cells: np.ndarray, rows: np.ndarray, texts: list[str]) -> np.ndarra
     cells[rows, : text.shape[1]] = text
     return cells
 
-
-_BOOL_CELLS = np.frombuffer(b"False" b"True\0", np.uint8).reshape(2, 5)
 
 # SWAR ("SIMD within a register"): a uint64 holds a value's decimal digits
 # in lanes, which one multiply and shift divide at once
@@ -201,35 +195,18 @@ def _ascii(words: np.ndarray) -> np.ndarray:
     return (words + _ASCII_ZEROS).astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
 
 
-_INT_DIGITS = 16  # |v| below 10**16 prints through two _swar8 words
-_POW10_INT = np.array([10**k for k in range(1, _INT_DIGITS)], dtype=np.uint64)
+_POW10_INT = 10 ** np.arange(1, 8, dtype=np.uint64)  # 10, ..., 10**7
 
 
 def _int_cells(c: np.ndarray) -> np.ndarray:
-    """``str(int(v))`` cells; Python prints |v| >= 10**16."""
-    if c.dtype.kind == "u":
-        neg, mag = None, c.astype(np.uint64)
-    else:
-        c = c.astype(np.int64, copy=False)
-        # the two's complement magnitude, exact down to -2**63
-        neg, mag = c < 0, c.view(np.uint64)
-        mag = np.where(neg, -mag, mag)
-    big = mag >= _U(10**_INT_DIGITS)
-    if big.any():
-        mag = np.where(big, _U(0), mag)
-    width = np.searchsorted(_POW10_INT, mag, side="right") + 1
+    """``str(int(v))`` cells; Python prints v outside [0, 10**8)."""
+    u = c.astype(np.uint64)  # a negative v wraps past 10**8
+    big = u >= _U(10**8)
+    u[big] = 0
+    width = np.searchsorted(_POW10_INT, u, side="right") + 1
     widest = width.max()
-    if widest <= 8:
-        digits = _ascii(_swar8(mag))
-    else:
-        hi = mag // _U(10**8)
-        digits = np.concatenate([_ascii(_swar8(hi)), _ascii(_swar8(mag - hi * _U(10**8)))],
-                                axis=1)
-    cells = digits[:, digits.shape[1] - widest :]
+    cells = _ascii(_swar8(u))[:, 8 - widest :]
     cells[np.arange(widest) < widest - width[:, None]] = 0  # leading zeros print nothing
-    if neg is not None and neg.any():
-        cells = np.concatenate([np.where(neg, ord("-"), 0).astype(np.uint8)[:, None], cells],
-                               axis=1)
     rows = np.flatnonzero(big)
     return _patched(cells, rows, [str(v) for v in c[rows].tolist()])
 
@@ -305,40 +282,6 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     cells = np.take(source.view(np.uint8).ravel(), at)
     rows = np.flatnonzero(~ok)
     return _patched(cells, rows, ["%.9g" % v for v in x[rows].tolist()])
-
-
-def _format_runs(block: list[np.ndarray], fmts: list[str]) -> str | None:
-    """A block's rows formatted once per run, or None when runs are too
-    short to pay.
-
-    A run is a stretch of consecutive rows whose cells are bitwise equal,
-    apart from an integer column that counts up by one per row (a score
-    CSV's index): a score CSV repeats each latent step's score r times.
-    Each run's row template is formatted once, with the counter's cell
-    left as ``%d``, and one ``%`` over the whole block fills the counter in.
-    """
-    rows = len(block[0])
-    if rows < 2 or len(block) < 2 or any(c.dtype.kind not in "biuf" for c in block):
-        return None
-    # the ends as Python ints: in the column's dtype a wrapping column passes
-    counter = next((i for i, c in enumerate(block) if c.dtype.kind in "iu"
-                    and int(c[-1]) - int(c[0]) == rows - 1 and (np.diff(c) == 1).all()), None)
-    same = np.ones(rows - 1, dtype=bool)
-    for i, c in enumerate(block):
-        if i != counter:
-            bits = c.view(f"u{c.itemsize}")  # tells -0.0 from 0.0
-            same &= bits[1:] == bits[:-1]
-            if 2 * (rows - np.count_nonzero(same)) > rows:  # runs > rows / 2
-                return None
-    starts = np.concatenate([[0], np.flatnonzero(~same) + 1])
-    lengths = np.diff(np.append(starts, rows)).tolist()
-    template = ",".join("%%d" if i == counter else f for i, f in enumerate(fmts)) + "\r\n"
-    heads = zip(*(c[starts].tolist() for i, c in enumerate(block) if i != counter))
-    text = "".join(template % cells * n for cells, n in zip(heads, lengths))
-    if counter is None:
-        return text
-    first = int(block[counter][0])
-    return text % tuple(range(first, first + rows))
 
 
 def read_csv(

@@ -712,7 +712,8 @@ _REJECTED_CALLS = {
         "{in}/m.lntc: norm.std holds [0.0, 0.0], a kept channel's <= 1e-12"),
     "eval-single-class": ("eval", {"--scores": ("flat.csv", "index,score,label\n" + "".join(
                               f"{i},{i * 0.1:.9g},0\n" for i in range(10)))},
-                          "all 10 points are labeled normal; metrics need both classes"),
+                          "{in}/flat.csv: all 10 points are labeled normal; "
+                          "metrics need both classes"),
     **{f"eval-bad-{case}": ("eval", {"--scores": ("s.csv", f"index,score,label\n0,1.0,1\n{row}\n"
                                                            "2,0.5,0\n")},
                             f"{{in}}/s.csv: row 3 has {error}")
@@ -744,8 +745,8 @@ def test_rejected_call_exits_1_with_one_error_line(workspace, tmp_path, capsys,
     traceback, numpy's divide warning, or not at all; a CSV whose every
     channel is constant as `in_channels must be >= 1, got 0`; data too
     short or with other channels than the model's as a window or stats
-    error naming neither file; and `--window -1` only after both files
-    were read."""
+    error naming neither file; `eval` on single-class labels naming no
+    file; and `--window -1` only after both files were read."""
     where = {"in": tmp_path / "in", "out": tmp_path / "out"}
     for folder in where.values():
         folder.mkdir()

@@ -23,6 +23,7 @@ from lnt.data import (
     synth_normal,
     window,
 )
+from lnt.scoring import ScoreSeries, broadcast_scores, save_scores_csv
 
 
 def label_runs(labels):
@@ -224,10 +225,11 @@ def _mixed_columns(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(columns=_mixed_columns(), block=st.integers(1, 40))
-# integer columns that count up by one per row only modulo their dtype
+# integer columns at their dtypes' ends, through the int kernel and past
+# it, and an int column alone
 @example(columns=[np.r_[250:256, 0:4].astype(np.uint8), np.zeros(10)], block=40)
 @example(columns=[np.array([2**63 - 1, -2**63]), np.zeros(2)], block=40)
-@example(columns=[np.arange(3)], block=40)  # a counter alone
+@example(columns=[np.arange(3)], block=40)
 def test_csv_bytes_match_per_row_writer_mixed_columns(tmp_path_factory, columns, block):
     """write_csv writes the per-row bytes for the column kinds viz-decode
     writes (str, int64, float32) and for bool, uint8 and uint64, mixed
@@ -259,6 +261,11 @@ _EDGE_COLUMNS = {
                              dtype=np.float32)],
     "ints": [np.array([-2**63, 2**63 - 1, -10**16, 10**16 - 1, -1, 0]),
              np.array([2**64 - 1, 10**16, 10**16 - 1, 0, 1, 9], dtype=np.uint64)],
+    # the int kernel prints 0 <= v < 10**8; Python prints the rest
+    "int-kernel-ends": [np.array([0, 1, 99_999_999, 100_000_000, -1]),
+                        np.array([255, 0, 255, 1, 9], dtype=np.uint8),
+                        np.array([10**8, 0, 10**8 - 1, 10**8, 7], dtype=np.uint64)],
+    "bools": [np.array([True, False, False, True, True])],
 }
 
 
@@ -267,7 +274,8 @@ def test_csv_bytes_match_per_cell_writer_at_edge_cells(tmp_path, columns):
     """Cells at the edges of write_csv's %.9g and int kernels: ties and
     near-ties of the 9th digit, rounding that carries into a new digit or
     a new layout, exponents beyond the kernel's range, zeros, non-finite
-    values and integers at their dtypes' ends.  Nothing warns."""
+    values, integers at their dtypes' ends and at the int kernel's, and
+    bools.  Nothing warns."""
     header = [f"c{j}" for j in range(len(columns))]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -286,15 +294,23 @@ def test_write_csv_rejects_a_str_cell_with_nul_naming_the_column(tmp_path):
 
 
 def test_save_csv_peak_memory_on_a_long_series(tmp_path):
-    """Blocks bound the writer's memory, whatever the series' length."""
+    """Blocks bound the writer's memory, whatever the series' length: a
+    200 k-row labelled series, and a 200 k-row labelled score CSV whose
+    runs of r = 72 equal scores are formatted once each.  A whole file as
+    one string would be about 5 MB either way."""
     series = inject_sine_anomalies(synth_normal(3, 200_000, seed=0), InjectionSpec(seed=0))
-    tracemalloc.start()
-    try:
-        save_csv(tmp_path / "long.csv", series)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 5 * 10**6, peak
+    latent = np.random.default_rng(0).uniform(2.0, 4.0, 200_000 // 72)
+    scores = ScoreSeries(broadcast_scores(latent, 72, 200_000), latent)
+    writes = {"series": (lambda path: save_csv(path, series), 5 * 10**6),
+              "scores": (lambda path: save_scores_csv(path, scores, series.labels), 3 * 10**6)}
+    for name, (write, bound) in writes.items():
+        tracemalloc.start()
+        try:
+            write(tmp_path / f"{name}.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (name, peak)
 
 
 _CLEAN_CELLS = st.one_of(

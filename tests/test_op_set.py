@@ -6,7 +6,8 @@ an op; each must be called by another ``src/lnt`` module, through the
 ``tensor`` module alias (``tn.<name>``) or a name imported from it.  An op
 that only tests or ``tensor.py`` itself call belongs in ``tests/helpers.py``.
 Likewise a top-level ``_``-prefixed function must be referenced in
-``src/lnt`` outside its own definition.  The sources are parsed, not
+``src/lnt`` outside its own definition, and a top-level ``_``-prefixed
+constant read outside its own assignment.  The sources are parsed, not
 imported.
 """
 
@@ -56,7 +57,19 @@ def test_every_recording_op_has_a_caller_in_src():
 def _names(node: ast.AST) -> set[str]:
     """Every name and attribute ``node`` reads."""
     return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
-            if isinstance(n, (ast.Name, ast.Attribute))}
+            if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)}
+
+
+def _private_constants(node: ast.stmt) -> set[str]:
+    """The ``_``-prefixed (not dunder) names a top-level assignment binds."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return set()
+    return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)
+            and n.id.startswith("_") and not n.id.startswith("__")}
 
 
 def test_every_private_helper_has_a_caller_in_src():
@@ -64,9 +77,10 @@ def test_every_private_helper_has_a_caller_in_src():
     for path in SRC.glob("*.py"):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
-                helpers.add(node.name)
-                used |= _names(node) - {node.name}
+                own = {node.name}
             else:
-                used |= _names(node)
+                own = _private_constants(node)
+            helpers |= own
+            used |= _names(node) - own
     unused = sorted(helpers - used)
-    assert not unused, f"private functions with no caller in src/lnt: {unused}"
+    assert not unused, f"private functions and constants with no reader in src/lnt: {unused}"
