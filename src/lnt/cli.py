@@ -245,15 +245,26 @@ def _check_frames(data, series: LabeledSeries, need: int, model: str, why: str) 
 
 
 def _check_outputs(args, *flags: str) -> None:
-    """Fail before any work when an output flag's path is a directory or
-    its directory is missing, so a run never stops at its first write."""
+    """Fail before any work when an output flag's path is a directory, its
+    directory is missing, or it names an input flag's existing file (a
+    ``--config`` file included) or an earlier output flag's, so a run
+    never stops at its first write and never writes over a file it reads
+    or writes."""
+    named = {os.path.realpath(path): f"--{flag}"
+             for flag in ("data", "model", "scores", "config")
+             if (path := getattr(args, flag, None)) and os.path.isfile(path)}
     for flag in flags:
         path = getattr(args, flag.replace("-", "_"))
-        folder = path and os.path.dirname(path)
+        if not path:
+            continue
+        folder = os.path.dirname(path)
         if folder and not os.path.isdir(folder):
             raise ValueError(f"--{flag}: directory {folder!r} does not exist")
-        if path and os.path.isdir(path):
+        if os.path.isdir(path):
             raise ValueError(f"--{flag}: {path!r} is a directory")
+        other = named.setdefault(os.path.realpath(path), f"--{flag}")
+        if other != f"--{flag}":
+            raise ValueError(f"--{flag} and {other} both name {path!r}")
 
 
 # ---------------------------------------------------------------------------

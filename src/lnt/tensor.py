@@ -505,11 +505,7 @@ def block_matmul(a: Tensor, b: Tensor, sizes: Sequence[int]) -> Tensor:
 
     def vjp(g):
         da = np.empty(ad.shape, dtype=_state.dtype)
-        if stacked:
-            fill = np.empty if len(blocks) == bd.shape[0] else np.zeros
-            db = fill(bd.shape, dtype=_state.dtype)
-        else:
-            db = []
+        db = np.zeros(bd.shape, dtype=_state.dtype) if stacked else []
         for i, (rows, mat) in enumerate(zip(blocks, mats)):
             da[rows] = g[rows] @ mat.T
             if stacked:
@@ -774,9 +770,11 @@ def gru(x: Tensor, h0: Tensor, u_ru: Tensor, u_n: Tensor, b_ru: Tensor, b_n: Ten
         h  = u * h + (1 - u) * n
 
     with the operands and evaluation order the step had as separate tape
-    primitives, and the VJP runs back-propagation through time in the
-    order the reverse sweep over those primitives took, so values and
-    gradients keep the bits of the composed step.  All pre-activations
+    primitives, so the values keep the composed step's bits.  The VJP is
+    textbook back-propagation through time, one reverse loop over the
+    steps; it gives the composed step's gradient bytes too, signs of zero
+    included, as ``test_gru_matches_composed_steps_bitwise`` pins at the
+    train-step and scoring-chunk shapes.  All pre-activations
     are checked once per call: sigmoid and tanh saturate, so a check of
     the states alone would let an overflow of ``h @ u_ru`` through.
     """
@@ -796,23 +794,19 @@ def gru(x: Tensor, h0: Tensor, u_ru: Tensor, u_n: Tensor, b_ru: Tensor, b_n: Ten
 
     two = 2 * hidden
     xd, urd, und, brd, bnd = x.data, u_ru.data, u_n.data, b_ru.data, b_n.data
-    # one buffer of every step's pre-activations, each step's (B, 2H) and
-    # (B, H) blocks contiguous, as the composed step's fresh arrays were
-    pre = np.empty(steps * batch * 3 * hidden, dtype=_state.dtype)
-    a_ru_all = pre[: steps * batch * two].reshape(steps, batch, two)
-    a_n_all = pre[steps * batch * two :].reshape(steps, batch, hidden)
+    pre = np.empty((steps, batch, 3 * hidden), dtype=_state.dtype)
     out = np.empty((batch, steps, hidden), dtype=_state.dtype)
     h = h0.data
     one = _state.dtype(1)
     saved = [] if _recording(x, h0, u_ru, u_n, b_ru, b_n) else None
     with np.errstate(all="ignore"):
         for t in range(steps):
-            a_ru = np.add(xd[:, t, :two], h @ urd, out=a_ru_all[t])
+            a_ru = np.add(xd[:, t, :two], h @ urd, out=pre[t, :, :two])
             a_ru += brd
             ru = _sigmoid(a_ru)
             r, u = ru[:, :hidden], ru[:, hidden:]
             rh = r * h
-            a_n = np.add(xd[:, t, two:], rh @ und, out=a_n_all[t])
+            a_n = np.add(xd[:, t, two:], rh @ und, out=pre[t, :, two:])
             a_n += bnd
             n = np.tanh(a_n)
             omu = one - u
@@ -821,50 +815,29 @@ def gru(x: Tensor, h0: Tensor, u_ru: Tensor, u_n: Tensor, b_ru: Tensor, b_n: Ten
                 saved.append((h, ru, rh, n, omu))
             h = h_next
     _check_finite(pre, "gru")
-    need_dh0 = _recording(h0)
 
     def vjp(g):
-        # the sweep built the x_t and ru gradients in zeroed buffers, one
-        # region assigned and the other added (0 + v), and summed each
-        # weight's terms from the last step back; doing the same keeps
-        # every bit, down to the sign of a zero
-        dx = np.zeros((batch, steps, 3 * hidden), dtype=_state.dtype)
-        du_ru = du_n = db_ru = db_n = None
-        dh = None  # gradient of step t's state from step t + 1
+        dx = np.empty((batch, steps, 3 * hidden), dtype=_state.dtype)
+        du_ru, du_n = np.zeros_like(urd), np.zeros_like(und)
+        db_ru, db_n = np.zeros_like(brd), np.zeros_like(bnd)
+        dh = np.zeros((batch, hidden), dtype=_state.dtype)  # from step t + 1
         for t in range(steps - 1, -1, -1):
             h_prev, ru, rh, n, omu = saved[t]
-            r, u = ru[:, :hidden], ru[:, hidden:]
-            if dh is None:
-                gh = g[:, t]
-            else:
-                dh += g[:, t]
-                gh = dh
+            gh = dh + g[:, t]
             du = -(gh * n)
             du += gh * h_prev
-            d_n = gh * omu
-            da_n = d_n * (1.0 - n * n)
+            da_n = gh * omu * (1.0 - n * n)
             d_rh = da_n @ und.T
-            d_r = d_rh * h_prev
-            dru = np.zeros((batch, two), dtype=_state.dtype)
-            dru[:, hidden:] = du
-            dru[:, :hidden] += d_r
-            da_ru = dru * ru * (1.0 - ru)
-            if t == steps - 1:
-                dx[:, t, two:] = da_n
-                du_ru, du_n = h_prev.T @ da_ru, rh.T @ da_n
-                db_ru, db_n = _unbroadcast(da_ru, brd.shape), _unbroadcast(da_n, bnd.shape)
-            else:
-                dx[:, t, two:] += da_n
-                du_ru += h_prev.T @ da_ru
-                du_n += rh.T @ da_n
-                db_ru += _unbroadcast(da_ru, brd.shape)
-                db_n += _unbroadcast(da_n, bnd.shape)
-            dx[:, t, :two] += da_ru
-            dh = None
-            if t or need_dh0:
-                dh = gh * u
-                dh += d_rh * r
-                dh += da_ru @ urd.T
+            da_ru = np.concatenate([d_rh * h_prev, du], axis=1) * ru * (1.0 - ru)
+            dx[:, t, :two] = da_ru
+            dx[:, t, two:] = da_n
+            du_ru += h_prev.T @ da_ru
+            du_n += rh.T @ da_n
+            db_ru += da_ru.sum(0)
+            db_n += da_n.sum(0)
+            dh = gh * ru[:, hidden:]
+            dh += d_rh * ru[:, :hidden]
+            dh += da_ru @ urd.T
         return (dx, dh, du_ru, du_n, db_ru, db_n)
 
     return _make(out, (x, h0, u_ru, u_n, b_ru, b_n), vjp, "gru")

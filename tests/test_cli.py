@@ -571,6 +571,11 @@ def _series(frames, channels=2):
                                    for t in range(frames))
 
 
+def _copy(name):
+    """A writer of a copy of the workspace file ``name``."""
+    return lambda workspace, path: Path(path).write_bytes((workspace["root"] / name).read_bytes())
+
+
 _NORM_SHAPES = "norm.mean, norm.std and norm.keep have shapes {}; expected one (channels,) shape"
 
 # id: (subcommand, flags set on a valid call, the `error:` line).  A flag's value
@@ -728,6 +733,28 @@ _REJECTED_CALLS = {
                                            "--decoder-lr": lr},
                             f"--decoder-lr must be finite and positive, got {float(lr)}")
        for lr in ("nan", "0", "inf")},
+    # an output flag that names an input's file or another output's
+    "score-out-is-data": ("score", {"--data": ("d.csv", _copy("data/test.csv")),
+                                    "--out": "{in}/d.csv"},
+                          "--out and --data both name '{in}/d.csv'"),
+    "score-out-is-model": ("score", {"--model": ("m.lntc", _model_with()), "--out": "{in}/m.lntc"},
+                           "--out and --model both name '{in}/m.lntc'"),
+    "eval-out-is-scores": ("eval", {"--scores": ("s.csv", _copy("scores.csv")),
+                                    "--out": "{in}/s.csv"},
+                           "--out and --scores both name '{in}/s.csv'"),
+    "train-report-is-data": ("train", {"--data": ("d.csv", _copy("data/train.csv")),
+                                       "--report": "{in}/d.csv"},
+                             "--report and --data both name '{in}/d.csv'"),
+    "train-out-is-config": ("train", {"--config": ("c.cfg", TINY_CONFIG), "--out": "{in}/c.cfg"},
+                            "--out and --config both name '{in}/c.cfg'"),
+    "train-report-is-out": ("train", {"--report": "{out}/o"},
+                            "--report and --out both name '{out}/o'"),
+    "viz-decode-out-is-data": ("viz-decode", {"--data": ("d.csv", _copy("data/test.csv")),
+                                              "--out": "{out}/../in/d.csv"},
+                               "--out and --data both name '{out}/../in/d.csv'"),
+    "viz-decode-save-model-is-model": ("viz-decode", {"--model": ("m.lntc", _model_with()),
+                                                      "--save-model": "{in}/m.lntc"},
+                                       "--save-model and --model both name '{in}/m.lntc'"),
 }
 
 
@@ -746,7 +773,9 @@ def test_rejected_call_exits_1_with_one_error_line(workspace, tmp_path, capsys,
     channel is constant as `in_channels must be >= 1, got 0`; data too
     short or with other channels than the model's as a window or stats
     error naming neither file; `eval` on single-class labels naming no
-    file; and `--window -1` only after both files were read."""
+    file; `--window -1` only after both files were read; and an output
+    flag that named an input's file or another output's to write over it
+    and exit 0.  The input files keep their bytes."""
     where = {"in": tmp_path / "in", "out": tmp_path / "out"}
     for folder in where.values():
         folder.mkdir()
@@ -771,9 +800,11 @@ def test_rejected_call_exits_1_with_one_error_line(workspace, tmp_path, capsys,
                 Path(value).write_text(content)
         if value is not None:
             argv += [flag] if value is True else [flag, value.format_map(where)]
+    inputs = {path: path.read_bytes() for path in where["in"].iterdir()}
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {message.format_map(where)}\n"
     assert list(where["out"].iterdir()) == []
+    assert {path: path.read_bytes() for path in where["in"].iterdir()} == inputs
 
 
 def test_subcommand_help_exits_0(capsys):

@@ -583,8 +583,11 @@ def _context_run(run, params, z, state, rng):
 
 
 @pytest.mark.parametrize("bits", [32, 64])
-@pytest.mark.parametrize("batch", [1, 3])
-@pytest.mark.parametrize("t_z", [1, 2, 7])
+@pytest.mark.parametrize("t_z, batch", [
+    (1, 1), (1, 3), (2, 1), (2, 3), (7, 1), (7, 3),
+    (10, 32),  # a `small` train step
+    (100, 1),  # a scoring chunk
+])
 def test_gru_matches_composed_steps_bitwise(bits, batch, t_z):
     """One tn.gru record gives the contexts, final state and gradients
     (latents, carried state, the six GRU stacks) of the
