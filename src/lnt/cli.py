@@ -119,12 +119,16 @@ def parse_config_file(path) -> dict[str, str]:
 
 
 def resolve_config(spec: str | None) -> tuple[ModelConfig, dict]:
-    """--config is a builtin name or a key=value file; returns the base
-    model config plus training overrides found in the file."""
-    if spec is None:
-        return builtin_config("small"), {}
-    if not os.path.exists(spec):
-        return builtin_config(spec), {}
+    """--config is a builtin name (None for small), which a file of that
+    name does not shadow, or else a key=value file; returns the base model
+    config plus training overrides found in the file."""
+    try:
+        return builtin_config("small" if spec is None else spec), {}
+    except ValueError:
+        if os.path.isdir(spec):
+            raise ValueError(f"--config: {spec!r} is a directory") from None
+        if not os.path.exists(spec):
+            raise
     entries = parse_config_file(spec)
     model_over: dict = {}
     train_over: dict = {}
@@ -191,6 +195,9 @@ def environment() -> dict:
     }
 
 
+_MANIFEST = ".manifest.json"  # the suffix that names an output's manifest
+
+
 def write_manifest(output, args, started, *, config=None, inputs=None,
                    outputs=None, checkpoint=None) -> None:
     """``<output>.manifest.json``; it records ``seed`` and ``precision``
@@ -206,24 +213,21 @@ def write_manifest(output, args, started, *, config=None, inputs=None,
     }
     if checkpoint is not None:
         manifest["checkpoint_sha256"] = sha256_file(checkpoint)
-    with open(f"{output}.manifest.json", "w") as fh:
+    with open(f"{output}{_MANIFEST}", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def _norm_extra(stats: NormStats) -> dict:
-    return {
-        "norm.mean": stats.mean,
-        "norm.std": stats.std,
-        "norm.keep": stats.keep.astype(np.float32),
-    }
+    return {f"norm.{f.name}": getattr(stats, f.name).astype(np.float32)
+            for f in dataclasses.fields(NormStats)}
 
 
 def _norm_from_extra(extra: dict, channels: int) -> NormStats:
     """A checkpoint's stats: three (C,) arrays, keep 0 or 1, and
     ``channels`` kept channels, each with a std above CONSTANT_STD."""
     try:
-        mean, std, keep = (extra[f"norm.{name}"] for name in ("mean", "std", "keep"))
+        mean, std, keep = (extra[f"norm.{f.name}"] for f in dataclasses.fields(NormStats))
     except KeyError as missing:
         raise ValueError(f"checkpoint lacks normalization stats ({missing})") from None
     if not mean.ndim == 1 or not mean.shape == std.shape == keep.shape:
@@ -244,17 +248,18 @@ def _check_frames(data, series: LabeledSeries, need: int, model: str, why: str) 
                          f"({why})")
 
 
-def _check_outputs(args, *flags: str) -> None:
-    """Fail before any work when an output flag's path is a directory, its
-    directory is missing, or it names an input flag's existing file (a
-    ``--config`` file included) or an earlier output flag's, so a run
+def _check_outputs(args, *written: tuple[str, str | None]) -> None:
+    """Fail before any work when a path the command writes is a directory,
+    its directory is missing, or it names an input flag's existing file (a
+    ``--config`` file included) or an earlier written path's, so a run
     never stops at its first write and never writes over a file it reads
-    or writes."""
+    or writes.  ``written`` holds every (flag, path) the command writes: a
+    flag's own path, or one named after it (a manifest, the default
+    report, synth's splits), None when not written; errors name the flag."""
     named = {os.path.realpath(path): f"--{flag}"
              for flag in ("data", "model", "scores", "config")
              if (path := getattr(args, flag, None)) and os.path.isfile(path)}
-    for flag in flags:
-        path = getattr(args, flag.replace("-", "_"))
+    for flag, path in written:
         if not path:
             continue
         folder = os.path.dirname(path)
@@ -283,6 +288,13 @@ def cmd_synth(args) -> int:
     if args.anomaly_fraction > 0 and args.test_length <= TONE_FRAMES[1]:
         raise ValueError(f"--test-length must exceed the longest tone, {TONE_FRAMES[1]} frames, "
                          f"while --anomaly-fraction > 0; got {args.test_length}")
+    train_path = os.path.join(args.out_dir, "train.csv")
+    test_path = os.path.join(args.out_dir, "test.csv")
+    if os.path.isdir(args.out_dir):  # a missing one is made once the splits exist
+        _check_outputs(args, *(("out-dir", path + end) for path in (train_path, test_path)
+                               for end in ("", _MANIFEST)))
+    elif os.path.lexists(args.out_dir):
+        raise ValueError(f"--out-dir: {args.out_dir!r} is not a directory")
     seeds = np.random.default_rng(args.seed).integers(0, 2**31 - 1, size=3)
     train = synth_normal(args.channels, args.train_length, seed=int(seeds[0]))
     test = synth_normal(args.channels, args.test_length, seed=int(seeds[1]))
@@ -298,8 +310,6 @@ def cmd_synth(args) -> int:
             raise ValueError(f"--anomaly-fraction {args.anomaly_fraction} cannot be met on "
                              f"--test-length {args.test_length}: {err}") from None
     os.makedirs(args.out_dir, exist_ok=True)
-    train_path = os.path.join(args.out_dir, "train.csv")
-    test_path = os.path.join(args.out_dir, "test.csv")
     save_csv(train_path, train)
     save_csv(test_path, test)
     info = {
@@ -318,7 +328,9 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     started = time.perf_counter()
-    _check_outputs(args, "out", "report")
+    report_path = args.report or f"{args.out}.report.csv"
+    _check_outputs(args, ("out", args.out), ("report" if args.report else "out", report_path),
+                   ("out", args.out + _MANIFEST))
     base, file_over = resolve_config(args.config)
     train_cfg, stride = _train_config(args, file_over)
     series = load_csv(args.data)
@@ -344,7 +356,6 @@ def cmd_train(args) -> int:
 
     history = fit(params, windows, train_cfg, on_epoch=echo)
     save_model(args.out, params, extra=_norm_extra(stats))
-    report_path = args.report or f"{args.out}.report.csv"
     save_report_csv(report_path, history)
     write_manifest(
         args.out, args, started,
@@ -377,7 +388,7 @@ def cmd_score(args) -> int:
     started = time.perf_counter()
     if args.unnormalized and args.method != "ddcl":
         raise ValueError(f"--unnormalized applies to --method ddcl, not {args.method}")
-    _check_outputs(args, "out")
+    _check_outputs(args, ("out", args.out), ("out", args.out + _MANIFEST))
     params, _, std = _load_scoring_inputs(args)
     cfg = params.config
     _check_frames(args.data, std, cfg.receptive_field + cfg.downsample,
@@ -403,7 +414,7 @@ def cmd_score(args) -> int:
 
 def cmd_eval(args) -> int:
     started = time.perf_counter()
-    _check_outputs(args, "out")
+    _check_outputs(args, ("out", args.out), ("out", args.out + _MANIFEST))
     scores, labels = load_scores_csv(args.scores)
     if labels is None:
         raise ValueError(f"{args.scores} has no label column; cannot evaluate")
@@ -431,7 +442,8 @@ def cmd_viz_decode(args) -> int:
         raise ValueError(f"--decoder-lr must be finite and positive, got {args.decoder_lr}")
     if args.window < 0:
         raise ValueError(f"--window must be >= 0, got {args.window}")
-    _check_outputs(args, "out", "save-model")
+    _check_outputs(args, ("out", args.out), ("save-model", args.save_model),
+                   ("out", args.out + _MANIFEST))
     params, extra, std = _load_scoring_inputs(args)
     config = params.config
     _check_frames(args.data, std, config.sub_seq, f"the model {args.model}",
@@ -456,14 +468,16 @@ def cmd_viz_decode(args) -> int:
     view, channel, t = np.indices(stacked.shape).reshape(3, -1)
     write_csv(args.out, ["view", "channel", "t", "value"],
               [names[view], channel, t, stacked.ravel()])
+    outputs = {"decode": args.out}
     if args.save_model:
         save_model(args.save_model, params, extra=extra)
+        outputs["model"] = args.save_model
     write_manifest(
         args.out, args, started,
         config={"window": args.window, "groups": len(names),
                 "decoder_epochs": args.decoder_epochs},
         inputs={"model": args.model, "data": args.data},
-        outputs={"decode": args.out},
+        outputs=outputs,
         checkpoint=args.model,
     )
     return 0
@@ -499,8 +513,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test-length", type=int, default=20_000,
                    help=f"must exceed {TONE_FRAMES[1]} frames, the longest tone, "
                         f"while --anomaly-fraction > 0")
-    p.add_argument("--anomaly-fraction", type=float, default=0.10)
-    p.add_argument("--amplitude", type=float, default=0.5)
+    p.add_argument("--anomaly-fraction", type=float, default=InjectionSpec.fraction)
+    p.add_argument("--amplitude", type=float, default=InjectionSpec.amplitude)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", parents=[seed, precision], help="train a model")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -66,8 +66,8 @@ class NormStats:
     keep: np.ndarray
 
     def __post_init__(self):
-        for name in ("mean", "std", "keep"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name)))
+        for f in fields(self):
+            object.__setattr__(self, f.name, np.asarray(getattr(self, f.name)))
 
 
 def compute_stats(series: LabeledSeries) -> NormStats:

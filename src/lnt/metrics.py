@@ -107,19 +107,26 @@ def best_f1(scores, labels) -> EvalResult:
 
 
 # ---------------------------------------------------------------------------
-# report formatting
+# record tables: the eval result here, the epoch report in training
 
-def _cells(result: EvalResult, float_format: str) -> list[tuple[str, str]]:
-    """(name, text) per ``EvalResult`` field: counts whole, floats in
-    ``float_format``."""
+def _cells(record, float_format: str) -> list[tuple[str, str]]:
+    """(name, text) per field of the dataclass ``record``: counts whole,
+    floats in ``float_format``."""
     return [(f.name, str(v) if f.type == "int" else format(v, float_format))
-            for f in fields(result) for v in [getattr(result, f.name)]]
+            for f in fields(record) for v in [getattr(record, f.name)]]
+
+
+def records_csv(cls, records) -> str:
+    """A header of the dataclass ``cls``'s field names, then a line per
+    record; floats at %.9g, lines ending in ``\\n``."""
+    lines = [[f.name for f in fields(cls)]]
+    lines += [[text for _, text in _cells(r, ".9g")] for r in records]
+    return "".join(",".join(line) + "\n" for line in lines)
 
 
 def result_csv(result: EvalResult) -> str:
     """Header plus one data line; floats at %.9g."""
-    names, values = zip(*_cells(result, ".9g"))
-    return ",".join(names) + "\n" + ",".join(values) + "\n"
+    return records_csv(EvalResult, [result])
 
 
 def result_text(result: EvalResult) -> str:

@@ -7,13 +7,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import model as mdl
 from . import tensor as tn
 from .losses import unified_loss
+from .metrics import records_csv
 from .model import ModelParams
 from .tensor import Tape, Tensor, backward
 
@@ -223,12 +224,8 @@ def fit(
 
 def save_report_csv(path, stats: list[EpochStats]) -> None:
     """A column per ``EpochStats`` field, a row per epoch; floats at %.9g."""
-    columns = fields(EpochStats)
     with open(path, "w") as fh:
-        fh.write(",".join(f.name for f in columns) + "\n")
-        for s in stats:
-            fh.write(",".join(str(v) if f.type == "int" else f"{v:.9g}"
-                              for f in columns for v in [getattr(s, f.name)]) + "\n")
+        fh.write(records_csv(EpochStats, stats))
 
 
 def fit_decoder(
@@ -246,11 +243,8 @@ def fit_decoder(
     """
     if params.decoder is None:
         raise ValueError("model has no decoder; call init_decoder first")
-    decoder = {
-        n: t for n, t in params.named_parameters().items()
-        if n.startswith("decoder.")
-    }
-    adam = Adam(decoder, lr)
+    joint = trainable_parameters(params)
+    adam = Adam({n: t for n, t in params.named_parameters().items() if n not in joint}, lr)
 
     def make_loss(data):
         latents = np.concatenate(

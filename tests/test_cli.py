@@ -6,6 +6,7 @@ import io
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 import warnings
@@ -534,6 +535,52 @@ def test_output_in_missing_directory_fails_before_any_work(workspace, tmp_path, 
     assert [p.name for p in tmp_path.rglob("*")] == (["dir"] if is_dir else [])
 
 
+# valid calls that write into {out}; the other fields are the workspace's
+_WRITING_CALLS = {
+    "synth": ["synth", "--out-dir", "{out}", "--channels", "1", "--train-length", "600",
+              "--test-length", "6000"],
+    "train": ["train", "--data", "{data}/train.csv", "--config", "{cfg}", "--epochs", "1",
+              "--out", "{out}/m.lntc"],
+    "train-report": ["train", "--data", "{data}/train.csv", "--config", "{cfg}", "--epochs", "1",
+                     "--out", "{out}/m.lntc", "--report", "{out}/r.csv"],
+    "score": ["score", "--model", "{model}", "--data", "{data}/test.csv", "--out", "{out}/s.csv"],
+    "eval": ["eval", "--scores", "{scores}", "--out", "{out}/e.csv"],
+    "viz-decode-save-model": ["viz-decode", "--model", "{model}", "--data", "{data}/test.csv",
+                              "--decoder-epochs", "1", "--out", "{out}/v.csv",
+                              "--save-model", "{out}/d.lntc"],
+}
+
+
+@pytest.mark.parametrize("call", list(_WRITING_CALLS.values()), ids=list(_WRITING_CALLS))
+def test_every_written_path_is_checked_before_any_read(workspace, tmp_path, capsys, call):
+    """Every file a valid call writes is a manifest or listed in its
+    manifests' outputs.  Each of them, made a directory before the same
+    call, fails it before any read: one `error:` line that names a flag,
+    and that directory is all there is.  The default report, the manifests
+    and synth's splits used to be checked only when written, after the
+    work, and viz-decode's manifest did not list --save-model."""
+    def run(folder):
+        return main([arg.format(out=folder, **workspace) for arg in call])
+
+    first = tmp_path / "first"
+    first.mkdir()
+    assert run(first) == 0
+    written = sorted(path.relative_to(first) for path in first.rglob("*"))
+    manifests = {path for path in written if path.name.endswith(".manifest.json")}
+    listed = {Path(output) for manifest in manifests
+              for output in json.loads((first / manifest).read_text())["outputs"].values()}
+    assert listed == {first / path for path in written if path not in manifests}
+    for i, path in enumerate(written):
+        again = tmp_path / f"again{i}"
+        (again / path).mkdir(parents=True)
+        capsys.readouterr()
+        assert run(again) == 1, path
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"error: --[a-z-]+: {re.escape(repr(str(again / path)))} "
+                            r"is a directory\n", err), err
+        assert list(again.rglob("*")) == [again / path]
+
+
 @pytest.mark.parametrize("command", ["synth", "train", "viz-decode"])
 def test_negative_seed_fails_naming_the_flag_and_writes_nothing(workspace, tmp_path, capsys,
                                                                 command):
@@ -576,13 +623,20 @@ def _copy(name):
     return lambda workspace, path: Path(path).write_bytes((workspace["root"] / name).read_bytes())
 
 
+def _directory(workspace, path):
+    """A writer of an empty directory."""
+    os.mkdir(path)
+
+
 _NORM_SHAPES = "norm.mean, norm.std and norm.keep have shapes {}; expected one (channels,) shape"
 
 # id: (subcommand, flags set on a valid call, the `error:` line).  A flag's value
 # None drops it, True passes it bare, and a (name, text or writer) pair is an input
 # file the row writes first (a writer takes the workspace and the path); {in} and
-# {out} stand for the inputs' and the outputs' folders.  An input that does not
-# exist checks that the flag is rejected before any file is read.
+# {out} stand for the inputs' and the outputs' folders.  A key that is not a flag
+# is a file the row writes into {in}, the working directory, from its text or
+# writer.  An input that does not exist checks that the flag is rejected before
+# any file is read.
 _REJECTED_CALLS = {
     "unknown-flag": ("score", {"--bogus": "1"}, "unrecognized arguments: --bogus 1"),
     "config-on-synth": ("synth", {"--config": "small"}, "unrecognized arguments: --config small"),
@@ -642,6 +696,17 @@ _REJECTED_CALLS = {
     "negative-seed": ("train", {"--seed": "-1"}, "--seed must be >= 0, got -1"),
     "unknown-config": ("train", {"--config": "enormous"},
                        "unknown config 'enormous' (choose from ['audio', 'small'])"),
+    # a builtin name selects the builtin, whatever the working directory holds
+    "config-audio-beside-a-file-audio": ("train", {"--config": "audio", "audio": "lr = 1e-3\n",
+                                                   "--data": ("t.csv", _copy("data/train.csv"))},
+                                         "{in}/t.csv has 4000 frames; the config audio needs at "
+                                         "least 20480 (one sub_seq window)"),
+    "config-small-beside-a-directory-small": ("train", {"--config": "small", "small": _directory,
+                                                        "--data": ("short.csv", _series(49))},
+                                              "{in}/short.csv has 49 frames; the config small "
+                                              "needs at least 720 (one sub_seq window)"),
+    "config-is-a-directory": ("train", {"--config": ("cfg", _directory)},
+                              "--config: '{in}/cfg' is a directory"),
     "lr-nan": ("train", {"--data": "no_such.csv", "--lr": "nan"},
                "lr must be finite and positive, got nan"),
     "lr-inf": ("train", {"--data": "no_such.csv", "--lr": "inf"},
@@ -749,6 +814,14 @@ _REJECTED_CALLS = {
                             "--out and --config both name '{in}/c.cfg'"),
     "train-report-is-out": ("train", {"--report": "{out}/o"},
                             "--report and --out both name '{out}/o'"),
+    "train-default-report-is-data": ("train", {"--data": ("o.report.csv", _copy("data/train.csv")),
+                                               "--out": "{in}/o"},
+                                     "--out and --data both name '{in}/o.report.csv'"),
+    "score-manifest-is-data": ("score", {"--data": ("o.manifest.json", _copy("data/test.csv")),
+                                         "--out": "{in}/o"},
+                               "--out and --data both name '{in}/o.manifest.json'"),
+    "synth-out-dir-is-a-file": ("synth", {**_SMALL_SYNTH, "--out-dir": ("f", "")},
+                                "--out-dir: '{in}/f' is not a directory"),
     "viz-decode-out-is-data": ("viz-decode", {"--data": ("d.csv", _copy("data/test.csv")),
                                               "--out": "{out}/../in/d.csv"},
                                "--out and --data both name '{out}/../in/d.csv'"),
@@ -760,7 +833,7 @@ _REJECTED_CALLS = {
 
 @pytest.mark.parametrize("command, change, message", list(_REJECTED_CALLS.values()),
                          ids=list(_REJECTED_CALLS))
-def test_rejected_call_exits_1_with_one_error_line(workspace, tmp_path, capsys,
+def test_rejected_call_exits_1_with_one_error_line(workspace, tmp_path, capsys, monkeypatch,
                                                    command, change, message):
     """Every rejected call exits 1 with one `error:` line naming its bad
     input, and writes nothing.  A usage error used to print the usage text
@@ -775,10 +848,14 @@ def test_rejected_call_exits_1_with_one_error_line(workspace, tmp_path, capsys,
     error naming neither file; `eval` on single-class labels naming no
     file; `--window -1` only after both files were read; and an output
     flag that named an input's file or another output's to write over it
-    and exit 0.  The input files keep their bytes."""
+    and exit 0 (the default report and a manifest, whose paths derive from
+    --out, too); a builtin --config name to read a file of that name in the
+    working directory; and a --config directory or a --out-dir file to
+    fail naming no flag.  The input files keep their bytes."""
     where = {"in": tmp_path / "in", "out": tmp_path / "out"}
     for folder in where.values():
         folder.mkdir()
+    monkeypatch.chdir(where["in"])
     data, model = workspace["data"], str(workspace["model"])
     valid = {
         "synth": {"--out-dir": "{out}/o"},
@@ -791,20 +868,25 @@ def test_rejected_call_exits_1_with_one_error_line(workspace, tmp_path, capsys,
     }.get(command, {})
     argv = [command]
     for flag, value in {**valid, **change}.items():
-        if isinstance(value, tuple):
-            name, content = value
+        is_flag = flag.startswith("--")
+        if isinstance(value, tuple) or not is_flag:
+            name, content = value if is_flag else (flag, value)
             value = str(where["in"] / name)
             if callable(content):
                 content(workspace, value)
             else:
                 Path(value).write_text(content)
-        if value is not None:
+        if is_flag and value is not None:
             argv += [flag] if value is True else [flag, value.format_map(where)]
-    inputs = {path: path.read_bytes() for path in where["in"].iterdir()}
+
+    def contents():
+        return {path: path.is_file() and path.read_bytes() for path in where["in"].iterdir()}
+
+    inputs = contents()
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {message.format_map(where)}\n"
     assert list(where["out"].iterdir()) == []
-    assert {path: path.read_bytes() for path in where["in"].iterdir()} == inputs
+    assert contents() == inputs
 
 
 def test_subcommand_help_exits_0(capsys):

@@ -220,6 +220,27 @@ def test_result_text_is_aligned():
     assert len(offsets) == 1  # values start in one column
 
 
+def test_result_csv_and_text_bytes():
+    """The eval file and the printed block, exactly: counts whole, floats
+    at %.9g in the file and %.6g in the block, names padded to the
+    longest."""
+    result = EvalResult(auc=0.987654321987, best_f1=1.5e-07, best_threshold=-2.0,
+                        precision=0.0, recall=1 / 3, tp=1234567890, fp=0, fn=7, tn=42)
+    assert result_csv(result) == (
+        "auc,best_f1,best_threshold,precision,recall,tp,fp,fn,tn\n"
+        "0.987654322,1.5e-07,-2,0,0.333333333,1234567890,0,7,42\n")
+    assert result_text(result) == (
+        "auc             0.987654\n"
+        "best_f1         1.5e-07\n"
+        "best_threshold  -2\n"
+        "precision       0\n"
+        "recall          0.333333\n"
+        "tp              1234567890\n"
+        "fp              0\n"
+        "fn              7\n"
+        "tn              42\n")
+
+
 def test_formatting_is_deterministic():
     result = best_f1([0.9, 0.8, 0.1, 0.2], [1, 1, 0, 0])
     assert result_csv(result) == result_csv(result)

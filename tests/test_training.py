@@ -402,6 +402,19 @@ def test_fit_returns_epoch_stats_and_writes_report(tmp_path):
     assert float(row[3]) == pytest.approx(stats[0].total, rel=1e-6)
 
 
+def test_report_csv_bytes(tmp_path):
+    """The report's exact text: the epoch whole, floats at %.9g, ``\\n``
+    line ends, and the header alone for no epochs."""
+    path = tmp_path / "report.csv"
+    save_report_csv(path, [EpochStats(0, 2.5e-07, -1.25, 0.0, 1234567891234.5, 0.1),
+                           EpochStats(12, 3.14159265358979, 1e30, -0.0, 7.0, 123456.789)])
+    assert path.read_bytes() == (b"epoch,cpc,ddcl,total,grad_norm,seconds\n"
+                                 b"0,2.5e-07,-1.25,0,1.23456789e+12,0.1\n"
+                                 b"12,3.14159265,1e+30,-0,7,123456.789\n")
+    save_report_csv(path, [])
+    assert path.read_bytes() == b"epoch,cpc,ddcl,total,grad_norm,seconds\n"
+
+
 def test_fit_smoke_overfits_small_set():
     cfg = tiny_config()
     params = init_params(cfg, seed=5)
